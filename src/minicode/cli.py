@@ -343,9 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--filter", default="*", help="case name glob")
     p.add_argument("--heavy", action="store_true",
                    help="include the long-running monomial cases")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker cap (kernels are vectorized; output is "
-                        "identical for any value)")
     p.set_defaults(func=cmd_repro)
     return parser
 
@@ -353,8 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", 1) is not None and getattr(args, "jobs", 1) < 1:
-        parser.error("--jobs must be >= 1")
     try:
         return args.func(args)
     except BudgetExceededError as exc:

@@ -5,8 +5,8 @@ vectors in F_q^k.  D_f puts d_x = (f(x), x) for every nonzero x in canonical
 order, so k = m+1 and the f-value is coordinate 1 of each d_x.
 
 Weight distributions are exact, computed by streaming over all q^k messages
-without materializing codewords (memory stays O(n)); over prime fields the
-stream is processed in vectorized blocks.
+in vectorized blocks without materializing the whole code; every field runs
+the same linalg.np_dots kernel.
 """
 
 from __future__ import annotations
@@ -22,20 +22,20 @@ from .errors import GuardError
 from .families import FunctionSpec
 from .gf import FieldSpec
 from .linalg import (
+    ENUM_GUARD,
     Vec,
-    dot,
     index_to_vector,
-    np_matmul_mod,
-    np_rows,
+    np_block_rows,
+    np_digit_columns,
+    np_dots,
+    np_vectors,
     rank,
     read_matrix,
     unit_vector,
     write_matrix,
 )
 
-ENUM_GUARD = 2**31    # ceiling on q^m when building D_f
 WDIST_GUARD = 2**26   # ceiling on q^k for exhaustive message enumeration
-_BLOCK = 2048
 
 
 @dataclass(eq=False)
@@ -65,7 +65,12 @@ class DefiningSet:
 
     @cached_property
     def as_array(self) -> np.ndarray:
-        return np_rows(self.vectors)
+        return np.asarray(self.vectors, dtype=np.int64).reshape(self.n, self.k)
+
+    @cached_property
+    def digit_columns(self) -> np.ndarray:
+        """D's right-hand side for linalg.np_dots."""
+        return np_digit_columns(self.field, self.as_array)
 
     @cached_property
     def row_index(self) -> dict[Vec, int]:
@@ -96,32 +101,17 @@ def linearity_check(f: FunctionSpec) -> Optional[Vec]:
     """
     field, m, q = f.field, f.m, f.field.q
     omega = tuple(f.eval(unit_vector(m, i)) for i in range(1, m + 1))
-    values = f.materialize().variant.values
-    if field.e == 1:
-        vals = np.fromiter(values, dtype=np.int64, count=q**m)
-        digits = np.empty((q**m, m), dtype=np.int64)
-        idx = np.arange(q**m)
-        for i in range(m - 1, -1, -1):
-            idx, digits[:, i] = np.divmod(idx, q)
-        expected = (digits @ np.asarray(omega, dtype=np.int64)) % q
-        ok = bool(np.array_equal(vals[1:], expected[1:]))
-    else:
-        ok = all(
-            values[i] == dot(field, omega, index_to_vector(q, m, i))
-            for i in range(1, q**m)
-        )
-    return omega if ok else None
+    values = np.asarray(f.materialize().variant.values, dtype=np.int64)
+    x = np_vectors(q, m, 0, q**m)
+    expected = np_dots(field, [omega], np_digit_columns(field, x))[0]
+    return omega if np.array_equal(values[1:], expected[1:]) else None
 
 
 def codeword(y: Sequence[int], D: DefiningSet) -> Vec:
     """c(y; D) = (y.d_1, ..., y.d_n)."""
     if len(y) != D.k:
         raise ValueError(f"message length {len(y)} != k = {D.k}")
-    field = D.field
-    if field.e == 1 and D.n > 64:
-        out = (D.as_array @ np.asarray(y, dtype=np.int64)) % field.p
-        return tuple(int(a) for a in out)
-    return tuple(dot(field, y, d) for d in D.vectors)
+    return tuple(np_dots(D.field, [y], D.digit_columns)[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -199,39 +189,14 @@ def weight_distribution(D: DefiningSet) -> WeightEnumerator:
         raise GuardError("empty defining set")
     if q**k > WDIST_GUARD:
         raise GuardError(f"q^k = {q}^{k} exceeds the enumeration guard {WDIST_GUARD}")
-    if field.e == 1:
-        counts = _weight_distribution_prime(D)
-    else:
-        counts = _weight_distribution_generic(D)
-    return WeightEnumerator(q, n, k, counts)
-
-
-def _weight_distribution_prime(D: DefiningSet) -> dict[int, int]:
-    p, k, n = D.field.p, D.k, D.n
-    total = p**k
-    dt = D.as_array.T  # k x n
+    total = q**k
+    step = np_block_rows(field, n)
     acc = np.zeros(n + 1, dtype=np.int64)
-    for start in range(0, total, _BLOCK):
-        stop = min(start + _BLOCK, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        msgs = np.empty((stop - start, k), dtype=np.int64)
-        for i in range(k - 1, -1, -1):
-            idx, msgs[:, i] = np.divmod(idx, p)
-        words = np_matmul_mod(msgs, dt, p)
-        weights = np.count_nonzero(words, axis=1)
+    for start in range(0, total, step):
+        msgs = np_vectors(q, k, start, min(start + step, total))
+        weights = np.count_nonzero(np_dots(field, msgs, D.digit_columns), axis=1)
         acc += np.bincount(weights, minlength=n + 1)
-    return {w: int(c) for w, c in enumerate(acc) if c}
-
-
-def _weight_distribution_generic(D: DefiningSet) -> dict[int, int]:
-    field, k = D.field, D.k
-    q = field.q
-    counts: dict[int, int] = {}
-    for idx in range(q**k):
-        y = index_to_vector(q, k, idx)
-        w = sum(1 for d in D.vectors if dot(field, y, d))
-        counts[w] = counts.get(w, 0) + 1
-    return counts
+    return WeightEnumerator(q, n, k, {w: int(c) for w, c in enumerate(acc) if c})
 
 
 def params(D: DefiningSet, enumerator: Optional[WeightEnumerator] = None) -> CodeParams:

@@ -5,13 +5,19 @@ the integer are the polynomial-basis coordinates, least significant digit =
 constant term.  Fields with q <= 256 precompute full add/mul/inv tables,
 since the enumeration kernels downstream are table-lookup bound.
 
+The numpy kernels of the package see elements only through the numpy views
+built here on first use: flat q*q tables (one ``take`` at a*q + b), and the
+F_p-digits and F_p-multiplication matrix of each element.
+
 A FieldSpec is immutable after construction; every operation is pure.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Optional, Sequence
+from functools import cached_property, lru_cache
+from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 # Built-in irreducible moduli for p^e <= 64, coefficients ascending
 # (constant term first, leading coefficient last, always monic).
@@ -207,6 +213,45 @@ class FieldSpec:
             n >>= 1
         return acc
 
+    # -- numpy views, built on first use
+
+    def _flat_table(self, op: Callable[[int, int], int]) -> np.ndarray:
+        q = self.q
+        return _frozen([op(a, b) for a in range(q) for b in range(q)])
+
+    @cached_property
+    def np_add(self) -> np.ndarray:
+        """Flat q*q table: np_add[a*q + b] = a + b."""
+        return self._flat_table(self.add)
+
+    @cached_property
+    def np_sub(self) -> np.ndarray:
+        """Flat q*q table: np_sub[a*q + b] = a - b."""
+        return self._flat_table(self.sub)
+
+    @cached_property
+    def np_mul(self) -> np.ndarray:
+        """Flat q*q table: np_mul[a*q + b] = a * b."""
+        return self._flat_table(self.mul)
+
+    @cached_property
+    def np_inv(self) -> np.ndarray:
+        """np_inv[a] = 1/a for a != 0; np_inv[0] = 0 is a placeholder."""
+        return _frozen([0] + [self.inv(a) for a in self.nonzero()])
+
+    @cached_property
+    def np_digits(self) -> np.ndarray:
+        """q x e: the base-p digits of each element, least significant first."""
+        return _frozen([_digits(a, self.p, self.e) for a in range(self.q)])
+
+    @cached_property
+    def np_mulmat(self) -> np.ndarray:
+        """q x e x e: digits(a * x) = np_mulmat[a] @ digits(x) mod p."""
+        p, e = self.p, self.e
+        images = [[self.mul(a, p**s) for s in range(e)] for a in range(self.q)]
+        # images give the columns of each matrix; digits index the rows
+        return _frozen(self.np_digits[images].transpose(0, 2, 1))
+
     def elements(self) -> range:
         return range(self.q)
 
@@ -230,6 +275,12 @@ class FieldSpec:
         if self.e == 1:
             return f"FieldSpec(F_{self.q})"
         return f"FieldSpec(F_{self.q}, modulus={self.modulus})"
+
+
+def _frozen(values) -> np.ndarray:
+    arr = np.ascontiguousarray(values, dtype=np.int64)
+    arr.flags.writeable = False
+    return arr
 
 
 @lru_cache(maxsize=None)

@@ -5,7 +5,8 @@ as an explicit argument.  Coordinate indices are 1-based in every reported
 support/index, matching the x_1..x_m convention used throughout.
 
 Gaussian elimination uses first-nonzero pivoting and exact field arithmetic;
-there are no tolerances anywhere.
+there are no tolerances anywhere.  The numpy kernels at the end take the
+same vectors as int64 rows and serve every field.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .gf import FieldSpec, field_by_order
 Vec = tuple[int, ...]
 
 ENUM_GUARD = 2**31  # ceiling on q^m for enumeration streams
+DOT_BLOCK = 2**16   # F_p-digit entries of y.d one np_dots call should produce
 
 
 def check_same_length(u: Sequence[int], v: Sequence[int]) -> None:
@@ -134,16 +136,6 @@ def rank(field: FieldSpec, rows: Iterable[Sequence[int]]) -> int:
     return 0 if basis is None else basis.rank
 
 
-def row_reduced_basis(field: FieldSpec, rows: Iterable[Sequence[int]]) -> list[Vec]:
-    """A row-reduced basis of the row space (pivot order)."""
-    basis: Optional[EchelonBasis] = None
-    for row in rows:
-        if basis is None:
-            basis = EchelonBasis(field, len(row))
-        basis.add(row)
-    return [] if basis is None else list(basis.rows)
-
-
 def _rref(field: FieldSpec, rows: list[list[int]], width: int) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form in place; returns (nonzero rows, pivot columns)."""
     r = 0
@@ -210,11 +202,6 @@ def solve(field: FieldSpec, rows: Sequence[Sequence[int]], rhs: Sequence[int]) -
     return tuple(x)
 
 
-def orthogonal_complement(field: FieldSpec, vectors: Sequence[Sequence[int]], k: int) -> list[Vec]:
-    """Basis of S^perp for S the given vectors inside F_q^k."""
-    return kernel_basis(field, vectors, k)
-
-
 # -- canonical enumeration ---------------------------------------------------
 
 def index_to_vector(q: int, m: int, idx: int) -> Vec:
@@ -242,16 +229,55 @@ def enumerate_vectors(field: FieldSpec, m: int, include_zero: bool = False) -> I
         yield index_to_vector(q, m, idx)
 
 
-# -- numpy helpers (prime fields only) ---------------------------------------
+# -- numpy kernels (every field) -----------------------------------------------
 
-def np_rows(rows: Sequence[Sequence[int]]) -> np.ndarray:
-    return np.asarray(rows, dtype=np.int64)
+def np_vectors(q: int, m: int, start: int, stop: int) -> np.ndarray:
+    """Rows index_to_vector(q, m, i) for start <= i < stop."""
+    idx = np.arange(start, stop, dtype=np.int64)
+    out = np.empty((stop - start, m), dtype=np.int64)
+    for i in range(m - 1, -1, -1):
+        idx, out[:, i] = np.divmod(idx, q)
+    return out
 
 
 def np_matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact (a @ b) mod p via float64 BLAS; entries must stay below 2^53."""
-    prod = np.rint(a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
-    return prod % p
+    prod = np.rint(np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64))
+    return prod.astype(np.int64) % p
+
+
+def np_digit_columns(field: FieldSpec, D: np.ndarray) -> np.ndarray:
+    """The (k*e) x n float matrix whose column j holds the F_p-digits of d_j.
+
+    D is n x k; this is the right-hand side of np_dots, built once per D.
+    """
+    n, k = D.shape
+    cols = field.np_digits[D].reshape(n, k * field.e).T
+    return np.ascontiguousarray(cols, dtype=np.float64)
+
+
+def np_dots(field: FieldSpec, Y, cols: np.ndarray) -> np.ndarray:
+    """R x n values y.d over F_q for the R rows y of Y, d against cols.
+
+    cols comes from np_digit_columns.  Each y_i acts on the digits of d_i by
+    its F_p-multiplication matrix, so all R*n products are one exact matmul
+    over F_p whose e digit planes are then packed back into elements.
+    Callers keep R within np_block_rows.
+    """
+    p, e = field.p, field.e
+    Y = np.asarray(Y, dtype=np.int64)
+    R, k = Y.shape
+    left = field.np_mulmat[Y].transpose(0, 2, 1, 3).reshape(R * e, k * e)
+    digits = np_matmul_mod(left, cols, p).reshape(R, e, cols.shape[1])
+    out = digits[:, 0]
+    for a in range(1, e):
+        out += digits[:, a] * p**a
+    return out
+
+
+def np_block_rows(field: FieldSpec, n: int) -> int:
+    """Rows per np_dots call so that one call produces about DOT_BLOCK entries."""
+    return max(1, DOT_BLOCK // (n * field.e))
 
 
 # -- matrix text format -------------------------------------------------------

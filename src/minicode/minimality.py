@@ -14,6 +14,8 @@ Criteria:
 The rank criterion streams D through an incremental row-echelon basis and
 early-exits at rank k-1, and emits a certificate whose per-class entries are
 indices into the serialized D order, so verification is exact membership.
+A failing class is reported with the rank its scan reached and a message
+whose codeword it covers.  Every field runs the same numpy kernels.
 """
 
 from __future__ import annotations
@@ -34,7 +36,9 @@ from .linalg import (
     Vec,
     dot,
     index_to_vector,
-    np_matmul_mod,
+    kernel_basis,
+    np_block_rows,
+    np_dots,
     rank,
     scale,
 )
@@ -42,7 +46,6 @@ from .linalg import (
 DEFAULT_BUDGET = 10**10
 DEF_MAX_CLASSES = 10_000
 DEF_MAX_N = 1_000
-_BLOCK = 512
 
 MINIMAL = "minimal"
 NOT_MINIMAL = "not_minimal"
@@ -143,13 +146,12 @@ def projective_classes(field: FieldSpec, k: int) -> Iterator[Vec]:
 
 
 def _codeword_matrix(D: DefiningSet, reps: list[Vec]) -> np.ndarray:
-    """Codewords of all reps as an R x n int matrix (prime fields)."""
-    p = D.field.p
+    """Codewords of all reps as an R x n int matrix."""
     Y = np.asarray(reps, dtype=np.int64)
     out = np.empty((len(reps), D.n), dtype=np.int64)
-    for start in range(0, len(reps), _BLOCK):
-        stop = min(start + _BLOCK, len(reps))
-        out[start:stop] = np_matmul_mod(Y[start:stop], D.as_array.T, p)
+    step = np_block_rows(D.field, D.n)
+    for start in range(0, len(reps), step):
+        out[start:start + step] = np_dots(D.field, Y[start:start + step], D.digit_columns)
     return out
 
 
@@ -159,14 +161,8 @@ def _distinct_codeword_reps(D: DefiningSet) -> tuple[list[Vec], np.ndarray]:
     Collapsing to distinct codewords keeps the definition and dhz checks
     correct when rank(D) < k (several messages can share one codeword).
     """
-    field, k = D.field, D.k
-    reps = list(projective_classes(field, k))
-    if field.e == 1:
-        words = _codeword_matrix(D, reps)
-    else:
-        words = np.asarray(
-            [[dot(field, y, d) for d in D.vectors] for y in reps], dtype=np.int64
-        )
+    reps = list(projective_classes(D.field, D.k))
+    words = _codeword_matrix(D, reps)
     keep: list[int] = []
     seen: set[bytes] = set()
     for i, row in enumerate(words):
@@ -233,53 +229,49 @@ def dhz_criterion(
     _check_oracle_scale(D, max_classes, max_n)
     reps, words = _distinct_codeword_reps(D)
     q = D.field.q
+    add = D.field.np_add.reshape(q, q)
+    mul = D.field.np_mul.reshape(q, q)
+    # axpy[c - 1][a*q + b] = a + c b, so each c costs one flat-table take
+    axpy = [add[:, mul[c]].ravel() for c in range(1, q)]
     wt = np.count_nonzero(words, axis=1)
-    if D.field.e == 1:
-        for i in range(len(reps)):
-            lhs = np.zeros(len(reps), dtype=np.int64)
-            for c in range(1, q):
-                lhs += np.count_nonzero((words[i] + c * words) % q, axis=1)
-            rhs = (q - 1) * wt[i] - wt
-            bad = lhs == rhs
-            bad[i] = False
-            hits = np.flatnonzero(bad)
-            if hits.size:
-                j = int(hits[0])
-                return MinimalityReport(
-                    "dhz", NOT_MINIMAL,
-                    DhzViolation(a=reps[i], b=reps[j], value=int(lhs[j])),
-                )
-    else:
-        field = D.field
-        rows = [tuple(int(a) for a in row) for row in words]
-        for i, a_row in enumerate(rows):
-            for j, b_row in enumerate(rows):
-                if i == j:
-                    continue
-                lhs = 0
-                for c in field.nonzero():
-                    lhs += sum(
-                        1 for x, y_ in zip(a_row, b_row)
-                        if field.add(x, field.mul(c, y_))
-                    )
-                if lhs == (q - 1) * int(wt[i]) - int(wt[j]):
-                    return MinimalityReport(
-                        "dhz", NOT_MINIMAL,
-                        DhzViolation(a=reps[i], b=reps[j], value=lhs),
-                    )
+    for i in range(len(reps)):
+        pairs = words[i] * q + words
+        lhs = sum(np.count_nonzero(t.take(pairs), axis=1) for t in axpy)
+        rhs = (q - 1) * wt[i] - wt
+        bad = lhs == rhs
+        bad[i] = False
+        hits = np.flatnonzero(bad)
+        if hits.size:
+            j = int(hits[0])
+            return MinimalityReport(
+                "dhz", NOT_MINIMAL,
+                DhzViolation(a=reps[i], b=reps[j], value=int(lhs[j])),
+            )
     return MinimalityReport("dhz", MINIMAL)
 
 
-def _hyperplane_members(D: DefiningSet, y: Sequence[int]) -> Iterator[int]:
+def _hyperplane_members(D: DefiningSet, y: Sequence[int]) -> list[int]:
     """0-based indices of D members orthogonal to y, in D order."""
+    return np.flatnonzero(np_dots(D.field, [y], D.digit_columns)[0] == 0).tolist()
+
+
+def _rank_failure(D: DefiningSet, y: Sequence[int], chosen: Sequence[int]) -> MinimalityReport:
+    """not_minimal for class y, whose greedy scan of D cap H(y) chose too few rows.
+
+    chosen spans D cap H(y), so any b orthogonal to it vanishes wherever c(y)
+    does: c(y) covers c(b).  A kernel vector that is no multiple of y exists
+    because the rank is below k - 1, and c(b) is nonzero and no multiple of
+    c(y) because rank(D) = k.
+    """
     field = D.field
-    if field.e == 1:
-        dots = (D.as_array @ np.asarray(y, dtype=np.int64)) % field.p
-        yield from (int(i) for i in np.flatnonzero(dots == 0))
-    else:
-        for i, d in enumerate(D.vectors):
-            if dot(field, y, d) == 0:
-                yield i
+    y = normalize_class(field, y)
+    rows = [D.vectors[i - 1] for i in chosen]
+    covered = next(
+        b for b in kernel_basis(field, rows, D.k) if normalize_class(field, b) != y
+    )
+    return MinimalityReport(
+        "rank", NOT_MINIMAL, {"y": y, "rank": len(chosen), "covered": covered}
+    )
 
 
 def rank_criterion_codeword(y: Sequence[int], D: DefiningSet) -> MinimalityReport:
@@ -307,10 +299,7 @@ def rank_criterion_codeword(y: Sequence[int], D: DefiningSet) -> MinimalityRepor
             chosen.append(i + 1)
             if basis.rank == k - 1:
                 return minimal_with(chosen)
-    return MinimalityReport(
-        "rank", NOT_MINIMAL,
-        {"y": normalize_class(field, y), "rank": basis.rank},
-    )
+    return _rank_failure(D, y, chosen)
 
 
 def rank_criterion_code(
@@ -336,89 +325,64 @@ def rank_criterion_code(
             f"estimated {estimated} field ops exceed the budget {limit}"
         )
     reps = list(projective_classes(field, k))
+    Y = np.asarray(reps, dtype=np.int64)
+    step = np_block_rows(field, n)
     entries: list[tuple[Vec, tuple]] = []
-    if field.e == 1:
-        Y = np.asarray(reps, dtype=np.int64)
-        dt = D.as_array.T
-        for start in range(0, P, _BLOCK):
-            stop = min(start + _BLOCK, P)
-            dots = np_matmul_mod(Y[start:stop], dt, field.p)
-            for local, y in enumerate(reps[start:stop]):
-                zero_idx = np.flatnonzero(dots[local] == 0)
-                got = _collect_witness_prime(D, zero_idx)
-                if got is None:
-                    return MinimalityReport(
-                        "rank", NOT_MINIMAL, {"y": y, "rank": None}
-                    )
-                entries.append((y, got))
-    else:
-        for y in reps:
-            zero_idx = list(_hyperplane_members(D, y))
-            got = _collect_witness(D, y, zero_idx)
-            if got is None:
-                return MinimalityReport("rank", NOT_MINIMAL, {"y": y, "rank": None})
-            entries.append((y, got))
+    for start in range(0, P, step):
+        dots = np_dots(field, Y[start:start + step], D.digit_columns)
+        for y, row in zip(reps[start:start + step], dots):
+            chosen = _collect_witness(D, np.flatnonzero(row == 0))
+            if len(chosen) < k - 1:
+                return _rank_failure(D, y, chosen)
+            entries.append((y, chosen))
     cert = Certificate(q=q, n=n, k=k, mode="indices", classes=tuple(entries))
     return MinimalityReport("rank", MINIMAL, cert)
-
-
-def _collect_witness(
-    D: DefiningSet, y: Vec, zero_idx: Sequence[int]
-) -> Optional[tuple[int, ...]]:
-    """First k-1 independent members of D cap H(y) (1-based), else None."""
-    field, k = D.field, D.k
-    if k == 1:
-        return ()
-    basis = EchelonBasis(field, k)
-    chosen: list[int] = []
-    for i in zero_idx:
-        if basis.add(D.vectors[i]):
-            chosen.append(int(i) + 1)
-            if basis.rank == k - 1:
-                return tuple(chosen)
-    return None
 
 
 _CHUNK = 256
 
 
-def _collect_witness_prime(D: DefiningSet, zero_idx: np.ndarray) -> Optional[tuple[int, ...]]:
-    """Vectorized twin of _collect_witness for prime fields (same greedy choice).
+def _collect_witness(D: DefiningSet, zero_idx: np.ndarray) -> tuple[int, ...]:
+    """Greedy scan of D cap H(y): the 1-based indices of the rows it keeps.
 
-    Candidate rows are reduced against the growing echelon basis one chunk
-    at a time; the first row a chunk leaves nonzero is exactly the next row
-    the sequential greedy scan would accept.
+    Stops at k-1 rows; fewer means the scan exhausted D cap H(y), whose rank
+    is then the number of rows returned.  Makes the same greedy choice as
+    the EchelonBasis loop of rank_criterion_codeword, vectorized: candidate
+    rows are reduced against the growing echelon basis one chunk at a time,
+    and the first row a chunk leaves nonzero is the next row kept.
     """
-    p, k = D.field.p, D.k
-    target = k - 1
-    if target == 0:
+    field, k = D.field, D.k
+    if k == 1:
         return ()
-    pivots: list[int] = []
-    basis_rows: list[np.ndarray] = []
+    q, sub, inv = field.q, field.np_sub, field.np_inv
+    mul = field.np_mul.reshape(q, q)
+
+    def eliminate(chunk: np.ndarray, piv: int, multiples: np.ndarray) -> np.ndarray:
+        """chunk - chunk[:, piv] * row, where multiples[c] = c * row."""
+        return sub.take(chunk * q + multiples.take(chunk[:, piv], axis=0))
+
+    basis: list[tuple[int, np.ndarray]] = []  # (pivot, multiples of the pivot-1 row)
     chosen: list[int] = []
     arr = D.as_array
     for start in range(0, len(zero_idx), _CHUNK):
         sel = zero_idx[start:start + _CHUNK]
-        chunk = arr[sel].copy()
-        for piv, row in zip(pivots, basis_rows):
-            coef = chunk[:, piv]
-            if coef.any():
-                chunk = (chunk - coef[:, None] * row) % p
-        live = np.flatnonzero(chunk.any(axis=1))
+        chunk = arr[sel]
+        for piv, multiples in basis:
+            if chunk[:, piv].any():
+                chunk = eliminate(chunk, piv, multiples)
+        live = chunk.any(axis=1).nonzero()[0]
         while live.size:
             i = int(live[0])
             row = chunk[i]
-            piv = int(np.flatnonzero(row)[0])
-            row = (row * pow(int(row[piv]), -1, p)) % p
-            pivots.append(piv)
-            basis_rows.append(row)
+            piv = int(row.nonzero()[0][0])
+            multiples = mul[:, mul[inv[row[piv]], row]]
+            basis.append((piv, multiples))
             chosen.append(int(sel[i]) + 1)
-            if len(chosen) == target:
+            if len(chosen) == k - 1:
                 return tuple(chosen)
-            coef = chunk[:, piv]
-            chunk = (chunk - coef[:, None] * row) % p
-            live = np.flatnonzero(chunk.any(axis=1))
-    return None
+            chunk = eliminate(chunk, piv, multiples)
+            live = chunk.any(axis=1).nonzero()[0]
+    return tuple(chosen)
 
 
 def cf_case_check(

@@ -142,17 +142,8 @@ def hyperplane_low_weight_basis(field: FieldSpec, v: Sequence[int]) -> WitnessBa
     if not any(v):
         raise ValueError("v must be nonzero")
     m = len(v)
-    i0 = next(i for i, a in enumerate(v) if a)
-    inv0 = field.inv(v[i0])
-    rows = []
-    for i in range(m):
-        if i == i0:
-            continue
-        coef = field.neg(field.mul(inv0, v[i]))
-        rows.append(
-            vec_add(field, unit_vector(m, i + 1),
-                    scale(field, coef, unit_vector(m, i0 + 1)))
-        )
+    _, lows = _low_basis_against(field, tuple(v))
+    rows = list(lows.values())
     wb = WitnessBasis(("hyperplane", tuple(v)), tuple(rows))
     for r in rows:
         if dot(field, v, r) != 0 or not 1 <= weight(r) <= 2:

@@ -4,8 +4,6 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
-import pytest
-
 from minicode.cli import EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK, REPRO_CASES, main
 from minicode.code import defining_set, weight_distribution
 from minicode.families import get_preset, write_function
@@ -190,8 +188,3 @@ def test_repro_detects_corrupted_expectation(monkeypatch):
 def test_repro_rejects_empty_filter():
     code, _, err = run_cli("repro", "--filter", "zzz*")
     assert code == EXIT_ERROR
-
-
-def test_jobs_flag_validated():
-    with pytest.raises(SystemExit):
-        main(["repro", "--jobs", "0"])

@@ -20,10 +20,13 @@ from minicode.code import (
 from minicode.errors import GuardError
 from minicode.families import FunctionSpec, TableFunction, get_preset
 from minicode.gf import make_field
-from minicode.linalg import index_to_vector, unit_vector, weight
+from minicode.linalg import dot, index_to_vector, unit_vector, weight
 
 F2 = make_field(2)
 F3 = make_field(3)
+F4 = make_field(2, 2)
+F8 = make_field(2, 3)
+F9 = make_field(3, 2)
 
 
 def table_fn(field, m, rule):
@@ -123,20 +126,22 @@ def test_weight_distribution_counts_sum_and_scalar_invariance():
             assert c % 2 == 0
 
 
-def test_weight_distribution_generic_path_matches_prime_path():
-    # Same table evaluated through the generic (non-numpy) path via F_4
-    # has no prime twin, so instead force the generic path on F_3 by a
-    # tiny handmade defining set and compare with direct enumeration.
-    vectors = ((1, 2), (0, 1), (2, 2))
-    D = DefiningSet(F3, 2, vectors)
-    we = weight_distribution(D)
+def test_weight_distribution_matches_dot_oracle():
+    # one kernel serves every field: compare it, over prime and extension
+    # fields, with counts taken message by message through linalg.dot
     from itertools import product
 
-    counts = {}
-    for y in product(range(3), repeat=2):
-        w = weight(codeword(y, D))
-        counts[w] = counts.get(w, 0) + 1
-    assert dict(we.counts) == counts
+    rng = random.Random(5)
+    codes = [DefiningSet(F3, 2, ((1, 2), (0, 1), (2, 2)))]
+    for field, m in ((F4, 2), (F8, 2), (F9, 2), (F4, 3)):
+        codes.append(defining_set(table_fn(field, m, lambda x: rng.randrange(field.q))))
+    for D in codes:
+        field = D.field
+        counts = {}
+        for y in product(range(field.q), repeat=D.k):
+            w = sum(1 for d in D.vectors if dot(field, y, d))
+            counts[w] = counts.get(w, 0) + 1
+        assert dict(weight_distribution(D).counts) == counts
 
 
 def test_weight_distribution_brute_force_oracle_sec5():
@@ -153,12 +158,16 @@ def test_weight_distribution_brute_force_oracle_sec5():
 
 def test_weight_distribution_block_size_invariant(monkeypatch):
     # counts merge additively, so the shard size must not matter
-    import minicode.code as code_mod
+    import minicode.linalg as linalg_mod
 
-    D = defining_set(get_preset("sec4_f1").function)
-    baseline = weight_distribution(D).counts
-    monkeypatch.setattr(code_mod, "_BLOCK", 7)
-    assert weight_distribution(D).counts == baseline
+    rng = random.Random(7)
+    codes = [
+        defining_set(get_preset("sec4_f1").function),
+        defining_set(table_fn(F4, 3, lambda x: rng.randrange(4))),
+    ]
+    baselines = [weight_distribution(D).counts for D in codes]
+    monkeypatch.setattr(linalg_mod, "DOT_BLOCK", 1)
+    assert [weight_distribution(D).counts for D in codes] == baselines
 
 
 def test_weight_enumerator_text_golden():

@@ -82,6 +82,14 @@ def test_tables_match_brute_force_polynomials(q):
         for b in f.elements():
             assert f.mul(a, b) == brute_poly_mul(f.p, f.e, f.modulus, a, b)
             assert f.add(a, b) == brute_poly_add(f.p, f.e, a, b)
+            # the numpy views the kernels use say the same
+            assert f.np_mul[a * q + b] == f.mul(a, b)
+            assert f.np_add[a * q + b] == f.add(a, b)
+            assert f.np_sub[a * q + b] == f.sub(a, b)
+            digits = (f.np_mulmat[a] @ f.np_digits[b]) % f.p
+            assert sum(int(d) * f.p**i for i, d in enumerate(digits)) == f.mul(a, b)
+        if a:
+            assert f.np_inv[a] == f.inv(a)
 
 
 def test_prime_field_examples():

@@ -15,7 +15,6 @@ from minicode.linalg import (
     enumerate_vectors,
     index_to_vector,
     kernel_basis,
-    orthogonal_complement,
     rank,
     read_matrix,
     solve,
@@ -156,7 +155,7 @@ def test_dual_dimension_and_double_perp():
             k = rng.randint(2, 5)
             nrows = rng.randint(1, 3)
             S = [tuple(rng.randrange(field.q) for _ in range(k)) for _ in range(nrows)]
-            perp = orthogonal_complement(field, S, k)
+            perp = kernel_basis(field, S, k)
             assert rank(field, S) + len(perp) == k
             # S is contained in the perp of its perp
             double = kernel_basis(field, perp, k) if perp else None

@@ -6,11 +6,11 @@ import random
 import numpy as np
 import pytest
 
-from minicode.code import DefiningSet, defining_set, linearity_check
+from minicode.code import DefiningSet, codeword, defining_set, linearity_check
 from minicode.errors import BudgetExceededError, CertificateFormatError, GuardError
 from minicode.families import FunctionSpec, TableFunction, get_preset
 from minicode.gf import make_field
-from minicode.linalg import enumerate_vectors, index_to_vector
+from minicode.linalg import covers, dot, enumerate_vectors, index_to_vector
 from minicode.linalg import weight as weight_of
 from minicode.minimality import (
     Certificate,
@@ -18,7 +18,6 @@ from minicode.minimality import (
     DhzViolation,
     MinimalityReport,
     _collect_witness,
-    _collect_witness_prime,
     ab_condition,
     cf_case_check,
     class_count,
@@ -35,6 +34,9 @@ from minicode.minimality import (
 
 F2 = make_field(2)
 F3 = make_field(3)
+F4 = make_field(2, 2)
+F8 = make_field(2, 3)
+F9 = make_field(3, 2)
 
 
 def random_table_code(field, m, rng):
@@ -186,7 +188,7 @@ def test_budget_env_override(monkeypatch):
 def test_criterion_agreement_micro_sweep():
     rng = random.Random(41)
     agreed = 0
-    for field, m, trials in ((F2, 3, 40), (F3, 3, 25)):
+    for field, m, trials in ((F2, 3, 40), (F3, 3, 25), (F4, 2, 10), (F4, 3, 4), (F9, 2, 4)):
         for _ in range(trials):
             f = random_table_code(field, m, rng)
             if linearity_check(f) is not None:
@@ -202,34 +204,60 @@ def test_criterion_agreement_micro_sweep():
 
 def test_rank_not_minimal_reports_smallest_class():
     # functions where some class fails: definition's covering message a
-    # and rank's failing class must agree on the earliest canonical index
+    # and rank's failing class must agree on the earliest canonical index,
+    # and the reported rank and covered message must be checkable evidence
     rng = random.Random(43)
-    seen = 0
-    for _ in range(60):
-        f = random_table_code(F2, 3, rng)
+    codes = [random_table_code(F2, 3, rng) for _ in range(60)]
+    codes.append(FunctionSpec(F4, 2, TableFunction(
+        (2, 0, 3, 3, 2, 2, 3, 3, 0, 3, 0, 0, 0, 2, 3, 0))))
+    seen = set()
+    for f in codes:
         if linearity_check(f) is not None:
             continue
         D = defining_set(f)
         rep = rank_criterion_code(D)
         if rep.verdict != "not_minimal":
             continue
-        seen += 1
+        seen.add(f.field.q)
         failing = rep.witness["y"]
         # recompute the first failing class independently
         expected = next(
-            y for y in projective_classes(F2, 4)
+            y for y in projective_classes(f.field, D.k)
             if rank_criterion_codeword(y, D).verdict == "not_minimal"
         )
         assert failing == expected
-    assert seen > 0
+        assert rank_criterion_codeword(failing, D).witness == rep.witness
+        assert rep.witness["rank"] < D.k - 1
+        b = rep.witness["covered"]
+        cy, cb = codeword(failing, D), codeword(b, D)
+        assert any(cb) and covers(cb, cy)
+        assert normalize_class(f.field, b) != failing  # no scalar multiple of y
+    assert seen == {2, 4}
 
 
 def test_collectors_agree():
-    D = defining_set(get_preset("sec4_f2").function)
-    for y in list(projective_classes(F3, 5))[:60]:
-        dots = (D.as_array @ np.asarray(y)) % 3
-        zero_idx = np.flatnonzero(dots == 0)
-        assert _collect_witness(D, y, zero_idx) == _collect_witness_prime(D, zero_idx)
+    # the vectorized greedy scan keeps exactly the rows the sequential
+    # EchelonBasis scan of rank_criterion_codeword keeps
+    rng = random.Random(47)
+    codes = [defining_set(get_preset("sec4_f2").function)]
+    for F, m in ((F4, 3), (F8, 2), (F9, 2)):
+        f = random_table_code(F, m, rng)
+        while linearity_check(f) is not None:
+            f = random_table_code(F, m, rng)
+        codes.append(defining_set(f))
+    for D in codes:
+        field = D.field
+        for y in list(projective_classes(field, D.k))[:60]:
+            zero_idx = np.asarray(
+                [i for i, d in enumerate(D.vectors) if dot(field, y, d) == 0],
+                dtype=np.int64,
+            )
+            got = _collect_witness(D, zero_idx)
+            ref = rank_criterion_codeword(y, D)
+            if ref.is_minimal:
+                assert got == ref.witness.indices
+            else:
+                assert len(got) == ref.witness["rank"] < D.k - 1
 
 
 def test_cf_case_check_cases_and_agreement():
