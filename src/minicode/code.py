@@ -28,8 +28,8 @@ from .linalg import (
     np_block_rows,
     np_digit_columns,
     np_dots,
+    np_ranks,
     np_vectors,
-    rank,
     read_matrix,
     unit_vector,
     write_matrix,
@@ -61,7 +61,7 @@ class DefiningSet:
 
     @cached_property
     def rank(self) -> int:
-        return rank(self.field, self.vectors)
+        return int(np_ranks(self.field, self.as_array[None])[0])
 
     @cached_property
     def as_array(self) -> np.ndarray:
@@ -71,14 +71,6 @@ class DefiningSet:
     def digit_columns(self) -> np.ndarray:
         """D's right-hand side for linalg.np_dots."""
         return np_digit_columns(self.field, self.as_array)
-
-    @cached_property
-    def row_index(self) -> dict[Vec, int]:
-        """First 1-based position of each distinct vector of D."""
-        out: dict[Vec, int] = {}
-        for i, v in enumerate(self.vectors):
-            out.setdefault(v, i + 1)
-        return out
 
 
 def defining_set(f: FunctionSpec) -> DefiningSet:

@@ -528,12 +528,20 @@ def read_function(src: Union[str, TextIO]) -> FunctionSpec:
     field = field_by_order(q)
     body = lines[1:]
     flat = [int(t) for ln in body for t in ln.split()]
+    lead = {"weight_threshold": 1, "complement_threshold": 1,
+            "maiorana_mcfarland": 2, "monomial_sum": 1}.get(kind, 0)
+    if len(flat) < lead:
+        raise ValueError(f"{kind} body needs at least {lead} ints, found {len(flat)}")
     if kind == "table":
         return FunctionSpec(field, m, TableFunction(tuple(flat)))
     if kind == "weight_threshold":
         t = flat[0]
-        return FunctionSpec(field, m, WeightThreshold(t, tuple(flat[1:1 + t])))
+        if len(flat) != 1 + t:
+            raise ValueError(f"weight_threshold body has {len(flat)} ints, expected {1 + t}")
+        return FunctionSpec(field, m, WeightThreshold(t, tuple(flat[1:])))
     if kind == "complement_threshold":
+        if len(flat) != 1:
+            raise ValueError(f"complement_threshold body has {len(flat)} ints, expected 1")
         return FunctionSpec(field, m, ComplementThreshold(flat[0]))
     if kind == "maiorana_mcfarland":
         s, t = flat[0], flat[1]

@@ -241,8 +241,18 @@ def np_vectors(q: int, m: int, start: int, stop: int) -> np.ndarray:
 
 
 def np_matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact (a @ b) mod p via float64 BLAS; entries must stay below 2^53."""
-    prod = np.rint(np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64))
+    """Exact (a @ b) mod p via float64 BLAS for operands reduced mod p.
+
+    Every product entry is a sum of inner_dim terms below (p-1)^2, so it is
+    exact while inner_dim * (p-1)^2 < 2^53; a larger product is refused.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    inner = a.shape[-1]
+    if inner * (p - 1) ** 2 >= 2**53:
+        raise GuardError(
+            f"inner dimension {inner} with p = {p} exceeds the exact float64 range"
+        )
+    prod = np.rint(a @ np.asarray(b, dtype=np.float64))
     return prod.astype(np.int64) % p
 
 
@@ -278,6 +288,33 @@ def np_dots(field: FieldSpec, Y, cols: np.ndarray) -> np.ndarray:
 def np_block_rows(field: FieldSpec, n: int) -> int:
     """Rows per np_dots call so that one call produces about DOT_BLOCK entries."""
     return max(1, DOT_BLOCK // (n * field.e))
+
+
+def np_ranks(field: FieldSpec, M) -> np.ndarray:
+    """Ranks over F_q of the B matrices of a B x r x c array, by batched elimination.
+
+    Column by column, each matrix takes as pivot its first row that is nonzero
+    there, scales it to a leading 1 and subtracts multiples of it from every
+    row, itself included, so a pivot row is zero afterwards and never chosen
+    again.  Matrices without a pivot in a column are left unchanged.
+    """
+    q, sub, mul, inv = field.q, field.np_sub, field.np_mul, field.np_inv
+    M = np.array(M, dtype=np.int64)
+    B, r, c = M.shape
+    ranks = np.zeros(B, dtype=np.int64)
+    if not r:
+        return ranks
+    at = np.arange(B)
+    for col in range(c):
+        lead = M[:, :, col, None] * q
+        nonzero = lead[:, :, 0] != 0
+        pivot = M[at, nonzero.argmax(axis=1)]
+        pivot = mul.take(inv.take(pivot[:, col])[:, None] * q + pivot)
+        M *= q
+        M += mul.take(lead + pivot[:, None, :])
+        sub.take(M, out=M)
+        ranks += nonzero.any(axis=1)
+    return ranks
 
 
 # -- matrix text format -------------------------------------------------------

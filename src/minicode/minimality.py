@@ -11,15 +11,19 @@ Criteria:
   dhz         the weight-identity test over independent codeword pairs,
   rank        dim Span(D cap H(y)) = k-1 per class, with witness bases.
 
-The rank criterion streams D through an incremental row-echelon basis and
-early-exits at rank k-1, and emits a certificate whose per-class entries are
-indices into the serialized D order, so verification is exact membership.
-A failing class is reported with the rank its scan reached and a message
-whose codeword it covers.  Every field runs the same numpy kernels.
+The rank criterion runs one greedy scan per block of classes: D is visited
+in a fixed stride order, each candidate is reduced against the echelon rows
+of every class it is orthogonal to, and a class retires at rank k-1.  It
+emits a certificate whose per-class entries are indices into the serialized
+D order, so verification is exact membership; the verifier checks blocks of
+classes with batched elimination.  A failing class is reported with the rank
+its scan reached and a message whose codeword it covers.  Every field runs
+the same numpy kernels.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, TextIO, Union
@@ -34,12 +38,11 @@ from .linalg import (
     EchelonBasis,
     SubspaceBasis,
     Vec,
-    dot,
     index_to_vector,
     kernel_basis,
     np_block_rows,
     np_dots,
-    rank,
+    np_ranks,
     scale,
 )
 
@@ -250,9 +253,25 @@ def dhz_criterion(
     return MinimalityReport("dhz", MINIMAL)
 
 
+def _scan_order(n: int) -> np.ndarray:
+    """The 0-based positions of D in the order the rank scans visit them.
+
+    Position i comes i-th, times s, mod n, where s is the first integer from
+    round(n / phi) up that is coprime to n (phi the golden ratio), so
+    successive candidates spread over D.  Canonical order would start with
+    the q^{m-1} - 1 members of D_f that have x_1 = 0, which span slowly.
+    """
+    s = max(1, round(n * (math.sqrt(5) - 1) / 2))
+    while math.gcd(s, n) != 1:
+        s += 1
+    return np.arange(n, dtype=np.int64) * s % n
+
+
 def _hyperplane_members(D: DefiningSet, y: Sequence[int]) -> list[int]:
-    """0-based indices of D members orthogonal to y, in D order."""
-    return np.flatnonzero(np_dots(D.field, [y], D.digit_columns)[0] == 0).tolist()
+    """0-based indices of D members orthogonal to y, in scan order."""
+    order = _scan_order(D.n)
+    dots = np_dots(D.field, [y], D.digit_columns)[0]
+    return order[dots[order] == 0].tolist()
 
 
 def _rank_failure(D: DefiningSet, y: Sequence[int], chosen: Sequence[int]) -> MinimalityReport:
@@ -261,7 +280,8 @@ def _rank_failure(D: DefiningSet, y: Sequence[int], chosen: Sequence[int]) -> Mi
     chosen spans D cap H(y), so any b orthogonal to it vanishes wherever c(y)
     does: c(y) covers c(b).  A kernel vector that is no multiple of y exists
     because the rank is below k - 1, and c(b) is nonzero and no multiple of
-    c(y) because rank(D) = k.
+    c(y) because rank(D) = k.  Both the rank and b depend only on the span,
+    not on the order of the scan.
     """
     field = D.field
     y = normalize_class(field, y)
@@ -275,7 +295,11 @@ def _rank_failure(D: DefiningSet, y: Sequence[int], chosen: Sequence[int]) -> Mi
 
 
 def rank_criterion_codeword(y: Sequence[int], D: DefiningSet) -> MinimalityReport:
-    """c(y) minimal iff rank(D cap H(y)) = k - 1 (requires rank(D) = k)."""
+    """c(y) minimal iff rank(D cap H(y)) = k - 1 (requires rank(D) = k).
+
+    The sequential reference of rank_criterion_code: it scans D in the same
+    order and keeps the same rows.
+    """
     if not any(y):
         raise ValueError("y must be nonzero")
     if D.rank != D.k:
@@ -311,7 +335,8 @@ def rank_criterion_code(
     Minimal verdicts carry an index-mode Certificate covering all classes;
     otherwise the failing class with the smallest canonical index is
     reported.  Refuses (without partial answers) when the estimated cost
-    P * n * k exceeds the operation budget.
+    P * n * k exceeds the operation budget.  Classes run in blocks of about
+    DOT_BLOCK / k^2, in canonical order, so a failure stops at its block.
     """
     if D.rank != D.k:
         raise GuardError(f"rank criterion needs rank(D) = k; got {D.rank} < {D.k}")
@@ -326,63 +351,81 @@ def rank_criterion_code(
         )
     reps = list(projective_classes(field, k))
     Y = np.asarray(reps, dtype=np.int64)
-    step = np_block_rows(field, n)
+    order = _scan_order(n)
+    # the 1-based D index of each scan position, one shared int object each
+    labels = (order + 1).astype(object)
+    step = np_block_rows(field, k * k)
     entries: list[tuple[Vec, tuple]] = []
     for start in range(0, P, step):
-        dots = np_dots(field, Y[start:start + step], D.digit_columns)
-        for y, row in zip(reps[start:start + step], dots):
-            chosen = _collect_witness(D, np.flatnonzero(row == 0))
-            if len(chosen) < k - 1:
-                return _rank_failure(D, y, chosen)
-            entries.append((y, chosen))
+        block = reps[start:start + step]
+        picked, count = _greedy_block(D, Y[start:start + step], order)
+        chosen = labels[picked].tolist()
+        for y, kept, c in zip(block, chosen, count.tolist()):
+            if c < k - 1:
+                return _rank_failure(D, y, kept[:c])
+        entries.extend(zip(block, map(tuple, chosen)))
     cert = Certificate(q=q, n=n, k=k, mode="indices", classes=tuple(entries))
     return MinimalityReport("rank", MINIMAL, cert)
 
 
-_CHUNK = 256
+def _greedy_block(
+    D: DefiningSet, Y: np.ndarray, order: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The greedy scans of D cap H(y) for every class y of a block, run as one pass.
 
+    D is visited in scan order.  At each candidate the classes it is
+    orthogonal to reduce it against the rows they kept, with the flat field
+    tables, and keep it when a remainder is left; a class retires at k-1
+    rows.  This is the choice rank_criterion_codeword makes one class at a
+    time.  The dots of the classes still scanning come from np_dots over a
+    window of candidates at a time.
 
-def _collect_witness(D: DefiningSet, zero_idx: np.ndarray) -> tuple[int, ...]:
-    """Greedy scan of D cap H(y): the 1-based indices of the rows it keeps.
-
-    Stops at k-1 rows; fewer means the scan exhausted D cap H(y), whose rank
-    is then the number of rows returned.  Makes the same greedy choice as
-    the EchelonBasis loop of rank_criterion_codeword, vectorized: candidate
-    rows are reduced against the growing echelon basis one chunk at a time,
-    and the first row a chunk leaves nonzero is the next row kept.
+    Returns (picked, count): picked[b, :count[b]] are the scan positions
+    class b kept.  count[b] < k-1 means its scan exhausted D cap H(y), whose
+    rank is then count[b].
     """
-    field, k = D.field, D.k
-    if k == 1:
-        return ()
-    q, sub, inv = field.q, field.np_sub, field.np_inv
-    mul = field.np_mul.reshape(q, q)
-
-    def eliminate(chunk: np.ndarray, piv: int, multiples: np.ndarray) -> np.ndarray:
-        """chunk - chunk[:, piv] * row, where multiples[c] = c * row."""
-        return sub.take(chunk * q + multiples.take(chunk[:, piv], axis=0))
-
-    basis: list[tuple[int, np.ndarray]] = []  # (pivot, multiples of the pivot-1 row)
-    chosen: list[int] = []
-    arr = D.as_array
-    for start in range(0, len(zero_idx), _CHUNK):
-        sel = zero_idx[start:start + _CHUNK]
-        chunk = arr[sel]
-        for piv, multiples in basis:
-            if chunk[:, piv].any():
-                chunk = eliminate(chunk, piv, multiples)
-        live = chunk.any(axis=1).nonzero()[0]
-        while live.size:
-            i = int(live[0])
-            row = chunk[i]
-            piv = int(row.nonzero()[0][0])
-            multiples = mul[:, mul[inv[row[piv]], row]]
-            basis.append((piv, multiples))
-            chosen.append(int(sel[i]) + 1)
-            if len(chosen) == k - 1:
-                return tuple(chosen)
-            chunk = eliminate(chunk, piv, multiples)
-            live = chunk.any(axis=1).nonzero()[0]
-    return tuple(chosen)
+    field, rows, cols = D.field, D.as_array, D.digit_columns
+    q, sub, mul, inv = field.q, field.np_sub, field.np_mul, field.np_inv
+    B, k = Y.shape
+    n = D.n
+    basis = np.zeros((k - 1, B, k), dtype=np.int64)  # kept rows scaled to a leading 1
+    pivots = np.zeros((k - 1, B), dtype=np.int64)
+    picked = np.zeros((B, k - 1), dtype=np.int64)
+    count = np.zeros(B, dtype=np.int64)
+    live = np.flatnonzero(count < k - 1)  # the classes still scanning
+    t = 0
+    while live.size and t < n:
+        stop = min(n, t + np_block_rows(field, live.size))
+        hits = np_dots(field, Y[live], cols[:, order[t:stop]]) == 0
+        active = np.ones(live.size, dtype=bool)
+        for pos in np.flatnonzero(hits.any(axis=0)) + t:
+            sel = np.flatnonzero(hits[:, pos - t] & active)
+            if not sel.size:
+                continue
+            h = live[sel]
+            w = np.broadcast_to(rows[order[pos]], (h.size, k))
+            at = np.arange(h.size)
+            for i in range(int(count[h].max())):
+                # rows past a class's count are zero, so this leaves it as is
+                c = w[at, pivots[i, h]]
+                w = sub.take(w * q + mul.take(c[:, None] * q + basis[i, h]))
+            new = np.flatnonzero(w.any(axis=1))
+            if not new.size:
+                continue
+            w, h, sel = w[new], h[new], sel[new]
+            piv = (w != 0).argmax(axis=1)
+            lead = w[np.arange(new.size), piv]
+            slot = count[h]
+            basis[slot, h] = mul.take(inv.take(lead)[:, None] * q + w)
+            pivots[slot, h] = piv
+            picked[h, slot] = pos
+            count[h] = slot + 1
+            active[sel[slot + 1 == k - 1]] = False
+            if not active.any():
+                break
+        live = live[active]
+        t = stop
+    return picked, count
 
 
 def cf_case_check(
@@ -432,7 +475,8 @@ def verify_certificate(D: DefiningSet, cert: Certificate) -> bool:
 
     Every class of F_q^k must appear once, each entry must be a member of D
     (by index or by value), orthogonal to its class representative, and each
-    class's k-1 vectors must have rank exactly k-1.
+    class's k-1 vectors must have rank exactly k-1.  Classes are checked in
+    blocks of about DOT_BLOCK / k^2 with the flat field tables.
     """
     field, k, n = D.field, D.k, D.n
     q = field.q
@@ -440,27 +484,73 @@ def verify_certificate(D: DefiningSet, cert: Certificate) -> bool:
         return False
     if cert.mode not in ("indices", "vectors"):
         raise CertificateFormatError(f"unknown certificate mode {cert.mode!r}")
-    expected = list(projective_classes(field, k))
-    if len(cert.classes) != len(expected):
+    P = class_count(q, k)
+    if len(cert.classes) != P or any(len(items) != k - 1 for _, items in cert.classes):
         return False
-    if {rep for rep, _ in cert.classes} != set(expected):
-        return False
-    for rep, items in cert.classes:
-        if len(items) != k - 1:
+    add, mul = field.np_add, field.np_mul
+    members = np.sort(_row_keys(D.as_array))
+    rep_keys = []
+    step = np_block_rows(field, k * k)
+    for start in range(0, P, step):
+        block = cert.classes[start:start + step]
+        Y = _int_array([rep for rep, _ in block], (len(block), k))
+        if Y is None or ((Y < 0) | (Y >= q)).any():
             return False
-        if cert.mode == "indices":
-            if any(not 1 <= i <= n for i in items):
-                return False
-            vectors = [D.vectors[i - 1] for i in items]
-        else:
-            vectors = [tuple(v) for v in items]
-            if any(v not in D.row_index for v in vectors):
-                return False
-        if any(dot(field, rep, d) != 0 for d in vectors):
+        if (Y[np.arange(len(Y)), (Y != 0).argmax(axis=1)] != 1).any():
+            return False  # a first nonzero entry other than 1
+        rep_keys.append(_row_keys(Y))
+        if k == 1:
+            continue
+        W = _witness_rows(D, cert.mode, [items for _, items in block], members)
+        if W is None:
             return False
-        if rank(field, vectors) != k - 1:
+        dots = np.zeros(W.shape[:2], dtype=np.int64)
+        for j in range(k):
+            dots = add.take(dots * q + mul.take(Y[:, j, None] * q + W[:, :, j]))
+        if dots.any() or (np_ranks(field, W) != k - 1).any():
             return False
-    return True
+    # P distinct representatives are every projective class once
+    rep_keys = np.sort(np.concatenate(rep_keys))
+    return bool((rep_keys[1:] != rep_keys[:-1]).all())
+
+
+def _int_array(values: list, shape: tuple[int, ...]) -> Optional[np.ndarray]:
+    """values as an integer array of the given shape, or None if they are not one."""
+    try:
+        A = np.array(values)
+    except ValueError:  # ragged
+        return None
+    return A if A.dtype.kind in "iu" and A.shape == shape else None
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row of field elements as one k-byte string (q <= 256), for exact lookup."""
+    rows = np.ascontiguousarray(rows, dtype=np.uint8)
+    return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
+
+
+def _witness_rows(
+    D: DefiningSet, mode: str, items: list, members: np.ndarray
+) -> Optional[np.ndarray]:
+    """The B x (k-1) x k witness vectors of a block of certificate entries.
+
+    None when an entry is no member of D: an index outside 1..n, or a vector
+    with a non-field entry or absent from D (members: D's sorted _row_keys).
+    """
+    k, n, q = D.k, D.n, D.field.q
+    if mode == "indices":
+        A = _int_array(items, (len(items), k - 1))
+        if A is None or ((A < 1) | (A > n)).any():
+            return None
+        return D.as_array[A - 1]
+    A = _int_array(items, (len(items), k - 1, k))
+    if A is None or ((A < 0) | (A >= q)).any():
+        return None
+    keys = _row_keys(A.reshape(-1, k))
+    at = np.searchsorted(members, keys)
+    if (at == members.size).any() or (members[at] != keys).any():
+        return None
+    return A
 
 
 def write_certificate(out: Union[str, TextIO], cert: Certificate) -> None:

@@ -188,3 +188,25 @@ def test_repro_detects_corrupted_expectation(monkeypatch):
 def test_repro_rejects_empty_filter():
     code, _, err = run_cli("repro", "--filter", "zzz*")
     assert code == EXIT_ERROR
+
+
+def test_function_file_with_empty_body_is_an_input_error(tmp_path):
+    fn = tmp_path / "f.fn"
+    for kind in ("weight_threshold", "complement_threshold",
+                 "maiorana_mcfarland", "monomial_sum"):
+        fn.write_text(f"3 2 {kind}\n")
+        code, _, err = run_cli("check", str(fn), "--criterion", "rank")
+        assert code == EXIT_ERROR
+        assert err.startswith("error:") and kind in err
+
+
+def test_function_file_with_trailing_tokens_is_an_input_error(tmp_path):
+    fn = tmp_path / "f.fn"
+    for bad, good in (("weight_threshold\n1 1 5 6", "weight_threshold\n1 1"),
+                      ("complement_threshold\n1 2", "complement_threshold\n1")):
+        fn.write_text(f"3 2 {bad}\n")
+        code, _, err = run_cli("check", str(fn), "--criterion", "rank")
+        assert code == EXIT_ERROR
+        assert "expected" in err
+        fn.write_text(f"3 2 {good}\n")
+        assert run_cli("check", str(fn), "--criterion", "rank")[0] == EXIT_NEGATIVE

@@ -18,9 +18,9 @@ from minicode.code import (
     write_defining_set,
 )
 from minicode.errors import GuardError
-from minicode.families import FunctionSpec, TableFunction, get_preset
+from minicode.families import FunctionSpec, TableFunction, get_preset, paper_presets
 from minicode.gf import make_field
-from minicode.linalg import dot, index_to_vector, unit_vector, weight
+from minicode.linalg import dot, index_to_vector, rank, unit_vector, weight
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -53,6 +53,19 @@ def test_defining_set_sec4_f1_shape():
     D = defining_set(get_preset("sec4_f1").function)
     assert (D.n, D.k) == (80, 5)
     assert D.rank == 5
+
+
+def test_defining_set_rank_matches_linalg_rank():
+    # the batched table-driven elimination against the sequential EchelonBasis
+    codes = [defining_set(p.function) for p in paper_presets().values()]
+    codes.append(defining_set(table_fn(F3, 3, lambda x: (x[0] + 2 * x[2]) % 3)))
+    codes.append(defining_set(table_fn(F9, 2, lambda x: F9.mul(5, x[1]))))
+    rng = random.Random(11)
+    codes.append(defining_set(table_fn(F8, 2, lambda x: rng.randrange(8))))
+    codes.append(DefiningSet(F4, 3, ((1, 2, 3), (2, 3, 1), (0, 0, 0), (3, 1, 2))))
+    ranks = [D.rank for D in codes]
+    assert ranks == [rank(D.field, D.vectors) for D in codes]
+    assert ranks[-4:] == [3, 2, 3, 1]
 
 
 def test_linearity_check_linear():

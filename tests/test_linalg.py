@@ -4,6 +4,7 @@ import io
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from minicode.errors import GuardError
@@ -15,6 +16,8 @@ from minicode.linalg import (
     enumerate_vectors,
     index_to_vector,
     kernel_basis,
+    np_matmul_mod,
+    np_ranks,
     rank,
     read_matrix,
     solve,
@@ -117,6 +120,27 @@ def test_rank_against_brute_force():
             rows = [tuple(rng.randrange(field.q) for _ in range(ncols))
                     for _ in range(nrows)]
             assert rank(field, rows) == brute_rank(field, rows)
+
+
+def test_np_ranks_against_rank():
+    rng = random.Random(13)
+    for field in (F2, F3, make_field(2, 2), make_field(3, 2)):
+        for shape in ((6, 3, 4), (5, 4, 3), (4, 1, 5), (3, 7, 2)):
+            B, r, c = shape
+            mats = [[tuple(rng.randrange(field.q) if rng.random() < 0.7 else 0
+                           for _ in range(c)) for _ in range(r)] for _ in range(B)]
+            mats[0] = [mats[0][0]] * r  # a rank-deficient member
+            assert np_ranks(field, mats).tolist() == [rank(field, m) for m in mats]
+
+
+def test_np_matmul_mod_refuses_inexact():
+    a, b = np.ones((1, 4)), np.ones((4, 1))
+    assert np_matmul_mod(a, b, 3).tolist() == [[1]]
+    # 4 * (p-1)^2 >= 2^53 once p - 1 >= 2^25.5
+    with pytest.raises(GuardError):
+        np_matmul_mod(a, b, 2**26 + 1)
+    with pytest.raises(GuardError):
+        np_matmul_mod(np.ones((1, 2**13)), np.ones((2**13, 1)), 2**20 + 1)
 
 
 def test_echelon_basis_membership():

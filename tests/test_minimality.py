@@ -10,14 +10,14 @@ from minicode.code import DefiningSet, codeword, defining_set, linearity_check
 from minicode.errors import BudgetExceededError, CertificateFormatError, GuardError
 from minicode.families import FunctionSpec, TableFunction, get_preset
 from minicode.gf import make_field
-from minicode.linalg import covers, dot, enumerate_vectors, index_to_vector
+import minicode.linalg as linalg_mod
+from minicode.linalg import covers, dot, enumerate_vectors, index_to_vector, rank
 from minicode.linalg import weight as weight_of
 from minicode.minimality import (
     Certificate,
     CoverViolation,
     DhzViolation,
     MinimalityReport,
-    _collect_witness,
     ab_condition,
     cf_case_check,
     class_count,
@@ -236,28 +236,162 @@ def test_rank_not_minimal_reports_smallest_class():
 
 
 def test_collectors_agree():
-    # the vectorized greedy scan keeps exactly the rows the sequential
-    # EchelonBasis scan of rank_criterion_codeword keeps
+    # every class of the batched certificate keeps exactly the rows the
+    # sequential EchelonBasis scan of rank_criterion_codeword keeps
     rng = random.Random(47)
     codes = [defining_set(get_preset("sec4_f2").function)]
     for F, m in ((F4, 3), (F8, 2), (F9, 2)):
         f = random_table_code(F, m, rng)
-        while linearity_check(f) is not None:
+        while linearity_check(f) is not None or not rank_criterion_code(defining_set(f)).is_minimal:
             f = random_table_code(F, m, rng)
         codes.append(defining_set(f))
     for D in codes:
-        field = D.field
-        for y in list(projective_classes(field, D.k))[:60]:
-            zero_idx = np.asarray(
-                [i for i, d in enumerate(D.vectors) if dot(field, y, d) == 0],
-                dtype=np.int64,
-            )
-            got = _collect_witness(D, zero_idx)
-            ref = rank_criterion_codeword(y, D)
-            if ref.is_minimal:
-                assert got == ref.witness.indices
-            else:
-                assert len(got) == ref.witness["rank"] < D.k - 1
+        cert = rank_criterion_code(D).witness
+        assert len(cert.classes) == class_count(D.field.q, D.k)
+        for y, items in cert.classes:
+            assert items == rank_criterion_codeword(y, D).witness.indices
+
+
+SMALL_BLOCK = 40  # one or two classes per block and window of 20 candidates at k = 4
+
+
+def test_rank_failure_across_many_blocks(monkeypatch):
+    # with many class blocks the smallest failing class and its evidence
+    # still match the sequential reference, also past the first block
+    monkeypatch.setattr(linalg_mod, "DOT_BLOCK", SMALL_BLOCK)
+    rng = random.Random(53)
+    late = 0
+    for field, m in [(F2, 3)] * 40 + [(F3, 3)] * 10 + [(F4, 2)] * 10:
+        f = random_table_code(field, m, rng)
+        if linearity_check(f) is not None:
+            continue
+        D = defining_set(f)
+        rep = rank_criterion_code(D)
+        classes = list(projective_classes(field, D.k))
+        verdicts = [rank_criterion_codeword(y, D) for y in classes]
+        failing = [i for i, r in enumerate(verdicts) if not r.is_minimal]
+        if not failing:
+            assert rep.is_minimal and verify_certificate(D, rep.witness)
+            continue
+        assert rep.witness == verdicts[failing[0]].witness
+        late += failing[0] >= 2
+    assert late >= 5
+
+
+def as_vectors(D, cert):
+    """The value-mode form of an index-mode certificate."""
+    classes = tuple((y, tuple(D.vectors[i - 1] for i in items)) for y, items in cert.classes)
+    return Certificate(cert.q, cert.n, cert.k, "vectors", classes)
+
+
+def with_last(cert, items):
+    """cert with the item list of its last class replaced."""
+    y, _ = cert.classes[-1]
+    return Certificate(cert.q, cert.n, cert.k, cert.mode, cert.classes[:-1] + ((y, items),))
+
+
+def test_tampering_in_last_block_detected(monkeypatch):
+    monkeypatch.setattr(linalg_mod, "DOT_BLOCK", SMALL_BLOCK)
+    D = defining_set(get_preset("sec4_f2").function)
+    field, n = D.field, D.n
+    cert = rank_criterion_code(D).witness
+    vcert = as_vectors(D, cert)
+    assert verify_certificate(D, cert) and verify_certificate(D, vcert)
+    y, items = cert.classes[-1]
+    off = next(i + 1 for i, d in enumerate(D.vectors) if dot(field, y, d))
+    for bad in ((off,) + items[1:], (items[0],) * len(items), items[:-1], items + (items[0],)):
+        assert not verify_certificate(D, with_last(cert, bad))
+        assert not verify_certificate(D, with_last(vcert, tuple(D.vectors[i - 1] for i in bad)))
+    # a vector that is no member of D: (f(x) + 1, x) for a member (f(x), x)
+    d = D.vectors[items[0] - 1]
+    absent = (field.add(d[0], 1),) + d[1:]
+    assert not verify_certificate(D, with_last(vcert, (absent,) + vcert.classes[-1][1][1:]))
+    # indices outside 1..n and a duplicated representative
+    for i in (0, n + 1):
+        assert not verify_certificate(D, with_last(cert, (i,) + items[1:]))
+    dup = cert.classes[:-1] + ((cert.classes[0][0], items),)
+    assert not verify_certificate(D, Certificate(cert.q, n, cert.k, cert.mode, dup))
+
+
+def reference_verify(D, cert):
+    """Pure-Python verifier: the same acceptance rule, one class at a time."""
+    field, k, n = D.field, D.k, D.n
+    if (cert.q, cert.n, cert.k) != (field.q, n, k):
+        return False
+    expected = set(projective_classes(field, k))
+    reps = [y for y, _ in cert.classes]
+    if len(reps) != len(expected) or set(reps) != expected:
+        return False
+    members = set(D.vectors)
+    for y, items in cert.classes:
+        if len(items) != k - 1:
+            return False
+        if cert.mode == "indices":
+            if not all(1 <= i <= n for i in items):
+                return False
+            vectors = [D.vectors[i - 1] for i in items]
+        else:
+            vectors = [tuple(v) for v in items]
+            if not all(v in members for v in vectors):
+                return False
+        if any(dot(field, y, v) for v in vectors) or rank(field, vectors) != k - 1:
+            return False
+    return True
+
+
+def tamper(rng, D, cert):
+    """cert with one random local change; the change may leave it valid."""
+    field, k, n = D.field, D.k, D.n
+    classes = list(cert.classes)
+    j = rng.randrange(len(classes))
+    y, items = classes[j]
+    kind = rng.randrange(7)
+    if kind == 0:  # any index or any vector of F_q^k, members of D or not
+        i = rng.randrange(k - 1)
+        new = (rng.randrange(n + 2) if cert.mode == "indices"
+               else tuple(rng.randrange(field.q) for _ in range(k)))
+        classes[j] = (y, items[:i] + (new,) + items[i + 1:])
+    elif kind == 1:  # another class's representative, duplicated
+        classes[j] = (classes[rng.randrange(len(classes))][0], items)
+    elif kind == 2:  # two classes swap their witnesses
+        i = rng.randrange(len(classes))
+        classes[i], classes[j] = (classes[i][0], items), (y, classes[i][1])
+    elif kind == 3:  # a repeated witness
+        classes[j] = (y, (items[-1],) + items[1:])
+    elif kind == 4:  # one item too few or too many
+        classes[j] = (y, items[1:] if rng.random() < 0.5 else items + items[:1])
+    elif kind == 5:  # a class dropped
+        del classes[j]
+    else:  # another class's member of D that happens to be orthogonal
+        other = classes[rng.randrange(len(classes))][1]
+        classes[j] = (y, (other[0],) + items[1:])
+    return Certificate(cert.q, cert.n, cert.k, cert.mode, tuple(classes))
+
+
+@pytest.mark.parametrize("block", [None, SMALL_BLOCK])
+def test_verifier_agrees_with_reference_sweep(monkeypatch, block):
+    if block:
+        monkeypatch.setattr(linalg_mod, "DOT_BLOCK", block)
+    rng = random.Random(59)
+    outcomes = set()
+    codes = []
+    for field, m, count in ((F2, 4, 2), (F2, 5, 1), (F3, 3, 2), (F4, 2, 2), (F9, 2, 1)):
+        while sum(D.field == field and D.k == m + 1 for D, _ in codes) < count:
+            f = random_table_code(field, m, rng)
+            if linearity_check(f) is None:
+                D = defining_set(f)
+                rep = rank_criterion_code(D)
+                if rep.is_minimal:
+                    codes.append((D, rep.witness))
+    for D, index_cert in codes:
+        for cert in (index_cert, as_vectors(D, index_cert)):
+            assert verify_certificate(D, cert) and reference_verify(D, cert)
+            for _ in range(40):
+                bad = tamper(rng, D, cert)
+                got = verify_certificate(D, bad)
+                assert got == reference_verify(D, bad)
+                outcomes.add(got)
+    assert outcomes == {True, False}
 
 
 def test_cf_case_check_cases_and_agreement():
