@@ -4,9 +4,12 @@ C(D) = {(y.d_1, ..., y.d_n) : y in F_q^k} for an ordered multiset D of n
 vectors in F_q^k.  D_f puts d_x = (f(x), x) for every nonzero x in canonical
 order, so k = m+1 and the f-value is coordinate 1 of each d_x.
 
-Weight distributions are exact, computed by streaming over all q^k messages
-in vectorized blocks without materializing the whole code; every field runs
-the same linalg.np_dots kernel.
+Weight distributions are exact and come from the hyperplane counts
+N[y] = #{d in D : y.d = 0}, since wt(c(y)) = n - N[y].  All q^k values of N
+follow from D's histogram by a k-step transform driven by the field tables
+(linalg.np_hyperplane_counts): O(k q^{k+2}) integer operations, no floats
+and no factor of n.  The table is cached on D, so the enumerator, params and
+the ab and dhz criteria share one transform.
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ from .linalg import (
     ENUM_GUARD,
     Vec,
     index_to_vector,
-    np_block_rows,
     np_digit_columns,
     np_dots,
+    np_hyperplane_counts,
     np_ranks,
     np_vectors,
     read_matrix,
@@ -35,7 +38,7 @@ from .linalg import (
     write_matrix,
 )
 
-WDIST_GUARD = 2**26   # ceiling on q^k for exhaustive message enumeration
+WDIST_GUARD = 2**26   # ceiling on the q^(k+1) entries of the hyperplane-count table
 
 
 @dataclass(eq=False)
@@ -71,6 +74,18 @@ class DefiningSet:
     def digit_columns(self) -> np.ndarray:
         """D's right-hand side for linalg.np_dots."""
         return np_digit_columns(self.field, self.as_array)
+
+    @cached_property
+    def hyperplane_counts(self) -> np.ndarray:
+        """#{d in D : y.d = 0} for every message y, in canonical index order."""
+        q, k = self.field.q, self.k
+        if q ** (k + 1) > WDIST_GUARD:
+            raise GuardError(
+                f"q^(k+1) = {q}^{k + 1} exceeds the count-table guard {WDIST_GUARD}"
+            )
+        counts = np_hyperplane_counts(self.field, self.as_array)
+        counts.flags.writeable = False  # shared by every caller of this D
+        return counts
 
 
 def defining_set(f: FunctionSpec) -> DefiningSet:
@@ -175,20 +190,12 @@ class CodeParams:
 
 
 def weight_distribution(D: DefiningSet) -> WeightEnumerator:
-    field, k, n = D.field, D.k, D.n
-    q = field.q
+    """Codeword counts by weight, from wt(c(y)) = n - D.hyperplane_counts[y]."""
+    n = D.n
     if n == 0:
         raise GuardError("empty defining set")
-    if q**k > WDIST_GUARD:
-        raise GuardError(f"q^k = {q}^{k} exceeds the enumeration guard {WDIST_GUARD}")
-    total = q**k
-    step = np_block_rows(field, n)
-    acc = np.zeros(n + 1, dtype=np.int64)
-    for start in range(0, total, step):
-        msgs = np_vectors(q, k, start, min(start + step, total))
-        weights = np.count_nonzero(np_dots(field, msgs, D.digit_columns), axis=1)
-        acc += np.bincount(weights, minlength=n + 1)
-    return WeightEnumerator(q, n, k, {w: int(c) for w, c in enumerate(acc) if c})
+    acc = np.bincount(n - D.hyperplane_counts, minlength=n + 1)
+    return WeightEnumerator(D.field.q, n, D.k, {w: int(c) for w, c in enumerate(acc) if c})
 
 
 def params(D: DefiningSet, enumerator: Optional[WeightEnumerator] = None) -> CodeParams:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 from typing import Callable, Iterator, Optional, Sequence, TextIO, Union
 
@@ -152,9 +153,18 @@ class FunctionSpec:
     __call__ = eval
 
     def materialize(self) -> "FunctionSpec":
-        """The equivalent dense-table spec (identity on Table variants)."""
+        """The equivalent dense-table spec (identity on Table variants).
+
+        Built once per spec: the table of a parametric variant is cached on
+        the instance, outside the dataclass fields, so equality and hashing
+        are unchanged.
+        """
         if isinstance(self.variant, TableFunction):
             return self
+        return self._dense
+
+    @cached_property
+    def _dense(self) -> "FunctionSpec":
         return FunctionSpec(self.field, self.m, TableFunction(tuple(self.values())))
 
     def values(self) -> Iterator[int]:

@@ -22,7 +22,7 @@ from .gf import FieldSpec, field_by_order
 Vec = tuple[int, ...]
 
 ENUM_GUARD = 2**31  # ceiling on q^m for enumeration streams
-DOT_BLOCK = 2**16   # F_p-digit entries of y.d one np_dots call should produce
+DOT_BLOCK = 2**16   # entries one kernel call should produce: np_dots digits, count gathers
 
 
 def check_same_length(u: Sequence[int], v: Sequence[int]) -> None:
@@ -240,6 +240,11 @@ def np_vectors(q: int, m: int, start: int, stop: int) -> np.ndarray:
     return out
 
 
+def np_indices(q: int, rows: np.ndarray) -> np.ndarray:
+    """The canonical index of each row: np_vectors inverted."""
+    return rows @ q ** np.arange(rows.shape[-1] - 1, -1, -1)
+
+
 def np_matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact (a @ b) mod p via float64 BLAS for operands reduced mod p.
 
@@ -283,6 +288,40 @@ def np_dots(field: FieldSpec, Y, cols: np.ndarray) -> np.ndarray:
     for a in range(1, e):
         out += digits[:, a] * p**a
     return out
+
+
+def np_hyperplane_counts(field: FieldSpec, D: np.ndarray) -> np.ndarray:
+    """N[i] = #{d in D : y.d = 0} for every message y, i its canonical index.
+
+    D is n x k.  The table T[s, x_1..x_k] starts as D's histogram at s = 0
+    and trades one coordinate x_j for y_j per step:
+        T'[s', y_j, ...] = sum_x T[s' - y_j x, x, ...],
+    so after k steps T[s, y] = #{d : y.d = s}.  Each step is one gather of
+    rows (s, x) through the field tables and a sum over x; its output puts
+    y_j last, which brings x_{j+1} next to s and leaves y in canonical order
+    after the last step.  O(k q^{k+2}) integer operations, working memory
+    O(q^{k+1}): each gather takes at most max(DOT_BLOCK, q^2) entries.
+    """
+    k = D.shape[1]
+    q, e = field.q, np.arange(field.q)
+    T = np.zeros((q, q**k), dtype=np.int64)
+    T[0] = np.bincount(np_indices(q, D), minlength=q**k)
+    # G[x, s', y] is the row (s, x) that feeds T'[s', y]: s = s' - y x
+    yx = field.np_mul.reshape(q, q).T[:, None, :]
+    G = field.np_sub.reshape(q, q)[e[None, :, None], yx] * q + e[:, None, None]
+    R = q ** (k - 1)
+    cols = max(1, DOT_BLOCK // q**3)
+    vals = max(1, min(q, DOT_BLOCK // (q * q * cols)))
+    for _ in range(k):
+        T = T.reshape(q * q, R)
+        out = np.empty((q, R, q), dtype=np.int64)
+        for r in range(0, R, cols):
+            part = T[:, r:r + cols]
+            for s in range(0, q, vals):
+                summed = part.take(G[:, s:s + vals], axis=0).sum(axis=0)
+                out[s:s + vals, r:r + cols] = summed.transpose(0, 2, 1)
+        T = out
+    return T.reshape(q, q**k)[0].copy()
 
 
 def np_block_rows(field: FieldSpec, n: int) -> int:

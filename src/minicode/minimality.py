@@ -42,6 +42,7 @@ from .linalg import (
     kernel_basis,
     np_block_rows,
     np_dots,
+    np_indices,
     np_ranks,
     scale,
 )
@@ -227,19 +228,20 @@ def dhz_criterion(
 
     Minimal iff sum_{c != 0} wt(a + c b) != (q-1) wt(a) - wt(b) for every
     pair of linearly independent codewords; projective representatives
-    suffice on both sides of the pair.
+    suffice on both sides of the pair.  a + c b is the codeword of the
+    message y_a + c y_b, so each weight is n - N at that message, N being
+    D.hyperplane_counts: a pair costs (q-1) k table lookups, not n.
     """
     _check_oracle_scale(D, max_classes, max_n)
-    reps, words = _distinct_codeword_reps(D)
-    q = D.field.q
-    add = D.field.np_add.reshape(q, q)
-    mul = D.field.np_mul.reshape(q, q)
-    # axpy[c - 1][a*q + b] = a + c b, so each c costs one flat-table take
-    axpy = [add[:, mul[c]].ravel() for c in range(1, q)]
-    wt = np.count_nonzero(words, axis=1)
+    reps, _ = _distinct_codeword_reps(D)
+    field, n, N = D.field, D.n, D.hyperplane_counts
+    q = field.q
+    Y = np.asarray(reps, dtype=np.int64).reshape(len(reps), D.k)
+    cY = field.np_mul.take(np.arange(1, q)[:, None, None] * q + Y)  # cY[c-1] = c Y
+    wt = n - N.take(np_indices(q, Y))
     for i in range(len(reps)):
-        pairs = words[i] * q + words
-        lhs = sum(np.count_nonzero(t.take(pairs), axis=1) for t in axpy)
+        msgs = field.np_add.take(Y[i] * q + cY)
+        lhs = (q - 1) * n - N.take(np_indices(q, msgs)).sum(axis=0)
         rhs = (q - 1) * wt[i] - wt
         bad = lhs == rhs
         bad[i] = False

@@ -20,7 +20,7 @@ from minicode.code import (
 from minicode.errors import GuardError
 from minicode.families import FunctionSpec, TableFunction, get_preset, paper_presets
 from minicode.gf import make_field
-from minicode.linalg import dot, index_to_vector, rank, unit_vector, weight
+from minicode.linalg import dot, index_to_vector, rank, unit_vector, vector_to_index, weight
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -170,17 +170,82 @@ def test_weight_distribution_brute_force_oracle_sec5():
 
 
 def test_weight_distribution_block_size_invariant(monkeypatch):
-    # counts merge additively, so the shard size must not matter
+    # the transform's gathers are chunked by DOT_BLOCK; the chunking must not
+    # matter, down to one column and one count value per gather, nor when a
+    # chunk size divides neither q nor q^(k-1).  Fresh D each time, since the
+    # count table is cached on D.
     import minicode.linalg as linalg_mod
 
-    rng = random.Random(7)
+    def codes():
+        rng = random.Random(7)
+        return [
+            defining_set(get_preset("sec4_f1").function),
+            defining_set(table_fn(F4, 3, lambda x: rng.randrange(4))),
+            defining_set(table_fn(F9, 2, lambda x: rng.randrange(9))),
+        ]
+
+    baselines = [weight_distribution(D).counts for D in codes()]
+    for block in (1, 2 * 3**3, 2 * 9**2):
+        monkeypatch.setattr(linalg_mod, "DOT_BLOCK", block)
+        assert [weight_distribution(D).counts for D in codes()] == baselines
+
+
+def test_hyperplane_counts_match_dot_oracle():
+    # N[y] = #{d : y.d = 0} message by message through linalg.dot, on D with
+    # repeated rows, a zero row, rank(D) < k, k = 1, and F_4, F_8, F_9 codes
+    from itertools import product
+
+    rng = random.Random(13)
     codes = [
-        defining_set(get_preset("sec4_f1").function),
-        defining_set(table_fn(F4, 3, lambda x: rng.randrange(4))),
+        DefiningSet(F3, 3, ((1, 2, 0), (1, 2, 0), (0, 0, 0), (2, 1, 1), (1, 2, 0))),
+        DefiningSet(F4, 3, ((1, 2, 3), (2, 3, 1), (3, 1, 2), (0, 0, 0))),  # rank 1
+        DefiningSet(F9, 1, ((0,), (4,), (7,), (4,))),
+        DefiningSet(F2, 1, ((1,),)),
+        defining_set(table_fn(F3, 2, lambda x: 0)),  # rank m = 2 < k = 3
     ]
-    baselines = [weight_distribution(D).counts for D in codes]
-    monkeypatch.setattr(linalg_mod, "DOT_BLOCK", 1)
-    assert [weight_distribution(D).counts for D in codes] == baselines
+    for field, m in ((F4, 3), (F8, 2), (F9, 2)):
+        codes.append(defining_set(table_fn(field, m, lambda x: rng.randrange(field.q))))
+    for D in codes:
+        field, q = D.field, D.field.q
+        N = D.hyperplane_counts
+        oracle = [sum(1 for d in D.vectors if not dot(field, y, d))
+                  for y in product(range(q), repeat=D.k)]
+        assert N.tolist() == oracle
+        assert N[0] == D.n
+        # constant on projective classes: N[c y] = N[y] for c != 0
+        for i, y in enumerate(product(range(q), repeat=D.k)):
+            for c in range(2, q):
+                assert N[vector_to_index(q, [field.mul(c, a) for a in y])] == N[i]
+
+
+def test_count_table_guard_boundary(monkeypatch):
+    import minicode.code as code_mod
+
+    # the guard bounds the q^(k+1) entries of the table: 3^4 is in, 3^5 out
+    monkeypatch.setattr(code_mod, "WDIST_GUARD", 3**4)
+    assert sum(weight_distribution(DefiningSet(F3, 3, ((1, 0, 2),))).counts.values()) == 27
+    with pytest.raises(GuardError, match="guard"):
+        weight_distribution(DefiningSet(F3, 4, ((1, 0, 2, 1),)))
+    monkeypatch.undo()
+    # F_2 with k = 26 was inside the old q^k <= 2^26 guard and is now refused
+    with pytest.raises(GuardError, match="guard"):
+        DefiningSet(F2, 26, ((1,) * 26,)).hyperplane_counts
+
+
+def test_count_table_computed_once_per_defining_set(monkeypatch):
+    import minicode.code as code_mod
+    from minicode.minimality import ab_condition, dhz_criterion
+
+    calls = []
+    transform = code_mod.np_hyperplane_counts
+    monkeypatch.setattr(code_mod, "np_hyperplane_counts",
+                        lambda *a: calls.append(a) or transform(*a))
+    D = defining_set(get_preset("sec5_f1").function)
+    we = weight_distribution(D)
+    assert ab_condition(D).witness == (we.w_min, we.w_max)
+    assert params(D) == params(D, we)
+    assert dhz_criterion(D).verdict == "minimal"
+    assert len(calls) == 1
 
 
 def test_weight_enumerator_text_golden():

@@ -76,6 +76,9 @@ def test_materialize_agrees_with_eval():
     for name in ("sec4_f1", "sec5_f2", "sec6_q3", "sec7_f4", "dhz_m7"):
         f = get_preset(name).function
         table = f.materialize()
+        assert f.materialize() is table  # built once per spec
+        twin = FunctionSpec(f.field, f.m, f.variant)  # no table cached yet
+        assert twin == f and hash(twin) == hash(f)
         q, m = f.field.q, f.m
         for idx in range(q**m):
             x = index_to_vector(q, m, idx)

@@ -134,6 +134,51 @@ def test_dhz_sec4_f2_minimal():
     assert dhz_criterion(D).verdict == "minimal"
 
 
+def dhz_reference(D):
+    """The first dhz violation over codewords built with linalg.dot, or None.
+
+    Same scan order as dhz_criterion: class representatives with distinct
+    nonzero codewords in canonical order, then ordered pairs (a, b).
+    """
+    field, q = D.field, D.field.q
+    reps, words = [], []
+    for y in projective_classes(field, D.k):
+        c = tuple(dot(field, y, d) for d in D.vectors)
+        if any(c) and c not in words:
+            reps.append(y)
+            words.append(c)
+    for i, a in enumerate(words):
+        for j, b in enumerate(words):
+            lhs = sum(weight_of([field.add(x, field.mul(c, z)) for x, z in zip(a, b)])
+                      for c in range(1, q))
+            if i != j and lhs == (q - 1) * weight_of(a) - weight_of(b):
+                return DhzViolation(a=reps[i], b=reps[j], value=lhs)
+    return None
+
+
+def test_dhz_first_violation_matches_codeword_reference():
+    # the count-table lookups must find the same first pair and value as a
+    # scan over the codewords themselves, also when rank(D) < k
+    rng = random.Random(17)
+    codes = [defining_set(random_table_code(F, m, rng))
+             for F, m, count in ((F2, 3, 12), (F3, 2, 6), (F4, 2, 4), (F8, 1, 2), (F9, 1, 2))
+             for _ in range(count)]
+    for F in (F3, F4, F8, F9):
+        for _ in range(2):
+            base = [tuple(rng.randrange(F.q) for _ in range(3)) for _ in range(2)]
+            rows = [base[0], base[1], base[0], (0, 0, 0)]
+            rows += [tuple(F.add(F.mul(c, a), b) for a, b in zip(*base)) for c in range(1, 3)]
+            codes.append(DefiningSet(F, 3, tuple(rows)))  # rank <= 2 < k
+    found = 0
+    for D in codes:
+        expect = dhz_reference(D)
+        rep = dhz_criterion(D)
+        assert rep.witness == expect
+        assert rep.verdict == ("minimal" if expect is None else "not_minimal")
+        found += expect is not None
+    assert 10 < found < len(codes)
+
+
 def test_rank_criterion_codeword_examples():
     # all nonzero vectors of F_3^3: every class minimal
     D = DefiningSet(F3, 3, tuple(enumerate_vectors(F3, 3)))
