@@ -536,6 +536,8 @@ def read_function(src: Union[str, TextIO]) -> FunctionSpec:
         raise ValueError(f"bad function header {lines[0]!r}")
     q, m, kind = int(head[0]), int(head[1]), head[2]
     field = field_by_order(q)
+    if m < 1:
+        raise ValueError(f"arity m = {m} must be >= 1")
     body = lines[1:]
     flat = [int(t) for ln in body for t in ln.split()]
     lead = {"weight_threshold": 1, "complement_threshold": 1,
@@ -555,6 +557,8 @@ def read_function(src: Union[str, TextIO]) -> FunctionSpec:
         return FunctionSpec(field, m, ComplementThreshold(flat[0]))
     if kind == "maiorana_mcfarland":
         s, t = flat[0], flat[1]
+        if s < 0 or t < 0 or s + t != m:
+            raise ValueError(f"maiorana_mcfarland needs s, t >= 0 with s + t = m, got {s}, {t}")
         rest = flat[2:]
         need = q**s * t + q**s
         if len(rest) != need:

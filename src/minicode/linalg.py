@@ -299,29 +299,49 @@ def np_hyperplane_counts(field: FieldSpec, D: np.ndarray) -> np.ndarray:
     so after k steps T[s, y] = #{d : y.d = s}.  Each step is one gather of
     rows (s, x) through the field tables and a sum over x; its output puts
     y_j last, which brings x_{j+1} next to s and leaves y in canonical order
-    after the last step.  O(k q^{k+2}) integer operations, working memory
-    O(q^{k+1}): each gather takes at most max(DOT_BLOCK, q^2) entries.
+    after the last step.  Two steps are cheaper: in the first only s = 0 is
+    nonzero, so T'[s', y] is row s'/y of the histogram (y != 0) or, at
+    s' = y = 0, its column sum; the last computes only the s' = 0 row that
+    is read.  Each costs O(q^{k+1}), the k - 2 others O(q^{k+2}), and
+    working memory is O(q^{k+1}): each gather takes at most
+    max(DOT_BLOCK, q^2) entries.
     """
     k = D.shape[1]
     q, e = field.q, np.arange(field.q)
-    T = np.zeros((q, q**k), dtype=np.int64)
-    T[0] = np.bincount(np_indices(q, D), minlength=q**k)
+    R = q ** (k - 1)
+    H = np.bincount(np_indices(q, D), minlength=q**k).reshape(q, R)
+    # first step: the x with y x = s' is s'/y when y != 0
+    div = field.np_mul.reshape(q, q)[e[:, None], field.np_inv[None, 1:]]
+    T = np.zeros((q, R, q), dtype=np.int64)
+    T[0, :, 0] = H.sum(axis=0)
+    cols = max(1, DOT_BLOCK // q**2)
+    for r in range(0, R, cols):
+        T[:, r:r + cols, 1:] = H[:, r:r + cols][div].transpose(0, 2, 1)
     # G[x, s', y] is the row (s, x) that feeds T'[s', y]: s = s' - y x
     yx = field.np_mul.reshape(q, q).T[:, None, :]
     G = field.np_sub.reshape(q, q)[e[None, :, None], yx] * q + e[:, None, None]
-    R = q ** (k - 1)
     cols = max(1, DOT_BLOCK // q**3)
     vals = max(1, min(q, DOT_BLOCK // (q * q * cols)))
-    for _ in range(k):
+    for step in range(1, k):
         T = T.reshape(q * q, R)
-        out = np.empty((q, R, q), dtype=np.int64)
+        rows = 1 if step == k - 1 else q
+        out = np.empty((rows, R, q), dtype=np.int64)
         for r in range(0, R, cols):
             part = T[:, r:r + cols]
-            for s in range(0, q, vals):
-                summed = part.take(G[:, s:s + vals], axis=0).sum(axis=0)
+            for s in range(0, rows, vals):
+                summed = part.take(G[:, s:min(s + vals, rows)], axis=0).sum(axis=0)
                 out[s:s + vals, r:r + cols] = summed.transpose(0, 2, 1)
         T = out
-    return T.reshape(q, q**k)[0].copy()
+    return T[0].reshape(q**k).copy()
+
+
+def np_paired_dots(field: FieldSpec, Y: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """B x r values y_b . w over F_q for the r rows w of each W[b], Y being B x c."""
+    q, add, mul = field.q, field.np_add, field.np_mul
+    dots = np.zeros(W.shape[:2], dtype=np.int64)
+    for j in range(Y.shape[1]):
+        dots = add.take(dots * q + mul.take(Y[:, j, None] * q + W[:, :, j]))
+    return dots
 
 
 def np_block_rows(field: FieldSpec, n: int) -> int:

@@ -43,6 +43,7 @@ from .linalg import (
     np_block_rows,
     np_dots,
     np_indices,
+    np_paired_dots,
     np_ranks,
     scale,
 )
@@ -489,7 +490,6 @@ def verify_certificate(D: DefiningSet, cert: Certificate) -> bool:
     P = class_count(q, k)
     if len(cert.classes) != P or any(len(items) != k - 1 for _, items in cert.classes):
         return False
-    add, mul = field.np_add, field.np_mul
     members = np.sort(_row_keys(D.as_array))
     rep_keys = []
     step = np_block_rows(field, k * k)
@@ -506,10 +506,7 @@ def verify_certificate(D: DefiningSet, cert: Certificate) -> bool:
         W = _witness_rows(D, cert.mode, [items for _, items in block], members)
         if W is None:
             return False
-        dots = np.zeros(W.shape[:2], dtype=np.int64)
-        for j in range(k):
-            dots = add.take(dots * q + mul.take(Y[:, j, None] * q + W[:, :, j]))
-        if dots.any() or (np_ranks(field, W) != k - 1).any():
+        if np_paired_dots(field, Y, W).any() or (np_ranks(field, W) != k - 1).any():
             return False
     # P distinct representatives are every projective class once
     rep_keys = np.sort(np.concatenate(rep_keys))
@@ -588,6 +585,10 @@ def read_certificate(src: Union[str, TextIO]) -> Certificate:
         q, n, k, count = (int(t) for t in head[:4])
     except ValueError as exc:
         raise CertificateFormatError(str(exc)) from None
+    if q < 2 or n < 1 or k < 1 or count < 0:
+        raise CertificateFormatError(
+            f"certificate header needs q >= 2, n >= 1, k >= 1 and count >= 0: {lines[0]!r}"
+        )
     mode = head[4]
     if mode not in ("indices", "vectors"):
         raise CertificateFormatError(f"unknown certificate mode {mode!r}")

@@ -15,6 +15,24 @@ Every constructor validates its own output (membership, weights, inner
 products, rank) before returning; a post-condition failure is reported as a
 construction bug, never silently repaired.
 
+theorem_witness builds one class at a time and is the reference.
+witness_certificate builds the A1, A2, B, D1 and D2 certificates with a
+batched builder instead.  It takes the classes in blocks of
+np_block_rows(field, k*k), the block size verify_certificate uses, and
+within a block groups them by case and by i0, the first nonzero index of
+omega (case 2) or v (case 3).  Each of those proofs builds its vectors
+from the "low" vectors e_i - (w_i/w_i0) e_i0 and one anchor, so a group is
+a few flat-table operations over a (classes x m x m) array; f(alpha) is
+read from f's cached dense table.  The D2 repair of an offending low vector
+is done with masks.  The per-class self-check is replaced by one
+post-condition per block: every lift (f(alpha), alpha) is orthogonal to its
+class (f(alpha) = omega.alpha in cases 1-2, v.alpha = 0 in case 3), and
+np_ranks gives rank m for the alphas (cases 1-2) or the lifts (case 3).  A
+failure raises ConstructionError naming the first failing class.  The
+certificate equals the one the per-class loop over theorem_witness would
+give, and verify_certificate remains the independent check.  C1 and C2
+keep that per-class loop.
+
 One wrinkle: the natural Maiorana-McFarland case-3 argument closes the
 basis with the zero vector, whose lift is not a code position.  Here the
 basis is completed with a genuine nonzero member instead: 2*alpha_1 when
@@ -26,6 +44,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .errors import ConstructionError
 from .families import (
@@ -43,6 +63,11 @@ from .linalg import (
     dot,
     enumerate_vectors,
     kernel_basis,
+    np_block_rows,
+    np_indices,
+    np_paired_dots,
+    np_ranks,
+    np_vectors,
     rank,
     scale,
     solve,
@@ -52,6 +77,7 @@ from .linalg import (
     vector_to_index,
     weight,
 )
+from .minimality import Certificate, projective_classes
 
 
 @dataclass(frozen=True)
@@ -603,14 +629,16 @@ def lift_witness(f: FunctionSpec, wb: WitnessBasis) -> tuple[Vec, ...]:
     return tuple((f.eval(a),) + a for a in wb.vectors)
 
 
-def witness_certificate(thm: TheoremId, f: FunctionSpec):
+def witness_certificate(thm: TheoremId, f: FunctionSpec) -> Certificate:
     """A value-mode certificate covering every projective class of C_f.
 
     Requires the theorem hypotheses to hold; each class's entry is the
-    lifted witness basis of theorem_witness.
+    lifted witness basis that theorem_witness builds for it.  A1, A2, B, D1
+    and D2 are built by the batched builder (_batched_entries).  The
+    Maiorana-McFarland theorems C1 and C2, whose proofs branch six ways on
+    values of phi and which no heavy preset uses, keep the per-class loop
+    over theorem_witness.
     """
-    from .minimality import Certificate, projective_classes
-
     result = validate_hypotheses(f, thm)
     if not result:
         raise ValueError(
@@ -619,10 +647,198 @@ def witness_certificate(thm: TheoremId, f: FunctionSpec):
         )
     field, m = f.field, f.m
     k = m + 1
-    entries = []
-    for y in projective_classes(field, k):
-        wb = theorem_witness(thm, f, y[0], y[1:], _validated=True)
-        entries.append((y, lift_witness(f, wb)))
+    if thm in (TheoremId.C1, TheoremId.C2):
+        entries = [
+            (y, lift_witness(f, theorem_witness(thm, f, y[0], y[1:], _validated=True)))
+            for y in projective_classes(field, k)
+        ]
+    else:
+        entries = _batched_entries(thm, f)
     return Certificate(
         q=field.q, n=field.q**m - 1, k=k, mode="vectors", classes=tuple(entries)
     )
+
+
+# -- batched builder (A1, A2, B, D1, D2) ------------------------------------------
+
+def _add(field: FieldSpec, a, b) -> np.ndarray:
+    return field.np_add.take(np.multiply(a, field.q) + b)
+
+
+def _mul(field: FieldSpec, a, b) -> np.ndarray:
+    return field.np_mul.take(np.multiply(a, field.q) + b)
+
+
+def _neg(field: FieldSpec, a) -> np.ndarray:
+    return field.np_sub.take(a)  # row 0 of the table: 0 - a
+
+
+def _batched_entries(thm: TheoremId, f: FunctionSpec) -> list[tuple[Vec, tuple[Vec, ...]]]:
+    """(class, lifted witness) for every class in canonical order, block by block."""
+    field, m = f.field, f.m
+    q, k = field.q, m + 1
+    values = np.array(f.materialize().variant.values, dtype=np.int64)
+    # (0..0, 1, tail) with t tail digits has index q^t + idx(tail), so the
+    # classes in projective_classes order are the ranges [q^t, 2 q^t).
+    reps = np.concatenate([np_vectors(q, k, q**t, 2 * q**t) for t in range(k)])
+    entries: list[tuple[Vec, tuple[Vec, ...]]] = []
+    step = np_block_rows(field, k * k)
+    for start in range(0, len(reps), step):
+        Y = reps[start:start + step]
+        alphas = _block_alphas(thm, f, values, Y)
+        lifts = np.concatenate(
+            [values.take(np_indices(q, alphas))[:, :, None], alphas], axis=2
+        )
+        _check_block(field, Y, lifts)
+        entries += zip(map(tuple, Y.tolist()),
+                       (tuple(map(tuple, c)) for c in lifts.tolist()))
+    return entries
+
+
+def _check_block(field: FieldSpec, Y: np.ndarray, lifts: np.ndarray) -> None:
+    """The post-condition of a block; names the first class that fails it.
+
+    Each lift (f(alpha), alpha) must be orthogonal to its class y = (u, v):
+    u f(alpha) + v.alpha = 0 is f(alpha) = omega.alpha in cases 1 and 2
+    and v.alpha = 0 in case 3.  The m alphas must have rank m in cases 1
+    and 2, the m lifts in case 3.
+    """
+    m = lifts.shape[1]
+    dots = np_paired_dots(field, Y, lifts)
+    M = lifts.copy()
+    M[Y[:, 0] != 0, :, 0] = 0  # cases 1 and 2 rank the alphas alone
+    bad = dots.any(axis=1) | (np_ranks(field, M) != m)
+    if bad.any():
+        i = int(bad.argmax())
+        why = "a lift is not orthogonal to it" if dots[i].any() else "rank below m"
+        raise _fail(f"class {tuple(Y[i].tolist())} fails the post-condition: {why}")
+
+
+def _block_alphas(thm: TheoremId, f: FunctionSpec, values: np.ndarray,
+                  Y: np.ndarray) -> np.ndarray:
+    """The B x m x m witness vectors theorem_witness builds for the B classes Y.
+
+    Classes are grouped by case and by i0, the first nonzero index of
+    w = omega (case 2) or w = v (case 3); each group is built at once.
+    """
+    field, m = f.field, f.m
+    u, v = Y[:, 0], Y[:, 1:]
+    A = np.zeros((len(Y), m, m), dtype=np.int64)
+    case1 = (u != 0) & ~v.any(axis=1)
+    if case1.any():
+        A[case1] = _case1_vectors(thm, f)
+    omega = _mul(field, _neg(field, field.np_inv.take(u))[:, None], v)
+    for case, rows, w in ((2, (u != 0) & ~case1, omega), (3, u == 0, v)):
+        rows = np.flatnonzero(rows)
+        w = w[rows]
+        i0s = (w != 0).argmax(axis=1)
+        for i0 in np.unique(i0s).tolist():
+            at = i0s == i0
+            A[rows[at]] = _group_alphas(thm, f, values, case, i0, w[at])
+    return A
+
+
+def _combine(field: FieldSpec, coef: np.ndarray, i0: int, lam: np.ndarray,
+             extra=0) -> np.ndarray:
+    """Rows sum_{i != i0} lam_i lows[i] + extra e_i0 for lows[i] = e_i + coef_i e_i0."""
+    out = lam.copy()
+    acc = np.broadcast_to(np.asarray(extra, dtype=np.int64), lam.shape[:1])
+    for i in range(lam.shape[1]):
+        if i != i0:
+            acc = _add(field, acc, _mul(field, lam[:, i], coef[:, i]))
+    out[:, i0] = acc
+    return out
+
+
+def _group_alphas(thm: TheoremId, f: FunctionSpec, values: np.ndarray, case: int,
+                  i0: int, w: np.ndarray) -> np.ndarray:
+    """Witness vectors of the case-2 or case-3 classes whose w starts at i0.
+
+    Row i of lows is e_i - (w_i/w_i0) e_i0 (_low_basis_against), i.e. the
+    identity with column i0 replaced by coef = -w/w_i0; row i0 is a
+    placeholder that each theorem overwrites.
+    """
+    field, m, q = f.field, f.m, f.field.q
+    G = len(w)
+    inv0 = field.np_inv.take(w[:, i0])
+    coef = _neg(field, _mul(field, inv0[:, None], w))
+    A = np.broadcast_to(np.eye(m, dtype=np.int64), (G, m, m)).copy()
+    A[:, :, i0] = coef
+    A[:, i0, i0] = 0
+
+    def fvals(V: np.ndarray) -> np.ndarray:
+        return values.take(np_indices(q, V))
+
+    if case == 2 and thm in (TheoremId.A1, TheoremId.A2):
+        # unit_inner_basis: e_i + (1 - w_i)/w_i0 e_i0, and e_i0/w_i0 at i0
+        A[:, :, i0] = _mul(field, inv0[:, None], field.np_sub.take(q + w))
+        A[:, i0, i0] = inv0
+        if thm is TheoremId.A1:
+            A = _mul(field, fvals(A)[:, :, None], A)
+        return A
+    if thm is TheoremId.A1:
+        # hyperplane_low_weight_basis, closed by twice its first vector
+        order = [i for i in range(m) if i != i0]
+        A = A[:, order + order[:1]]
+        A[:, -1] = _mul(field, 2, A[:, -1])
+        return A
+
+    extra = 0
+    if thm is TheoremId.A2:
+        skip = {i0, next(i for i in range(m) if i != i0)} if m % 2 else {i0}
+        S = [i for i in range(m) if i not in skip]
+    elif thm is TheoremId.B:
+        S = [i for i in range(m) if i != i0]
+        if case == 2:
+            extra = inv0
+    else:
+        ms = f.variant
+        assert isinstance(ms, MonomialSum)
+        supports = [monomial_support(exps) for _, exps in ms.terms]
+        j1 = next(j for j, s in enumerate(supports) if (i0 + 1) not in s)
+        S = sorted(i - 1 for i in supports[j1])
+        if case == 2:
+            extra = _mul(field, ms.terms[j1][0], inv0)
+    lam = np.zeros((G, m), dtype=np.int64)
+    lam[:, S] = 1
+    anchor = _combine(field, coef, i0, lam, extra)
+    if thm is TheoremId.B and case == 2:
+        anchor = _mul(field, fvals(anchor)[:, None], anchor)
+    A[:, i0] = anchor
+    if thm is TheoremId.D2 and case == 2:
+        _repair_d2(f, fvals(A), i0, j1, S, w, coef, A)
+    return A
+
+
+def _repair_d2(f: FunctionSpec, fA: np.ndarray, i0: int, j1: int, S: list[int],
+               w: np.ndarray, coef: np.ndarray, A: np.ndarray) -> None:
+    """Replace the offending low vector of each class, as _case2_monomial does.
+
+    lows[i1] offends when f(lows[i1]) != 0 = omega.lows[i1], which the pair
+    monomial on {i0, i1} explains.  Any other offender is left as it is and
+    fails the post-condition.
+    """
+    field, m = f.field, f.m
+    ms = f.variant
+    assert isinstance(ms, MonomialSum)
+    supports = [monomial_support(exps) for _, exps in ms.terms]
+    j0 = next((j for j, s in enumerate(supports) if len(s) == 2 and i0 + 1 in s), None)
+    if j0 is None:
+        return
+    i1 = sum(supports[j0]) - i0 - 2  # the pair's other index, 0-based
+    fix = np.flatnonzero(fA[:, i1] != 0)
+    w, coef = w[fix], coef[fix]
+    live = w[:, S] != 0
+    lam = np.zeros((len(fix), m), dtype=np.int64)
+    lam[:, i1] = 1
+    # live: lows[i1] - (w_i1/w_i2) lows[i2], i2 the first i in S with w_i != 0
+    hit = np.flatnonzero(live.any(axis=1))
+    i2 = np.array(S)[live[hit].argmax(axis=1)]
+    lam[hit, i2] = _neg(field, _mul(field, field.np_inv.take(w[hit, i2]), w[hit, i1]))
+    # none live: lows[i1] + sum_{i in S} lows[i], with k2 in place of 1 at S[0]
+    rest = np.flatnonzero(~live.any(axis=1))
+    lam[np.ix_(rest, S)] = 1
+    a = field.mul(field.inv(ms.terms[j1][0]), ms.terms[j0][0])
+    lam[rest, S[0]] = _mul(field, a, _mul(field, w[rest, i1],
+                                          field.np_inv.take(w[rest, i0])))
+    A[fix, i1] = _combine(field, coef, i0, lam)

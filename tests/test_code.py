@@ -192,7 +192,9 @@ def test_weight_distribution_block_size_invariant(monkeypatch):
 
 def test_hyperplane_counts_match_dot_oracle():
     # N[y] = #{d : y.d = 0} message by message through linalg.dot, on D with
-    # repeated rows, a zero row, rank(D) < k, k = 1, and F_4, F_8, F_9 codes
+    # repeated rows, a zero row, rank(D) < k, k = 1, F_4, F_8, F_9 codes, and
+    # k = 2 codes over F_49 and F_64, whose transform is only its first and
+    # last steps
     from itertools import product
 
     rng = random.Random(13)
@@ -203,7 +205,7 @@ def test_hyperplane_counts_match_dot_oracle():
         DefiningSet(F2, 1, ((1,),)),
         defining_set(table_fn(F3, 2, lambda x: 0)),  # rank m = 2 < k = 3
     ]
-    for field, m in ((F4, 3), (F8, 2), (F9, 2)):
+    for field, m in ((F4, 3), (F8, 2), (F9, 2), (make_field(7, 2), 1), (make_field(2, 6), 1)):
         codes.append(defining_set(table_fn(field, m, lambda x: rng.randrange(field.q))))
     for D in codes:
         field, q = D.field, D.field.q

@@ -249,3 +249,8 @@ def test_function_file_rejects_garbage():
         read_function(io.StringIO("3 4 wibble\n1 2 3\n"))
     with pytest.raises(ValueError):
         read_function(io.StringIO("3 2 table\n1 2 3\n"))  # wrong count
+    # each of these once ended in an IndexError or TypeError
+    with pytest.raises(ValueError, match="arity"):
+        read_function(io.StringIO("3 -1 monomial_sum\n4\n"))
+    with pytest.raises(ValueError, match="s \\+ t = m"):
+        read_function(io.StringIO("2 1 maiorana_mcfarland\n-1 1 5\n"))

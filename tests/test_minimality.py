@@ -550,6 +550,23 @@ def test_certificate_malformed_raises():
         read_certificate(io.StringIO("3 80 5 1 indices\n0 0 0 0 1  1 2 3 4\n"))
 
 
+@pytest.mark.parametrize("header", [
+    "3 8 0 1 vectors",  # k = 0 once divided the vector payload by k
+    "3 8 0 1 indices",
+    "1 8 2 1 vectors",
+    "3 0 2 1 vectors",
+    "3 8 2 -1 vectors",
+])
+def test_certificate_header_out_of_range_is_a_format_error(header, tmp_path):
+    text = f"{header}\n | 1 2\n"
+    with pytest.raises(CertificateFormatError, match="header needs"):
+        read_certificate(io.StringIO(text))
+    path = tmp_path / "cert.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(CertificateFormatError):
+        read_certificate(str(path))
+
+
 def test_vector_mode_certificate_verifies():
     from minicode.witness import witness_certificate
     from minicode.families import TheoremId

@@ -1,21 +1,29 @@
 """Witness bases: lemma-level constructions and the per-theorem cases."""
 
+import functools
 import random
 
 import pytest
 
+import minicode.linalg as linalg_mod
+import minicode.witness as witness_mod
 from minicode.code import defining_set
+from minicode.errors import ConstructionError
 from minicode.families import (
+    ComplementThreshold,
     FunctionSpec,
     MaioranaMcFarland,
     MonomialSum,
+    TableFunction,
     TheoremId,
+    WeightThreshold,
     get_preset,
+    paper_presets,
     validate_hypotheses,
 )
 from minicode.gf import field_by_order, make_field
 from minicode.linalg import dot, index_to_vector, rank, unit_vector, weight
-from minicode.minimality import projective_classes, verify_certificate
+from minicode.minimality import normalize_class, projective_classes, verify_certificate
 from minicode.witness import (
     full_weight_basis,
     hyperplane_low_weight_basis,
@@ -259,12 +267,156 @@ def test_theorem_witness_mm_randomized_branches():
                 assert rank(field, lifts) == m
 
 
+WITNESS_PRESETS = ("sec4_f1", "sec4_f2", "sec5_f1", "sec5_f2", "sec5_f3",
+                   "sec7_f1", "sec7_f2", "sec7_f3", "sec7_f4", "dhz_m7")
+
+
+def test_witness_presets_are_every_preset_whose_hypotheses_hold():
+    held = {name for name, p in paper_presets().items()
+            if validate_hypotheses(p.function, p.theorem)}
+    assert held == set(WITNESS_PRESETS)
+
+
 def test_witness_certificate_verifies_against_code():
-    for name in ("sec5_f2", "sec4_f1", "dhz_m7"):
+    for name in WITNESS_PRESETS:
         preset = get_preset(name)
         cert = witness_certificate(preset.theorem, preset.function)
         D = defining_set(preset.function)
-        assert verify_certificate(D, cert)
+        assert verify_certificate(D, cert), name
+
+
+def reference_entries(thm, f):
+    """The certificate entries of the per-class reference, theorem_witness."""
+    return tuple(
+        (y, lift_witness(f, theorem_witness(thm, f, y[0], y[1:], _validated=True)))
+        for y in projective_classes(f.field, f.m + 1)
+    )
+
+
+def assert_matches_reference(thm, f):
+    cert = witness_certificate(thm, f)
+    ref = reference_entries(thm, f)
+    assert len(cert.classes) == len(ref)
+    for got, want in zip(cert.classes, ref):
+        assert got == want, want[0]
+        assert all(type(a) is int for a in got[0] + sum(got[1], ()))
+
+
+@pytest.mark.parametrize("name", WITNESS_PRESETS)
+def test_batched_builder_matches_reference_on_presets(name):
+    preset = get_preset(name)
+    assert_matches_reference(preset.theorem, preset.function)
+
+
+def table_spec(rng, field, m, rule):
+    """A table led by rule(wt(x)): "zero", "class" (one random nonzero value
+    per projective class) or None (a random value)."""
+    values, per_class = [], {}
+    for i in range(field.q**m):
+        x = index_to_vector(field.q, m, i)
+        kind = rule(weight(x))
+        if kind == "zero":
+            values.append(0)
+        elif kind == "class":
+            values.append(per_class.setdefault(normalize_class(field, x),
+                                               rng.randrange(1, field.q)))
+        else:
+            values.append(rng.randrange(field.q))
+    return FunctionSpec(field, m, TableFunction(tuple(values)))
+
+
+def monomial_spec(rng, field, m, sizes, squarefree):
+    coords = list(range(m))
+    rng.shuffle(coords)
+    terms = []
+    for size in sizes:
+        exps = [0] * m
+        for i in coords[:size]:
+            exps[i] = 1 if squarefree else rng.randint(1, 3)
+        coords = coords[size:]
+        terms.append((rng.randrange(1, field.q), tuple(exps)))
+    return FunctionSpec(field, m, MonomialSum(tuple(terms)))
+
+
+@functools.lru_cache(maxsize=1)
+def seeded_instances():
+    rng = random.Random(20261018)
+    out = []
+    for q in (4, 5, 7):
+        field = field_by_order(q)
+        for m in (3, 4):
+            t = rng.randint(2, m - 1)
+            coeffs = tuple(rng.randrange(1, q) for _ in range(t))
+            out.append((TheoremId.A1, FunctionSpec(field, m, WeightThreshold(t, coeffs))))
+            out.append((TheoremId.A1, table_spec(
+                rng, field, m,
+                lambda w, m=m: "class" if 1 <= w <= 2 else "zero" if w == m else None)))
+        out.append((TheoremId.B, FunctionSpec(field, 4, ComplementThreshold(2))))
+        out.append((TheoremId.B, table_spec(
+            rng, field, 4, lambda w: "zero" if w <= 2 else "class")))
+        out.append((TheoremId.D2, monomial_spec(rng, field, 4, (2, 2), True)))
+    field = field_by_order(4)
+    out.append((TheoremId.D2, monomial_spec(rng, field, 5, (2, 3), True)))
+    out.append((TheoremId.D2, monomial_spec(rng, field, 5, (2, 2), True)))  # x_i free
+    out.append((TheoremId.D1, monomial_spec(rng, field, 6, (3, 3), False)))
+    return out
+
+
+@pytest.mark.parametrize("index", range(len(seeded_instances())))
+def test_batched_builder_matches_reference_on_seeded_instances(index):
+    thm, f = seeded_instances()[index]
+    assert validate_hypotheses(f, thm)
+    assert_matches_reference(thm, f)
+
+
+def test_batched_builder_d2_repair_both_branches():
+    # x1x2 + x3x4 over F_3^4: a case-2 class (1, v) with omega = -v has an
+    # offending low vector when omega is nonzero on both coordinates of the
+    # pair monomial of i0; the repair is "live" when omega is nonzero on the
+    # other monomial's support and not live otherwise.
+    exps = [(1, 1, 0, 0), (0, 0, 1, 1)]
+    f = FunctionSpec(F3, 4, MonomialSum(tuple((1, e) for e in exps)))
+    branches = {"live": 0, "not live": 0}
+    for y in projective_classes(F3, 5):
+        omega = y[1:]  # -v has the zero pattern of v
+        if y[0] == 0 or not any(omega):
+            continue
+        i0 = next(i for i, a in enumerate(omega) if a)
+        pair, other = ((0, 1), (2, 3)) if i0 < 2 else ((2, 3), (0, 1))
+        if all(omega[i] for i in pair):
+            branches["live" if any(omega[i] for i in other) else "not live"] += 1
+    assert branches["live"] and branches["not live"]
+    assert_matches_reference(TheoremId.D2, f)
+
+
+@pytest.mark.parametrize("corruption", ["rank", "orthogonality"])
+def test_batched_post_condition_names_the_corrupted_class(monkeypatch, corruption):
+    preset = get_preset("sec4_f1")  # A1, 121 classes
+    f = preset.function
+    monkeypatch.setattr(linalg_mod, "DOT_BLOCK", 10 * 25)  # blocks of 10 classes
+    build = witness_mod._block_alphas
+    calls = []
+
+    def corrupt(thm, f, values, Y):
+        A = build(thm, f, values, Y)
+        calls.append(tuple(Y[5].tolist()))
+        if len(calls) == 7:  # the middle one of 13 blocks
+            y = Y[5]
+            if corruption == "rank":
+                A[5, 1] = A[5, 0]
+            else:  # a unit vector e_j whose lift is not orthogonal to y
+                for j in range(f.m):
+                    e = unit_vector(f.m, j + 1)
+                    if dot(F3, y, (f.eval(e),) + e):
+                        A[5, 0] = e
+                        break
+        return A
+
+    monkeypatch.setattr(witness_mod, "_block_alphas", corrupt)
+    with pytest.raises(ConstructionError) as err:
+        witness_certificate(preset.theorem, f)
+    assert len(calls) == 7
+    assert f"class {calls[-1]} fails" in str(err.value)
 
 
 def test_witness_certificate_rejects_failing_hypotheses():
