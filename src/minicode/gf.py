@@ -14,6 +14,7 @@ A FieldSpec is immutable after construction; every operation is pure.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
@@ -324,9 +325,8 @@ def field_by_order(q: int) -> FieldSpec:
     """The canonical field of order q (prime-power factorization is unique)."""
     if q < 2:
         raise ValueError(f"invalid field order {q}")
-    p = 2
-    while q % p:
-        p += 1
+    # the smallest prime factor is at most sqrt(q) unless q itself is prime
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
     e = 0
     n = q
     while n > 1:

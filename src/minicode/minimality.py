@@ -26,7 +26,8 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, TextIO, Union
+from itertools import islice
+from typing import Callable, Iterator, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -96,7 +97,9 @@ class Certificate:
     """Per projective class: a witness set of rank k-1 inside H(y, D).
 
     mode "indices" stores 1-based positions into the serialized D order;
-    mode "vectors" stores the witness d-vectors by value.
+    mode "vectors" stores the witness d-vectors by value.  Equal entries may
+    be one shared tuple object: read_certificate and witness_certificate
+    give each distinct witness vector one tuple.
     """
 
     q: int
@@ -478,8 +481,10 @@ def verify_certificate(D: DefiningSet, cert: Certificate) -> bool:
 
     Every class of F_q^k must appear once, each entry must be a member of D
     (by index or by value), orthogonal to its class representative, and each
-    class's k-1 vectors must have rank exactly k-1.  Classes are checked in
-    blocks of about DOT_BLOCK / k^2 with the flat field tables.
+    class's k-1 vectors must have rank exactly k-1.  The representatives and
+    entries are converted to arrays once per certificate, each distinct
+    object once; classes are then checked in blocks of about DOT_BLOCK / k^2
+    with the flat field tables.
     """
     field, k, n = D.field, D.k, D.n
     q = field.q
@@ -490,36 +495,62 @@ def verify_certificate(D: DefiningSet, cert: Certificate) -> bool:
     P = class_count(q, k)
     if len(cert.classes) != P or any(len(items) != k - 1 for _, items in cert.classes):
         return False
-    members = np.sort(_row_keys(D.as_array))
-    rep_keys = []
     step = np_block_rows(field, k * k)
-    for start in range(0, P, step):
-        block = cert.classes[start:start + step]
-        Y = _int_array([rep for rep, _ in block], (len(block), k))
-        if Y is None or ((Y < 0) | (Y >= q)).any():
+    Y = _int_array([rep for rep, _ in cert.classes], (k,), step)
+    if Y is None or ((Y < 0) | (Y >= q)).any():
+        return False
+    if (Y[np.arange(P), (Y != 0).argmax(axis=1)] != 1).any():
+        return False  # a first nonzero entry other than 1
+    if k > 1:
+        at = _witness_positions(D, cert, step)
+        if at is None:
             return False
-        if (Y[np.arange(len(Y)), (Y != 0).argmax(axis=1)] != 1).any():
-            return False  # a first nonzero entry other than 1
-        rep_keys.append(_row_keys(Y))
-        if k == 1:
-            continue
-        W = _witness_rows(D, cert.mode, [items for _, items in block], members)
-        if W is None:
-            return False
-        if np_paired_dots(field, Y, W).any() or (np_ranks(field, W) != k - 1).any():
-            return False
+        for start in range(0, P, step):
+            Yb, W = Y[start:start + step], D.as_array[at[start:start + step]]
+            if np_paired_dots(field, Yb, W).any() or (np_ranks(field, W) != k - 1).any():
+                return False
     # P distinct representatives are every projective class once
-    rep_keys = np.sort(np.concatenate(rep_keys))
+    rep_keys = np.sort(_row_keys(Y))
     return bool((rep_keys[1:] != rep_keys[:-1]).all())
 
 
-def _int_array(values: list, shape: tuple[int, ...]) -> Optional[np.ndarray]:
-    """values as an integer array of the given shape, or None if they are not one."""
+_BOOL_TYPES = frozenset((bool, np.bool_))
+
+
+def _int_array(
+    cells: list, shape: tuple[int, ...], block: int, codes: Optional[np.ndarray] = None
+) -> Optional[np.ndarray]:
+    """cells as an integer array of shape (len(cells),) + shape, or None if they are not one.
+
+    The verdict is the one np.array gives on every run of `block` cells of
+    the certificate, those being cells[codes] when codes is given: bools
+    beside integers count as 0 and 1, but a run of bools alone is no
+    integer array.
+    """
     try:
-        A = np.array(values)
+        A = np.array(cells)
     except ValueError:  # ragged
         return None
-    return A if A.dtype.kind in "iu" and A.shape == shape else None
+    if A.dtype.kind not in "iu" or A.shape[1:] != shape:
+        return None
+    for s in range(0, len(cells) if codes is None else len(codes), block):
+        run = cells[s:s + block] if codes is None else map(cells.__getitem__, codes[s:s + block])
+        # all() stops at the first cell that is not all bools, most often the first
+        if all(_BOOL_TYPES.issuperset(map(type, c if shape else (c,))) for c in run):
+            return None
+    return A
+
+
+def _distinct(cells: list) -> tuple[list, np.ndarray]:
+    """(objects, codes): each distinct object of cells once, and cells[i] is objects[codes[i]].
+
+    Objects are told apart by identity: a certificate that shares one tuple
+    per distinct vector then converts each vector once, and 1, True and 1.0
+    stay apart.  cells keeps every object alive, so no id is reused.
+    """
+    ids = np.fromiter(map(id, cells), dtype=np.uint64, count=len(cells))
+    _, first, codes = np.unique(ids, return_index=True, return_inverse=True)
+    return [cells[i] for i in first.tolist()], codes
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -528,40 +559,49 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
 
 
-def _witness_rows(
-    D: DefiningSet, mode: str, items: list, members: np.ndarray
-) -> Optional[np.ndarray]:
-    """The B x (k-1) x k witness vectors of a block of certificate entries.
+def _witness_positions(D: DefiningSet, cert: Certificate, step: int) -> Optional[np.ndarray]:
+    """The 0-based D positions of every class's k-1 entries, a P x (k-1) array.
 
     None when an entry is no member of D: an index outside 1..n, or a vector
-    with a non-field entry or absent from D (members: D's sorted _row_keys).
+    with a non-field entry or absent from D.
     """
     k, n, q = D.k, D.n, D.field.q
-    if mode == "indices":
-        A = _int_array(items, (len(items), k - 1))
+    cells = [a for _, items in cert.classes for a in items]
+    if cert.mode == "indices":
+        A = _int_array(cells, (), step * (k - 1))
         if A is None or ((A < 1) | (A > n)).any():
             return None
-        return D.as_array[A - 1]
-    A = _int_array(items, (len(items), k - 1, k))
-    if A is None or ((A < 0) | (A >= q)).any():
+        return (A - 1).reshape(-1, k - 1)
+    vectors, codes = _distinct(cells)
+    U = _int_array(vectors, (k,), step * (k - 1), codes)
+    if U is None or ((U < 0) | (U >= q)).any():
         return None
-    keys = _row_keys(A.reshape(-1, k))
-    at = np.searchsorted(members, keys)
-    if (at == members.size).any() or (members[at] != keys).any():
+    keys = _row_keys(D.as_array)
+    order = np.argsort(keys)
+    members, wanted = keys[order], _row_keys(U)
+    at = np.searchsorted(members, wanted)
+    if (at == members.size).any() or (members[at] != wanted).any():
         return None
-    return A
+    return order[at][codes].reshape(-1, k - 1)
 
 
 def write_certificate(out: Union[str, TextIO], cert: Certificate) -> None:
-    lines = [f"{cert.q} {cert.n} {cert.k} {len(cert.classes)} {cert.mode}"]
-    for rep, items in cert.classes:
-        left = " ".join(str(a) for a in rep)
-        if cert.mode == "indices":
-            right = " ".join(str(i) for i in items)
-        else:
-            right = " ".join(str(a) for v in items for a in v)
-        lines.append(f"{left} | {right}")
-    text = "\n".join(lines) + "\n"
+    classes = cert.classes
+    if cert.mode == "indices":
+        right = [" ".join(map(str, items)) for _, items in classes]
+    else:
+        # the text of each distinct vector object, built once; the list keeps
+        # every vector alive, so no id is reused while the map holds it
+        vectors = [v for _, items in classes for v in items]
+        ids = list(map(id, vectors))
+        texts = {i: " ".join(map(str, v)) for i, v in dict(zip(ids, vectors)).items()}
+        parts = map(texts.__getitem__, ids)
+        # filter(None, ...) drops empty vectors, as the flat join of their entries did
+        right = [" ".join(filter(None, islice(parts, len(items)))) for _, items in classes]
+    head = f"{cert.q} {cert.n} {cert.k} {len(classes)} {cert.mode}\n"
+    text = head + "".join(
+        [" ".join(map(str, rep)) + " | " + r + "\n" for (rep, _), r in zip(classes, right)]
+    )
     if isinstance(out, str):
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -569,7 +609,13 @@ def write_certificate(out: Union[str, TextIO], cert: Certificate) -> None:
         out.write(text)
 
 
+# Tokens read through one shared dict: the canonical decimals below
+# min(max(q, n + 1), INT_MEMO_CAP).  Any other token goes through int().
+INT_MEMO_CAP = 1 << 16
+
+
 def read_certificate(src: Union[str, TextIO]) -> Certificate:
+    """Parse a certificate file; each distinct witness vector is one shared tuple."""
     if isinstance(src, str):
         with open(src, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -596,25 +642,57 @@ def read_certificate(src: Union[str, TextIO]) -> Certificate:
         raise CertificateFormatError(
             f"expected {count} class lines, found {len(lines) - 1}"
         )
+    memo = {str(i): i for i in range(min(max(q, n + 1), INT_MEMO_CAP))}.__getitem__
+    vectors = _VectorReader(memo)
     classes = []
     for ln in lines[1:]:
         if "|" not in ln:
             raise CertificateFormatError(f"class line without separator: {ln!r}")
         left, right = ln.split("|", 1)
+        tokens = right.split()
+        whole = len(tokens) - len(tokens) % k  # tokens of whole vectors
         try:
-            rep = tuple(int(t) for t in left.split())
-            payload = [int(t) for t in right.split()]
-        except ValueError as exc:
-            raise CertificateFormatError(str(exc)) from None
+            rep = tuple(map(memo, left.split()))
+            if mode == "indices":
+                items: Optional[tuple] = tuple(map(memo, tokens))
+            else:
+                items = tuple(map(vectors.__getitem__, zip(*[iter(tokens)] * k)))
+                list(map(memo, tokens[whole:]))  # the tokens after the last whole vector
+        except KeyError:  # a token outside the memo: "+1", "007", a second "|", ...
+            rep, payload = _parse_ints(left, right)
+            items = None
         if len(rep) != k:
             raise CertificateFormatError(f"representative {rep} has length != k")
-        if mode == "indices":
-            items: tuple = tuple(payload)
-        else:
-            if len(payload) % k:
-                raise CertificateFormatError("vector payload not a multiple of k")
-            items = tuple(
-                tuple(payload[i * k:(i + 1) * k]) for i in range(len(payload) // k)
-            )
+        if mode == "vectors" and whole != len(tokens):
+            raise CertificateFormatError("vector payload not a multiple of k")
+        if items is None:
+            if mode == "indices":
+                items = tuple(payload)
+            else:
+                items = tuple(map(vectors.share, zip(*[iter(payload)] * k)))
         classes.append((rep, items))
     return Certificate(q=q, n=n, k=k, mode=mode, classes=tuple(classes))
+
+
+class _VectorReader(dict):
+    """k tokens -> their vector, read once; each distinct vector is one shared tuple."""
+
+    def __init__(self, memo: Callable[[str], int]) -> None:
+        super().__init__()
+        self.memo = memo
+        self.vectors: dict[Vec, Vec] = {}
+
+    def __missing__(self, tokens: tuple[str, ...]) -> Vec:
+        vector = self[tokens] = self.share(tuple(map(self.memo, tokens)))
+        return vector
+
+    def share(self, vector: Vec) -> Vec:
+        return self.vectors.setdefault(vector, vector)
+
+
+def _parse_ints(left: str, right: str) -> tuple[tuple[int, ...], list[int]]:
+    """The integers of a class line's two sides, each token through int()."""
+    try:
+        return tuple(int(t) for t in left.split()), [int(t) for t in right.split()]
+    except ValueError as exc:
+        raise CertificateFormatError(str(exc)) from None

@@ -633,7 +633,8 @@ def witness_certificate(thm: TheoremId, f: FunctionSpec) -> Certificate:
     """A value-mode certificate covering every projective class of C_f.
 
     Requires the theorem hypotheses to hold; each class's entry is the
-    lifted witness basis that theorem_witness builds for it.  A1, A2, B, D1
+    lifted witness basis that theorem_witness builds for it, and each
+    distinct lift is one shared tuple of plain ints.  A1, A2, B, D1
     and D2 are built by the batched builder (_batched_entries).  The
     Maiorana-McFarland theorems C1 and C2, whose proofs branch six ways on
     values of phi and which no heavy preset uses, keep the per-class loop
@@ -648,10 +649,11 @@ def witness_certificate(thm: TheoremId, f: FunctionSpec) -> Certificate:
     field, m = f.field, f.m
     k = m + 1
     if thm in (TheoremId.C1, TheoremId.C2):
-        entries = [
-            (y, lift_witness(f, theorem_witness(thm, f, y[0], y[1:], _validated=True)))
-            for y in projective_classes(field, k)
-        ]
+        member: dict[Vec, Vec] = {}  # one tuple per distinct lift, as in _batched_entries
+        entries = []
+        for y in projective_classes(field, k):
+            lifts = lift_witness(f, theorem_witness(thm, f, y[0], y[1:], _validated=True))
+            entries.append((y, tuple(map(member.setdefault, lifts, lifts))))
     else:
         entries = _batched_entries(thm, f)
     return Certificate(
@@ -674,25 +676,30 @@ def _neg(field: FieldSpec, a) -> np.ndarray:
 
 
 def _batched_entries(thm: TheoremId, f: FunctionSpec) -> list[tuple[Vec, tuple[Vec, ...]]]:
-    """(class, lifted witness) for every class in canonical order, block by block."""
+    """(class, lifted witness) for every class in canonical order, built block by block.
+
+    The lifts become tuples once, at the end: each member (f(x), x) of D_f is
+    one shared tuple of plain ints, looked up by the canonical index of x.
+    """
     field, m = f.field, f.m
     q, k = field.q, m + 1
     values = np.array(f.materialize().variant.values, dtype=np.int64)
     # (0..0, 1, tail) with t tail digits has index q^t + idx(tail), so the
     # classes in projective_classes order are the ranges [q^t, 2 q^t).
     reps = np.concatenate([np_vectors(q, k, q**t, 2 * q**t) for t in range(k)])
-    entries: list[tuple[Vec, tuple[Vec, ...]]] = []
+    xs = []
     step = np_block_rows(field, k * k)
     for start in range(0, len(reps), step):
         Y = reps[start:start + step]
         alphas = _block_alphas(thm, f, values, Y)
-        lifts = np.concatenate(
-            [values.take(np_indices(q, alphas))[:, :, None], alphas], axis=2
-        )
+        x = np_indices(q, alphas)
+        lifts = np.concatenate([values.take(x)[:, :, None], alphas], axis=2)
         _check_block(field, Y, lifts)
-        entries += zip(map(tuple, Y.tolist()),
-                       (tuple(map(tuple, c)) for c in lifts.tolist()))
-    return entries
+        xs.append(x)
+    members = [(fx,) + x for fx, x in
+               zip(values.tolist(), map(tuple, np_vectors(q, m, 0, q**m).tolist()))]
+    lifts = map(members.__getitem__, np.concatenate(xs).ravel().tolist())
+    return list(zip(map(tuple, reps.tolist()), zip(*[lifts] * m)))
 
 
 def _check_block(field: FieldSpec, Y: np.ndarray, lifts: np.ndarray) -> None:

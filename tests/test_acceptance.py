@@ -305,7 +305,7 @@ def test_criterion_09_ab_one_sidedness():
     print(f"ACCEPTANCE 9: PASS ({positives} ab-positive instances all confirmed)")
 
 
-def test_criterion_10_witness_soundness():
+def test_criterion_10_witness_soundness(witness_reference):
     checked_presets = []
     for name, preset in sorted(paper_presets().items()):
         f, thm = preset.function, preset.theorem
@@ -314,9 +314,10 @@ def test_criterion_10_witness_soundness():
         field, m = f.field, f.m
         D = defining_set(f)
         members = set(D.vectors)
-        for y in projective_classes(field, m + 1):
-            wb = theorem_witness(thm, f, y[0], y[1:], _validated=True)
-            lifts = lift_witness(f, wb)
+        # theorem_witness(thm, f, y[0], y[1:]) lifted, for every class y
+        entries = witness_reference(thm, f)
+        assert [y for y, _ in entries] == list(projective_classes(field, m + 1)), name
+        for y, lifts in entries:
             assert all(d in members for d in lifts), (name, y)
             assert all(dot(field, y, d) == 0 for d in lifts), (name, y)
             assert rank(field, lifts) == m, (name, y)

@@ -150,6 +150,15 @@ def test_field_by_order_rejects_non_prime_powers():
         field_by_order(1)
 
 
+def test_field_by_order_large_orders():
+    # the factor search stops at sqrt(q); trying every p up to q took minutes here
+    F = field_by_order(2**31 - 1)
+    assert (F.p, F.e) == (2**31 - 1, 1)
+    # 31601 * 31607: no prime factor below sqrt(q) is missed either
+    with pytest.raises(ValueError, match="not a prime power"):
+        field_by_order(31601 * 31607)
+
+
 def test_pow_zero_convention():
     f3 = make_field(3)
     assert f3.pow(0, 0) == 1

@@ -1,6 +1,7 @@
 """The four minimality criteria, projective classes, certificates."""
 
 import io
+import itertools
 import random
 
 import numpy as np
@@ -439,6 +440,52 @@ def test_verifier_agrees_with_reference_sweep(monkeypatch, block):
     assert outcomes == {True, False}
 
 
+def with_classes(cert, change):
+    """cert with change(j, rep, items) -> (rep, items) applied to every class j."""
+    classes = tuple(change(j, y, items) for j, (y, items) in enumerate(cert.classes))
+    return Certificate(cert.q, cert.n, cert.k, cert.mode, classes)
+
+
+@pytest.mark.parametrize("block", [None, SMALL_BLOCK])
+def test_verifier_entry_types(monkeypatch, block):
+    # the verifier converts a whole certificate at once, but its verdicts are
+    # those of one np.array per block of classes: bools beside integers count
+    # as 0 and 1, a block of bools alone is rejected, and float or ragged
+    # entries are rejected
+    if block:
+        monkeypatch.setattr(linalg_mod, "DOT_BLOCK", block)  # one class per block
+    D = defining_set(get_preset("sec5_f1").function)  # q = 2, k = 6, 63 classes
+    cert = rank_criterion_code(D).witness
+    vcert = as_vectors(D, cert)
+    flag = lambda v: tuple(map(bool, v))
+    at5 = lambda new: lambda j, y, it: new(y, it) if j == 5 else (y, it)
+    for c in (cert, vcert):
+        vectors = c.mode == "vectors"
+        assert verify_certificate(D, c)
+        lists = lambda j, y, it: (list(y), [list(map(np.int64, v)) if vectors else np.int64(v)
+                                            for v in it])
+        assert verify_certificate(D, with_classes(c, lists))
+        every_rep_bool = lambda j, y, it: (flag(y), it)
+        assert not verify_certificate(D, with_classes(c, every_rep_bool))
+        one_rep_bool = at5(lambda y, it: (flag(y), it))
+        assert verify_certificate(D, with_classes(c, one_rep_bool)) == (block is None)
+        one_entry_bool = lambda j, y, it: (y[:-1] + (bool(y[-1]),), it)
+        assert verify_certificate(D, with_classes(c, one_entry_bool))
+        to_float = (lambda v: tuple(map(float, v))) if vectors else float
+        for bad in (
+            at5(lambda y, it: (y[:-1] + (float(y[-1]),), it)),
+            at5(lambda y, it: (y[:-1], it)),
+            at5(lambda y, it: (y + (0,), it)),
+            at5(lambda y, it: (y, (to_float(it[0]),) + it[1:])),
+            at5(lambda y, it: (y, (it[0][:-1] if vectors else (it[0],),) + it[1:])),
+        ):
+            assert not verify_certificate(D, with_classes(c, bad))
+    one_vector_bool = at5(lambda y, it: (y, (flag(it[0]),) + it[1:]))
+    assert verify_certificate(D, with_classes(vcert, one_vector_bool))
+    every_vector_bool = at5(lambda y, it: (y, tuple(map(flag, it))))
+    assert verify_certificate(D, with_classes(vcert, every_vector_bool)) == (block is None)
+
+
 def test_cf_case_check_cases_and_agreement():
     f = get_preset("sec5_f1").function
     D = defining_set(f)
@@ -502,6 +549,89 @@ def test_certificate_round_trip_and_verify():
     back = read_certificate(io.StringIO(buf.getvalue()))
     assert back == cert
     assert verify_certificate(D, back)
+
+
+def reference_write(cert):
+    """The certificate text with one str() per entry: the bytes write_certificate keeps."""
+    lines = [f"{cert.q} {cert.n} {cert.k} {len(cert.classes)} {cert.mode}"]
+    for rep, items in cert.classes:
+        left = " ".join(str(a) for a in rep)
+        if cert.mode == "indices":
+            right = " ".join(str(i) for i in items)
+        else:
+            right = " ".join(str(a) for v in items for a in v)
+        lines.append(f"{left} | {right}")
+    return "\n".join(lines) + "\n"
+
+
+def certificate_text(cert):
+    buf = io.StringIO()
+    write_certificate(buf, cert)
+    return buf.getvalue()
+
+
+def assert_interned(cert):
+    """Equal witness vectors are one tuple object, of plain ints."""
+    shared = {}
+    for _, items in cert.classes:
+        for v in items:
+            assert shared.setdefault(v, v) is v
+            assert type(v) is tuple and all(type(a) is int for a in v)
+
+
+F64 = make_field(2, 6)
+F256 = make_field(2, 8, (1, 0, 1, 1, 1, 0, 0, 0, 1))  # x^8 + x^4 + x^3 + x^2 + 1
+
+
+@pytest.mark.parametrize("field", [F2, F9, F64, F256])
+def test_certificate_round_trip_both_modes(field):
+    # F_64 and F_256 put two- and three-digit numbers in every mode's entries
+    rng = random.Random(field.q)
+    k, n = 4, field.q**3 - 1
+    reps = list(itertools.islice(projective_classes(field, k), 2000))
+    reps = rng.sample(reps, min(150, len(reps)))
+    pool = [tuple(rng.randrange(field.q) for _ in range(k)) for _ in range(60)]
+    for mode, draw in (("indices", lambda: rng.randint(1, n)), ("vectors", lambda: rng.choice(pool))):
+        classes = tuple((y, tuple(draw() for _ in range(k - 1))) for y in reps)
+        cert = Certificate(field.q, n, k, mode, classes)
+        text = certificate_text(cert)
+        assert text == reference_write(cert)
+        back = read_certificate(io.StringIO(text))
+        assert back == cert
+        if mode == "vectors":
+            assert_interned(back)
+        else:
+            assert all(type(i) is int for _, items in back.classes for i in items)
+
+
+def test_witness_certificates_round_trip_shared_vectors():
+    from minicode.families import paper_presets, validate_hypotheses
+    from minicode.witness import witness_certificate
+
+    for name, preset in sorted(paper_presets().items()):
+        if preset.theorem is None or not validate_hypotheses(preset.function, preset.theorem):
+            continue
+        cert = witness_certificate(preset.theorem, preset.function)
+        assert_interned(cert)
+        text = certificate_text(cert)
+        assert text == reference_write(cert), name
+        back = read_certificate(io.StringIO(text))
+        assert back == cert, name
+        assert_interned(back)
+
+
+def test_certificate_writer_bytes_on_odd_entries():
+    # entries a hand-built certificate may hold: bools, numpy ints, lists, an
+    # empty vector, one vector object shared by two classes
+    v = (0, 1, 1)
+    odd = Certificate(2, 7, 3, "vectors", (
+        ((0, 0, 1), (v, [1, True, 0])),
+        ((True, False, 1), ((np.int64(1), 0, 0), v)),
+        ((0, 1, 1), ((), v, (1, 2.0, 0))),
+    ))
+    assert certificate_text(odd) == reference_write(odd)
+    index = Certificate(2, 7, 3, "indices", (((0, 0, 1), (True, np.int64(7))), ((0, 1, 0), [])))
+    assert certificate_text(index) == reference_write(index)
 
 
 def test_certificate_tampering_detected():

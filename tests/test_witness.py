@@ -285,27 +285,20 @@ def test_witness_certificate_verifies_against_code():
         assert verify_certificate(D, cert), name
 
 
-def reference_entries(thm, f):
-    """The certificate entries of the per-class reference, theorem_witness."""
-    return tuple(
-        (y, lift_witness(f, theorem_witness(thm, f, y[0], y[1:], _validated=True)))
-        for y in projective_classes(f.field, f.m + 1)
-    )
-
-
-def assert_matches_reference(thm, f):
+def assert_matches_reference(ref, thm, f):
+    """The batched certificate equals the per-class reference, ref(thm, f)."""
     cert = witness_certificate(thm, f)
-    ref = reference_entries(thm, f)
-    assert len(cert.classes) == len(ref)
-    for got, want in zip(cert.classes, ref):
+    want_entries = ref(thm, f)
+    assert len(cert.classes) == len(want_entries)
+    for got, want in zip(cert.classes, want_entries):
         assert got == want, want[0]
         assert all(type(a) is int for a in got[0] + sum(got[1], ()))
 
 
 @pytest.mark.parametrize("name", WITNESS_PRESETS)
-def test_batched_builder_matches_reference_on_presets(name):
+def test_batched_builder_matches_reference_on_presets(witness_reference, name):
     preset = get_preset(name)
-    assert_matches_reference(preset.theorem, preset.function)
+    assert_matches_reference(witness_reference, preset.theorem, preset.function)
 
 
 def table_spec(rng, field, m, rule):
@@ -363,13 +356,13 @@ def seeded_instances():
 
 
 @pytest.mark.parametrize("index", range(len(seeded_instances())))
-def test_batched_builder_matches_reference_on_seeded_instances(index):
+def test_batched_builder_matches_reference_on_seeded_instances(witness_reference, index):
     thm, f = seeded_instances()[index]
     assert validate_hypotheses(f, thm)
-    assert_matches_reference(thm, f)
+    assert_matches_reference(witness_reference, thm, f)
 
 
-def test_batched_builder_d2_repair_both_branches():
+def test_batched_builder_d2_repair_both_branches(witness_reference):
     # x1x2 + x3x4 over F_3^4: a case-2 class (1, v) with omega = -v has an
     # offending low vector when omega is nonzero on both coordinates of the
     # pair monomial of i0; the repair is "live" when omega is nonzero on the
@@ -386,7 +379,7 @@ def test_batched_builder_d2_repair_both_branches():
         if all(omega[i] for i in pair):
             branches["live" if any(omega[i] for i in other) else "not live"] += 1
     assert branches["live"] and branches["not live"]
-    assert_matches_reference(TheoremId.D2, f)
+    assert_matches_reference(witness_reference, TheoremId.D2, f)
 
 
 @pytest.mark.parametrize("corruption", ["rank", "orthogonality"])
