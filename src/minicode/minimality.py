@@ -590,12 +590,10 @@ def write_certificate(out: Union[str, TextIO], cert: Certificate) -> None:
     if cert.mode == "indices":
         right = [" ".join(map(str, items)) for _, items in classes]
     else:
-        # the text of each distinct vector object, built once; the list keeps
-        # every vector alive, so no id is reused while the map holds it
-        vectors = [v for _, items in classes for v in items]
-        ids = list(map(id, vectors))
-        texts = {i: " ".join(map(str, v)) for i, v in dict(zip(ids, vectors)).items()}
-        parts = map(texts.__getitem__, ids)
+        # the text of each distinct vector object, built once
+        vectors, codes = _distinct([v for _, items in classes for v in items])
+        texts = [" ".join(map(str, v)) for v in vectors]
+        parts = map(texts.__getitem__, codes.tolist())
         # filter(None, ...) drops empty vectors, as the flat join of their entries did
         right = [" ".join(filter(None, islice(parts, len(items)))) for _, items in classes]
     head = f"{cert.q} {cert.n} {cert.k} {len(classes)} {cert.mode}\n"
