@@ -607,11 +607,6 @@ def write_certificate(out: Union[str, TextIO], cert: Certificate) -> None:
         out.write(text)
 
 
-# Tokens read through one shared dict: the canonical decimals below
-# min(max(q, n + 1), INT_MEMO_CAP).  Any other token goes through int().
-INT_MEMO_CAP = 1 << 16
-
-
 def read_certificate(src: Union[str, TextIO]) -> Certificate:
     """Parse a certificate file; each distinct witness vector is one shared tuple."""
     if isinstance(src, str):
@@ -640,8 +635,8 @@ def read_certificate(src: Union[str, TextIO]) -> Certificate:
         raise CertificateFormatError(
             f"expected {count} class lines, found {len(lines) - 1}"
         )
-    memo = {str(i): i for i in range(min(max(q, n + 1), INT_MEMO_CAP))}.__getitem__
-    vectors = _VectorReader(memo)
+    ints = _IntReader().__getitem__
+    vectors = _VectorReader(ints)
     classes = []
     for ln in lines[1:]:
         if "|" not in ln:
@@ -649,48 +644,41 @@ def read_certificate(src: Union[str, TextIO]) -> Certificate:
         left, right = ln.split("|", 1)
         tokens = right.split()
         whole = len(tokens) - len(tokens) % k  # tokens of whole vectors
-        try:
-            rep = tuple(map(memo, left.split()))
-            if mode == "indices":
-                items: Optional[tuple] = tuple(map(memo, tokens))
-            else:
-                items = tuple(map(vectors.__getitem__, zip(*[iter(tokens)] * k)))
-                list(map(memo, tokens[whole:]))  # the tokens after the last whole vector
-        except KeyError:  # a token outside the memo: "+1", "007", a second "|", ...
-            rep, payload = _parse_ints(left, right)
-            items = None
+        rep = tuple(map(ints, left.split()))
+        if mode == "indices":
+            items: tuple = tuple(map(ints, tokens))
+        else:
+            items = tuple(map(vectors.__getitem__, zip(*[iter(tokens)] * k)))
+            list(map(ints, tokens[whole:]))  # the tokens after the last whole vector
         if len(rep) != k:
             raise CertificateFormatError(f"representative {rep} has length != k")
         if mode == "vectors" and whole != len(tokens):
             raise CertificateFormatError("vector payload not a multiple of k")
-        if items is None:
-            if mode == "indices":
-                items = tuple(payload)
-            else:
-                items = tuple(map(vectors.share, zip(*[iter(payload)] * k)))
         classes.append((rep, items))
     return Certificate(q=q, n=n, k=k, mode=mode, classes=tuple(classes))
+
+
+class _IntReader(dict):
+    """token -> int(token), each distinct token converted once."""
+
+    def __missing__(self, token: str) -> int:
+        try:
+            value = self[token] = int(token)
+        except ValueError as exc:
+            raise CertificateFormatError(str(exc)) from None
+        return value
 
 
 class _VectorReader(dict):
     """k tokens -> their vector, read once; each distinct vector is one shared tuple."""
 
-    def __init__(self, memo: Callable[[str], int]) -> None:
+    def __init__(self, ints: Callable[[str], int]) -> None:
         super().__init__()
-        self.memo = memo
+        self.ints = ints
         self.vectors: dict[Vec, Vec] = {}
 
     def __missing__(self, tokens: tuple[str, ...]) -> Vec:
-        vector = self[tokens] = self.share(tuple(map(self.memo, tokens)))
+        vector = tuple(map(self.ints, tokens))
+        # equal vectors written with different tokens ("+1 0", "1 0") share one tuple
+        vector = self[tokens] = self.vectors.setdefault(vector, vector)
         return vector
-
-    def share(self, vector: Vec) -> Vec:
-        return self.vectors.setdefault(vector, vector)
-
-
-def _parse_ints(left: str, right: str) -> tuple[tuple[int, ...], list[int]]:
-    """The integers of a class line's two sides, each token through int()."""
-    try:
-        return tuple(int(t) for t in left.split()), [int(t) for t in right.split()]
-    except ValueError as exc:
-        raise CertificateFormatError(str(exc)) from None

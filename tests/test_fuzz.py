@@ -127,7 +127,7 @@ def reference_read_certificate(src):
     return Certificate(q=q, n=n, k=k, mode=mode, classes=tuple(classes))
 
 
-# tokens int() reads but the memo of canonical decimals does not, and separators
+# non-canonical spellings int() reads or refuses, and separators
 odd_token = st.sampled_from(["+1", "-0", "007", "1_0", "١", "|", "2|", "0x3", "1.5"])
 entry = st.one_of(st.integers(0, 12).map(str), st.integers(0, 300).map(str), odd_token)
 line_break = st.sampled_from(["\n", "\r\n", "\x0b", "\x1c", "\n\n", "\n \t\n"])
