@@ -73,6 +73,15 @@ Variant = Union[TableFunction, WeightThreshold, ComplementThreshold,
                 MaioranaMcFarland, MonomialSum]
 
 
+def _is_power(q: int, m: int, length: int) -> bool:
+    """length == q^m, without computing q^m when it exceeds length.
+
+    q >= 2, so q^m > length as soon as m exceeds length's bit length; a
+    huge arity in a header is then refused at once.
+    """
+    return m <= length.bit_length() and q**m == length
+
+
 def monomial_support(exponents: Sequence[int]) -> frozenset[int]:
     """s(g): 1-based indices with nonzero exponent."""
     return frozenset(i + 1 for i, b in enumerate(exponents) if b)
@@ -89,8 +98,8 @@ class FunctionSpec:
         if m < 1:
             raise ValueError("arity m must be >= 1")
         if isinstance(v, TableFunction):
-            if len(v.values) != q**m:
-                raise ValueError(f"table length {len(v.values)} != q^m = {q**m}")
+            if not _is_power(q, m, len(v.values)):
+                raise ValueError(f"table length {len(v.values)} != q^m = {q}^{m}")
             for a in v.values:
                 self.field.check_scalar(a)
         elif isinstance(v, WeightThreshold):
@@ -104,7 +113,7 @@ class FunctionSpec:
         elif isinstance(v, MaioranaMcFarland):
             if v.s + v.t != m:
                 raise ValueError(f"s + t = {v.s}+{v.t} != m = {m}")
-            if len(v.phi) != q**v.s or len(v.g) != q**v.s:
+            if not (_is_power(q, v.s, len(v.phi)) and _is_power(q, v.s, len(v.g))):
                 raise ValueError("phi and g tables must have q^s entries")
             for img in v.phi:
                 if len(img) != v.t:
@@ -560,9 +569,11 @@ def read_function(src: Union[str, TextIO]) -> FunctionSpec:
         if s < 0 or t < 0 or s + t != m:
             raise ValueError(f"maiorana_mcfarland needs s, t >= 0 with s + t = m, got {s}, {t}")
         rest = flat[2:]
-        need = q**s * t + q**s
-        if len(rest) != need:
-            raise ValueError(f"maiorana_mcfarland body has {len(rest)} ints, expected {need}")
+        if len(rest) % (t + 1) or not _is_power(q, s, len(rest) // (t + 1)):
+            raise ValueError(
+                f"maiorana_mcfarland body has {len(rest)} ints, expected (t + 1) q^s "
+                f"with t = {t}, q^s = {q}^{s}"
+            )
         phi = tuple(tuple(rest[i * t:(i + 1) * t]) for i in range(q**s))
         g = tuple(rest[q**s * t:])
         return FunctionSpec(field, m, MaioranaMcFarland(s, t, phi, g))

@@ -355,24 +355,31 @@ def np_ranks(field: FieldSpec, M) -> np.ndarray:
     Column by column, each matrix takes as pivot its first row that is nonzero
     there, scales it to a leading 1 and subtracts multiples of it from every
     row, itself included, so a pivot row is zero afterwards and never chosen
-    again.  Matrices without a pivot in a column are left unchanged.
+    again.  Matrices without a pivot in a column are left unchanged.  After
+    column col every row is zero in columns <= col, so each step touches only
+    the columns from col on, held column-major (c x B x r) so that they are
+    one contiguous slab, and the loop ends once every matrix has rank r.
     """
     q, sub, mul, inv = field.q, field.np_sub, field.np_mul, field.np_inv
-    M = np.array(M, dtype=np.int64)
+    M = np.asarray(M, dtype=np.int64)
     B, r, c = M.shape
     ranks = np.zeros(B, dtype=np.int64)
     if not r:
         return ranks
+    M = np.array(M.transpose(2, 0, 1), order="C")  # a copy; M[col] is column col
     at = np.arange(B)
     for col in range(c):
-        lead = M[:, :, col, None] * q
-        nonzero = lead[:, :, 0] != 0
-        pivot = M[at, nonzero.argmax(axis=1)]
-        pivot = mul.take(inv.take(pivot[:, col])[:, None] * q + pivot)
-        M *= q
-        M += mul.take(lead + pivot[:, None, :])
-        sub.take(M, out=M)
+        T = M[col:]
+        lead = T[0] * q
+        nonzero = lead != 0
+        pivot = T[:, at, nonzero.argmax(axis=1)]  # each matrix's pivot row, from col on
+        pivot = mul.take(inv.take(pivot[0]) * q + pivot)
+        T *= q
+        T += mul.take(lead + pivot[:, :, None])
+        sub.take(T, out=T)
         ranks += nonzero.any(axis=1)
+        if ranks.min() == r:
+            break
     return ranks
 
 

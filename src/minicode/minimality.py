@@ -11,14 +11,21 @@ Criteria:
   dhz         the weight-identity test over independent codeword pairs,
   rank        dim Span(D cap H(y)) = k-1 per class, with witness bases.
 
-The rank criterion runs one greedy scan per block of classes: D is visited
-in a fixed stride order, each candidate is reduced against the echelon rows
-of every class it is orthogonal to, and a class retires at rank k-1.  It
-emits a certificate whose per-class entries are indices into the serialized
-D order, so verification is exact membership; the verifier checks blocks of
-classes with batched elimination.  A failing class is reported with the rank
-its scan reached and a message whose codeword it covers.  Every field runs
-the same numpy kernels.
+The class representatives are one array, built once per call.  The rank
+criterion scans D in a fixed stride order for a block of classes at a time,
+in hit rounds: each class's hits (the candidates orthogonal to it) are
+listed in scan order, and round r reduces the r-th hit of every class still
+scanning against the echelon rows that class kept, so a window of
+candidates costs about k rounds, not one step per candidate.  A class keeps
+a hit when a remainder is left and retires at rank k-1, exactly as the
+sequential rank_criterion_codeword does.  The criterion emits a certificate
+whose per-class entries are indices into the serialized D order, so
+verification is exact membership; the verifier checks blocks of classes
+with batched elimination.  A failing class is reported with the rank its
+scan reached and a message whose codeword it covers.  The definition and
+dhz oracles test a block of rows against every class at once: one support
+matmul, or one gather from the hyperplane counts.  Every field runs the
+same numpy kernels.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Iterator, Optional, Sequence, TextIO, Union
 
 import numpy as np
@@ -35,6 +42,7 @@ from .code import DefiningSet, defining_set, linearity_check, weight_distributio
 from .errors import BudgetExceededError, CertificateFormatError, GuardError
 from .families import FunctionSpec
 from .gf import FieldSpec
+from . import linalg
 from .linalg import (
     EchelonBasis,
     SubspaceBasis,
@@ -46,6 +54,7 @@ from .linalg import (
     np_indices,
     np_paired_dots,
     np_ranks,
+    np_vectors,
     scale,
 )
 
@@ -153,33 +162,44 @@ def projective_classes(field: FieldSpec, k: int) -> Iterator[Vec]:
             yield (0,) * lead + (1,) + index_to_vector(q, tail, idx)
 
 
-def _codeword_matrix(D: DefiningSet, reps: list[Vec]) -> np.ndarray:
-    """Codewords of all reps as an R x n int matrix."""
-    Y = np.asarray(reps, dtype=np.int64)
-    out = np.empty((len(reps), D.n), dtype=np.int64)
+def _class_array(q: int, k: int) -> np.ndarray:
+    """All P representatives as a P x k array, in projective_classes order.
+
+    The tails of the block with `lead` leading zeros are the first q^tail
+    rows of the (k-1)-digit vectors, whose first `lead` digits are 0.
+    """
+    Y = np.zeros((class_count(q, k), k), dtype=np.int64)
+    tails = np_vectors(q, k - 1, 0, q ** (k - 1))
+    start = 0
+    for lead in range(k - 1, -1, -1):
+        size = q ** (k - 1 - lead)
+        Y[start:start + size, lead] = 1
+        Y[start:start + size, lead + 1:] = tails[:size, lead:]
+        start += size
+    return Y
+
+
+def _codeword_matrix(D: DefiningSet, Y: np.ndarray) -> np.ndarray:
+    """Codewords of the rows of Y as an R x n uint8 matrix (q <= 256)."""
+    out = np.empty((len(Y), D.n), dtype=np.uint8)
     step = np_block_rows(D.field, D.n)
-    for start in range(0, len(reps), step):
+    for start in range(0, len(Y), step):
         out[start:start + step] = np_dots(D.field, Y[start:start + step], D.digit_columns)
     return out
 
 
-def _distinct_codeword_reps(D: DefiningSet) -> tuple[list[Vec], np.ndarray]:
-    """Class reps with distinct nonzero codewords, in canonical order.
+def _distinct_codeword_reps(D: DefiningSet) -> tuple[np.ndarray, np.ndarray]:
+    """(Y, words): class reps with distinct nonzero codewords, in canonical order.
 
     Collapsing to distinct codewords keeps the definition and dhz checks
     correct when rank(D) < k (several messages can share one codeword).
     """
-    reps = list(projective_classes(D.field, D.k))
-    words = _codeword_matrix(D, reps)
-    keep: list[int] = []
-    seen: set[bytes] = set()
-    for i, row in enumerate(words):
-        key = row.tobytes()
-        if not row.any() or key in seen:
-            continue
-        seen.add(key)
-        keep.append(i)
-    return [reps[i] for i in keep], words[keep]
+    Y = _class_array(D.field.q, D.k)
+    words = _codeword_matrix(D, Y)
+    _, first = np.unique(_row_keys(words), return_index=True)  # first of each codeword
+    keep = np.sort(first)
+    keep = keep[words[keep].any(axis=1)]
+    return Y[keep], words[keep]
 
 
 def _check_oracle_scale(D: DefiningSet, max_classes: int, max_n: int) -> None:
@@ -198,18 +218,28 @@ def is_minimal_definition(
     max_classes: int = DEF_MAX_CLASSES,
     max_n: int = DEF_MAX_N,
 ) -> MinimalityReport:
-    """Brute force over ordered pairs of projective classes."""
+    """Brute force over ordered pairs of projective classes.
+
+    c_j is covered by c_i when |supp c_j minus supp c_i| = 0.  For a block of
+    rows i these counts against every j are one matmul (1 - S_i) S^T of the
+    0/1 support matrix S, exact in float32 while n < 2^24; the first zero
+    off the diagonal in row-major order is the first violating pair (i, j).
+    """
     _check_oracle_scale(D, max_classes, max_n)
-    reps, words = _distinct_codeword_reps(D)
-    supp = words != 0
-    for i in range(len(reps)):
-        covered = ~((supp & ~supp[i]).any(axis=1))
-        covered[i] = False
-        hits = np.flatnonzero(covered)
+    Y, words = _distinct_codeword_reps(D)
+    S = (words != 0).astype(np.float32 if D.n < 2**24 else np.float64)
+    R = len(S)
+    step = max(1, 64 * linalg.DOT_BLOCK // max(1, R))  # tall blocks keep BLAS busy
+    for start in range(0, R, step):
+        outside = (1 - S[start:start + step]) @ S.T
+        at = np.arange(len(outside))
+        outside[at, start + at] = 1  # c_i covers itself
+        hits = np.flatnonzero(outside == 0)
         if hits.size:
-            j = int(hits[0])
+            i, j = divmod(int(hits[0]), R)
+            a, b = Y[[start + i, j]].tolist()
             return MinimalityReport(
-                "definition", NOT_MINIMAL, CoverViolation(a=reps[i], b=reps[j])
+                "definition", NOT_MINIMAL, CoverViolation(a=tuple(a), b=tuple(b))
             )
     return MinimalityReport("definition", MINIMAL)
 
@@ -237,24 +267,26 @@ def dhz_criterion(
     D.hyperplane_counts: a pair costs (q-1) k table lookups, not n.
     """
     _check_oracle_scale(D, max_classes, max_n)
-    reps, _ = _distinct_codeword_reps(D)
+    Y, _ = _distinct_codeword_reps(D)
     field, n, N = D.field, D.n, D.hyperplane_counts
-    q = field.q
-    Y = np.asarray(reps, dtype=np.int64).reshape(len(reps), D.k)
+    q, R = field.q, len(Y)
     cY = field.np_mul.take(np.arange(1, q)[:, None, None] * q + Y)  # cY[c-1] = c Y
     wt = n - N.take(np_indices(q, Y))
-    for i in range(len(reps)):
-        msgs = field.np_add.take(Y[i] * q + cY)
-        lhs = (q - 1) * n - N.take(np_indices(q, msgs)).sum(axis=0)
-        rhs = (q - 1) * wt[i] - wt
-        bad = lhs == rhs
-        bad[i] = False
+    # a block of rows i gathers N[y_i + c y_j] for every c and j in one take
+    step = max(1, linalg.DOT_BLOCK // max(1, cY.size))
+    for start in range(0, R, step):
+        Yi = Y[start:start + step, None, None, :]
+        msgs = field.np_add.take(Yi * q + cY)
+        lhs = (q - 1) * n - N.take(np_indices(q, msgs)).sum(axis=1)
+        bad = lhs == (q - 1) * wt[start:start + step, None] - wt
+        at = np.arange(len(bad))
+        bad[at, start + at] = False
         hits = np.flatnonzero(bad)
         if hits.size:
-            j = int(hits[0])
+            i, j = divmod(int(hits[0]), R)
+            a, b = Y[[start + i, j]].tolist()
             return MinimalityReport(
-                "dhz", NOT_MINIMAL,
-                DhzViolation(a=reps[i], b=reps[j], value=int(lhs[j])),
+                "dhz", NOT_MINIMAL, DhzViolation(a=tuple(a), b=tuple(b), value=int(lhs[i, j]))
             )
     return MinimalityReport("dhz", MINIMAL)
 
@@ -355,15 +387,14 @@ def rank_criterion_code(
         raise BudgetExceededError(
             f"estimated {estimated} field ops exceed the budget {limit}"
         )
-    reps = list(projective_classes(field, k))
-    Y = np.asarray(reps, dtype=np.int64)
+    Y = _class_array(q, k)
     order = _scan_order(n)
     # the 1-based D index of each scan position, one shared int object each
     labels = (order + 1).astype(object)
     step = np_block_rows(field, k * k)
     entries: list[tuple[Vec, tuple]] = []
     for start in range(0, P, step):
-        block = reps[start:start + step]
+        block = list(map(tuple, Y[start:start + step].tolist()))
         picked, count = _greedy_block(D, Y[start:start + step], order)
         chosen = labels[picked].tolist()
         for y, kept, c in zip(block, chosen, count.tolist()):
@@ -377,23 +408,28 @@ def rank_criterion_code(
 def _greedy_block(
     D: DefiningSet, Y: np.ndarray, order: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The greedy scans of D cap H(y) for every class y of a block, run as one pass.
+    """The greedy scans of D cap H(y) for every class y of a block, run in hit rounds.
 
-    D is visited in scan order.  At each candidate the classes it is
-    orthogonal to reduce it against the rows they kept, with the flat field
-    tables, and keep it when a remainder is left; a class retires at k-1
-    rows.  This is the choice rank_criterion_codeword makes one class at a
-    time.  The dots of the classes still scanning come from np_dots over a
-    window of candidates at a time.
+    D is visited in scan order, a window of candidates at a time.  np_dots
+    over the window gives each live class its hits, the candidates it is
+    orthogonal to, and a stable argsort of the hit mask lists them first,
+    in scan order.  Round r then takes the r-th hit of every class that is
+    still scanning and has one, reduces it against that class's kept rows
+    with the flat field tables, and keeps it when a remainder is left; a
+    class retires at k-1 rows.  Each class meets its own hits in scan
+    order, so it keeps the rows rank_criterion_codeword keeps, while a
+    window costs as many rounds as its busiest class has hits to try
+    (about k), not one step per candidate.
 
     Returns (picked, count): picked[b, :count[b]] are the scan positions
     class b kept.  count[b] < k-1 means its scan exhausted D cap H(y), whose
     rank is then count[b].
     """
-    field, rows, cols = D.field, D.as_array, D.digit_columns
+    field, cols = D.field, D.digit_columns
     q, sub, mul, inv = field.q, field.np_sub, field.np_mul, field.np_inv
     B, k = Y.shape
     n = D.n
+    scanned = D.as_array[order]  # D's rows in scan order
     basis = np.zeros((k - 1, B, k), dtype=np.int64)  # kept rows scaled to a leading 1
     pivots = np.zeros((k - 1, B), dtype=np.int64)
     picked = np.zeros((B, k - 1), dtype=np.int64)
@@ -403,33 +439,32 @@ def _greedy_block(
     while live.size and t < n:
         stop = min(n, t + np_block_rows(field, live.size))
         hits = np_dots(field, Y[live], cols[:, order[t:stop]]) == 0
-        active = np.ones(live.size, dtype=bool)
-        for pos in np.flatnonzero(hits.any(axis=0)) + t:
-            sel = np.flatnonzero(hits[:, pos - t] & active)
-            if not sel.size:
-                continue
+        ranked = np.argsort(~hits, axis=1, kind="stable") + t  # hits first, in scan order
+        total = hits.sum(axis=1)
+        sel = np.flatnonzero(total)  # rows of live with an r-th hit
+        r = 0
+        while sel.size:
             h = live[sel]
-            w = np.broadcast_to(rows[order[pos]], (h.size, k))
+            pos = ranked[sel, r]
+            w = scanned[pos]
             at = np.arange(h.size)
             for i in range(int(count[h].max())):
                 # rows past a class's count are zero, so this leaves it as is
                 c = w[at, pivots[i, h]]
                 w = sub.take(w * q + mul.take(c[:, None] * q + basis[i, h]))
             new = np.flatnonzero(w.any(axis=1))
-            if not new.size:
-                continue
-            w, h, sel = w[new], h[new], sel[new]
-            piv = (w != 0).argmax(axis=1)
-            lead = w[np.arange(new.size), piv]
-            slot = count[h]
-            basis[slot, h] = mul.take(inv.take(lead)[:, None] * q + w)
-            pivots[slot, h] = piv
-            picked[h, slot] = pos
-            count[h] = slot + 1
-            active[sel[slot + 1 == k - 1]] = False
-            if not active.any():
-                break
-        live = live[active]
+            if new.size:
+                w, hn = w[new], h[new]
+                piv = (w != 0).argmax(axis=1)
+                lead = w[np.arange(new.size), piv]
+                slot = count[hn]
+                basis[slot, hn] = mul.take(inv.take(lead)[:, None] * q + w)
+                pivots[slot, hn] = piv
+                picked[hn, slot] = pos[new]
+                count[hn] = slot + 1
+            r += 1
+            sel = sel[(total[sel] > r) & (count[h] < k - 1)]
+        live = live[count[live] < k - 1]
         t = stop
     return picked, count
 
@@ -481,7 +516,8 @@ def verify_certificate(D: DefiningSet, cert: Certificate) -> bool:
 
     Every class of F_q^k must appear once, each entry must be a member of D
     (by index or by value), orthogonal to its class representative, and each
-    class's k-1 vectors must have rank exactly k-1.  The representatives and
+    class's k-1 vectors must have rank exactly k-1.  Entries are integers:
+    a bool anywhere rejects the certificate.  The representatives and
     entries are converted to arrays once per certificate, each distinct
     object once; classes are then checked in blocks of about DOT_BLOCK / k^2
     with the flat field tables.
@@ -496,13 +532,13 @@ def verify_certificate(D: DefiningSet, cert: Certificate) -> bool:
     if len(cert.classes) != P or any(len(items) != k - 1 for _, items in cert.classes):
         return False
     step = np_block_rows(field, k * k)
-    Y = _int_array([rep for rep, _ in cert.classes], (k,), step)
+    Y = _int_array([rep for rep, _ in cert.classes], (k,))
     if Y is None or ((Y < 0) | (Y >= q)).any():
         return False
     if (Y[np.arange(P), (Y != 0).argmax(axis=1)] != 1).any():
         return False  # a first nonzero entry other than 1
     if k > 1:
-        at = _witness_positions(D, cert, step)
+        at = _witness_positions(D, cert)
         if at is None:
             return False
         for start in range(0, P, step):
@@ -517,15 +553,11 @@ def verify_certificate(D: DefiningSet, cert: Certificate) -> bool:
 _BOOL_TYPES = frozenset((bool, np.bool_))
 
 
-def _int_array(
-    cells: list, shape: tuple[int, ...], block: int, codes: Optional[np.ndarray] = None
-) -> Optional[np.ndarray]:
+def _int_array(cells: list, shape: tuple[int, ...]) -> Optional[np.ndarray]:
     """cells as an integer array of shape (len(cells),) + shape, or None if they are not one.
 
-    The verdict is the one np.array gives on every run of `block` cells of
-    the certificate, those being cells[codes] when codes is given: bools
-    beside integers count as 0 and 1, but a run of bools alone is no
-    integer array.
+    A bool is no integer entry: one bool anywhere makes it None, even
+    beside integers, where np.array would read it as 0 or 1.
     """
     try:
         A = np.array(cells)
@@ -533,11 +565,8 @@ def _int_array(
         return None
     if A.dtype.kind not in "iu" or A.shape[1:] != shape:
         return None
-    for s in range(0, len(cells) if codes is None else len(codes), block):
-        run = cells[s:s + block] if codes is None else map(cells.__getitem__, codes[s:s + block])
-        # all() stops at the first cell that is not all bools, most often the first
-        if all(_BOOL_TYPES.issuperset(map(type, c if shape else (c,))) for c in run):
-            return None
+    if not _BOOL_TYPES.isdisjoint(map(type, chain.from_iterable(cells) if shape else cells)):
+        return None
     return A
 
 
@@ -559,7 +588,7 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
 
 
-def _witness_positions(D: DefiningSet, cert: Certificate, step: int) -> Optional[np.ndarray]:
+def _witness_positions(D: DefiningSet, cert: Certificate) -> Optional[np.ndarray]:
     """The 0-based D positions of every class's k-1 entries, a P x (k-1) array.
 
     None when an entry is no member of D: an index outside 1..n, or a vector
@@ -568,12 +597,12 @@ def _witness_positions(D: DefiningSet, cert: Certificate, step: int) -> Optional
     k, n, q = D.k, D.n, D.field.q
     cells = [a for _, items in cert.classes for a in items]
     if cert.mode == "indices":
-        A = _int_array(cells, (), step * (k - 1))
+        A = _int_array(cells, ())
         if A is None or ((A < 1) | (A > n)).any():
             return None
         return (A - 1).reshape(-1, k - 1)
     vectors, codes = _distinct(cells)
-    U = _int_array(vectors, (k,), step * (k - 1), codes)
+    U = _int_array(vectors, (k,))
     if U is None or ((U < 0) | (U >= q)).any():
         return None
     keys = _row_keys(D.as_array)

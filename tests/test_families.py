@@ -2,6 +2,7 @@
 
 import io
 import random
+import time
 
 import pytest
 
@@ -254,3 +255,16 @@ def test_function_file_rejects_garbage():
         read_function(io.StringIO("3 -1 monomial_sum\n4\n"))
     with pytest.raises(ValueError, match="s \\+ t = m"):
         read_function(io.StringIO("2 1 maiorana_mcfarland\n-1 1 5\n"))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("3 10000000 table\n0 1 2\n", r"table length 3 != q\^m = 3\^10000000"),
+    ("3 10000000 maiorana_mcfarland\n10000000 0 1 1\n", r"q\^s = 3\^10000000"),
+])
+def test_function_file_huge_arity_refused_at_once(text, message):
+    # q^m is not computed when m exceeds the body length's bit length: the
+    # refusal is immediate and its message needs no multi-million-digit integer
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=message):
+        read_function(io.StringIO(text))
+    assert time.perf_counter() - start < 0.1

@@ -133,6 +133,35 @@ def test_np_ranks_against_rank():
             assert np_ranks(field, mats).tolist() == [rank(field, m) for m in mats]
 
 
+@pytest.mark.parametrize("field", [F2, F3, make_field(2, 2), make_field(2, 3), make_field(3, 2)],
+                         ids=lambda F: f"F{F.q}")
+def test_np_ranks_matches_echelon_basis_on_seeded_batches(field):
+    # batches of products A B with an inner dimension below r and c are
+    # rank-deficient by construction; tall, wide and square shapes cover
+    # both an early stop at rank r and a loop that runs through every column
+    rng = random.Random(field.q)
+    F = field
+
+    def product(r, inner, c):
+        A = [[rng.randrange(F.q) for _ in range(inner)] for _ in range(r)]
+        B = [[rng.randrange(F.q) for _ in range(c)] for _ in range(inner)]
+        return [tuple(dot(F, A[i], [B[t][j] for t in range(inner)]) for j in range(c))
+                for i in range(r)]
+
+    for r, c in ((3, 6), (5, 5), (7, 3), (1, 4), (4, 1), (9, 9)):
+        mats = [product(r, rng.randrange(min(r, c) + 1), c) for _ in range(20)]
+        mats += [[tuple(rng.randrange(F.q) for _ in range(c)) for _ in range(r)]
+                 for _ in range(20)]
+        expected = []
+        for m in mats:
+            basis = EchelonBasis(F, c)
+            for row in m:
+                basis.add(row)
+            expected.append(basis.rank)
+        assert np_ranks(F, mats).tolist() == expected
+        assert min(expected) < min(r, c)
+
+
 def test_np_matmul_mod_refuses_inexact():
     a, b = np.ones((1, 4)), np.ones((4, 1))
     assert np_matmul_mod(a, b, 3).tolist() == [[1]]

@@ -32,6 +32,7 @@ from minicode.minimality import (
     verify_certificate,
     write_certificate,
 )
+from minicode.minimality import _class_array
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -58,6 +59,9 @@ def test_projective_classes_count_and_order():
     # every nonzero vector normalizes to exactly one listed representative
     seen = {normalize_class(F3, v) for v in enumerate_vectors(F3, 3)}
     assert seen == set(reps)
+    # the array the criteria build lists the same representatives in order
+    for field, k in ((F2, 1), (F2, 6), (F3, 3), (F4, 4), (F9, 3)):
+        assert _class_array(field.q, k).tolist() == list(map(list, projective_classes(field, k)))
 
 
 def test_normalize_class_idempotent_and_zero_rejected():
@@ -229,6 +233,104 @@ def test_budget_env_override(monkeypatch):
     assert op_budget(10) == 10
     monkeypatch.delenv("MINICODE_BUDGET")
     assert op_budget() == 10**10
+
+
+def definition_reference(D):
+    """The first cover over codewords built with linalg.dot, or None.
+
+    The per-row loop: class representatives with distinct nonzero codewords
+    in canonical order, then ordered pairs (a, b) with b != a covered by a.
+    """
+    reps, words = [], []
+    for y in projective_classes(D.field, D.k):
+        c = tuple(dot(D.field, y, d) for d in D.vectors)
+        if any(c) and c not in words:
+            reps.append(y)
+            words.append(c)
+    for i, a in enumerate(words):
+        for j, b in enumerate(words):
+            if i != j and covers(b, a):
+                return CoverViolation(a=reps[i], b=reps[j])
+    return None
+
+
+def random_defining_set(field, k, n, r, rng):
+    """n random members of a random subspace of F_q^k spanned by r vectors."""
+    span = [tuple(rng.randrange(field.q) for _ in range(k)) for _ in range(r)]
+    rows = []
+    for _ in range(n):
+        v = (0,) * k
+        for b in span:
+            c = rng.randrange(field.q)
+            v = tuple(field.add(x, field.mul(c, z)) for x, z in zip(v, b))
+        rows.append(v)
+    return DefiningSet(field, k, tuple(rows))
+
+
+ORACLE_FIELDS = [F2, F3, F4, make_field(5), F8, F9]
+
+
+def oracle_codes(field, rng):
+    """Seeded small codes over field: D_f ones, random full-rank D and rank-deficient D."""
+    q = field.q
+    m = {2: 4, 3: 3, 4: 2, 5: 2}.get(q, 1)
+    codes = [defining_set(random_table_code(field, m, rng))
+             for _ in range(6 if q <= 3 else 3)]
+    for _ in range(4):
+        k = 3 if q <= 5 else 2
+        codes.append(random_defining_set(field, k, rng.randrange(2, 8 * q), k, rng))
+        codes.append(random_defining_set(field, k, rng.randrange(1, 3 * q), k - 1, rng))
+    return codes
+
+
+@pytest.mark.parametrize("block", [None, 1])
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda F: f"F{F.q}")
+def test_definition_and_dhz_match_per_class_reference(monkeypatch, field, block):
+    # the blocked oracles report the first (a, b) of the per-row loop, with
+    # the same evidence, on rank-deficient D too and across several blocks:
+    # at DOT_BLOCK = 1 dhz takes one row per block and definition 64 // R
+    if block:
+        monkeypatch.setattr(linalg_mod, "DOT_BLOCK", block)
+    rng = random.Random(61 + field.q)
+    verdicts = set()
+    for D in oracle_codes(field, rng):
+        expect = definition_reference(D)
+        got = is_minimal_definition(D)
+        assert got.witness == expect
+        assert got.verdict == ("minimal" if expect is None else "not_minimal")
+        verdicts.add(got.verdict)
+        expect = dhz_reference(D)
+        got = dhz_criterion(D)
+        assert got.witness == expect
+        assert got.verdict == ("minimal" if expect is None else "not_minimal")
+    assert verdicts == {"minimal", "not_minimal"}
+
+
+@pytest.mark.parametrize("block", [None, 40])
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda F: f"F{F.q}")
+def test_rank_hit_rounds_match_sequential_scan(monkeypatch, field, block):
+    # every class keeps the rows rank_criterion_codeword keeps, and a failing
+    # code reports the first failing class with the same rank and cover
+    if block:
+        monkeypatch.setattr(linalg_mod, "DOT_BLOCK", block)
+    rng = random.Random(67 + field.q)
+    verdicts = set()
+    codes = oracle_codes(field, rng)
+    codes += [random_defining_set(field, 3, rng.randrange(field.q, 6 * field.q), 3, rng)
+              for _ in range(4)]
+    for D in codes:
+        if D.rank != D.k:
+            continue
+        got = rank_criterion_code(D)
+        verdicts.add(got.verdict)
+        if got.is_minimal:
+            for y, items in got.witness.classes:
+                assert items == rank_criterion_codeword(y, D).witness.indices
+            continue
+        first = next(r for y in projective_classes(field, D.k)
+                     if not (r := rank_criterion_codeword(y, D)).is_minimal)
+        assert got.witness == first.witness
+    assert verdicts == {"minimal", "not_minimal"}
 
 
 def test_criterion_agreement_micro_sweep():
@@ -448,10 +550,9 @@ def with_classes(cert, change):
 
 @pytest.mark.parametrize("block", [None, SMALL_BLOCK])
 def test_verifier_entry_types(monkeypatch, block):
-    # the verifier converts a whole certificate at once, but its verdicts are
-    # those of one np.array per block of classes: bools beside integers count
-    # as 0 and 1, a block of bools alone is rejected, and float or ragged
-    # entries are rejected
+    # one rule whatever the block size: integer entries of any integer type
+    # are accepted, and a bool anywhere, in a representative or an entry, is
+    # rejected, as are float and ragged entries
     if block:
         monkeypatch.setattr(linalg_mod, "DOT_BLOCK", block)  # one class per block
     D = defining_set(get_preset("sec5_f1").function)  # q = 2, k = 6, 63 classes
@@ -465,14 +566,17 @@ def test_verifier_entry_types(monkeypatch, block):
         lists = lambda j, y, it: (list(y), [list(map(np.int64, v)) if vectors else np.int64(v)
                                             for v in it])
         assert verify_certificate(D, with_classes(c, lists))
-        every_rep_bool = lambda j, y, it: (flag(y), it)
-        assert not verify_certificate(D, with_classes(c, every_rep_bool))
-        one_rep_bool = at5(lambda y, it: (flag(y), it))
-        assert verify_certificate(D, with_classes(c, one_rep_bool)) == (block is None)
-        one_entry_bool = lambda j, y, it: (y[:-1] + (bool(y[-1]),), it)
-        assert verify_certificate(D, with_classes(c, one_entry_bool))
         to_float = (lambda v: tuple(map(float, v))) if vectors else float
+        # a bool of the same value: the last coordinate of a 0/1 vector, or index 1
+        to_bool = ((lambda it: (it[0][:-1] + (np.bool_(it[0][-1]),),) + it[1:]) if vectors
+                   else (lambda it: tuple(True if a == 1 else a for a in it)))
+        assert vectors or any(1 in it for _, it in c.classes)
         for bad in (
+            lambda j, y, it: (flag(y), it),
+            at5(lambda y, it: (flag(y), it)),
+            at5(lambda y, it: (y[:-1] + (bool(y[-1]),), it)),
+            lambda j, y, it: (y[:-1] + (np.bool_(y[-1]),), it),
+            lambda j, y, it: (y, to_bool(it)),
             at5(lambda y, it: (y[:-1] + (float(y[-1]),), it)),
             at5(lambda y, it: (y[:-1], it)),
             at5(lambda y, it: (y + (0,), it)),
@@ -480,10 +584,12 @@ def test_verifier_entry_types(monkeypatch, block):
             at5(lambda y, it: (y, (it[0][:-1] if vectors else (it[0],),) + it[1:])),
         ):
             assert not verify_certificate(D, with_classes(c, bad))
-    one_vector_bool = at5(lambda y, it: (y, (flag(it[0]),) + it[1:]))
-    assert verify_certificate(D, with_classes(vcert, one_vector_bool))
-    every_vector_bool = at5(lambda y, it: (y, tuple(map(flag, it))))
-    assert verify_certificate(D, with_classes(vcert, every_vector_bool)) == (block is None)
+    for bad in (
+        at5(lambda y, it: (y, (flag(it[0]),) + it[1:])),
+        at5(lambda y, it: (y, tuple(map(flag, it)))),
+        lambda j, y, it: (y, tuple(map(flag, it))),
+    ):
+        assert not verify_certificate(D, with_classes(vcert, bad))
 
 
 def test_cf_case_check_cases_and_agreement():
