@@ -233,8 +233,12 @@ def enumerate_vectors(field: FieldSpec, m: int, include_zero: bool = False) -> I
 
 def np_vectors(q: int, m: int, start: int, stop: int) -> np.ndarray:
     """Rows index_to_vector(q, m, i) for start <= i < stop."""
-    idx = np.arange(start, stop, dtype=np.int64)
-    out = np.empty((stop - start, m), dtype=np.int64)
+    return np_digits(q, m, np.arange(start, stop, dtype=np.int64))
+
+
+def np_digits(q: int, m: int, idx: np.ndarray) -> np.ndarray:
+    """Rows index_to_vector(q, m, i) for the indices i of the 1-D array idx."""
+    out = np.empty((len(idx), m), dtype=np.int64)
     for i in range(m - 1, -1, -1):
         idx, out[:, i] = np.divmod(idx, q)
     return out

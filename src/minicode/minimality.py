@@ -50,11 +50,11 @@ from .linalg import (
     index_to_vector,
     kernel_basis,
     np_block_rows,
+    np_digits,
     np_dots,
     np_indices,
     np_paired_dots,
     np_ranks,
-    np_vectors,
     scale,
 )
 
@@ -165,23 +165,15 @@ def projective_classes(field: FieldSpec, k: int) -> Iterator[Vec]:
 def _class_array(q: int, k: int) -> np.ndarray:
     """All P representatives as a P x k array, in projective_classes order.
 
-    The tails of the block with `lead` leading zeros are the first q^tail
-    rows of the (k-1)-digit vectors, whose first `lead` digits are 0.
+    (0..0, 1, tail) with t tail digits has index q^t + idx(tail), so the
+    classes in projective_classes order are the ranges [q^t, 2 q^t).
     """
-    Y = np.zeros((class_count(q, k), k), dtype=np.int64)
-    tails = np_vectors(q, k - 1, 0, q ** (k - 1))
-    start = 0
-    for lead in range(k - 1, -1, -1):
-        size = q ** (k - 1 - lead)
-        Y[start:start + size, lead] = 1
-        Y[start:start + size, lead + 1:] = tails[:size, lead:]
-        start += size
-    return Y
+    return np_digits(q, k, np.concatenate([np.arange(q**t, 2 * q**t) for t in range(k)]))
 
 
 def _codeword_matrix(D: DefiningSet, Y: np.ndarray) -> np.ndarray:
-    """Codewords of the rows of Y as an R x n uint8 matrix (q <= 256)."""
-    out = np.empty((len(Y), D.n), dtype=np.uint8)
+    """Codewords of the rows of Y as an R x n matrix of the narrowest exact type."""
+    out = np.empty((len(Y), D.n), dtype=_element_dtype(D.field.q))
     step = np_block_rows(D.field, D.n)
     for start in range(0, len(Y), step):
         out[start:start + step] = np_dots(D.field, Y[start:start + step], D.digit_columns)
@@ -196,7 +188,7 @@ def _distinct_codeword_reps(D: DefiningSet) -> tuple[np.ndarray, np.ndarray]:
     """
     Y = _class_array(D.field.q, D.k)
     words = _codeword_matrix(D, Y)
-    _, first = np.unique(_row_keys(words), return_index=True)  # first of each codeword
+    _, first = np.unique(_row_keys(words, D.field.q), return_index=True)  # first of each codeword
     keep = np.sort(first)
     keep = keep[words[keep].any(axis=1)]
     return Y[keep], words[keep]
@@ -389,13 +381,15 @@ def rank_criterion_code(
         )
     Y = _class_array(q, k)
     order = _scan_order(n)
-    # the 1-based D index of each scan position, one shared int object each
+    # D's rows and np_dots columns in scan order, and the 1-based D index of
+    # each scan position, one shared int object each
+    rows, cols = D.as_array[order], D.digit_columns[:, order]
     labels = (order + 1).astype(object)
     step = np_block_rows(field, k * k)
     entries: list[tuple[Vec, tuple]] = []
     for start in range(0, P, step):
         block = list(map(tuple, Y[start:start + step].tolist()))
-        picked, count = _greedy_block(D, Y[start:start + step], order)
+        picked, count = _greedy_block(field, Y[start:start + step], rows, cols)
         chosen = labels[picked].tolist()
         for y, kept, c in zip(block, chosen, count.tolist()):
             if c < k - 1:
@@ -406,14 +400,14 @@ def rank_criterion_code(
 
 
 def _greedy_block(
-    D: DefiningSet, Y: np.ndarray, order: np.ndarray
+    field: FieldSpec, Y: np.ndarray, rows: np.ndarray, cols: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The greedy scans of D cap H(y) for every class y of a block, run in hit rounds.
 
-    D is visited in scan order, a window of candidates at a time.  np_dots
-    over the window gives each live class its hits, the candidates it is
-    orthogonal to, and a stable argsort of the hit mask lists them first,
-    in scan order.  Round r then takes the r-th hit of every class that is
+    rows and cols are D's members and np_dots columns in scan order, visited
+    a window of candidates at a time.  np_dots over the window gives each
+    live class its hits, the candidates it is orthogonal to, and a stable
+    argsort of the hit mask lists them first, in scan order.  Round r then takes the r-th hit of every class that is
     still scanning and has one, reduces it against that class's kept rows
     with the flat field tables, and keeps it when a remainder is left; a
     class retires at k-1 rows.  Each class meets its own hits in scan
@@ -425,11 +419,9 @@ def _greedy_block(
     class b kept.  count[b] < k-1 means its scan exhausted D cap H(y), whose
     rank is then count[b].
     """
-    field, cols = D.field, D.digit_columns
     q, sub, mul, inv = field.q, field.np_sub, field.np_mul, field.np_inv
     B, k = Y.shape
-    n = D.n
-    scanned = D.as_array[order]  # D's rows in scan order
+    n = len(rows)
     basis = np.zeros((k - 1, B, k), dtype=np.int64)  # kept rows scaled to a leading 1
     pivots = np.zeros((k - 1, B), dtype=np.int64)
     picked = np.zeros((B, k - 1), dtype=np.int64)
@@ -438,7 +430,7 @@ def _greedy_block(
     t = 0
     while live.size and t < n:
         stop = min(n, t + np_block_rows(field, live.size))
-        hits = np_dots(field, Y[live], cols[:, order[t:stop]]) == 0
+        hits = np_dots(field, Y[live], cols[:, t:stop]) == 0
         ranked = np.argsort(~hits, axis=1, kind="stable") + t  # hits first, in scan order
         total = hits.sum(axis=1)
         sel = np.flatnonzero(total)  # rows of live with an r-th hit
@@ -446,7 +438,7 @@ def _greedy_block(
         while sel.size:
             h = live[sel]
             pos = ranked[sel, r]
-            w = scanned[pos]
+            w = rows[pos]
             at = np.arange(h.size)
             for i in range(int(count[h].max())):
                 # rows past a class's count are zero, so this leaves it as is
@@ -546,7 +538,7 @@ def verify_certificate(D: DefiningSet, cert: Certificate) -> bool:
             if np_paired_dots(field, Yb, W).any() or (np_ranks(field, W) != k - 1).any():
                 return False
     # P distinct representatives are every projective class once
-    rep_keys = np.sort(_row_keys(Y))
+    rep_keys = np.sort(_row_keys(Y, q))
     return bool((rep_keys[1:] != rep_keys[:-1]).all())
 
 
@@ -582,10 +574,15 @@ def _distinct(cells: list) -> tuple[list, np.ndarray]:
     return [cells[i] for i in first.tolist()], codes
 
 
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """Each row of field elements as one k-byte string (q <= 256), for exact lookup."""
-    rows = np.ascontiguousarray(rows, dtype=np.uint8)
-    return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
+def _element_dtype(q: int) -> np.dtype:
+    """The narrowest unsigned type that holds every element of F_q: one byte for q <= 256."""
+    return np.min_scalar_type(q - 1)
+
+
+def _row_keys(rows: np.ndarray, q: int) -> np.ndarray:
+    """Each row of F_q elements as one byte string, for exact lookup."""
+    rows = np.ascontiguousarray(rows, dtype=_element_dtype(q))
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
 
 def _witness_positions(D: DefiningSet, cert: Certificate) -> Optional[np.ndarray]:
@@ -605,9 +602,9 @@ def _witness_positions(D: DefiningSet, cert: Certificate) -> Optional[np.ndarray
     U = _int_array(vectors, (k,))
     if U is None or ((U < 0) | (U >= q)).any():
         return None
-    keys = _row_keys(D.as_array)
+    keys = _row_keys(D.as_array, q)
     order = np.argsort(keys)
-    members, wanted = keys[order], _row_keys(U)
+    members, wanted = keys[order], _row_keys(U, q)
     at = np.searchsorted(members, wanted)
     if (at == members.size).any() or (members[at] != wanted).any():
         return None

@@ -77,7 +77,7 @@ from .linalg import (
     vector_to_index,
     weight,
 )
-from .minimality import Certificate, projective_classes
+from .minimality import Certificate, _class_array, projective_classes
 
 
 @dataclass(frozen=True)
@@ -684,9 +684,7 @@ def _batched_entries(thm: TheoremId, f: FunctionSpec) -> list[tuple[Vec, tuple[V
     field, m = f.field, f.m
     q, k = field.q, m + 1
     values = np.array(f.materialize().variant.values, dtype=np.int64)
-    # (0..0, 1, tail) with t tail digits has index q^t + idx(tail), so the
-    # classes in projective_classes order are the ranges [q^t, 2 q^t).
-    reps = np.concatenate([np_vectors(q, k, q**t, 2 * q**t) for t in range(k)])
+    reps = _class_array(q, k)
     xs = []
     step = np_block_rows(field, k * k)
     for start in range(0, len(reps), step):

@@ -273,6 +273,13 @@ ORACLE_FIELDS = [F2, F3, F4, make_field(5), F8, F9]
 def oracle_codes(field, rng):
     """Seeded small codes over field: D_f ones, random full-rank D and rank-deficient D."""
     q = field.q
+    if q > 256:
+        # elements past one byte: (1, 0) has codeword (1, 0, q - 1), whose
+        # last coordinate a byte would wrap to 0; a k = 1 code is minimal
+        codes = [DefiningSet(field, 2, ((1, 0), (0, 1), (q - 1, 1))),
+                 DefiningSet(field, 1, ((3,), (q - 1,)))]
+        codes += [random_defining_set(field, 2, rng.randrange(2, 8), r, rng) for r in (2, 2, 1)]
+        return codes
     m = {2: 4, 3: 3, 4: 2, 5: 2}.get(q, 1)
     codes = [defining_set(random_table_code(field, m, rng))
              for _ in range(6 if q <= 3 else 3)]
@@ -284,7 +291,7 @@ def oracle_codes(field, rng):
 
 
 @pytest.mark.parametrize("block", [None, 1])
-@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda F: f"F{F.q}")
+@pytest.mark.parametrize("field", ORACLE_FIELDS + [make_field(257)], ids=lambda F: f"F{F.q}")
 def test_definition_and_dhz_match_per_class_reference(monkeypatch, field, block):
     # the blocked oracles report the first (a, b) of the per-row loop, with
     # the same evidence, on rank-deficient D too and across several blocks:
@@ -820,3 +827,16 @@ def test_vector_mode_certificate_verifies():
     y0, items0 = cert.classes[0]
     fake = tuple([(y0, ((0, 1, 1, 1, 1, 1),) + items0[1:])] + list(cert.classes[1:]))
     assert not verify_certificate(D, Certificate(cert.q, cert.n, cert.k, "vectors", fake))
+
+
+def test_verifier_tells_elements_apart_past_one_byte():
+    # over F_257 the element 256 is no 0: the representatives (1, 0) and
+    # (1, 256) are two classes, and the vector (256, 2) is no member (0, 2)
+    F257 = make_field(257)
+    D = DefiningSet(F257, 2, ((0, 2),) + tuple((1, a) for a in range(257)))
+    cert = rank_criterion_code(D).witness
+    vcert = as_vectors(D, cert)
+    assert verify_certificate(D, cert) and verify_certificate(D, vcert)
+    assert vcert.classes[1] == ((1, 0), ((0, 2),))
+    forged = with_classes(vcert, lambda j, y, it: (y, ((256, 2),)) if j == 1 else (y, it))
+    assert not verify_certificate(D, forged)
