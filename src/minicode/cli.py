@@ -36,7 +36,7 @@ from .families import (
     read_function,
     validate_hypotheses,
 )
-from .linalg import write_matrix
+from .linalg import check_enumerable, write_matrix
 from .minimality import (
     MINIMAL,
     ab_condition,
@@ -74,7 +74,9 @@ def load_source(src: str) -> tuple[Optional[FunctionSpec], Optional[DefiningSet]
                          + ", ".join(sorted(paper_presets())))
     kind = _sniff_source(src)
     if kind == "function":
-        return read_function(src), None
+        f = read_function(src)
+        check_enumerable(f.field.q, f.m)  # every command tabulates f
+        return f, None
     return None, read_defining_set(src)
 
 

@@ -25,9 +25,8 @@ from .errors import GuardError
 from .families import FunctionSpec
 from .gf import FieldSpec
 from .linalg import (
-    ENUM_GUARD,
     Vec,
-    index_to_vector,
+    check_enumerable,
     np_digit_columns,
     np_dots,
     np_hyperplane_counts,
@@ -89,15 +88,19 @@ class DefiningSet:
 
 
 def defining_set(f: FunctionSpec) -> DefiningSet:
-    """D_f = {(f(x), x) : x nonzero} in canonical x-order."""
+    """D_f = {(f(x), x) : x nonzero} in canonical x-order.
+
+    Built as one n x (m+1) array, which also seeds D.as_array; D.vectors
+    holds the same rows as tuples of plain ints.
+    """
     q, m = f.field.q, f.m
-    if q**m > ENUM_GUARD:
-        raise GuardError(f"q^m = {q}^{m} exceeds the construction guard")
-    values = f.materialize().variant.values
-    vectors = tuple(
-        (values[idx],) + index_to_vector(q, m, idx) for idx in range(1, q**m)
-    )
-    return DefiningSet(f.field, m + 1, vectors, origin=("from_function", m))
+    check_enumerable(q, m, "construction guard")
+    values = np.array(f.materialize().variant.values[1:], dtype=np.int64)
+    rows = np.concatenate([values[:, None], np_vectors(q, m, 1, q**m)], axis=1)
+    D = DefiningSet(f.field, m + 1, tuple(map(tuple, rows.tolist())),
+                    origin=("from_function", m))
+    D.__dict__["as_array"] = rows  # the cached_property's slot
+    return D
 
 
 def linearity_check(f: FunctionSpec) -> Optional[Vec]:
@@ -105,8 +108,10 @@ def linearity_check(f: FunctionSpec) -> Optional[Vec]:
 
     Present exactly when rank(D_f) = m; absent exactly when rank(D_f) = m+1.
     Uses the e_i-interpolation candidate plus one full verification pass.
+    A huge arity is refused before f is evaluated.
     """
     field, m, q = f.field, f.m, f.field.q
+    check_enumerable(q, m)
     omega = tuple(f.eval(unit_vector(m, i)) for i in range(1, m + 1))
     values = np.asarray(f.materialize().variant.values, dtype=np.int64)
     x = np_vectors(q, m, 0, q**m)

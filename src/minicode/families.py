@@ -18,11 +18,10 @@ from functools import cached_property
 from itertools import combinations, product
 from typing import Callable, Iterator, Optional, Sequence, TextIO, Union
 
-from .errors import GuardError
 from .gf import FieldSpec, field_by_order, make_field
 from .linalg import (
-    ENUM_GUARD,
     Vec,
+    check_enumerable,
     dot,
     index_to_vector,
     vector_to_index,
@@ -179,8 +178,7 @@ class FunctionSpec:
     def values(self) -> Iterator[int]:
         """f over all of F_q^m in canonical order (zero vector first)."""
         q = self.field.q
-        if q**self.m > ENUM_GUARD:
-            raise GuardError(f"q^m = {q}^{self.m} exceeds the enumeration guard")
+        check_enumerable(q, self.m)
         for idx in range(q**self.m):
             yield self.eval(index_to_vector(q, self.m, idx))
 

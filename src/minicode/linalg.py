@@ -219,11 +219,20 @@ def vector_to_index(q: int, x: Sequence[int]) -> int:
     return idx
 
 
+def check_enumerable(q: int, m: int, guard: str = "enumeration guard") -> None:
+    """Raise GuardError when q^m > ENUM_GUARD, naming the guard.
+
+    q >= 2, so q^m > ENUM_GUARD as soon as m exceeds the guard's bit length;
+    q^m is computed only below that, and a huge arity is refused at once.
+    """
+    if m > ENUM_GUARD.bit_length() or q**m > ENUM_GUARD:
+        raise GuardError(f"q^m = {q}^{m} exceeds the {guard}")
+
+
 def enumerate_vectors(field: FieldSpec, m: int, include_zero: bool = False) -> Iterator[Vec]:
     """All of F_q^m in ascending canonical-index order (zero first if included)."""
     q = field.q
-    if q**m > ENUM_GUARD:
-        raise GuardError(f"q^m = {q}^{m} exceeds the enumeration guard {ENUM_GUARD}")
+    check_enumerable(q, m, f"enumeration guard {ENUM_GUARD}")
     start = 0 if include_zero else 1
     for idx in range(start, q**m):
         yield index_to_vector(q, m, idx)
@@ -363,14 +372,17 @@ def np_ranks(field: FieldSpec, M) -> np.ndarray:
     column col every row is zero in columns <= col, so each step touches only
     the columns from col on, held column-major (c x B x r) so that they are
     one contiguous slab, and the loop ends once every matrix has rank r.
+    The slab is int32, half the memory traffic of int64: every table index
+    a*q + b is below q^2, and a flat q^2 table exists only while that fits.
     """
-    q, sub, mul, inv = field.q, field.np_sub, field.np_mul, field.np_inv
-    M = np.asarray(M, dtype=np.int64)
+    q, inv = field.q, field.np_inv.astype(np.int32)
+    sub, mul = field.np_sub.astype(np.int32), field.np_mul.astype(np.int32)
+    M = np.asarray(M)
     B, r, c = M.shape
     ranks = np.zeros(B, dtype=np.int64)
     if not r:
         return ranks
-    M = np.array(M.transpose(2, 0, 1), order="C")  # a copy; M[col] is column col
+    M = np.array(M.transpose(2, 0, 1), dtype=np.int32, order="C")  # M[col] is column col
     at = np.arange(B)
     for col in range(c):
         T = M[col:]

@@ -1,0 +1,265 @@
+"""Batched witness construction for the Maiorana-McFarland theorems C1 and C2.
+
+case2_alphas and case3_alphas build, for a group of classes at once, the
+vectors witness._case2_mm and witness._case3_mm build one class at a time;
+witness._block_alphas calls them for the C1 and C2 certificates.
+
+Every one-row system r.x = b of _case2_mm and _case3_mm has a closed form
+from p, the first nonzero column of r: _rref scales that row to r/r_p, so
+solve gives b/r_p at p and zero elsewhere, and kernel_basis gives the low
+vectors e_j - (r_j/r_p) e_p for the free columns j != p, ascending.  The
+two-row systems are one batched 2 x t elimination (_solve2), and the
+scalar searches are masks over the q candidates.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .families import FunctionSpec, MaioranaMcFarland, TheoremId
+from .gf import FieldSpec
+from .linalg import (
+    np_block_rows,
+    np_digit_columns,
+    np_dots,
+    np_indices,
+    np_paired_dots,
+    np_vectors,
+)
+from .witness import _add, _fail, _mul, _neg
+
+
+def _sub(field: FieldSpec, a, b) -> np.ndarray:
+    return field.np_sub.take(np.multiply(a, field.q) + b)
+
+
+def _lows(field: FieldSpec, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """kernel_basis(field, [r], n) for each nonzero row r of the G x n array R.
+
+    Returns the G x (n-1) x n bases and the G x (n-1) free columns.
+    """
+    G, n = R.shape
+    at, j = np.arange(G)[:, None], np.arange(n - 1)
+    p = (R != 0).argmax(axis=1)
+    free = j + (j >= p[:, None])
+    coef = _neg(field, _mul(field, field.np_inv.take(R[at[:, 0], p])[:, None], R))
+    out = np.zeros((G, n - 1, n), dtype=np.int64)
+    out[at, j, free] = 1
+    out[at, j, p[:, None]] = coef[at, free]
+    return out, free
+
+
+def _point(field: FieldSpec, R: np.ndarray, b) -> np.ndarray:
+    """solve(field, [r], [b]) for each nonzero row r of R: b/r_p at p."""
+    at = np.arange(len(R))
+    p = (R != 0).argmax(axis=1)
+    x = np.zeros_like(R)
+    x[at, p] = _mul(field, field.np_inv.take(R[at, p]), b)
+    return x
+
+
+def _solutions(field: FieldSpec, R: np.ndarray, b) -> np.ndarray:
+    """linear_system_solutions(field, [r], [b]) for nonzero rows r and b != 0.
+
+    x0 and x0 + each kernel vector: G x n x n.
+    """
+    lows, _ = _lows(field, R)
+    x0 = _point(field, R, b)
+    return _add(field, np.concatenate([np.zeros_like(lows[:, :1]), lows], axis=1),
+                x0[:, None])
+
+
+def _solve2(field: FieldSpec, R1: np.ndarray, R2: np.ndarray, b1, b2) -> np.ndarray:
+    """solve(field, [r1, r2], [b1, b2]) for each pair of rows of R1 and R2.
+
+    _rref pivots on p1, the first column where r1 or r2 is nonzero, with the
+    first row nonzero there, and then on the first nonzero column of the
+    other row once reduced; free coordinates are 0.  An inconsistent system
+    is a construction bug, as it is for _first_solution.
+    """
+    G = len(R1)
+    at = np.arange(G)
+    b1, b2 = np.broadcast_to(b1, (G,)), np.broadcast_to(b2, (G,))
+    p1 = ((R1 != 0) | (R2 != 0)).argmax(axis=1)
+    swap = R1[at, p1] == 0
+    A, a = np.where(swap[:, None], R2, R1), np.where(swap, b2, b1)
+    B, b = np.where(swap[:, None], R1, R2), np.where(swap, b1, b2)
+    inv = field.np_inv.take(A[at, p1])
+    A, a = _mul(field, inv[:, None], A), _mul(field, inv, a)
+    lead = B[at, p1]
+    B, b = _sub(field, B, _mul(field, lead[:, None], A)), _sub(field, b, _mul(field, lead, a))
+    p2 = (B != 0).argmax(axis=1)
+    inv = field.np_inv.take(B[at, p2])  # 0 when B is zero: then b and x[p2] stay 0
+    b = _mul(field, inv, b)
+    a = _sub(field, a, _mul(field, A[at, p2], b))
+    x = np.zeros_like(R1)
+    x[at, p2] = b
+    x[at, p1] = a
+    dots = np_paired_dots(field, x, np.stack([R1, R2], axis=1))
+    if (dots != np.stack([b1, b2], axis=1)).any():
+        raise _fail("a two-row system of the Maiorana-McFarland proof is inconsistent")
+    return x
+
+
+def _first(ok: np.ndarray, what: str) -> np.ndarray:
+    """The first candidate along axis 1 that passes, for every row of ok."""
+    if not ok.any(axis=1).all():
+        raise _fail(f"no {what}")
+    return ok.argmax(axis=1)
+
+
+def case2_alphas(thm: TheoremId, f: FunctionSpec, omega: np.ndarray) -> np.ndarray:
+    """_case2_mm for the G classes whose omega = -v/u are the rows of omega.
+
+    Sub-branches: omega_1 != 0 (C2 then splits on phi(0) and omega_1.e_1);
+    omega_1 = 0 with phi(0) != omega_2; phi(0) = omega_2, where C1 closes
+    with a scalar a_out when one exists and with eta otherwise.
+    """
+    field, m, q = f.field, f.m, f.field.q
+    mm = f.variant
+    assert isinstance(mm, MaioranaMcFarland)
+    s, t = mm.s, mm.t
+    phi = np.array(mm.phi, dtype=np.int64).reshape(q**s, t)
+    c, negc = mm.g[0], field.neg(mm.g[0])
+    unit = q ** np.arange(s - 1, -1, -1)  # the canonical index of e_i in F_q^s
+    A = np.zeros((len(omega), m, m), dtype=np.int64)
+    w1, w2 = omega[:, :s], omega[:, s:]
+    off0 = (phi[0] != w2).any(axis=1)
+
+    def rows(at: np.ndarray, idx) -> np.ndarray:
+        """phi(beta) - omega_2 for the betas of canonical index idx.
+
+        idx is a scalar or has a leading class axis (of length 1 when shared).
+        """
+        w = w2[at].reshape((len(at),) + (1,) * (np.ndim(idx) - 1) + (t,))
+        return _sub(field, phi[idx], w)
+
+    at = np.flatnonzero(w1.any(axis=1))
+    A[at, :s, :s] = _solutions(field, w1[at], c)
+    if thm is TheoremId.C1:
+        a = np.arange(q)
+        ok = (phi[a * unit[0]] != w2[at, None]).any(axis=2)
+        ok &= _mul(field, a, w1[at, :1]) != c
+        a = _first(ok, "scalar a with phi(a e_1) != omega_2 and omega_1.(a e_1) != c")
+        A[at, s:, 0] = a[:, None]
+        A[at, s:, s:] = _solutions(field, rows(at, a * unit[0]),
+                                   _sub(field, _mul(field, a, w1[at, 0]), c))
+    else:
+        via0 = off0[at]  # phi(0) != omega_2
+        sub = at[via0]
+        A[sub, s:, s:] = _solutions(field, rows(sub, 0), negc)
+        via_e1 = ~via0 & (w1[at, 0] != 1)
+        sub = at[via_e1]
+        A[sub, s:, 0] = 1
+        A[sub, s:, s:] = _solutions(field, rows(sub, unit[0]), _sub(field, w1[sub, 0], 1))
+        sub = at[~via0 & ~via_e1]
+        r1 = rows(sub, unit[0])
+        A[sub, s:m - 1, 0] = 1
+        A[sub, s:m - 1, s:] = _lows(field, r1)[0]
+        A[sub, m - 1, 1] = 1
+        A[sub, m - 1, s:] = _solve2(field, r1, rows(sub, unit[1]), 1, _sub(field, w1[sub, 1], 1))
+
+    at = np.flatnonzero(~w1.any(axis=1) & off0)
+    A[at, :t, s:] = _solutions(field, rows(at, 0), negc)
+    if thm is TheoremId.C1:
+        a = np.arange(1, q)[:, None]
+        ok = (phi[a * unit] != w2[at, None, None]).any(axis=3)  # G x (q-1) x s
+        ai = 1 + _first(ok, "nonzero a with phi(a e_i) != omega_2")  # G x s
+        beta = np.zeros((len(at), s, s), dtype=np.int64)
+        beta[:, np.arange(s), np.arange(s)] = ai
+    else:
+        i0 = _first((phi[unit] != w2[at, None]).any(axis=2), "e_i with phi(e_i) != omega_2")
+        beta = np.broadcast_to(np.eye(s, dtype=np.int64), (len(at), s, s)).copy()
+        beta[np.arange(len(at)), :, i0] = 1  # e_i0 + e_i, and e_i0 itself
+    A[at, t:, :s] = beta
+    A[at, t:, s:] = _point(field, rows(at, np_indices(q, beta)).reshape(-1, t),
+                           negc).reshape(len(at), s, t)
+
+    at = np.flatnonzero(~w1.any(axis=1) & ~off0)
+    r1 = rows(at, unit[0])
+    A[at, :t, 0] = 1
+    A[at, :t, s:] = _solutions(field, r1, negc)
+    A[at, t:m - 1, 1:s] = np.eye(s - 1, dtype=np.int64)
+    A[at, t:m - 1, s:] = _point(field, rows(at, unit[None, 1:]).reshape(-1, t),
+                                negc).reshape(len(at), s - 1, t)
+    if thm is TheoremId.C1:
+        a = np.arange(1, q)
+        X = rows(at, a[None] * unit[0])  # G x (q-1) x t
+        p = (r1 != 0).argmax(axis=1)
+        g = np.arange(len(at))
+        lam = _mul(field, X[g, :, p], field.np_inv.take(r1[g, p])[:, None])
+        out = (X != _mul(field, lam[:, :, None], r1[:, None])).any(axis=2)
+        found = out.any(axis=1)
+        a_out = 1 + out[found].argmax(axis=1)
+        sub = at[found]
+        A[sub, m - 1, 0] = a_out
+        A[sub, m - 1, s:] = _solve2(field, X[found, a_out - 1], r1[found], negc,
+                                    _add(field, _neg(field, _mul(field, a_out, c)), 1))
+        at, r1 = at[~found], r1[~found]
+    eta = _solve2(field, rows(at, unit[1]), r1, 0, 1)
+    A[at, m - 1, 1] = 1
+    A[at, m - 1, s:] = _add(field, A[at, t, s:], eta)
+    return A
+
+
+def case3_alphas(f: FunctionSpec, values: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """_case3_mm for the G classes (0, v), v the rows of v.
+
+    The m - 1 partial alphas are e_j + lambda e_P for distinct columns j and
+    the pivot column P of v_2 (v_2 != 0) or of v_1 (v_2 = 0); J holds each
+    one's j.  The basis is closed by 2 alpha_1 when q > 2 and by
+    _first_extending when q = 2.
+    """
+    field, m, q = f.field, f.m, f.field.q
+    mm = f.variant
+    assert isinstance(mm, MaioranaMcFarland)
+    s, t = mm.s, mm.t
+    A = np.zeros((len(v), m, m), dtype=np.int64)
+    J = np.zeros((len(v), m - 1), dtype=np.int64)
+    v1, v2 = v[:, :s], v[:, s:]
+    at = np.flatnonzero(v2.any(axis=1))
+    A[at, :t - 1, s:], free = _lows(field, v2[at])
+    J[at, :t - 1] = s + free
+    A[at, t - 1:m - 1, :s] = np.eye(s, dtype=np.int64)
+    A[at, t - 1:m - 1, s:] = _point(field, np.repeat(v2[at], s, axis=0),
+                                    _neg(field, v1[at]).ravel()).reshape(len(at), s, t)
+    J[at, t - 1:] = np.arange(s)
+    at = np.flatnonzero(~v2.any(axis=1))
+    A[at, :s - 1, :s], free = _lows(field, v1[at])
+    J[at, :s - 1] = free
+    A[at, s - 1:m - 1, s:] = np.eye(t, dtype=np.int64)
+    J[at, s - 1:] = s + np.arange(t)
+    if q > 2:
+        A[:, m - 1] = _mul(field, 2, A[:, 0])
+    else:
+        A[:, m - 1] = _first_extending(field, values, v, A[:, :m - 1], J)
+    return A
+
+
+def _first_extending(field: FieldSpec, values: np.ndarray, v: np.ndarray,
+                     partial: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """For each class (0, v), the first canonical x != 0 with v.x = 0 whose
+    lift (f(x), x) is outside the span L of the partial lifts.
+
+    z = (1, z') with z'_J = -f(alpha) and zero at the pivot column is
+    orthogonal to every partial lift, and z and y = (0, v) span L's
+    orthogonal complement, so a lift orthogonal to y lies in L exactly
+    when z.(f(x), x) = 0.  The candidates are scanned in windows of about
+    DOT_BLOCK dot products until every class has its x.
+    """
+    q, (G, m) = field.q, v.shape
+    Z = np.zeros((G, m), dtype=np.int64)
+    Z[np.arange(G)[:, None], J] = _neg(field, values.take(np_indices(q, partial)))
+    out = np.zeros((G, m), dtype=np.int64)
+    todo, start = np.arange(G), 1
+    while len(todo):
+        if start == q**m:
+            raise _fail("no hyperplane vector extends the case-3 lift span")
+        stop = min(q**m, start + np_block_rows(field, 2 * len(todo)))
+        X = np_vectors(q, m, start, stop)
+        dots = np_dots(field, np.concatenate([v[todo], Z[todo]]), np_digit_columns(field, X))
+        hit = (dots[:len(todo)] == 0) & (_add(field, dots[len(todo):], values[start:stop]) != 0)
+        got = hit.any(axis=1)
+        out[todo[got]] = X[hit[got].argmax(axis=1)]
+        todo, start = todo[~got], stop
+    return out

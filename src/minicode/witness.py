@@ -16,22 +16,26 @@ products, rank) before returning; a post-condition failure is reported as a
 construction bug, never silently repaired.
 
 theorem_witness builds one class at a time and is the reference.
-witness_certificate builds the A1, A2, B, D1 and D2 certificates with a
-batched builder instead.  It takes the classes in blocks of
+witness_certificate builds every theorem's certificate with a batched
+builder instead.  It takes the classes in blocks of
 np_block_rows(field, k*k), the block size verify_certificate uses, and
 within a block groups them by case and by i0, the first nonzero index of
-omega (case 2) or v (case 3).  Each of those proofs builds its vectors
-from the "low" vectors e_i - (w_i/w_i0) e_i0 and one anchor, so a group is
-a few flat-table operations over a (classes x m x m) array; f(alpha) is
-read from f's cached dense table.  The D2 repair of an offending low vector
-is done with masks.  The per-class self-check is replaced by one
-post-condition per block: every lift (f(alpha), alpha) is orthogonal to its
-class (f(alpha) = omega.alpha in cases 1-2, v.alpha = 0 in case 3), and
-np_ranks gives rank m for the alphas (cases 1-2) or the lifts (case 3).  A
-failure raises ConstructionError naming the first failing class.  The
-certificate equals the one the per-class loop over theorem_witness would
-give, and verify_certificate remains the independent check.  C1 and C2
-keep that per-class loop.
+omega (case 2) or v (case 3).  Each of the A1, A2, B, D1 and D2 proofs
+builds its vectors from the "low" vectors e_i - (w_i/w_i0) e_i0 and one
+anchor, so a group is a few flat-table operations over a
+(classes x m x m) array; f(alpha) is read from f's cached dense table.  The
+D2 repair of an offending low vector is done with masks.  The
+Maiorana-McFarland proofs (C1, C2) group by their sub-branches instead
+(minicode.mm_witness); their one-row systems have the same low-vector closed form, with a pivot
+per class, their two-row systems are one batched elimination and their
+scalar searches are masks over the q candidates.  The per-class self-check
+is replaced by one post-condition per block: every lift (f(alpha), alpha)
+is orthogonal to its class (f(alpha) = omega.alpha in cases 1-2,
+v.alpha = 0 in case 3), and np_ranks gives rank m for the alphas (cases
+1-2) or the lifts (case 3).  A failure raises ConstructionError naming the
+first failing class.  The certificate equals the one the per-class loop
+over theorem_witness would give, and verify_certificate remains the
+independent check.
 
 One wrinkle: the natural Maiorana-McFarland case-3 argument closes the
 basis with the zero vector, whose lift is not a code position.  Here the
@@ -77,7 +81,7 @@ from .linalg import (
     vector_to_index,
     weight,
 )
-from .minimality import Certificate, _class_array, projective_classes
+from .minimality import Certificate, _class_array
 
 
 @dataclass(frozen=True)
@@ -634,11 +638,8 @@ def witness_certificate(thm: TheoremId, f: FunctionSpec) -> Certificate:
 
     Requires the theorem hypotheses to hold; each class's entry is the
     lifted witness basis that theorem_witness builds for it, and each
-    distinct lift is one shared tuple of plain ints.  A1, A2, B, D1
-    and D2 are built by the batched builder (_batched_entries).  The
-    Maiorana-McFarland theorems C1 and C2, whose proofs branch six ways on
-    values of phi and which no heavy preset uses, keep the per-class loop
-    over theorem_witness.
+    distinct lift is one shared tuple of plain ints.  Every theorem goes
+    through the batched builder (_batched_entries).
     """
     result = validate_hypotheses(f, thm)
     if not result:
@@ -647,21 +648,11 @@ def witness_certificate(thm: TheoremId, f: FunctionSpec) -> Certificate:
             f"witness={result.witness}"
         )
     field, m = f.field, f.m
-    k = m + 1
-    if thm in (TheoremId.C1, TheoremId.C2):
-        member: dict[Vec, Vec] = {}  # one tuple per distinct lift, as in _batched_entries
-        entries = []
-        for y in projective_classes(field, k):
-            lifts = lift_witness(f, theorem_witness(thm, f, y[0], y[1:], _validated=True))
-            entries.append((y, tuple(map(member.setdefault, lifts, lifts))))
-    else:
-        entries = _batched_entries(thm, f)
-    return Certificate(
-        q=field.q, n=field.q**m - 1, k=k, mode="vectors", classes=tuple(entries)
-    )
+    return Certificate(q=field.q, n=field.q**m - 1, k=m + 1, mode="vectors",
+                       classes=tuple(_batched_entries(thm, f)))
 
 
-# -- batched builder (A1, A2, B, D1, D2) ------------------------------------------
+# -- batched builder --------------------------------------------------------------
 
 def _add(field: FieldSpec, a, b) -> np.ndarray:
     return field.np_add.take(np.multiply(a, field.q) + b)
@@ -725,6 +716,7 @@ def _block_alphas(thm: TheoremId, f: FunctionSpec, values: np.ndarray,
 
     Classes are grouped by case and by i0, the first nonzero index of
     w = omega (case 2) or w = v (case 3); each group is built at once.
+    C1 and C2 group by case and by the proof's sub-branch instead.
     """
     field, m = f.field, f.m
     u, v = Y[:, 0], Y[:, 1:]
@@ -733,6 +725,14 @@ def _block_alphas(thm: TheoremId, f: FunctionSpec, values: np.ndarray,
     if case1.any():
         A[case1] = _case1_vectors(thm, f)
     omega = _mul(field, _neg(field, field.np_inv.take(u))[:, None], v)
+    if thm in (TheoremId.C1, TheoremId.C2):
+        from .mm_witness import case2_alphas, case3_alphas  # deferred: it imports this module
+
+        rows = np.flatnonzero((u != 0) & ~case1)
+        A[rows] = case2_alphas(thm, f, omega[rows])
+        rows = np.flatnonzero(u == 0)
+        A[rows] = case3_alphas(f, values, v[rows])
+        return A
     for case, rows, w in ((2, (u != 0) & ~case1, omega), (3, u == 0, v)):
         rows = np.flatnonzero(rows)
         w = w[rows]

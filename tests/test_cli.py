@@ -2,7 +2,10 @@
 
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
 
 from minicode.cli import EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK, REPRO_CASES, main
 from minicode.code import defining_set, weight_distribution
@@ -210,3 +213,21 @@ def test_function_file_with_trailing_tokens_is_an_input_error(tmp_path):
         assert "expected" in err
         fn.write_text(f"3 2 {good}\n")
         assert run_cli("check", str(fn), "--criterion", "rank")[0] == EXIT_NEGATIVE
+
+
+@pytest.mark.parametrize("command", [("wdist",), ("check", "--criterion", "witness:A1")])
+def test_huge_arity_function_refused_before_f_is_evaluated(tmp_path, command):
+    # valid specs of arity m = 2*10^6: evaluating f at the m unit vectors, or
+    # computing 3^m, would stall; the guard refuses them from m alone
+    m = 2 * 10**6
+    bodies = {"weight_threshold": "1 1", "complement_threshold": "1",
+              "monomial_sum": "1\n1 1" + " 0" * (m - 1)}
+    fn = tmp_path / "f.fn"
+    for kind, body in bodies.items():
+        fn.write_text(f"3 {m} {kind}\n{body}\n")
+        start = time.perf_counter()
+        code, out, err = run_cli(command[0], str(fn), *command[1:])
+        # reading the monomial file's 2*10^6 exponents takes most of its time
+        assert time.perf_counter() - start < (3.0 if kind == "monomial_sum" else 1.0), kind
+        assert code == EXIT_ERROR and not out
+        assert err == f"error: q^m = 3^{m} exceeds the enumeration guard\n", kind

@@ -3,7 +3,9 @@
 import io
 import json
 import random
+import time
 
+import numpy as np
 import pytest
 
 from minicode.code import (
@@ -18,7 +20,14 @@ from minicode.code import (
     write_defining_set,
 )
 from minicode.errors import GuardError
-from minicode.families import FunctionSpec, TableFunction, get_preset, paper_presets
+from minicode.families import (
+    ComplementThreshold,
+    FunctionSpec,
+    TableFunction,
+    WeightThreshold,
+    get_preset,
+    paper_presets,
+)
 from minicode.gf import make_field
 from minicode.linalg import dot, index_to_vector, rank, unit_vector, vector_to_index, weight
 
@@ -53,6 +62,34 @@ def test_defining_set_sec4_f1_shape():
     D = defining_set(get_preset("sec4_f1").function)
     assert (D.n, D.k) == (80, 5)
     assert D.rank == 5
+
+
+def test_defining_set_rows_and_array_agree():
+    # D.vectors are tuples of plain ints in canonical x-order, and the cached
+    # array is the one defining_set built, holding the same rows
+    rng = random.Random(4)
+    fns = [p.function for p in paper_presets().values()]
+    fns += [table_fn(F, m, lambda x, F=F: rng.randrange(F.q)) for F, m in ((F4, 3), (F9, 2))]
+    for f in fns:
+        D = defining_set(f)
+        q, m = f.field.q, f.m
+        want = tuple((f.eval(index_to_vector(q, m, i)),) + index_to_vector(q, m, i)
+                     for i in range(1, q**m))
+        assert D.vectors == want
+        assert all(type(a) is int for d in D.vectors[:50] for a in d)
+        assert "as_array" in vars(D)
+        assert np.array_equal(D.as_array, np.asarray(want, dtype=np.int64))
+
+
+@pytest.mark.parametrize("variant", [WeightThreshold(1, (1,)), ComplementThreshold(1)])
+def test_huge_arity_refused_before_f_is_evaluated(variant):
+    # neither f at m unit vectors of length m nor 3^m is computed
+    f = FunctionSpec(F3, 2 * 10**6, variant)
+    for build in (linearity_check, defining_set, lambda f: next(f.values())):
+        start = time.perf_counter()
+        with pytest.raises(GuardError, match=r"q\^m = 3\^2000000 exceeds the"):
+            build(f)
+        assert time.perf_counter() - start < 0.1
 
 
 def test_defining_set_rank_matches_linalg_rank():

@@ -22,7 +22,17 @@ from minicode.families import (
     validate_hypotheses,
 )
 from minicode.gf import field_by_order, make_field
-from minicode.linalg import dot, index_to_vector, rank, unit_vector, weight
+from minicode.linalg import (
+    EchelonBasis,
+    dot,
+    index_to_vector,
+    rank,
+    scale,
+    unit_vector,
+    vec_sub,
+    vector_to_index,
+    weight,
+)
 from minicode.minimality import normalize_class, projective_classes, verify_certificate
 from minicode.witness import (
     full_weight_basis,
@@ -382,26 +392,32 @@ def test_batched_builder_d2_repair_both_branches(witness_reference):
     assert_matches_reference(witness_reference, TheoremId.D2, f)
 
 
-@pytest.mark.parametrize("corruption", ["rank", "orthogonality"])
-def test_batched_post_condition_names_the_corrupted_class(monkeypatch, corruption):
-    preset = get_preset("sec4_f1")  # A1, 121 classes
+@pytest.mark.parametrize("name, corruption", [  # A1 and C2
+    pytest.param("sec4_f1", "rank", id="rank"),
+    pytest.param("sec4_f1", "orthogonality", id="orthogonality"),
+    pytest.param("dhz_m7", "rank", id="dhz_m7-rank"),
+    pytest.param("dhz_m7", "orthogonality", id="dhz_m7-orthogonality"),
+])
+def test_batched_post_condition_names_the_corrupted_class(monkeypatch, name, corruption):
+    preset = get_preset(name)
     f = preset.function
-    monkeypatch.setattr(linalg_mod, "DOT_BLOCK", 10 * 25)  # blocks of 10 classes
+    field, k = f.field, f.m + 1
+    monkeypatch.setattr(linalg_mod, "DOT_BLOCK", 10 * k * k)  # blocks of 10 classes
     build = witness_mod._block_alphas
     calls = []
 
     def corrupt(thm, f, values, Y):
         A = build(thm, f, values, Y)
         calls.append(tuple(Y[5].tolist()))
-        if len(calls) == 7:  # the middle one of 13 blocks
+        if len(calls) == 7:  # a block in the middle
             y = Y[5]
             if corruption == "rank":
                 A[5, 1] = A[5, 0]
-            else:  # a unit vector e_j whose lift is not orthogonal to y
-                for j in range(f.m):
-                    e = unit_vector(f.m, j + 1)
-                    if dot(F3, y, (f.eval(e),) + e):
-                        A[5, 0] = e
+            else:  # a vector whose lift is not orthogonal to y
+                for i in range(1, field.q**f.m):
+                    x = index_to_vector(field.q, f.m, i)
+                    if dot(field, y, (f.eval(x),) + x):
+                        A[5, 0] = x
                         break
         return A
 
@@ -416,3 +432,81 @@ def test_witness_certificate_rejects_failing_hypotheses():
     preset = get_preset("sec6_q2")
     with pytest.raises(ValueError):
         witness_certificate(preset.theorem, preset.function)
+
+
+@functools.lru_cache(maxsize=1)
+def mm_instances():
+    """Seeded Maiorana-McFarland specs: C2 over F_2, C1 over F_3, F_4 and F_5."""
+    rng = random.Random(1)
+    shapes = {2: ((2, 2), (2, 3), (3, 3), (4, 3)), 3: ((2, 2), (2, 3), (3, 2), (3, 3)),
+              4: ((2, 2), (3, 2)), 5: ((2, 2),)}
+    return [(TheoremId.C2 if q == 2 else TheoremId.C1, random_mm(rng, q, s, t, q == 2))
+            for q in shapes for s, t in shapes[q]]
+
+
+@pytest.mark.parametrize("index", range(len(mm_instances())))
+def test_batched_builder_matches_reference_on_mm_instances(witness_reference, index):
+    thm, f = mm_instances()[index]
+    assert validate_hypotheses(f, thm)
+    assert_matches_reference(witness_reference, thm, f)
+
+
+def mm_branch(thm, f, y):
+    """The sub-branch of _case2_mm or _case3_mm that class y takes."""
+    field, mm = f.field, f.variant
+    s = mm.s
+    u, v = y[0], y[1:]
+
+    def phi_minus(beta, w2):
+        return vec_sub(field, mm.phi[vector_to_index(field.q, beta)], w2)
+
+    if u == 0:
+        return "case 3, v_2 != 0" if any(v[s:]) else "case 3, v_2 = 0"
+    if not any(v):
+        return "case 1"
+    omega = scale(field, field.neg(field.inv(u)), v)
+    w1, w2 = omega[:s], omega[s:]
+    zero = (0,) * s
+    if any(w1):
+        if thm is TheoremId.C1:
+            return "omega_1 != 0"
+        if any(phi_minus(zero, w2)):
+            return "omega_1 != 0, phi(0) != omega_2"
+        return "omega_1 != 0, omega_1.e_1 != 1" if w1[0] != 1 else "omega_1 != 0, omega_1.e_1 = 1"
+    if any(phi_minus(zero, w2)):
+        return "phi(0) != omega_2"
+    if thm is TheoremId.C2:
+        return "phi(0) = omega_2"
+    span = EchelonBasis(field, mm.t)
+    span.add(phi_minus(unit_vector(s, 1), w2))
+    found = any(not span.contains(phi_minus(scale(field, a, unit_vector(s, 1)), w2))
+                for a in field.nonzero())
+    return "phi(0) = omega_2, a_out" if found else "phi(0) = omega_2, eta"
+
+
+def test_mm_instances_hit_every_sub_branch():
+    hits = {TheoremId.C1: set(), TheoremId.C2: set()}
+    for thm, f in mm_instances():
+        hits[thm] |= {mm_branch(thm, f, y) for y in projective_classes(f.field, f.m + 1)}
+    cases = {"case 1", "case 3, v_2 != 0", "case 3, v_2 = 0", "phi(0) != omega_2"}
+    assert hits[TheoremId.C1] == cases | {
+        "omega_1 != 0", "phi(0) = omega_2, a_out", "phi(0) = omega_2, eta"}
+    assert hits[TheoremId.C2] == cases | {
+        "omega_1 != 0, phi(0) != omega_2", "omega_1 != 0, omega_1.e_1 != 1",
+        "omega_1 != 0, omega_1.e_1 = 1", "phi(0) = omega_2"}
+
+
+def test_every_theorem_is_built_without_the_per_class_reference(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("theorem_witness called")
+
+    monkeypatch.setattr(witness_mod, "theorem_witness", refuse)
+    rng = random.Random(5)
+    a2 = table_spec(rng, F2, 5, lambda w: "class" if 1 <= w <= 2 else "zero" if w >= 3 else None)
+    specs = [(get_preset(name).theorem, get_preset(name).function)
+             for name in ("sec4_f1", "sec5_f1", "dhz_m7", "sec7_f4", "sec7_f2")]
+    specs += [(TheoremId.A2, a2), mm_instances()[4]]
+    assert {thm for thm, _ in specs} == set(TheoremId)
+    for thm, f in specs:
+        assert validate_hypotheses(f, thm)
+        assert verify_certificate(defining_set(f), witness_certificate(thm, f)), thm
