@@ -119,10 +119,17 @@ def linearity_check(f: FunctionSpec) -> Optional[Vec]:
     return omega if np.array_equal(values[1:], expected[1:]) else None
 
 
-def codeword(y: Sequence[int], D: DefiningSet) -> Vec:
-    """c(y; D) = (y.d_1, ..., y.d_n)."""
+def check_message(y: Sequence[int], D: DefiningSet) -> None:
+    """Raise ValueError unless y is a message of D: k canonical elements of F_q."""
     if len(y) != D.k:
         raise ValueError(f"message length {len(y)} != k = {D.k}")
+    for a in y:
+        D.field.check_scalar(a)
+
+
+def codeword(y: Sequence[int], D: DefiningSet) -> Vec:
+    """c(y; D) = (y.d_1, ..., y.d_n)."""
+    check_message(y, D)
     return tuple(np_dots(D.field, [y], D.digit_columns)[0].tolist())
 
 

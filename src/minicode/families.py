@@ -252,8 +252,13 @@ def _low_weight_scalar_check(f: FunctionSpec, expect_nonzero: bool) -> Optional[
 
 
 def validate_hypotheses(f: FunctionSpec, thm: TheoremId) -> ValidationResult:
-    """Exhaustively verify the hypotheses of one construction theorem on f."""
+    """Exhaustively verify the hypotheses of one construction theorem on f.
+
+    A huge arity is refused first (linalg.check_enumerable), before any walk
+    over the vectors of F_q^m.
+    """
     field, m, q = f.field, f.m, f.field.q
+    check_enumerable(q, m, "validation guard")
 
     if thm is TheoremId.A1:
         if q <= 2:

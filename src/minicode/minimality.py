@@ -23,9 +23,11 @@ whose per-class entries are indices into the serialized D order, so
 verification is exact membership; the verifier checks blocks of classes
 with batched elimination.  A failing class is reported with the rank its
 scan reached and a message whose codeword it covers.  The definition and
-dhz oracles test a block of rows against every class at once: one support
-matmul, or one gather from the hyperplane counts.  Every field runs the
-same numpy kernels.
+dhz oracles read one table of the class codewords, built one message
+coordinate at a time with the flat add table, and test a block of rows
+against every class at once: one support product S_i S^T (the symmetric
+S S^T when the block is every row), or one gather from the hyperplane
+counts.  Every field runs the same numpy kernels.
 """
 
 from __future__ import annotations
@@ -38,7 +40,13 @@ from typing import Callable, Iterator, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
-from .code import DefiningSet, defining_set, linearity_check, weight_distribution
+from .code import (
+    DefiningSet,
+    check_message,
+    defining_set,
+    linearity_check,
+    weight_distribution,
+)
 from .errors import BudgetExceededError, CertificateFormatError, GuardError
 from .families import FunctionSpec
 from .gf import FieldSpec
@@ -171,12 +179,32 @@ def _class_array(q: int, k: int) -> np.ndarray:
     return np_digits(q, k, np.concatenate([np.arange(q**t, 2 * q**t) for t in range(k)]))
 
 
-def _codeword_matrix(D: DefiningSet, Y: np.ndarray) -> np.ndarray:
-    """Codewords of the rows of Y as an R x n matrix of the narrowest exact type."""
-    out = np.empty((len(Y), D.n), dtype=_element_dtype(D.field.q))
-    step = np_block_rows(D.field, D.n)
-    for start in range(0, len(Y), step):
-        out[start:start + step] = np_dots(D.field, Y[start:start + step], D.digit_columns)
+def _class_codewords(D: DefiningSet) -> np.ndarray:
+    """Codewords of the _class_array rows as a P x n matrix of the narrowest exact type.
+
+    Built one message coordinate c at a time, right to left.  Tail holds
+    the codewords of the q^t messages (0..0, tail) with t tail digits, in
+    canonical order.  The next Tail is a col_c + Tail for every a in F_q,
+    a most significant, and its a = 1 block is the classes (0..0, 1, tail)
+    with their 1 at c; at c = 0 only that block is built.  Each step is one
+    take of the flat add table at q x + y.
+    """
+    field, n = D.field, D.n
+    q = field.q
+    dtype = _element_dtype(q)
+    add = field.np_add.astype(dtype)
+    # scaled[c, a] = q (a col_c), in q x 1 x n blocks: the x of q x + y
+    cols = D.as_array.T[:, None, None]
+    scaled = field.np_mul.take(np.arange(0, q * q, q)[:, None, None] + cols) * q
+    out = np.empty((class_count(q, D.k), n), dtype=dtype)
+    tail = np.zeros((1, n), dtype=dtype)
+    start = 0
+    for c in range(D.k - 1, 0, -1):
+        t = len(tail)
+        tail = add.take(scaled[c] + tail).reshape(-1, n)
+        out[start:start + t] = tail[t:2 * t]  # a = 1: the classes with their 1 at c
+        start += t
+    out[start:] = add.take(scaled[0, 1] + tail)
     return out
 
 
@@ -187,7 +215,7 @@ def _distinct_codeword_reps(D: DefiningSet) -> tuple[np.ndarray, np.ndarray]:
     correct when rank(D) < k (several messages can share one codeword).
     """
     Y = _class_array(D.field.q, D.k)
-    words = _codeword_matrix(D, Y)
+    words = _class_codewords(D)
     _, first = np.unique(_row_keys(words, D.field.q), return_index=True)  # first of each codeword
     keep = np.sort(first)
     keep = keep[words[keep].any(axis=1)]
@@ -212,21 +240,25 @@ def is_minimal_definition(
 ) -> MinimalityReport:
     """Brute force over ordered pairs of projective classes.
 
-    c_j is covered by c_i when |supp c_j minus supp c_i| = 0.  For a block of
-    rows i these counts against every j are one matmul (1 - S_i) S^T of the
-    0/1 support matrix S, exact in float32 while n < 2^24; the first zero
-    off the diagonal in row-major order is the first violating pair (i, j).
+    c_j is covered by c_i when |supp c_j minus supp c_i| = wt_j - S_i . S_j
+    is 0, S being the 0/1 support matrix.  For a block of rows i the counts
+    against every j come from one product S_i S^T, exact in float32 while
+    n < 2^24; when the block is all of S (up to 2,048 classes at the default
+    DOT_BLOCK) NumPy computes the symmetric S S^T with BLAS syrk, at half
+    the flops.  The first zero off the diagonal in row-major order is the
+    first violating pair (i, j).
     """
     _check_oracle_scale(D, max_classes, max_n)
     Y, words = _distinct_codeword_reps(D)
     S = (words != 0).astype(np.float32 if D.n < 2**24 else np.float64)
+    wt = S.sum(axis=1)
     R = len(S)
     step = max(1, 64 * linalg.DOT_BLOCK // max(1, R))  # tall blocks keep BLAS busy
     for start in range(0, R, step):
-        outside = (1 - S[start:start + step]) @ S.T
-        at = np.arange(len(outside))
-        outside[at, start + at] = 1  # c_i covers itself
-        hits = np.flatnonzero(outside == 0)
+        covered = S[start:start + step] @ S.T == wt
+        at = np.arange(len(covered))
+        covered[at, start + at] = False  # c_i covers itself
+        hits = np.flatnonzero(covered)
         if hits.size:
             i, j = divmod(int(hits[0]), R)
             a, b = Y[[start + i, j]].tolist()
@@ -330,6 +362,7 @@ def rank_criterion_codeword(y: Sequence[int], D: DefiningSet) -> MinimalityRepor
     The sequential reference of rank_criterion_code: it scans D in the same
     order and keeps the same rows.
     """
+    check_message(y, D)
     if not any(y):
         raise ValueError("y must be nonzero")
     if D.rank != D.k:

@@ -4,6 +4,7 @@ import io
 import json
 import random
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -24,9 +25,11 @@ from minicode.families import (
     ComplementThreshold,
     FunctionSpec,
     TableFunction,
+    TheoremId,
     WeightThreshold,
     get_preset,
     paper_presets,
+    validate_hypotheses,
 )
 from minicode.gf import make_field
 from minicode.linalg import dot, index_to_vector, rank, unit_vector, vector_to_index, weight
@@ -83,9 +86,12 @@ def test_defining_set_rows_and_array_agree():
 
 @pytest.mark.parametrize("variant", [WeightThreshold(1, (1,)), ComplementThreshold(1)])
 def test_huge_arity_refused_before_f_is_evaluated(variant):
-    # neither f at m unit vectors of length m nor 3^m is computed
+    # neither f at m unit vectors of length m nor 3^m is computed, and the
+    # theorem validators walk no vector of F_3^m
     f = FunctionSpec(F3, 2 * 10**6, variant)
-    for build in (linearity_check, defining_set, lambda f: next(f.values())):
+    validations = [partial(validate_hypotheses, thm=thm)
+                   for thm in (TheoremId.A1, TheoremId.A2, TheoremId.C1)]
+    for build in [linearity_check, defining_set, lambda f: next(f.values())] + validations:
         start = time.perf_counter()
         with pytest.raises(GuardError, match=r"q\^m = 3\^2000000 exceeds the"):
             build(f)
@@ -124,6 +130,15 @@ def test_linearity_check_sec4_f1_absent():
 def test_codeword_zero_message():
     D = defining_set(get_preset("sec5_f1").function)
     assert weight(codeword((0,) * D.k, D)) == 0
+
+
+@pytest.mark.parametrize("y", [(-1, 0, 0, 0, 0, 0), (5, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0)])
+def test_codeword_rejects_a_non_message(y):
+    # over F_2 the table lookups would read -1 as 1 and index past the
+    # tables at 5; a message has k = 6 canonical elements
+    D = defining_set(get_preset("sec5_f1").function)
+    with pytest.raises(ValueError):
+        codeword(y, D)
 
 
 def test_codeword_pure_linear_part_weight():

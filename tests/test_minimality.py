@@ -32,13 +32,15 @@ from minicode.minimality import (
     verify_certificate,
     write_certificate,
 )
-from minicode.minimality import _class_array
+from minicode.minimality import _class_array, _class_codewords
 
 F2 = make_field(2)
 F3 = make_field(3)
 F4 = make_field(2, 2)
 F8 = make_field(2, 3)
 F9 = make_field(3, 2)
+F64 = make_field(2, 6)
+F256 = make_field(2, 8, (1, 0, 1, 1, 1, 0, 0, 0, 1))  # x^8 + x^4 + x^3 + x^2 + 1
 
 
 def random_table_code(field, m, rng):
@@ -199,6 +201,19 @@ def test_rank_criterion_codeword_examples():
         rank_criterion_codeword((0, 0), D2)
 
 
+@pytest.mark.parametrize("y", [(-1, 0, 0, 0, 0, 0), (5, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0)])
+def test_rank_criterion_codeword_rejects_a_non_message(y):
+    # over F_2, -1 is no element, though the inverse table would take it
+    # for 1; cf_case_check's v reaches the same check
+    f = get_preset("sec5_f1").function
+    D = defining_set(f)
+    with pytest.raises(ValueError):
+        rank_criterion_codeword(y, D)
+    if len(y) == D.k:
+        with pytest.raises(ValueError):
+            cf_case_check(f, 1, y[:5], D)  # v = (y_1, 0, 0, 0, 0)
+
+
 def test_rank_criterion_codeword_scalar_invariance():
     D = defining_set(get_preset("sec4_f1").function)
     rng = random.Random(23)
@@ -311,6 +326,28 @@ def test_definition_and_dhz_match_per_class_reference(monkeypatch, field, block)
         assert got.witness == expect
         assert got.verdict == ("minimal" if expect is None else "not_minimal")
     assert verdicts == {"minimal", "not_minimal"}
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4, F8, F9, F64, F256, make_field(257)],
+                         ids=lambda F: f"F{F.q}")
+def test_class_codewords_match_per_class_dot(field):
+    # the table built one coordinate at a time holds, row by row, the
+    # codeword of each class in canonical order, in the narrowest exact type
+    q = field.q
+    k = {2: 5, 3: 4, 4: 3, 8: 3, 9: 3}.get(q, 2)
+    rng = random.Random(71 + q)
+    n = rng.randrange(2, 24 if q > 9 else 6 * q)
+    codes = [random_defining_set(field, k, n, k, rng),
+             random_defining_set(field, k, n, k - 1, rng),  # rank-deficient
+             random_defining_set(field, 1, n, 1, rng)]
+    top = 0
+    for D in codes:
+        words = _class_codewords(D)
+        assert words.dtype == np.min_scalar_type(q - 1)
+        assert words.tolist() == [[dot(field, y, d) for d in D.vectors]
+                                  for y in projective_classes(field, D.k)]
+        top = max(top, words.max())
+    assert top == q - 1  # the largest element was met, past one byte over F_257
 
 
 @pytest.mark.parametrize("block", [None, 40])
@@ -690,10 +727,6 @@ def assert_interned(cert):
         for v in items:
             assert shared.setdefault(v, v) is v
             assert type(v) is tuple and all(type(a) is int for a in v)
-
-
-F64 = make_field(2, 6)
-F256 = make_field(2, 8, (1, 0, 1, 1, 1, 0, 0, 0, 1))  # x^8 + x^4 + x^3 + x^2 + 1
 
 
 @pytest.mark.parametrize("field", [F2, F9, F64, F256])
