@@ -21,21 +21,28 @@ a hit when a remainder is left and retires at rank k-1, exactly as the
 sequential rank_criterion_codeword does.  The criterion emits a certificate
 whose per-class entries are indices into the serialized D order, so
 verification is exact membership; the verifier checks blocks of classes
-with batched elimination.  A failing class is reported with the rank its
-scan reached and a message whose codeword it covers.  The definition and
-dhz oracles read one table of the class codewords, built one message
-coordinate at a time with the flat add table, and test a block of rows
-against every class at once: one support product S_i S^T (the symmetric
-S S^T when the block is every row), or one gather from the hyperplane
-counts.  Every field runs the same numpy kernels.
+with batched elimination.  A certificate is two arrays, the P x k
+representatives and the P x (k-1) indices or P x (k-1) x k vectors, in the
+narrowest exact type; its producers, the verifier and the text codec work
+on them directly.  A failing class is reported with the rank its scan
+reached and a message whose codeword it covers.  The definition and dhz
+oracles read one table of the class codewords, built once per D one
+message coordinate at a time with the flat add table, and test a block of
+rows against every class at once: one support product over the upper
+triangle of S S^T (all of it, symmetric, when the block is every row), or
+one gather from the hyperplane counts.  Every field runs the same numpy
+kernels.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
+import weakref
+from collections import abc
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from typing import Callable, Iterator, Optional, Sequence, TextIO, Union
 
 import numpy as np
@@ -109,21 +116,160 @@ class RankWitness:
     basis: SubspaceBasis
 
 
+class CertificateClasses(abc.Sequence):
+    """The classes of a Certificate: a read-only sequence view over two arrays.
+
+    reps is P x k; entries is P x (k-1) of 1-based D indices (mode
+    "indices") or P x (k-1) x k of witness vectors (mode "vectors").  Item i
+    is the pair (rep, items) of plain-int tuples, items being a tuple of
+    indices or of k-tuples; a slice is a tuple of such pairs.  Two views are
+    equal when their arrays hold the same values.
+    """
+
+    __slots__ = ("reps", "entries")
+
+    def __init__(self, reps: np.ndarray, entries: np.ndarray) -> None:
+        reps.flags.writeable = False
+        entries.flags.writeable = False
+        self.reps, self.entries = reps, entries
+
+    def __len__(self) -> int:
+        return len(self.reps)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(_pairs(self.reps[i], self.entries[i]))
+        i = operator.index(i)
+        return next(_pairs(self.reps[i, None], self.entries[i, None]))
+
+    def __iter__(self) -> Iterator[tuple[Vec, tuple]]:
+        return _pairs(self.reps, self.entries)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CertificateClasses):
+            return NotImplemented
+        return (np.array_equal(self.reps, other.reps)
+                and np.array_equal(self.entries, other.entries))
+
+    def __repr__(self) -> str:
+        return f"CertificateClasses({len(self)} classes)"
+
+
+def _pairs(reps: np.ndarray, entries: np.ndarray) -> Iterator[tuple[Vec, tuple]]:
+    """(rep, items) of plain-int tuples for each row, converted a block at a time."""
+    vectors = entries.ndim == 3
+    for start in range(0, len(reps), 1024):
+        block = entries[start:start + 1024].tolist()
+        for rep, items in zip(reps[start:start + 1024].tolist(), block):
+            yield tuple(rep), (tuple(map(tuple, items)) if vectors else tuple(items))
+
+
 @dataclass(frozen=True)
 class Certificate:
     """Per projective class: a witness set of rank k-1 inside H(y, D).
 
     mode "indices" stores 1-based positions into the serialized D order;
-    mode "vectors" stores the witness d-vectors by value.  Equal entries may
-    be one shared tuple object: read_certificate and witness_certificate
-    give each distinct witness vector one tuple.
+    mode "vectors" stores the witness d-vectors by value.  classes may be
+    given as any sequence of (rep, items) pairs of integers; they are
+    converted once, at construction, to two arrays of the narrowest exact
+    type (elements of F_q, or indices up to n), and classes is then a
+    CertificateClasses view over them.  A bool, a float, a representative
+    of length other than k, or a class with other than k-1 entries (each of
+    length k in mode "vectors") raises CertificateFormatError.  Entries
+    outside the field or outside 1..n are kept, for verify_certificate to
+    refuse.
     """
 
     q: int
     n: int
     k: int
     mode: str
-    classes: tuple[tuple[Vec, tuple], ...]
+    classes: Sequence[tuple[Vec, tuple]]
+
+    def __post_init__(self) -> None:
+        if self.mode not in ("indices", "vectors"):
+            raise CertificateFormatError(f"unknown certificate mode {self.mode!r}")
+        classes = self.classes
+        if not isinstance(classes, CertificateClasses):
+            classes = CertificateClasses(*_pair_arrays(self, classes))
+        P, k = len(classes), self.k
+        shape = (P, k - 1) if self.mode == "indices" else (P, k - 1, k)
+        if classes.reps.shape != (P, k) or classes.entries.shape != shape:
+            raise CertificateFormatError(
+                f"certificate arrays {classes.reps.shape} and {classes.entries.shape} "
+                f"do not fit k = {k} in mode {self.mode!r}"
+            )
+        object.__setattr__(self, "classes", classes)
+
+
+def _pair_arrays(cert: Certificate, classes: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """The reps and entries arrays of cert's (rep, items) pairs, checked in this order.
+
+    Representative lengths, then entry counts, then vector lengths, then
+    the integer types of the representatives and of the entries; the first
+    failure raises CertificateFormatError.
+    """
+    k, vectors = cert.k, cert.mode == "vectors"
+    try:
+        reps = [rep for rep, _ in classes]
+        items = [it for _, it in classes]
+        rep_sizes, item_sizes = list(map(len, reps)), list(map(len, items))
+        cells = list(chain.from_iterable(items))
+        vector_sizes = list(map(len, cells)) if vectors else []
+    except (TypeError, ValueError):
+        raise CertificateFormatError(
+            "certificate classes must be (rep, items) pairs of integer sequences"
+        ) from None
+    bad = next((i for i, size in enumerate(rep_sizes) if size != k), None)
+    if bad is not None:
+        raise CertificateFormatError(f"representative {tuple(reps[bad])} has length != k")
+    bad = next((i for i, size in enumerate(item_sizes) if size != k - 1), None)
+    if bad is not None:
+        raise CertificateFormatError(_count_message(tuple(reps[bad]), item_sizes[bad], k))
+    bad = next((i for i, size in enumerate(vector_sizes) if size != k), None)
+    if bad is not None:
+        raise CertificateFormatError(f"witness vector {tuple(cells[bad])} has length != k")
+    P = len(reps)
+    Y = _int_cells(list(chain.from_iterable(reps)), cert.q - 1).reshape(P, k)
+    if vectors:
+        return Y, _int_cells(list(chain.from_iterable(cells)), cert.q - 1).reshape(P, k - 1, k)
+    return Y, _int_cells(cells, cert.n).reshape(P, k - 1)
+
+
+def _count_message(rep: tuple, count: int, k: int) -> str:
+    return f"class {rep} has {count} entries, expected k - 1 = {k - 1}"
+
+
+_BOOL_TYPES = frozenset((bool, np.bool_))
+_NOT_INT64 = "certificate entries must be integers of at most 64 bits, not bool or float"
+
+
+def _int_cells(cells: list, top: int) -> np.ndarray:
+    """cells, a flat list of integers, as _narrow makes them.
+
+    A bool is no integer cell, even beside integers, where np.array would
+    read it as 0 or 1; it, a float, or an integer beyond int64 raises
+    CertificateFormatError.
+    """
+    try:
+        A = np.array(cells) if cells else np.zeros(0, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError):
+        A = None
+    if (A is None or A.ndim != 1 or A.dtype.kind not in "iu"
+            or (A.size and A.max() > np.iinfo(np.int64).max)
+            or not _BOOL_TYPES.isdisjoint(map(type, cells))):
+        raise CertificateFormatError(_NOT_INT64)
+    return _narrow(A, top)
+
+
+def _narrow(A: np.ndarray, top: int) -> np.ndarray:
+    """A in the narrowest unsigned type that holds 0..top, or in int64 if an entry lies outside.
+
+    An entry outside 0..top is kept, so that the verifier can see and refuse it.
+    """
+    if not A.size or (A.min() >= 0 and A.max() <= top):
+        return A.astype(np.min_scalar_type(min(top, np.iinfo(np.int64).max)))
+    return A.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -208,18 +354,32 @@ def _class_codewords(D: DefiningSet) -> np.ndarray:
     return out
 
 
+# _distinct_codeword_reps of each live D; an entry goes with its D
+_DISTINCT_CODEWORDS: "weakref.WeakKeyDictionary[DefiningSet, tuple[np.ndarray, np.ndarray]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
 def _distinct_codeword_reps(D: DefiningSet) -> tuple[np.ndarray, np.ndarray]:
     """(Y, words): class reps with distinct nonzero codewords, in canonical order.
 
     Collapsing to distinct codewords keeps the definition and dhz checks
     correct when rank(D) < k (several messages can share one codeword).
+    Computed once per D and kept, read-only, for as long as D lives, so
+    the two oracles share it.
     """
-    Y = _class_array(D.field.q, D.k)
-    words = _class_codewords(D)
-    _, first = np.unique(_row_keys(words, D.field.q), return_index=True)  # first of each codeword
-    keep = np.sort(first)
-    keep = keep[words[keep].any(axis=1)]
-    return Y[keep], words[keep]
+    got = _DISTINCT_CODEWORDS.get(D)
+    if got is None:
+        Y = _class_array(D.field.q, D.k)
+        words = _class_codewords(D)
+        _, first = np.unique(_row_keys(words, D.field.q), return_index=True)  # first of each codeword
+        keep = np.sort(first)
+        keep = keep[words[keep].any(axis=1)]
+        got = Y[keep], words[keep]
+        for a in got:
+            a.flags.writeable = False
+        _DISTINCT_CODEWORDS[D] = got
+    return got
 
 
 def _check_oracle_scale(D: DefiningSet, max_classes: int, max_n: int) -> None:
@@ -242,11 +402,15 @@ def is_minimal_definition(
 
     c_j is covered by c_i when |supp c_j minus supp c_i| = wt_j - S_i . S_j
     is 0, S being the 0/1 support matrix.  For a block of rows i the counts
-    against every j come from one product S_i S^T, exact in float32 while
-    n < 2^24; when the block is all of S (up to 2,048 classes at the default
-    DOT_BLOCK) NumPy computes the symmetric S S^T with BLAS syrk, at half
-    the flops.  The first zero off the diagonal in row-major order is the
-    first violating pair (i, j).
+    against every j come from one product, exact in float32 while n < 2^24.
+    S S^T is symmetric, so only its upper triangle of blocks is computed:
+    block I of rows meets the columns j >= I's first row, and the part
+    beyond I, read transposed against wt_I, gives the lower blocks of the
+    later rows.  When one block holds every row (up to 2,048 classes at the
+    default DOT_BLOCK) the product is S S^T, which NumPy computes with BLAS
+    syrk.  The first zero off the diagonal in row-major order is the first
+    violating pair (i, j); it is reported once every pair in its rows has
+    been tested.
     """
     _check_oracle_scale(D, max_classes, max_n)
     Y, words = _distinct_codeword_reps(D)
@@ -254,18 +418,41 @@ def is_minimal_definition(
     wt = S.sum(axis=1)
     R = len(S)
     step = max(1, 64 * linalg.DOT_BLOCK // max(1, R))  # tall blocks keep BLAS busy
+    first = R * R  # the first pair found so far, as i R + j
     for start in range(0, R, step):
-        covered = S[start:start + step] @ S.T == wt
-        at = np.arange(len(covered))
-        covered[at, start + at] = False  # c_i covers itself
-        hits = np.flatnonzero(covered)
-        if hits.size:
-            i, j = divmod(int(hits[0]), R)
-            a, b = Y[[start + i, j]].tolist()
+        stop = min(R, start + step)
+        first = min(first, _first_cover(S, wt, start, stop))
+        if first < stop * R:  # every pair in rows before stop has been tested
+            a, b = Y[list(divmod(first, R))].tolist()
             return MinimalityReport(
                 "definition", NOT_MINIMAL, CoverViolation(a=tuple(a), b=tuple(b))
             )
     return MinimalityReport("definition", MINIMAL)
+
+
+def _first_cover(S: np.ndarray, wt: np.ndarray, start: int, stop: int) -> int:
+    """The first covering pair (i, j), as i R + j, that the product of the block shows.
+
+    S[start:stop] S[start:]^T holds the rows i of the block against the
+    columns j >= start, and, read transposed against wt of the block, the
+    rows i >= stop against the columns j of the block.  R^2 when neither
+    holds a pair.
+    """
+    R = len(S)
+    G = S[start:stop] @ S[start:].T
+    covered = G == wt[start:]
+    at = np.arange(stop - start)
+    covered[at, at] = False  # c_i covers itself
+    hits = np.flatnonzero(covered)
+    del covered
+    first = R * R
+    if hits.size:
+        i, j = divmod(int(hits[0]), R - start)
+        first = (start + i) * R + start + j
+    a, c = np.nonzero(G[:, stop - start:] == wt[start:stop, None])
+    if a.size:
+        first = min(first, int(((stop + c) * R + start + a).min()))
+    return first
 
 
 def ab_condition(D: DefiningSet) -> MinimalityReport:
@@ -412,23 +599,22 @@ def rank_criterion_code(
         raise BudgetExceededError(
             f"estimated {estimated} field ops exceed the budget {limit}"
         )
-    Y = _class_array(q, k)
+    reps = _class_array(q, k).astype(_element_dtype(q))
     order = _scan_order(n)
-    # D's rows and np_dots columns in scan order, and the 1-based D index of
-    # each scan position, one shared int object each
-    rows, cols = D.as_array[order], D.digit_columns[:, order]
-    labels = (order + 1).astype(object)
+    rows, cols = D.as_array[order], D.digit_columns[:, order]  # D in scan order
+    entries = np.empty((P, k - 1), dtype=np.min_scalar_type(n))
     step = np_block_rows(field, k * k)
-    entries: list[tuple[Vec, tuple]] = []
     for start in range(0, P, step):
-        block = list(map(tuple, Y[start:start + step].tolist()))
-        picked, count = _greedy_block(field, Y[start:start + step], rows, cols)
-        chosen = labels[picked].tolist()
-        for y, kept, c in zip(block, chosen, count.tolist()):
-            if c < k - 1:
-                return _rank_failure(D, y, kept[:c])
-        entries.extend(zip(block, map(tuple, chosen)))
-    cert = Certificate(q=q, n=n, k=k, mode="indices", classes=tuple(entries))
+        Y = reps[start:start + step].astype(np.int64)
+        picked, count = _greedy_block(field, Y, rows, cols)
+        failed = np.flatnonzero(count < k - 1)
+        if failed.size:
+            b = int(failed[0])
+            chosen = order[picked[b, :count[b]]] + 1
+            return _rank_failure(D, tuple(Y[b].tolist()), chosen.tolist())
+        entries[start:start + step] = order[picked] + 1
+    cert = Certificate(q=q, n=n, k=k, mode="indices",
+                       classes=CertificateClasses(reps, entries))
     return MinimalityReport("rank", MINIMAL, cert)
 
 
@@ -541,33 +727,44 @@ def verify_certificate(D: DefiningSet, cert: Certificate) -> bool:
 
     Every class of F_q^k must appear once, each entry must be a member of D
     (by index or by value), orthogonal to its class representative, and each
-    class's k-1 vectors must have rank exactly k-1.  Entries are integers:
-    a bool anywhere rejects the certificate.  The representatives and
-    entries are converted to arrays once per certificate, each distinct
-    object once; classes are then checked in blocks of about DOT_BLOCK / k^2
-    with the flat field tables.
+    class's k-1 vectors must have rank exactly k-1.  The check reads the
+    certificate's two arrays, whose entry types and shapes its constructor
+    checked.  Classes are checked in blocks of about DOT_BLOCK / k^2 with
+    the flat field tables; a block's vector entries are found in D by one
+    sorted lookup of their row keys.
     """
     field, k, n = D.field, D.k, D.n
     q = field.q
     if (cert.q, cert.n, cert.k) != (q, n, k):
         return False
-    if cert.mode not in ("indices", "vectors"):
-        raise CertificateFormatError(f"unknown certificate mode {cert.mode!r}")
     P = class_count(q, k)
-    if len(cert.classes) != P or any(len(items) != k - 1 for _, items in cert.classes):
-        return False
-    step = np_block_rows(field, k * k)
-    Y = _int_array([rep for rep, _ in cert.classes], (k,))
-    if Y is None or ((Y < 0) | (Y >= q)).any():
+    Y, E = cert.classes.reps, cert.classes.entries
+    if len(Y) != P or not _within(Y, 0, q - 1):
         return False
     if (Y[np.arange(P), (Y != 0).argmax(axis=1)] != 1).any():
         return False  # a first nonzero entry other than 1
     if k > 1:
-        at = _witness_positions(D, cert)
-        if at is None:
+        vectors = cert.mode == "vectors"
+        lo, hi = (0, q - 1) if vectors else (1, n)
+        if not _within(E, lo, hi):
             return False
+        if vectors:
+            keys = _row_keys(D.as_array, q)
+            order = np.argsort(keys)
+            members = keys[order]
+        step = np_block_rows(field, k * k)
         for start in range(0, P, step):
-            Yb, W = Y[start:start + step], D.as_array[at[start:start + step]]
+            Eb = E[start:start + step]
+            if vectors:  # the D position of each entry, if it is a member
+                wanted = _row_keys(Eb.reshape(-1, k), q)
+                at = np.searchsorted(members, wanted)
+                if (at == members.size).any() or (members[at] != wanted).any():
+                    return False
+                at = order[at]
+            else:
+                at = Eb.astype(np.intp) - 1
+            Yb = Y[start:start + step].astype(np.int64)
+            W = D.as_array[at.reshape(len(Yb), k - 1)]
             if np_paired_dots(field, Yb, W).any() or (np_ranks(field, W) != k - 1).any():
                 return False
     # P distinct representatives are every projective class once
@@ -575,36 +772,9 @@ def verify_certificate(D: DefiningSet, cert: Certificate) -> bool:
     return bool((rep_keys[1:] != rep_keys[:-1]).all())
 
 
-_BOOL_TYPES = frozenset((bool, np.bool_))
-
-
-def _int_array(cells: list, shape: tuple[int, ...]) -> Optional[np.ndarray]:
-    """cells as an integer array of shape (len(cells),) + shape, or None if they are not one.
-
-    A bool is no integer entry: one bool anywhere makes it None, even
-    beside integers, where np.array would read it as 0 or 1.
-    """
-    try:
-        A = np.array(cells)
-    except ValueError:  # ragged
-        return None
-    if A.dtype.kind not in "iu" or A.shape[1:] != shape:
-        return None
-    if not _BOOL_TYPES.isdisjoint(map(type, chain.from_iterable(cells) if shape else cells)):
-        return None
-    return A
-
-
-def _distinct(cells: list) -> tuple[list, np.ndarray]:
-    """(objects, codes): each distinct object of cells once, and cells[i] is objects[codes[i]].
-
-    Objects are told apart by identity: a certificate that shares one tuple
-    per distinct vector then converts each vector once, and 1, True and 1.0
-    stay apart.  cells keeps every object alive, so no id is reused.
-    """
-    ids = np.fromiter(map(id, cells), dtype=np.uint64, count=len(cells))
-    _, first, codes = np.unique(ids, return_index=True, return_inverse=True)
-    return [cells[i] for i in first.tolist()], codes
+def _within(A: np.ndarray, lo: int, hi: int) -> bool:
+    """Whether every entry of A lies in lo..hi."""
+    return not A.size or (lo <= A.min() and A.max() <= hi)
 
 
 def _element_dtype(q: int) -> np.dtype:
@@ -618,103 +788,144 @@ def _row_keys(rows: np.ndarray, q: int) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
 
-def _witness_positions(D: DefiningSet, cert: Certificate) -> Optional[np.ndarray]:
-    """The 0-based D positions of every class's k-1 entries, a P x (k-1) array.
-
-    None when an entry is no member of D: an index outside 1..n, or a vector
-    with a non-field entry or absent from D.
-    """
-    k, n, q = D.k, D.n, D.field.q
-    cells = [a for _, items in cert.classes for a in items]
-    if cert.mode == "indices":
-        A = _int_array(cells, ())
-        if A is None or ((A < 1) | (A > n)).any():
-            return None
-        return (A - 1).reshape(-1, k - 1)
-    vectors, codes = _distinct(cells)
-    U = _int_array(vectors, (k,))
-    if U is None or ((U < 0) | (U >= q)).any():
-        return None
-    keys = _row_keys(D.as_array, q)
-    order = np.argsort(keys)
-    members, wanted = keys[order], _row_keys(U, q)
-    at = np.searchsorted(members, wanted)
-    if (at == members.size).any() or (members[at] != wanted).any():
-        return None
-    return order[at][codes].reshape(-1, k - 1)
-
-
 def write_certificate(out: Union[str, TextIO], cert: Certificate) -> None:
-    classes = cert.classes
-    if cert.mode == "indices":
-        right = [" ".join(map(str, items)) for _, items in classes]
-    else:
-        # the text of each distinct vector object, built once
-        vectors, codes = _distinct([v for _, items in classes for v in items])
-        texts = [" ".join(map(str, v)) for v in vectors]
-        parts = map(texts.__getitem__, codes.tolist())
-        # filter(None, ...) drops empty vectors, as the flat join of their entries did
-        right = [" ".join(filter(None, islice(parts, len(items)))) for _, items in classes]
-    head = f"{cert.q} {cert.n} {cert.k} {len(classes)} {cert.mode}\n"
-    text = head + "".join(
-        [" ".join(map(str, rep)) + " | " + r + "\n" for (rep, _), r in zip(classes, right)]
-    )
+    """Write cert as text: its header, then "rep | entries" for each class.
+
+    The lines are formatted from the two arrays a block of classes at a
+    time.  Each distinct integer of a representative, and each distinct
+    entry (an index or a whole vector, looked up by its bytes), is
+    formatted once.
+    """
+    reps, entries = cert.classes.reps, cert.classes.entries
+    P, k = len(reps), cert.k
+    width = k if cert.mode == "vectors" else 1  # integers per entry
+    cells = np.ascontiguousarray(entries).reshape(P, (k - 1) * width)
+    cells = cells.view(np.dtype((np.void, entries.itemsize * width)))
+    head = f"{cert.q} {cert.n} {cert.k} {P} {cert.mode}\n"
+
+    def entry_text(raw: bytes) -> str:  # the integers of one index or vector
+        return " ".join(map(str, np.frombuffer(raw, entries.dtype).tolist()))
+
+    ints, items = _Text(str).__getitem__, _Text(entry_text).__getitem__
+
+    def write(fh: TextIO) -> None:
+        fh.write(head)
+        for start in range(0, P, 1024):
+            lines = zip(reps[start:start + 1024].tolist(), cells[start:start + 1024].tolist())
+            fh.write("".join([" ".join(map(ints, rep)) + " | " + " ".join(map(items, row)) + "\n"
+                              for rep, row in lines]))
+
     if isinstance(out, str):
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            write(fh)
     else:
-        out.write(text)
+        write(out)
+
+
+class _Text(dict):
+    """key -> its text, each distinct key formatted once."""
+
+    def __init__(self, format: Callable[[object], str]) -> None:
+        super().__init__()
+        self.format = format
+
+    def __missing__(self, key: object) -> str:
+        text = self[key] = self.format(key)
+        return text
 
 
 def read_certificate(src: Union[str, TextIO]) -> Certificate:
-    """Parse a certificate file; each distinct witness vector is one shared tuple."""
+    """Parse a certificate file straight into its two arrays.
+
+    The text is read a line at a time; no copy of the whole is kept.  Each
+    distinct token becomes an int once, through a self-filling int() memo.
+    In mode "vectors" each distinct k-token vector gets a row code on first
+    sight, and the entries are codes into that table of rows.  The checks
+    and their messages are those of a reader that splits the whole text
+    into lines, checks the header and the line count and then each line in
+    order: the first failing line is reported only after the count, and a
+    class with other than k-1 entries only after every line, with the
+    message Certificate's constructor gives.
+    """
     if isinstance(src, str):
         with open(src, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = src.read()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+            return _parse_certificate(fh)
+    return _parse_certificate(src)
+
+
+def _parse_certificate(stream: TextIO) -> Certificate:
+    # the non-blank lines, as str.splitlines splits the whole text
+    lines = (ln for line in stream for ln in line.splitlines() if ln.strip())
+    first = next(lines, None)
+    if first is None:
         raise CertificateFormatError("empty certificate file")
-    head = lines[0].split()
+    head = first.split()
     if len(head) != 5:
-        raise CertificateFormatError(f"bad certificate header {lines[0]!r}")
+        raise CertificateFormatError(f"bad certificate header {first!r}")
     try:
         q, n, k, count = (int(t) for t in head[:4])
     except ValueError as exc:
         raise CertificateFormatError(str(exc)) from None
     if q < 2 or n < 1 or k < 1 or count < 0:
         raise CertificateFormatError(
-            f"certificate header needs q >= 2, n >= 1, k >= 1 and count >= 0: {lines[0]!r}"
+            f"certificate header needs q >= 2, n >= 1, k >= 1 and count >= 0: {first!r}"
         )
     mode = head[4]
     if mode not in ("indices", "vectors"):
         raise CertificateFormatError(f"unknown certificate mode {mode!r}")
-    if len(lines) - 1 != count:
-        raise CertificateFormatError(
-            f"expected {count} class lines, found {len(lines) - 1}"
-        )
     ints = _IntReader().__getitem__
-    vectors = _VectorReader(ints)
-    classes = []
-    for ln in lines[1:]:
-        if "|" not in ln:
-            raise CertificateFormatError(f"class line without separator: {ln!r}")
-        left, right = ln.split("|", 1)
-        tokens = right.split()
-        whole = len(tokens) - len(tokens) % k  # tokens of whole vectors
-        rep = tuple(map(ints, left.split()))
-        if mode == "indices":
-            items: tuple = tuple(map(ints, tokens))
-        else:
-            items = tuple(map(vectors.__getitem__, zip(*[iter(tokens)] * k)))
-            list(map(ints, tokens[whole:]))  # the tokens after the last whole vector
-        if len(rep) != k:
-            raise CertificateFormatError(f"representative {rep} has length != k")
-        if mode == "vectors" and whole != len(tokens):
-            raise CertificateFormatError("vector payload not a multiple of k")
-        classes.append((rep, items))
-    return Certificate(q=q, n=n, k=k, mode=mode, classes=tuple(classes))
+    rows = _RowCodes(ints)
+    rep_cells: list[int] = []
+    cells: list[int] = []  # indices, or the row codes of vectors
+    short = None  # the first class with other than k - 1 entries
+    found, error = 0, None
+    try:
+        for ln in lines:
+            found += 1
+            if "|" not in ln:
+                raise CertificateFormatError(f"class line without separator: {ln!r}")
+            left, right = ln.split("|", 1)
+            tokens = right.split()
+            rep = list(map(ints, left.split()))
+            if mode == "indices":
+                cells.extend(map(ints, tokens))
+                entries = len(tokens)
+            else:
+                whole = len(tokens) - len(tokens) % k  # tokens of whole vectors
+                cells.extend(map(rows.__getitem__, zip(*[iter(tokens)] * k)))
+                list(map(ints, tokens[whole:]))  # the tokens after the last whole vector
+                entries = whole // k
+            if len(rep) != k:
+                raise CertificateFormatError(f"representative {tuple(rep)} has length != k")
+            if mode == "vectors" and whole != len(tokens):
+                raise CertificateFormatError("vector payload not a multiple of k")
+            rep_cells.extend(rep)
+            if entries != k - 1 and short is None:
+                short = _count_message(tuple(rep), entries, k)
+    except CertificateFormatError as exc:
+        error = exc
+        found += sum(1 for _ in lines)
+    if found != count:
+        raise CertificateFormatError(f"expected {count} class lines, found {found}")
+    if error is not None:
+        raise error
+    if short is not None:
+        raise CertificateFormatError(short)
+    reps = _narrow(_token_ints(rep_cells), q - 1).reshape(count, k)
+    if mode == "indices":
+        E = _narrow(_token_ints(cells), n).reshape(count, k - 1)
+    else:
+        table = _narrow(_token_ints(rows.cells), q - 1).reshape(-1, k)
+        E = table[np.fromiter(cells, dtype=np.intp, count=len(cells))].reshape(count, k - 1, k)
+    return Certificate(q=q, n=n, k=k, mode=mode, classes=CertificateClasses(reps, E))
+
+
+def _token_ints(cells: list[int]) -> np.ndarray:
+    """The ints read from tokens as int64, refused beyond it as Certificate refuses them."""
+    try:
+        return np.fromiter(cells, dtype=np.int64, count=len(cells))
+    except OverflowError:
+        raise CertificateFormatError(_NOT_INT64) from None
 
 
 class _IntReader(dict):
@@ -728,16 +939,21 @@ class _IntReader(dict):
         return value
 
 
-class _VectorReader(dict):
-    """k tokens -> their vector, read once; each distinct vector is one shared tuple."""
+class _RowCodes(dict):
+    """k tokens -> the row code of their vector, assigned on first sight.
+
+    cells holds the rows' integers, row after row, in code order.  A key
+    is stored with one shared string per distinct token, so it does not
+    keep the strings of the line it came from alive.
+    """
 
     def __init__(self, ints: Callable[[str], int]) -> None:
         super().__init__()
         self.ints = ints
-        self.vectors: dict[Vec, Vec] = {}
+        self.cells: list[int] = []
+        self.tokens: dict[str, str] = {}
 
-    def __missing__(self, tokens: tuple[str, ...]) -> Vec:
-        vector = tuple(map(self.ints, tokens))
-        # equal vectors written with different tokens ("+1 0", "1 0") share one tuple
-        vector = self[tokens] = self.vectors.setdefault(vector, vector)
-        return vector
+    def __missing__(self, tokens: tuple[str, ...]) -> int:
+        self.cells.extend(map(self.ints, tokens))
+        code = self[tuple([self.tokens.setdefault(t, t) for t in tokens])] = len(self)
+        return code

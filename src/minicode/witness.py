@@ -71,7 +71,6 @@ from .linalg import (
     np_indices,
     np_paired_dots,
     np_ranks,
-    np_vectors,
     rank,
     scale,
     solve,
@@ -81,7 +80,7 @@ from .linalg import (
     vector_to_index,
     weight,
 )
-from .minimality import Certificate, _class_array
+from .minimality import Certificate, CertificateClasses, _class_array, _element_dtype
 
 
 @dataclass(frozen=True)
@@ -637,9 +636,9 @@ def witness_certificate(thm: TheoremId, f: FunctionSpec) -> Certificate:
     """A value-mode certificate covering every projective class of C_f.
 
     Requires the theorem hypotheses to hold; each class's entry is the
-    lifted witness basis that theorem_witness builds for it, and each
-    distinct lift is one shared tuple of plain ints.  Every theorem goes
-    through the batched builder (_batched_entries).
+    lifted witness basis that theorem_witness builds for it.  Every theorem
+    goes through the batched builder (_batched_arrays), which fills the
+    certificate's two arrays directly.
     """
     result = validate_hypotheses(f, thm)
     if not result:
@@ -649,7 +648,7 @@ def witness_certificate(thm: TheoremId, f: FunctionSpec) -> Certificate:
         )
     field, m = f.field, f.m
     return Certificate(q=field.q, n=field.q**m - 1, k=m + 1, mode="vectors",
-                       classes=tuple(_batched_entries(thm, f)))
+                       classes=CertificateClasses(*_batched_arrays(thm, f)))
 
 
 # -- batched builder --------------------------------------------------------------
@@ -666,17 +665,19 @@ def _neg(field: FieldSpec, a) -> np.ndarray:
     return field.np_sub.take(a)  # row 0 of the table: 0 - a
 
 
-def _batched_entries(thm: TheoremId, f: FunctionSpec) -> list[tuple[Vec, tuple[Vec, ...]]]:
-    """(class, lifted witness) for every class in canonical order, built block by block.
+def _batched_arrays(thm: TheoremId, f: FunctionSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(reps, lifts): every class in canonical order and its m lifted witnesses.
 
-    The lifts become tuples once, at the end: each member (f(x), x) of D_f is
-    one shared tuple of plain ints, looked up by the canonical index of x.
+    reps is P x (m+1) and lifts P x m x (m+1), both in the element type;
+    each block's lifts (f(x), x) are read from f's value table by the
+    canonical indices of its alphas and checked before they are stored.
     """
     field, m = f.field, f.m
     q, k = field.q, m + 1
     values = np.array(f.materialize().variant.values, dtype=np.int64)
     reps = _class_array(q, k)
-    xs = []
+    dtype = _element_dtype(q)
+    out = np.empty((len(reps), m, k), dtype=dtype)
     step = np_block_rows(field, k * k)
     for start in range(0, len(reps), step):
         Y = reps[start:start + step]
@@ -684,11 +685,8 @@ def _batched_entries(thm: TheoremId, f: FunctionSpec) -> list[tuple[Vec, tuple[V
         x = np_indices(q, alphas)
         lifts = np.concatenate([values.take(x)[:, :, None], alphas], axis=2)
         _check_block(field, Y, lifts)
-        xs.append(x)
-    members = [(fx,) + x for fx, x in
-               zip(values.tolist(), map(tuple, np_vectors(q, m, 0, q**m).tolist()))]
-    lifts = map(members.__getitem__, np.concatenate(xs).ravel().tolist())
-    return list(zip(map(tuple, reps.tolist()), zip(*[lifts] * m)))
+        out[start:start + step] = lifts
+    return reps.astype(dtype), out
 
 
 def _check_block(field: FieldSpec, Y: np.ndarray, lifts: np.ndarray) -> None:

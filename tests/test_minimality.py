@@ -32,7 +32,7 @@ from minicode.minimality import (
     verify_certificate,
     write_certificate,
 )
-from minicode.minimality import _class_array, _class_codewords
+from minicode.minimality import _class_array, _class_codewords, _distinct_codeword_reps
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -328,6 +328,59 @@ def test_definition_and_dhz_match_per_class_reference(monkeypatch, field, block)
     assert verdicts == {"minimal", "not_minimal"}
 
 
+@pytest.mark.parametrize("block", [1, 4])
+def test_definition_blocks_match_single_block(monkeypatch, block):
+    # the upper triangle of blocks, read transposed for the lower one,
+    # reports the verdict and first pair of the single-block product S S^T;
+    # at DOT_BLOCK = 1 a block is one row, so a pair (a, b) with b before a
+    # is found only in the transposed read
+    rng = random.Random(73)
+    codes = [defining_set(random_table_code(F, m, rng))
+             for F, m, count in ((F2, 5, 8), (F3, 3, 8), (F4, 2, 4)) for _ in range(count)]
+    codes += [random_defining_set(F3, 4, rng.randrange(20, 60), 4, rng) for _ in range(6)]
+    codes.append(defining_set(get_preset("sec5_f1").function))
+    single = [is_minimal_definition(D) for D in codes]
+    monkeypatch.setattr(linalg_mod, "DOT_BLOCK", block)
+    earlier = 0
+    for D, want in zip(codes, single):
+        Y = _distinct_codeword_reps(D)[0].tolist()
+        assert 64 * block // len(Y) < len(Y)  # two blocks or more
+        got = is_minimal_definition(D)
+        assert got == want
+        if not got.is_minimal:
+            earlier += Y.index(list(got.witness.b)) < Y.index(list(got.witness.a))
+    assert {r.verdict for r in single} == {"minimal", "not_minimal"}
+    assert earlier >= 3
+
+
+def test_distinct_codewords_computed_once_per_defining_set(monkeypatch):
+    # definition and dhz share one class-codeword table per D, kept
+    # read-only for as long as D lives
+    import gc
+    import weakref
+
+    import minicode.minimality as minimality_mod
+
+    calls = []
+    table = minimality_mod._class_codewords
+    monkeypatch.setattr(minimality_mod, "_class_codewords",
+                        lambda D: calls.append(D.n) or table(D))
+    rng = random.Random(79)
+    D = defining_set(random_table_code(F3, 3, rng))
+    first = is_minimal_definition(D), dhz_criterion(D)
+    assert (is_minimal_definition(D), dhz_criterion(D)) == first
+    assert len(calls) == 1
+    Y, words = _distinct_codeword_reps(D)
+    assert not Y.flags.writeable and not words.flags.writeable
+    other = DefiningSet(F3, 2, ((1, 0), (0, 1), (1, 1)))
+    dhz_criterion(other)
+    assert len(calls) == 2
+    gone = weakref.ref(D)
+    del D, Y, words
+    gc.collect()
+    assert gone() is None
+
+
 @pytest.mark.parametrize("field", [F2, F3, F4, F8, F9, F64, F256, make_field(257)],
                          ids=lambda F: f"F{F.q}")
 def test_class_codewords_match_per_class_dot(field):
@@ -491,9 +544,14 @@ def test_tampering_in_last_block_detected(monkeypatch):
     assert verify_certificate(D, cert) and verify_certificate(D, vcert)
     y, items = cert.classes[-1]
     off = next(i + 1 for i, d in enumerate(D.vectors) if dot(field, y, d))
-    for bad in ((off,) + items[1:], (items[0],) * len(items), items[:-1], items + (items[0],)):
+    for bad in ((off,) + items[1:], (items[0],) * len(items)):
         assert not verify_certificate(D, with_last(cert, bad))
         assert not verify_certificate(D, with_last(vcert, tuple(D.vectors[i - 1] for i in bad)))
+    for bad in (items[:-1], items + (items[0],)):  # an entry too few or too many
+        with pytest.raises(CertificateFormatError, match="entries, expected k - 1"):
+            with_last(cert, bad)
+        with pytest.raises(CertificateFormatError, match="entries, expected k - 1"):
+            with_last(vcert, tuple(D.vectors[i - 1] for i in bad))
     # a vector that is no member of D: (f(x) + 1, x) for a member (f(x), x)
     d = D.vectors[items[0] - 1]
     absent = (field.add(d[0], 1),) + d[1:]
@@ -550,7 +608,7 @@ def tamper(rng, D, cert):
         classes[i], classes[j] = (classes[i][0], items), (y, classes[i][1])
     elif kind == 3:  # a repeated witness
         classes[j] = (y, (items[-1],) + items[1:])
-    elif kind == 4:  # one item too few or too many
+    elif kind == 4:  # one item too few or too many: refused when the certificate is built
         classes[j] = (y, items[1:] if rng.random() < 0.5 else items + items[:1])
     elif kind == 5:  # a class dropped
         del classes[j]
@@ -579,11 +637,15 @@ def test_verifier_agrees_with_reference_sweep(monkeypatch, block):
         for cert in (index_cert, as_vectors(D, index_cert)):
             assert verify_certificate(D, cert) and reference_verify(D, cert)
             for _ in range(40):
-                bad = tamper(rng, D, cert)
+                try:
+                    bad = tamper(rng, D, cert)
+                except CertificateFormatError:
+                    outcomes.add("refused")
+                    continue
                 got = verify_certificate(D, bad)
                 assert got == reference_verify(D, bad)
                 outcomes.add(got)
-    assert outcomes == {True, False}
+    assert outcomes == {True, False, "refused"}
 
 
 def with_classes(cert, change):
@@ -596,7 +658,7 @@ def with_classes(cert, change):
 def test_verifier_entry_types(monkeypatch, block):
     # one rule whatever the block size: integer entries of any integer type
     # are accepted, and a bool anywhere, in a representative or an entry, is
-    # rejected, as are float and ragged entries
+    # refused when the certificate is built, as are float and ragged entries
     if block:
         monkeypatch.setattr(linalg_mod, "DOT_BLOCK", block)  # one class per block
     D = defining_set(get_preset("sec5_f1").function)  # q = 2, k = 6, 63 classes
@@ -627,13 +689,15 @@ def test_verifier_entry_types(monkeypatch, block):
             at5(lambda y, it: (y, (to_float(it[0]),) + it[1:])),
             at5(lambda y, it: (y, (it[0][:-1] if vectors else (it[0],),) + it[1:])),
         ):
-            assert not verify_certificate(D, with_classes(c, bad))
+            with pytest.raises(CertificateFormatError):
+                with_classes(c, bad)
     for bad in (
         at5(lambda y, it: (y, (flag(it[0]),) + it[1:])),
         at5(lambda y, it: (y, tuple(map(flag, it)))),
         lambda j, y, it: (y, tuple(map(flag, it))),
     ):
-        assert not verify_certificate(D, with_classes(vcert, bad))
+        with pytest.raises(CertificateFormatError):
+            with_classes(vcert, bad)
 
 
 def test_cf_case_check_cases_and_agreement():
@@ -689,7 +753,7 @@ def test_k1_repetition_code_trivially_minimal():
     assert verify_certificate(D, rank_criterion_code(D).witness)
 
 
-def test_certificate_round_trip_and_verify():
+def test_certificate_round_trip_and_verify(tmp_path):
     D = defining_set(get_preset("sec5_f1").function)
     rep = rank_criterion_code(D)
     cert = rep.witness
@@ -699,6 +763,10 @@ def test_certificate_round_trip_and_verify():
     back = read_certificate(io.StringIO(buf.getvalue()))
     assert back == cert
     assert verify_certificate(D, back)
+    path = tmp_path / "cert.txt"
+    write_certificate(str(path), cert)
+    assert path.read_text(encoding="utf-8") == buf.getvalue()
+    assert read_certificate(str(path)) == cert
 
 
 def reference_write(cert):
@@ -720,34 +788,71 @@ def certificate_text(cert):
     return buf.getvalue()
 
 
-def assert_interned(cert):
-    """Equal witness vectors are one tuple object, of plain ints."""
-    shared = {}
-    for _, items in cert.classes:
-        for v in items:
-            assert shared.setdefault(v, v) is v
-            assert type(v) is tuple and all(type(a) is int for a in v)
-
-
-@pytest.mark.parametrize("field", [F2, F9, F64, F256])
+@pytest.mark.parametrize("field", [F2, F9, F64, F256, F3, make_field(257)])
 def test_certificate_round_trip_both_modes(field):
-    # F_64 and F_256 put two- and three-digit numbers in every mode's entries
+    # F_64 and F_256 put two- and three-digit numbers in every mode's
+    # entries; the first class holds the largest element and index, past
+    # one byte (256 over F_257) and past two bytes (n > 65,535)
     rng = random.Random(field.q)
-    k, n = 4, field.q**3 - 1
+    q, k, n = field.q, 4, field.q**3 - 1
     reps = list(itertools.islice(projective_classes(field, k), 2000))
-    reps = rng.sample(reps, min(150, len(reps)))
-    pool = [tuple(rng.randrange(field.q) for _ in range(k)) for _ in range(60)]
+    reps = [(1, q - 1, 0, q - 1)] + rng.sample(reps, min(150, len(reps)))
+    pool = [tuple(rng.randrange(q) for _ in range(k)) for _ in range(60)]
+    top = {"indices": (n, 1, n - 1), "vectors": ((q - 1,) * k, (0, 0, 0, 1), (1, 0, 0, q - 1))}
     for mode, draw in (("indices", lambda: rng.randint(1, n)), ("vectors", lambda: rng.choice(pool))):
-        classes = tuple((y, tuple(draw() for _ in range(k - 1))) for y in reps)
-        cert = Certificate(field.q, n, k, mode, classes)
+        classes = tuple((y, tuple(draw() for _ in range(k - 1))) for y in reps[1:])
+        cert = Certificate(q, n, k, mode, ((reps[0], top[mode]),) + classes)
+        assert cert.classes.reps.dtype == np.min_scalar_type(q - 1)
+        assert cert.classes.entries.dtype == np.min_scalar_type(n if mode == "indices" else q - 1)
+        assert cert.classes[0] == (reps[0], top[mode])
         text = certificate_text(cert)
         assert text == reference_write(cert)
         back = read_certificate(io.StringIO(text))
         assert back == cert
-        if mode == "vectors":
-            assert_interned(back)
-        else:
-            assert all(type(i) is int for _, items in back.classes for i in items)
+        assert back.classes[0] == (reps[0], top[mode])
+
+
+def test_certificate_classes_view():
+    # classes is a read-only sequence of (rep, items) pairs of plain ints,
+    # built from any integer sequences; equality compares every field
+    pairs = (((0, 0, 1), (3, 5)), ((0, 1, 0), (1, 7)), ((1, 0, 0), (2, 4)))
+    cert = Certificate(2, 7, 3, "indices", [(list(y), list(it)) for y, it in pairs])
+    classes = cert.classes
+    assert len(classes) == 3
+    assert (classes[0], classes[2]) == (pairs[0], pairs[2])
+    assert (classes[-1], classes[-3]) == (pairs[2], pairs[0])
+    for i in (3, -4):
+        with pytest.raises(IndexError):
+            classes[i]
+    assert classes[1:] == pairs[1:] and classes[::-2] == pairs[::-2] and classes[5:] == ()
+    assert tuple(classes) == pairs
+    assert all(type(a) is int for y, items in classes for a in y + items)
+    with pytest.raises(ValueError):
+        classes.reps[0, 0] = 1  # the arrays are read-only
+    as_numpy = [(np.array(y), tuple(map(np.int64, it))) for y, it in pairs]
+    assert Certificate(2, 7, 3, "indices", as_numpy) == cert
+    assert Certificate(2, 7, 3, "indices", classes) == cert
+    for other in (Certificate(2, 8, 3, "indices", pairs),
+                  Certificate(2, 7, 3, "indices", pairs[:2] + (((1, 0, 0), (2, 5)),)),
+                  Certificate(2, 7, 3, "indices", pairs[:2])):
+        assert other != cert
+    vcert = Certificate(3, 8, 2, "vectors", (((0, 1), [[np.int64(1), 0]]), ((1, 2), ((1, 1),))))
+    assert vcert.classes[:] == (((0, 1), ((1, 0),)), ((1, 2), ((1, 1),)))
+    assert vcert.classes.entries.shape == (2, 1, 2)
+    # refused when built: bools, floats, ragged or wrongly sized entries, an unknown mode
+    y, it = pairs[0]
+    for bad in (((True, 0, 1), it), (y, (np.bool_(True), 5)), (y, (3.0, 5)), (y, (3,)),
+                (y, ((3,), 5)), ((0, 1), it), (y, it[0])):
+        with pytest.raises(CertificateFormatError):
+            Certificate(2, 7, 3, "indices", (bad,) + pairs[1:])
+    v = ((0, 1, 1), (1, 1, 0))
+    for bad in ((y, ((0, 1, 1), (1, 0))), (y, ((0, 1, 1), (1, 0, True))),
+                (y, ((0, 1, 1), (1, 0, 1.0))), (y, ((0, 1, 1), 3)), (y, v + v[:1])):
+        with pytest.raises(CertificateFormatError):
+            Certificate(2, 7, 3, "vectors", (bad, ((0, 1, 0), v)))
+    assert Certificate(2, 7, 3, "vectors", ((y, v), ((0, 1, 0), v))).classes[0] == (y, v)
+    with pytest.raises(CertificateFormatError, match="unknown certificate mode"):
+        Certificate(2, 7, 3, "values", pairs)
 
 
 def test_witness_certificates_round_trip_shared_vectors():
@@ -758,26 +863,40 @@ def test_witness_certificates_round_trip_shared_vectors():
         if preset.theorem is None or not validate_hypotheses(preset.function, preset.theorem):
             continue
         cert = witness_certificate(preset.theorem, preset.function)
-        assert_interned(cert)
         text = certificate_text(cert)
         assert text == reference_write(cert), name
         back = read_certificate(io.StringIO(text))
         assert back == cert, name
-        assert_interned(back)
 
 
 def test_certificate_writer_bytes_on_odd_entries():
-    # entries a hand-built certificate may hold: bools, numpy ints, lists, an
-    # empty vector, one vector object shared by two classes
+    # bools, floats and ragged or empty vectors are refused when the
+    # certificate is built; numpy ints and lists are integers and write
+    # the bytes of their plain-int form
     v = (0, 1, 1)
+    for mode, classes in (
+        ("vectors", (((0, 0, 1), (v, [1, True, 0])),)),
+        ("vectors", (((True, False, 1), ((1, 0, 0), v)),)),
+        ("vectors", (((0, 1, 1), ((1, 2.0, 0), v)),)),
+        ("vectors", (((0, 1, 1), ((), v)),)),
+        ("indices", (((0, 0, 1), (True, np.int64(7))),)),
+        ("indices", (((0, 0, 1), (1, 7)), ((0, 1, 0), []))),
+    ):
+        with pytest.raises(CertificateFormatError):
+            Certificate(2, 7, 3, mode, classes)
     odd = Certificate(2, 7, 3, "vectors", (
-        ((0, 0, 1), (v, [1, True, 0])),
-        ((True, False, 1), ((np.int64(1), 0, 0), v)),
-        ((0, 1, 1), ((), v, (1, 2.0, 0))),
+        ((0, 0, 1), (v, [1, np.int64(1), 0])),
+        ([np.uint8(1), 0, 1], ((np.int64(1), 0, 0), v)),
     ))
-    assert certificate_text(odd) == reference_write(odd)
-    index = Certificate(2, 7, 3, "indices", (((0, 0, 1), (True, np.int64(7))), ((0, 1, 0), [])))
-    assert certificate_text(index) == reference_write(index)
+    plain = Certificate(2, 7, 3, "vectors", (
+        ((0, 0, 1), (v, (1, 1, 0))),
+        ((1, 0, 1), ((1, 0, 0), v)),
+    ))
+    assert odd == plain
+    assert certificate_text(odd) == reference_write(plain)
+    index = Certificate(2, 7, 3, "indices", (((0, 0, 1), [np.int64(1), 7]),))
+    assert certificate_text(index) == reference_write(Certificate(2, 7, 3, "indices",
+                                                                  (((0, 0, 1), (1, 7)),)))
 
 
 def test_certificate_tampering_detected():
