@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Optional, Sequence, TextIO, Union
 
 import numpy as np
@@ -27,6 +28,7 @@ from .gf import FieldSpec
 from .linalg import (
     Vec,
     check_enumerable,
+    int_cells,
     np_digit_columns,
     np_dots,
     np_hyperplane_counts,
@@ -38,41 +40,53 @@ from .linalg import (
 )
 
 WDIST_GUARD = 2**26   # ceiling on the q^(k+1) entries of the hyperplane-count table
+_ENTRIES = "defining-set entries"
 
 
 @dataclass(eq=False)
 class DefiningSet:
-    """Ordered multiset D = {d_1..d_n} in F_q^k; order fixes codeword coordinates."""
+    """Ordered multiset D = {d_1..d_n} in F_q^k; order fixes codeword coordinates.
+
+    vectors may be given as an integer ndarray or as any sequence of rows of
+    integers.  It is converted once, to a new read-only, C-contiguous n x k
+    int64 array, which D.vectors then holds.  A bool or float entry, a row
+    of length other than k, or an entry outside 0..q-1 raises ValueError.
+    """
 
     field: FieldSpec
     k: int
-    vectors: tuple[Vec, ...]
+    vectors: np.ndarray
     origin: tuple = ("generic",)
 
     def __post_init__(self) -> None:
-        for v in self.vectors:
-            if len(v) != self.k:
-                raise ValueError(f"vector {v} has length {len(v)}, expected {self.k}")
+        rows, k, q = self.vectors, self.k, self.field.q
+        if not isinstance(rows, np.ndarray):
+            rows = list(rows)
+            bad = next((v for v in rows if len(v) != k), None)
+            if bad is not None:
+                raise ValueError(f"vector {tuple(bad)} has length {len(bad)}, expected {k}")
+            rows = int_cells(list(chain.from_iterable(rows)), _ENTRIES).reshape(len(rows), k)
+        if rows.ndim != 2 or rows.shape[1] != k:
+            raise ValueError(f"vector array of shape {rows.shape} is not n x {k}")
+        A = np.ascontiguousarray(int_cells(rows, _ENTRIES))
+        if A.size and (A.min() < 0 or A.max() >= q):
+            raise ValueError(f"{_ENTRIES} must lie in 0..{q - 1}")
+        A.flags.writeable = False
+        self.vectors = A
 
     def __len__(self) -> int:
         return len(self.vectors)
 
-    @property
-    def n(self) -> int:
-        return len(self.vectors)
+    n = property(__len__)
 
     @cached_property
     def rank(self) -> int:
-        return int(np_ranks(self.field, self.as_array[None])[0])
-
-    @cached_property
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.vectors, dtype=np.int64).reshape(self.n, self.k)
+        return int(np_ranks(self.field, self.vectors[None])[0])
 
     @cached_property
     def digit_columns(self) -> np.ndarray:
         """D's right-hand side for linalg.np_dots."""
-        return np_digit_columns(self.field, self.as_array)
+        return np_digit_columns(self.field, self.vectors)
 
     @cached_property
     def hyperplane_counts(self) -> np.ndarray:
@@ -82,25 +96,18 @@ class DefiningSet:
             raise GuardError(
                 f"q^(k+1) = {q}^{k + 1} exceeds the count-table guard {WDIST_GUARD}"
             )
-        counts = np_hyperplane_counts(self.field, self.as_array)
+        counts = np_hyperplane_counts(self.field, self.vectors)
         counts.flags.writeable = False  # shared by every caller of this D
         return counts
 
 
 def defining_set(f: FunctionSpec) -> DefiningSet:
-    """D_f = {(f(x), x) : x nonzero} in canonical x-order.
-
-    Built as one n x (m+1) array, which also seeds D.as_array; D.vectors
-    holds the same rows as tuples of plain ints.
-    """
+    """D_f = {(f(x), x) : x nonzero} in canonical x-order, built as one n x (m+1) array."""
     q, m = f.field.q, f.m
     check_enumerable(q, m, "construction guard")
     values = np.array(f.materialize().variant.values[1:], dtype=np.int64)
     rows = np.concatenate([values[:, None], np_vectors(q, m, 1, q**m)], axis=1)
-    D = DefiningSet(f.field, m + 1, tuple(map(tuple, rows.tolist())),
-                    origin=("from_function", m))
-    D.__dict__["as_array"] = rows  # the cached_property's slot
-    return D
+    return DefiningSet(f.field, m + 1, rows, origin=("from_function", m))
 
 
 def linearity_check(f: FunctionSpec) -> Optional[Vec]:
@@ -216,16 +223,16 @@ def params(D: DefiningSet, enumerator: Optional[WeightEnumerator] = None) -> Cod
 
 
 def generator_matrix(D: DefiningSet) -> list[Vec]:
-    """k rows: the codewords of the standard basis of F_q^k."""
-    return [codeword(unit_vector(D.k, i), D) for i in range(1, D.k + 1)]
+    """k rows: the codewords of the standard basis of F_q^k, which are D's columns."""
+    return list(map(tuple, D.vectors.T.tolist()))
 
 
 def write_defining_set(out: Union[str, TextIO], D: DefiningSet) -> None:
-    write_matrix(out, D.field, D.vectors)
+    write_matrix(out, D.field, D.vectors.tolist())
 
 
 def read_defining_set(src: Union[str, TextIO]) -> DefiningSet:
     field, rows = read_matrix(src)
     if not rows:
         raise GuardError("empty defining set")
-    return DefiningSet(field, len(rows[0]), tuple(rows))
+    return DefiningSet(field, len(rows[0]), rows)

@@ -7,7 +7,8 @@ since the enumeration kernels downstream are table-lookup bound.
 
 The numpy kernels of the package see elements only through the numpy views
 built here on first use: flat q*q tables (one ``take`` at a*q + b), and the
-F_p-digits and F_p-multiplication matrix of each element.
+F_p-digits and F_p-multiplication matrix of each element.  Each view is a
+Python loop of up to q*q steps, refused before it starts when q*q > NP_TABLE_GUARD.
 
 A FieldSpec is immutable after construction; every operation is pure.
 """
@@ -15,10 +16,12 @@ A FieldSpec is immutable after construction; every operation is pure.
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+
+from .errors import GuardError
 
 # Built-in irreducible moduli for p^e <= 64, coefficients ascending
 # (constant term first, leading coefficient last, always monic).
@@ -35,6 +38,7 @@ _MODULI: dict[tuple[int, int], tuple[int, ...]] = {
 }
 
 _TABLE_LIMIT = 256
+NP_TABLE_GUARD = 2**20  # ceiling on q*q for the numpy views: q <= 1024
 
 
 def is_prime(p: int) -> bool:
@@ -117,6 +121,16 @@ def _check_irreducible(modulus: Sequence[int], p: int, e: int) -> None:
                     raise ValueError(
                         f"modulus {tuple(modulus)} divisible by {quad}; reducible"
                     )
+
+
+def _numpy_view(build: Callable[[FieldSpec], np.ndarray]) -> cached_property:
+    """The cached numpy view build, refused before it runs when q*q > NP_TABLE_GUARD."""
+    @wraps(build)
+    def view(field: FieldSpec) -> np.ndarray:
+        if field.q * field.q > NP_TABLE_GUARD:
+            raise GuardError(f"q^2 = {field.q}^2 exceeds the numpy table guard {NP_TABLE_GUARD}")
+        return build(field)
+    return cached_property(view)
 
 
 class FieldSpec:
@@ -220,32 +234,32 @@ class FieldSpec:
         q = self.q
         return _frozen([op(a, b) for a in range(q) for b in range(q)])
 
-    @cached_property
+    @_numpy_view
     def np_add(self) -> np.ndarray:
         """Flat q*q table: np_add[a*q + b] = a + b."""
         return self._flat_table(self.add)
 
-    @cached_property
+    @_numpy_view
     def np_sub(self) -> np.ndarray:
         """Flat q*q table: np_sub[a*q + b] = a - b."""
         return self._flat_table(self.sub)
 
-    @cached_property
+    @_numpy_view
     def np_mul(self) -> np.ndarray:
         """Flat q*q table: np_mul[a*q + b] = a * b."""
         return self._flat_table(self.mul)
 
-    @cached_property
+    @_numpy_view
     def np_inv(self) -> np.ndarray:
         """np_inv[a] = 1/a for a != 0; np_inv[0] = 0 is a placeholder."""
         return _frozen([0] + [self.inv(a) for a in self.nonzero()])
 
-    @cached_property
+    @_numpy_view
     def np_digits(self) -> np.ndarray:
         """q x e: the base-p digits of each element, least significant first."""
         return _frozen([_digits(a, self.p, self.e) for a in range(self.q)])
 
-    @cached_property
+    @_numpy_view
     def np_mulmat(self) -> np.ndarray:
         """q x e x e: digits(a * x) = np_mulmat[a] @ digits(x) mod p."""
         p, e = self.p, self.e

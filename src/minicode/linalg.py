@@ -240,6 +240,26 @@ def enumerate_vectors(field: FieldSpec, m: int, include_zero: bool = False) -> I
 
 # -- numpy kernels (every field) -----------------------------------------------
 
+def int_cells(cells, what: str, error: type[ValueError] = ValueError) -> np.ndarray:
+    """cells, an integer ndarray or a flat list of integers, as a new int64 array.
+
+    An ndarray is checked by its dtype.  In a list, a bool is no integer
+    cell, even beside integers, where np.array would read it as 0 or 1; it,
+    a float, or an integer beyond int64 raises error, naming what.
+    """
+    A = cells
+    if not isinstance(cells, np.ndarray):
+        try:
+            A = np.array(cells) if cells else np.zeros(0, dtype=np.int64)
+        except (TypeError, ValueError, OverflowError):
+            A = None
+        if A is not None and (A.ndim != 1 or not {bool, np.bool_}.isdisjoint(map(type, cells))):
+            A = None
+    if A is None or A.dtype.kind not in "iu" or (A.size and A.max() > np.iinfo(np.int64).max):
+        raise error(f"{what} must be integers of at most 64 bits, not bool or float")
+    return A.astype(np.int64)
+
+
 def np_vectors(q: int, m: int, start: int, stop: int) -> np.ndarray:
     """Rows index_to_vector(q, m, i) for start <= i < stop."""
     return np_digits(q, m, np.arange(start, stop, dtype=np.int64))

@@ -240,26 +240,9 @@ def _count_message(rep: tuple, count: int, k: int) -> str:
     return f"class {rep} has {count} entries, expected k - 1 = {k - 1}"
 
 
-_BOOL_TYPES = frozenset((bool, np.bool_))
-_NOT_INT64 = "certificate entries must be integers of at most 64 bits, not bool or float"
-
-
 def _int_cells(cells: list, top: int) -> np.ndarray:
-    """cells, a flat list of integers, as _narrow makes them.
-
-    A bool is no integer cell, even beside integers, where np.array would
-    read it as 0 or 1; it, a float, or an integer beyond int64 raises
-    CertificateFormatError.
-    """
-    try:
-        A = np.array(cells) if cells else np.zeros(0, dtype=np.int64)
-    except (TypeError, ValueError, OverflowError):
-        A = None
-    if (A is None or A.ndim != 1 or A.dtype.kind not in "iu"
-            or (A.size and A.max() > np.iinfo(np.int64).max)
-            or not _BOOL_TYPES.isdisjoint(map(type, cells))):
-        raise CertificateFormatError(_NOT_INT64)
-    return _narrow(A, top)
+    """cells, a flat list of integers checked by linalg.int_cells, as _narrow makes them."""
+    return _narrow(linalg.int_cells(cells, "certificate entries", CertificateFormatError), top)
 
 
 def _narrow(A: np.ndarray, top: int) -> np.ndarray:
@@ -340,7 +323,7 @@ def _class_codewords(D: DefiningSet) -> np.ndarray:
     dtype = _element_dtype(q)
     add = field.np_add.astype(dtype)
     # scaled[c, a] = q (a col_c), in q x 1 x n blocks: the x of q x + y
-    cols = D.as_array.T[:, None, None]
+    cols = D.vectors.T[:, None, None]
     scaled = field.np_mul.take(np.arange(0, q * q, q)[:, None, None] + cols) * q
     out = np.empty((class_count(q, D.k), n), dtype=dtype)
     tail = np.zeros((1, n), dtype=dtype)
@@ -516,13 +499,6 @@ def _scan_order(n: int) -> np.ndarray:
     return np.arange(n, dtype=np.int64) * s % n
 
 
-def _hyperplane_members(D: DefiningSet, y: Sequence[int]) -> list[int]:
-    """0-based indices of D members orthogonal to y, in scan order."""
-    order = _scan_order(D.n)
-    dots = np_dots(D.field, [y], D.digit_columns)[0]
-    return order[dots[order] == 0].tolist()
-
-
 def _rank_failure(D: DefiningSet, y: Sequence[int], chosen: Sequence[int]) -> MinimalityReport:
     """not_minimal for class y, whose greedy scan of D cap H(y) chose too few rows.
 
@@ -534,7 +510,7 @@ def _rank_failure(D: DefiningSet, y: Sequence[int], chosen: Sequence[int]) -> Mi
     """
     field = D.field
     y = normalize_class(field, y)
-    rows = [D.vectors[i - 1] for i in chosen]
+    rows = D.vectors[np.array(chosen, dtype=np.intp) - 1].tolist()
     covered = next(
         b for b in kernel_basis(field, rows, D.k) if normalize_class(field, b) != y
     )
@@ -555,25 +531,22 @@ def rank_criterion_codeword(y: Sequence[int], D: DefiningSet) -> MinimalityRepor
     if D.rank != D.k:
         raise GuardError(f"rank criterion needs rank(D) = k; got {D.rank} < {D.k}")
     field, k = D.field, D.k
-
-    def minimal_with(chosen: list[int]) -> MinimalityReport:
-        witness = RankWitness(
-            y=normalize_class(field, y),
-            indices=tuple(chosen),
-            basis=SubspaceBasis(tuple(D.vectors[j - 1] for j in chosen), k),
-        )
-        return MinimalityReport("rank", MINIMAL, witness)
-
-    if k == 1:
-        return minimal_with([])
     basis = EchelonBasis(field, k)
     chosen: list[int] = []
-    for i in _hyperplane_members(D, y):
-        if basis.add(D.vectors[i]):
+    rows: list[Vec] = []  # the members at chosen, as plain-int tuples
+    order = _scan_order(D.n)
+    members = order[np_dots(field, [y], D.digit_columns)[0][order] == 0]  # D cap H(y)
+    for i in members.tolist():
+        if basis.rank == k - 1:
+            break
+        d = tuple(D.vectors[i].tolist())  # one row at a time: the scan stops after a few
+        if basis.add(d):
             chosen.append(i + 1)
-            if basis.rank == k - 1:
-                return minimal_with(chosen)
-    return _rank_failure(D, y, chosen)
+            rows.append(d)
+    if basis.rank < k - 1:
+        return _rank_failure(D, y, chosen)
+    witness = RankWitness(normalize_class(field, y), tuple(chosen), SubspaceBasis(tuple(rows), k))
+    return MinimalityReport("rank", MINIMAL, witness)
 
 
 def rank_criterion_code(
@@ -601,7 +574,7 @@ def rank_criterion_code(
         )
     reps = _class_array(q, k).astype(_element_dtype(q))
     order = _scan_order(n)
-    rows, cols = D.as_array[order], D.digit_columns[:, order]  # D in scan order
+    rows, cols = D.vectors[order], D.digit_columns[:, order]  # D in scan order
     entries = np.empty((P, k - 1), dtype=np.min_scalar_type(n))
     step = np_block_rows(field, k * k)
     for start in range(0, P, step):
@@ -749,7 +722,7 @@ def verify_certificate(D: DefiningSet, cert: Certificate) -> bool:
         if not _within(E, lo, hi):
             return False
         if vectors:
-            keys = _row_keys(D.as_array, q)
+            keys = _row_keys(D.vectors, q)
             order = np.argsort(keys)
             members = keys[order]
         step = np_block_rows(field, k * k)
@@ -764,7 +737,7 @@ def verify_certificate(D: DefiningSet, cert: Certificate) -> bool:
             else:
                 at = Eb.astype(np.intp) - 1
             Yb = Y[start:start + step].astype(np.int64)
-            W = D.as_array[at.reshape(len(Yb), k - 1)]
+            W = D.vectors[at.reshape(len(Yb), k - 1)]
             if np_paired_dots(field, Yb, W).any() or (np_ranks(field, W) != k - 1).any():
                 return False
     # P distinct representatives are every projective class once
@@ -925,7 +898,7 @@ def _token_ints(cells: list[int]) -> np.ndarray:
     try:
         return np.fromiter(cells, dtype=np.int64, count=len(cells))
     except OverflowError:
-        raise CertificateFormatError(_NOT_INT64) from None
+        return _int_cells(cells, 0)  # refuses them
 
 
 class _IntReader(dict):

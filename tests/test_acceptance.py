@@ -248,7 +248,7 @@ def test_criterion_07_dhz_distance_formula():
 
         f0 = f.eval((0,) * m)
         assert f0 == 1
-        restored = DefiningSet(D.field, D.k, D.vectors + ((f0,) + (0,) * m,))
+        restored = DefiningSet(D.field, D.k, D.vectors.tolist() + [[f0] + [0] * m])
         assert restored.n == 2**m
         d_restored = weight_distribution(restored).w_min
         assert d_restored == formula, (
@@ -313,7 +313,7 @@ def test_criterion_10_witness_soundness(witness_reference):
             continue
         field, m = f.field, f.m
         D = defining_set(f)
-        members = set(D.vectors)
+        members = set(map(tuple, D.vectors.tolist()))
         # theorem_witness(thm, f, y[0], y[1:]) lifted, for every class y
         entries = witness_reference(thm, f)
         assert [y for y, _ in entries] == list(projective_classes(field, m + 1)), name

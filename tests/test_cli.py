@@ -162,11 +162,15 @@ def test_repro_filter_counts():
     assert all("PASS" in ln for ln in lines)
 
 
-def test_repro_default_skips_heavy():
+def test_repro_runs_every_case():
     code, out, _ = run_cli("repro")
     assert code == EXIT_OK
-    assert out.count("SKIP") == 4
+    assert "SKIP" not in out
+    assert out.splitlines()[-1] == f"{len(REPRO_CASES)} cases: 8 pass, 4 annotated, 0 failed"
     assert "XFAIL" in out  # the annotated paper discrepancies are visible
+    with pytest.raises(SystemExit) as exc, redirect_stderr(io.StringIO()):
+        main(["repro", "--heavy"])  # the retired flag is a usage error
+    assert exc.value.code == EXIT_ERROR
 
 
 def test_repro_embedded_counts_sum():

@@ -49,7 +49,7 @@ def table_fn(field, m, rule):
 def test_defining_set_constant_one():
     f = table_fn(F2, 2, lambda x: 1)
     D = defining_set(f)
-    assert D.vectors == ((1, 0, 1), (1, 1, 0), (1, 1, 1))
+    assert D.vectors.tolist() == [[1, 0, 1], [1, 1, 0], [1, 1, 1]]
     assert D.k == 3 and D.n == 3
     assert D.origin == ("from_function", 2)
 
@@ -57,7 +57,7 @@ def test_defining_set_constant_one():
 def test_defining_set_zero_function_rank():
     f = table_fn(F3, 3, lambda x: 0)
     D = defining_set(f)
-    assert all(d[0] == 0 for d in D.vectors)
+    assert all(d[0] == 0 for d in D.vectors.tolist())
     assert D.rank == 3  # rank m, degenerate construction
 
 
@@ -68,20 +68,38 @@ def test_defining_set_sec4_f1_shape():
 
 
 def test_defining_set_rows_and_array_agree():
-    # D.vectors are tuples of plain ints in canonical x-order, and the cached
-    # array is the one defining_set built, holding the same rows
+    # D.vectors is one read-only, C-contiguous n x k int64 array holding the
+    # rows (f(x), x) in canonical x-order
     rng = random.Random(4)
     fns = [p.function for p in paper_presets().values()]
     fns += [table_fn(F, m, lambda x, F=F: rng.randrange(F.q)) for F, m in ((F4, 3), (F9, 2))]
     for f in fns:
         D = defining_set(f)
         q, m = f.field.q, f.m
-        want = tuple((f.eval(index_to_vector(q, m, i)),) + index_to_vector(q, m, i)
-                     for i in range(1, q**m))
-        assert D.vectors == want
-        assert all(type(a) is int for d in D.vectors[:50] for a in d)
-        assert "as_array" in vars(D)
-        assert np.array_equal(D.as_array, np.asarray(want, dtype=np.int64))
+        want = [[f.eval(index_to_vector(q, m, i)), *index_to_vector(q, m, i)]
+                for i in range(1, q**m)]
+        assert D.vectors.dtype == np.int64 and D.vectors.shape == (q**m - 1, m + 1)
+        assert D.vectors.flags.c_contiguous and not D.vectors.flags.writeable
+        assert D.vectors.tolist() == want
+        with pytest.raises(ValueError, match="read-only"):
+            D.vectors[0, 0] = 0
+
+
+@pytest.mark.parametrize("rows", [
+    ((-1, 0), (0, 1)),     # below the field
+    ((5, 0), (0, 1)),      # beyond the field
+    ((1.5, 0), (0, 1)),    # a float
+    ((True, 0), (0, 1)),   # a bool
+    ((1, 0), (0, 1, 1)),   # a row longer than k
+    ((1, 0), (0,)),        # a row shorter than k
+    np.array([[1.5, 0.0]]),
+    np.array([[True, False]]),
+    np.array([[3, 0]]),
+    np.array([[1, 0, 0]]),
+])
+def test_defining_set_refuses_malformed_rows(rows):
+    with pytest.raises(ValueError):
+        DefiningSet(F3, 2, rows)
 
 
 @pytest.mark.parametrize("variant", [WeightThreshold(1, (1,)), ComplementThreshold(1)])
@@ -107,7 +125,7 @@ def test_defining_set_rank_matches_linalg_rank():
     codes.append(defining_set(table_fn(F8, 2, lambda x: rng.randrange(8))))
     codes.append(DefiningSet(F4, 3, ((1, 2, 3), (2, 3, 1), (0, 0, 0), (3, 1, 2))))
     ranks = [D.rank for D in codes]
-    assert ranks == [rank(D.field, D.vectors) for D in codes]
+    assert ranks == [rank(D.field, D.vectors.tolist()) for D in codes]
     assert ranks[-4:] == [3, 2, 3, 1]
 
 
@@ -204,7 +222,7 @@ def test_weight_distribution_matches_dot_oracle():
         field = D.field
         counts = {}
         for y in product(range(field.q), repeat=D.k):
-            w = sum(1 for d in D.vectors if dot(field, y, d))
+            w = sum(1 for d in D.vectors.tolist() if dot(field, y, d))
             counts[w] = counts.get(w, 0) + 1
         assert dict(weight_distribution(D).counts) == counts
 
@@ -216,7 +234,7 @@ def test_weight_distribution_brute_force_oracle_sec5():
     D = defining_set(get_preset("sec5_f1").function)
     counts = {}
     for y in product(range(2), repeat=6):
-        w = sum(1 for d in D.vectors if sum(a * b for a, b in zip(y, d)) % 2)
+        w = sum(1 for d in D.vectors.tolist() if sum(a * b for a, b in zip(y, d)) % 2)
         counts[w] = counts.get(w, 0) + 1
     assert dict(weight_distribution(D).counts) == counts
 
@@ -262,7 +280,7 @@ def test_hyperplane_counts_match_dot_oracle():
     for D in codes:
         field, q = D.field, D.field.q
         N = D.hyperplane_counts
-        oracle = [sum(1 for d in D.vectors if not dot(field, y, d))
+        oracle = [sum(1 for d in D.vectors.tolist() if not dot(field, y, d))
                   for y in product(range(q), repeat=D.k)]
         assert N.tolist() == oracle
         assert N[0] == D.n
@@ -344,7 +362,7 @@ def test_generator_matrix_is_defining_set_transpose():
     G = generator_matrix(D)
     assert len(G) == D.k and len(G[0]) == D.n
     for i in range(D.k):
-        col = tuple(d[i] for d in D.vectors)
+        col = tuple(d[i] for d in D.vectors.tolist())
         assert G[i] == col
 
 
@@ -353,6 +371,6 @@ def test_defining_set_io_round_trip(tmp_path):
     path = str(tmp_path / "d.txt")
     write_defining_set(path, D)
     back = read_defining_set(path)
-    assert back.vectors == D.vectors
+    assert back.vectors.tolist() == D.vectors.tolist()
     assert back.field is D.field
     assert weight_distribution(back).text == weight_distribution(D).text

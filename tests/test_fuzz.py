@@ -1,4 +1,4 @@
-"""Property tests: the three file readers never fail with anything but a ValueError.
+"""Property tests: the file readers never fail with anything but a ValueError.
 
 Each reader gets arbitrary text and text shaped like its own format (a header
 of small integers and keywords, then lines of integers).  Either it returns
@@ -12,6 +12,7 @@ import io
 from hypothesis import given, settings, strategies as st
 
 from minicode.cli import main
+from minicode.code import DefiningSet, read_defining_set
 from minicode.errors import CertificateFormatError
 from minicode.families import FunctionSpec, read_function
 from minicode.linalg import read_matrix
@@ -71,6 +72,7 @@ def test_read_function_fuzz(text):
 @given(st.one_of(any_text, matrix_text))
 def test_read_matrix_fuzz(text):
     parses_or_value_error(read_matrix, text, tuple)
+    parses_or_value_error(read_defining_set, text, DefiningSet)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

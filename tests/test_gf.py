@@ -1,7 +1,10 @@
 """Field arithmetic: axioms, tables, construction errors."""
 
+import time
+
 import pytest
 
+from minicode.errors import GuardError
 from minicode.gf import FieldSpec, field_arith, field_by_order, is_prime, make_field
 
 SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9]
@@ -157,6 +160,20 @@ def test_field_by_order_large_orders():
     # 31601 * 31607: no prime factor below sqrt(q) is missed either
     with pytest.raises(ValueError, match="not a prime power"):
         field_by_order(31601 * 31607)
+
+
+def test_numpy_views_refused_beyond_the_table_guard():
+    # each view is built by a Python loop of up to q*q steps; past q = 1024
+    # it is refused before the loop starts, and scalar arithmetic still works
+    for q in (1031, 65537):
+        F = make_field(q)
+        for view in ("np_add", "np_sub", "np_mul", "np_inv", "np_digits", "np_mulmat"):
+            start = time.perf_counter()
+            with pytest.raises(GuardError, match="numpy table guard"):
+                getattr(F, view)
+            assert time.perf_counter() - start < 0.1
+        assert F.mul(q - 1, q - 1) == 1 and F.inv(q - 1) == q - 1
+    assert make_field(257).np_add.shape == (257 * 257,)
 
 
 def test_pow_zero_convention():

@@ -150,7 +150,7 @@ def dhz_reference(D):
     field, q = D.field, D.field.q
     reps, words = [], []
     for y in projective_classes(field, D.k):
-        c = tuple(dot(field, y, d) for d in D.vectors)
+        c = tuple(dot(field, y, d) for d in D.vectors.tolist())
         if any(c) and c not in words:
             reps.append(y)
             words.append(c)
@@ -258,7 +258,7 @@ def definition_reference(D):
     """
     reps, words = [], []
     for y in projective_classes(D.field, D.k):
-        c = tuple(dot(D.field, y, d) for d in D.vectors)
+        c = tuple(dot(D.field, y, d) for d in D.vectors.tolist())
         if any(c) and c not in words:
             reps.append(y)
             words.append(c)
@@ -397,7 +397,7 @@ def test_class_codewords_match_per_class_dot(field):
     for D in codes:
         words = _class_codewords(D)
         assert words.dtype == np.min_scalar_type(q - 1)
-        assert words.tolist() == [[dot(field, y, d) for d in D.vectors]
+        assert words.tolist() == [[dot(field, y, d) for d in D.vectors.tolist()]
                                   for y in projective_classes(field, D.k)]
         top = max(top, words.max())
     assert top == q - 1  # the largest element was met, past one byte over F_257
@@ -525,7 +525,8 @@ def test_rank_failure_across_many_blocks(monkeypatch):
 
 def as_vectors(D, cert):
     """The value-mode form of an index-mode certificate."""
-    classes = tuple((y, tuple(D.vectors[i - 1] for i in items)) for y, items in cert.classes)
+    rows = list(map(tuple, D.vectors.tolist()))
+    classes = tuple((y, tuple(rows[i - 1] for i in items)) for y, items in cert.classes)
     return Certificate(cert.q, cert.n, cert.k, "vectors", classes)
 
 
@@ -542,18 +543,19 @@ def test_tampering_in_last_block_detected(monkeypatch):
     cert = rank_criterion_code(D).witness
     vcert = as_vectors(D, cert)
     assert verify_certificate(D, cert) and verify_certificate(D, vcert)
+    rows = list(map(tuple, D.vectors.tolist()))
     y, items = cert.classes[-1]
-    off = next(i + 1 for i, d in enumerate(D.vectors) if dot(field, y, d))
+    off = next(i + 1 for i, d in enumerate(rows) if dot(field, y, d))
     for bad in ((off,) + items[1:], (items[0],) * len(items)):
         assert not verify_certificate(D, with_last(cert, bad))
-        assert not verify_certificate(D, with_last(vcert, tuple(D.vectors[i - 1] for i in bad)))
+        assert not verify_certificate(D, with_last(vcert, tuple(rows[i - 1] for i in bad)))
     for bad in (items[:-1], items + (items[0],)):  # an entry too few or too many
         with pytest.raises(CertificateFormatError, match="entries, expected k - 1"):
             with_last(cert, bad)
         with pytest.raises(CertificateFormatError, match="entries, expected k - 1"):
-            with_last(vcert, tuple(D.vectors[i - 1] for i in bad))
+            with_last(vcert, tuple(rows[i - 1] for i in bad))
     # a vector that is no member of D: (f(x) + 1, x) for a member (f(x), x)
-    d = D.vectors[items[0] - 1]
+    d = rows[items[0] - 1]
     absent = (field.add(d[0], 1),) + d[1:]
     assert not verify_certificate(D, with_last(vcert, (absent,) + vcert.classes[-1][1][1:]))
     # indices outside 1..n and a duplicated representative
@@ -572,14 +574,15 @@ def reference_verify(D, cert):
     reps = [y for y, _ in cert.classes]
     if len(reps) != len(expected) or set(reps) != expected:
         return False
-    members = set(D.vectors)
+    rows = list(map(tuple, D.vectors.tolist()))
+    members = set(rows)
     for y, items in cert.classes:
         if len(items) != k - 1:
             return False
         if cert.mode == "indices":
             if not all(1 <= i <= n for i in items):
                 return False
-            vectors = [D.vectors[i - 1] for i in items]
+            vectors = [rows[i - 1] for i in items]
         else:
             vectors = [tuple(v) for v in items]
             if not all(v in members for v in vectors):
@@ -907,7 +910,7 @@ def test_certificate_tampering_detected():
     # a vector not orthogonal to its class representative
     y0, items0 = classes[0]
     bad_idx = next(
-        i + 1 for i, d in enumerate(D.vectors)
+        i + 1 for i, d in enumerate(D.vectors.tolist())
         if sum(a * b for a, b in zip(d, y0)) % 2 != 0
     )
     tampered = Certificate(cert.q, cert.n, cert.k, cert.mode,

@@ -198,7 +198,7 @@ def sweep_preset(name, sample=None):
     assert validate_hypotheses(f, thm)
     field, m = f.field, f.m
     D = defining_set(f)
-    members = set(D.vectors)
+    members = set(map(tuple, D.vectors.tolist()))
     classes = list(projective_classes(field, m + 1))
     if sample is not None:
         classes = random.Random(71).sample(classes, sample)
@@ -227,7 +227,7 @@ def test_theorem_witness_d2_repair_branches():
     assert validate_hypotheses(f, TheoremId.D2)
     field = f.field
     D = defining_set(f)
-    members = set(D.vectors)
+    members = set(map(tuple, D.vectors.tolist()))
     for y in projective_classes(field, 5):
         wb = theorem_witness(TheoremId.D2, f, y[0], y[1:], _validated=True)
         lifts = lift_witness(f, wb)
@@ -269,7 +269,7 @@ def test_theorem_witness_mm_randomized_branches():
             assert validate_hypotheses(f, thm)
             field, m = f.field, f.m
             D = defining_set(f)
-            members = set(D.vectors)
+            members = set(map(tuple, D.vectors.tolist()))
             for y in projective_classes(field, m + 1):
                 wb = theorem_witness(thm, f, y[0], y[1:], _validated=True)
                 lifts = lift_witness(f, wb)
