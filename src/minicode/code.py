@@ -29,10 +29,13 @@ from .linalg import (
     Vec,
     check_enumerable,
     int_cells,
+    np_class_codewords,
+    np_class_reps,
     np_digit_columns,
     np_dots,
     np_hyperplane_counts,
     np_ranks,
+    np_row_keys,
     np_vectors,
     read_matrix,
     unit_vector,
@@ -99,6 +102,29 @@ class DefiningSet:
         counts = np_hyperplane_counts(self.field, self.vectors)
         counts.flags.writeable = False  # shared by every caller of this D
         return counts
+
+    @cached_property
+    def projective_codewords(self) -> tuple[np.ndarray, np.ndarray]:
+        """(Y, words): per projective point c(y) of C(D), its first class y and c(y).
+
+        Y is R x k in canonical order, words R x n; both are read-only, and
+        definition and dhz share them.
+        When rank(D) = k every class is its own point; else zero codewords
+        are dropped and the others compared after scaling to a leading 1.
+        """
+        field = self.field
+        Y = np_class_reps(field.q, self.k)
+        words = np_class_codewords(field, self.vectors)
+        if self.rank < self.k:
+            lead = words[np.arange(len(words)), (words != 0).argmax(axis=1)]
+            mul = field.np_mul.astype(field.element_dtype).reshape(field.q, field.q)
+            scaled = mul[field.np_inv.take(lead)[:, None], words]  # a zero row stays 0
+            _, first = np.unique(np_row_keys(field, scaled), return_index=True)
+            keep = np.sort(first)
+            keep = keep[lead[keep] != 0]
+            Y, words = Y[keep], words[keep]
+        Y.flags.writeable = words.flags.writeable = False
+        return Y, words
 
 
 def defining_set(f: FunctionSpec) -> DefiningSet:

@@ -22,3 +22,8 @@ class CertificateFormatError(ValueError):
 
 class ConstructionError(RuntimeError):
     """An internally-verified witness construction failed its post-condition."""
+
+
+def construction_bug(msg: str) -> ConstructionError:
+    """The error for a witness construction that failed its own post-condition."""
+    return ConstructionError(f"witness construction bug: {msg}")

@@ -6,9 +6,10 @@ constant term.  Fields with q <= 256 precompute full add/mul/inv tables,
 since the enumeration kernels downstream are table-lookup bound.
 
 The numpy kernels of the package see elements only through the numpy views
-built here on first use: flat q*q tables (one ``take`` at a*q + b), and the
-F_p-digits and F_p-multiplication matrix of each element.  Each view is a
-Python loop of up to q*q steps, refused before it starts when q*q > NP_TABLE_GUARD.
+built here on first use: flat q*q tables (one ``take`` at a*q + b), which
+vadd, vsub, vmul and vneg apply elementwise to arrays, and the F_p-digits
+and F_p-multiplication matrix of each element.  Each view is a Python loop
+of up to q*q steps, refused before it starts when q*q > NP_TABLE_GUARD.
 
 A FieldSpec is immutable after construction; every operation is pure.
 """
@@ -212,9 +213,6 @@ class FieldSpec:
             return pow(a, -1, self.p)
         return self.pow(a, self.q - 2)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, n: int) -> int:
         """a**n with the convention 0**0 = 1."""
         if n < 0:
@@ -249,6 +247,22 @@ class FieldSpec:
         """Flat q*q table: np_mul[a*q + b] = a * b."""
         return self._flat_table(self.mul)
 
+    def vadd(self, a, b) -> np.ndarray:
+        """a + b elementwise for integer arrays (or ints) a and b that broadcast, via np_add."""
+        return self.np_add.take(np.multiply(a, self.q, dtype=np.int64) + b)
+
+    def vsub(self, a, b) -> np.ndarray:
+        """a - b elementwise, via np_sub."""
+        return self.np_sub.take(np.multiply(a, self.q, dtype=np.int64) + b)
+
+    def vmul(self, a, b) -> np.ndarray:
+        """a * b elementwise, via np_mul."""
+        return self.np_mul.take(np.multiply(a, self.q, dtype=np.int64) + b)
+
+    def vneg(self, a) -> np.ndarray:
+        """-a elementwise: row 0 of np_sub."""
+        return self.np_sub.take(a)
+
     @_numpy_view
     def np_inv(self) -> np.ndarray:
         """np_inv[a] = 1/a for a != 0; np_inv[0] = 0 is a placeholder."""
@@ -266,6 +280,11 @@ class FieldSpec:
         images = [[self.mul(a, p**s) for s in range(e)] for a in range(self.q)]
         # images give the columns of each matrix; digits index the rows
         return _frozen(self.np_digits[images].transpose(0, 2, 1))
+
+    @property
+    def element_dtype(self) -> np.dtype:
+        """The narrowest unsigned type that holds every element: one byte for q <= 256."""
+        return np.min_scalar_type(self.q - 1)
 
     def elements(self) -> range:
         return range(self.q)

@@ -370,16 +370,66 @@ def np_hyperplane_counts(field: FieldSpec, D: np.ndarray) -> np.ndarray:
 
 def np_paired_dots(field: FieldSpec, Y: np.ndarray, W: np.ndarray) -> np.ndarray:
     """B x r values y_b . w over F_q for the r rows w of each W[b], Y being B x c."""
-    q, add, mul = field.q, field.np_add, field.np_mul
     dots = np.zeros(W.shape[:2], dtype=np.int64)
     for j in range(Y.shape[1]):
-        dots = add.take(dots * q + mul.take(Y[:, j, None] * q + W[:, :, j]))
+        dots = field.vadd(dots, field.vmul(Y[:, j, None], W[:, :, j]))
     return dots
 
 
 def np_block_rows(field: FieldSpec, n: int) -> int:
     """Rows per np_dots call so that one call produces about DOT_BLOCK entries."""
     return max(1, DOT_BLOCK // (n * field.e))
+
+
+def class_count(q: int, k: int) -> int:
+    """The number of projective classes of F_q^k: (q^k - 1) / (q - 1)."""
+    return (q**k - 1) // (q - 1)
+
+
+def np_class_reps(q: int, k: int) -> np.ndarray:
+    """Every projective class of F_q^k as a P x k array, in canonical order.
+
+    A class is represented by its vector (0..0, 1, tail), whose first
+    nonzero coordinate is 1.  With t tail digits its canonical index is
+    q^t + idx(tail), so the classes in ascending index are the ranges
+    [q^t, 2 q^t), t = 0..k-1.
+    """
+    return np_digits(q, k, np.concatenate([np.arange(q**t, 2 * q**t) for t in range(k)]))
+
+
+def np_class_codewords(field: FieldSpec, rows: np.ndarray) -> np.ndarray:
+    """Codewords (y.d_1, ..., y.d_n) of the np_class_reps rows y, as a P x n matrix.
+
+    rows is D, n x k.  The matrix has the element type of the field.  It is
+    built one message coordinate c at a time, right to left.  Tail holds
+    the codewords of the q^t messages (0..0, tail) with t tail digits, in
+    canonical order.  The next Tail is a col_c + Tail for every a in F_q,
+    a most significant, and its a = 1 block is the classes (0..0, 1, tail)
+    with their 1 at c; at c = 0 only that block is built.  Each step is one
+    take of the flat add table at q x + y.
+    """
+    n, k = rows.shape
+    q, dtype = field.q, field.element_dtype
+    add = field.np_add.astype(dtype)
+    # scaled[c, a] = q (a col_c), in q x 1 x n blocks: the x of q x + y
+    cols = rows.T[:, None, None]
+    scaled = field.np_mul.take(np.arange(0, q * q, q)[:, None, None] + cols) * q
+    out = np.empty((class_count(q, k), n), dtype=dtype)
+    tail = np.zeros((1, n), dtype=dtype)
+    start = 0
+    for c in range(k - 1, 0, -1):
+        t = len(tail)
+        tail = add.take(scaled[c] + tail).reshape(-1, n)
+        out[start:start + t] = tail[t:2 * t]  # a = 1: the classes with their 1 at c
+        start += t
+    out[start:] = add.take(scaled[0, 1] + tail)
+    return out
+
+
+def np_row_keys(field: FieldSpec, rows: np.ndarray) -> np.ndarray:
+    """Each row of field elements as one byte string, for exact lookup and np.unique."""
+    rows = np.ascontiguousarray(rows, dtype=field.element_dtype)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
 
 def np_ranks(field: FieldSpec, M) -> np.ndarray:
@@ -438,6 +488,7 @@ def write_matrix(out: Union[str, TextIO], field: FieldSpec, rows: Sequence[Seque
 
 
 def read_matrix(src: Union[str, TextIO]) -> tuple[FieldSpec, list[Vec]]:
+    """The field and integer rows of the matrix text format; DefiningSet checks the entries."""
     if isinstance(src, str):
         with open(src, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -455,10 +506,8 @@ def read_matrix(src: Union[str, TextIO]) -> tuple[FieldSpec, list[Vec]]:
         raise ValueError(f"expected {nrows} rows, found {len(lines) - 1}")
     rows = []
     for ln in lines[1:]:
-        row = tuple(int(t) for t in ln.split())
+        row = tuple(map(int, ln.split()))
         if len(row) != m:
             raise ValueError(f"row {ln!r} has length {len(row)}, expected {m}")
-        for a in row:
-            field.check_scalar(a)
         rows.append(row)
     return field, rows

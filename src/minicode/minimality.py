@@ -6,12 +6,12 @@ coordinate normalized to 1), which is sound because supports are
 scalar-invariant and H(cy) = H(y) for c != 0.
 
 Criteria:
-  definition  brute force over ordered pairs of classes (oracle scale),
+  definition  brute force over ordered pairs of codewords (oracle scale),
   ab          the one-sided w_min/w_max > (q-1)/q weight-ratio test,
   dhz         the weight-identity test over independent codeword pairs,
   rank        dim Span(D cap H(y)) = k-1 per class, with witness bases.
 
-The class representatives are one array, built once per call.  The rank
+The class representatives are one array (linalg.np_class_reps).  The rank
 criterion scans D in a fixed stride order for a block of classes at a time,
 in hit rounds: each class's hits (the candidates orthogonal to it) are
 listed in scan order, and round r reduces the r-th hit of every class still
@@ -26,12 +26,11 @@ representatives and the P x (k-1) indices or P x (k-1) x k vectors, in the
 narrowest exact type; its producers, the verifier and the text codec work
 on them directly.  A failing class is reported with the rank its scan
 reached and a message whose codeword it covers.  The definition and dhz
-oracles read one table of the class codewords, built once per D one
-message coordinate at a time with the flat add table, and test a block of
-rows against every class at once: one support product over the upper
-triangle of S S^T (all of it, symmetric, when the block is every row), or
-one gather from the hyperplane counts.  Every field runs the same numpy
-kernels.
+oracles read D.projective_codewords, one class and its codeword per
+projective point of C(D), cached on D, and test a block of rows against
+every other row at once: one support product over the upper triangle of
+S S^T (all of it, symmetric, when the block is every row), or one gather
+from the hyperplane counts.  Every field runs the same numpy kernels.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from __future__ import annotations
 import math
 import operator
 import os
-import weakref
 from collections import abc
 from dataclasses import dataclass
 from itertools import chain
@@ -62,14 +60,16 @@ from .linalg import (
     EchelonBasis,
     SubspaceBasis,
     Vec,
+    class_count,
     index_to_vector,
     kernel_basis,
     np_block_rows,
-    np_digits,
+    np_class_reps,
     np_dots,
     np_indices,
     np_paired_dots,
     np_ranks,
+    np_row_keys,
     scale,
 )
 
@@ -284,10 +284,6 @@ def normalize_class(field: FieldSpec, y: Sequence[int]) -> Vec:
     raise ValueError("the zero vector has no projective class")
 
 
-def class_count(q: int, k: int) -> int:
-    return (q**k - 1) // (q - 1)
-
-
 def projective_classes(field: FieldSpec, k: int) -> Iterator[Vec]:
     """Canonical representatives in ascending canonical-index order."""
     q = field.q
@@ -299,89 +295,19 @@ def projective_classes(field: FieldSpec, k: int) -> Iterator[Vec]:
             yield (0,) * lead + (1,) + index_to_vector(q, tail, idx)
 
 
-def _class_array(q: int, k: int) -> np.ndarray:
-    """All P representatives as a P x k array, in projective_classes order.
-
-    (0..0, 1, tail) with t tail digits has index q^t + idx(tail), so the
-    classes in projective_classes order are the ranges [q^t, 2 q^t).
-    """
-    return np_digits(q, k, np.concatenate([np.arange(q**t, 2 * q**t) for t in range(k)]))
-
-
-def _class_codewords(D: DefiningSet) -> np.ndarray:
-    """Codewords of the _class_array rows as a P x n matrix of the narrowest exact type.
-
-    Built one message coordinate c at a time, right to left.  Tail holds
-    the codewords of the q^t messages (0..0, tail) with t tail digits, in
-    canonical order.  The next Tail is a col_c + Tail for every a in F_q,
-    a most significant, and its a = 1 block is the classes (0..0, 1, tail)
-    with their 1 at c; at c = 0 only that block is built.  Each step is one
-    take of the flat add table at q x + y.
-    """
-    field, n = D.field, D.n
-    q = field.q
-    dtype = _element_dtype(q)
-    add = field.np_add.astype(dtype)
-    # scaled[c, a] = q (a col_c), in q x 1 x n blocks: the x of q x + y
-    cols = D.vectors.T[:, None, None]
-    scaled = field.np_mul.take(np.arange(0, q * q, q)[:, None, None] + cols) * q
-    out = np.empty((class_count(q, D.k), n), dtype=dtype)
-    tail = np.zeros((1, n), dtype=dtype)
-    start = 0
-    for c in range(D.k - 1, 0, -1):
-        t = len(tail)
-        tail = add.take(scaled[c] + tail).reshape(-1, n)
-        out[start:start + t] = tail[t:2 * t]  # a = 1: the classes with their 1 at c
-        start += t
-    out[start:] = add.take(scaled[0, 1] + tail)
-    return out
-
-
-# _distinct_codeword_reps of each live D; an entry goes with its D
-_DISTINCT_CODEWORDS: "weakref.WeakKeyDictionary[DefiningSet, tuple[np.ndarray, np.ndarray]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _distinct_codeword_reps(D: DefiningSet) -> tuple[np.ndarray, np.ndarray]:
-    """(Y, words): class reps with distinct nonzero codewords, in canonical order.
-
-    Collapsing to distinct codewords keeps the definition and dhz checks
-    correct when rank(D) < k (several messages can share one codeword).
-    Computed once per D and kept, read-only, for as long as D lives, so
-    the two oracles share it.
-    """
-    got = _DISTINCT_CODEWORDS.get(D)
-    if got is None:
-        Y = _class_array(D.field.q, D.k)
-        words = _class_codewords(D)
-        _, first = np.unique(_row_keys(words, D.field.q), return_index=True)  # first of each codeword
-        keep = np.sort(first)
-        keep = keep[words[keep].any(axis=1)]
-        got = Y[keep], words[keep]
-        for a in got:
-            a.flags.writeable = False
-        _DISTINCT_CODEWORDS[D] = got
-    return got
-
-
-def _check_oracle_scale(D: DefiningSet, max_classes: int, max_n: int) -> None:
+def _check_oracle_scale(D: DefiningSet) -> None:
     P = class_count(D.field.q, D.k)
-    if P > max_classes or D.n > max_n:
+    if P > DEF_MAX_CLASSES or D.n > DEF_MAX_N:
         raise GuardError(
             f"oracle-scale guard: {P} classes x n = {D.n} exceeds "
-            f"{max_classes} x {max_n}"
+            f"{DEF_MAX_CLASSES} x {DEF_MAX_N}"
         )
 
 
 # -- criteria --------------------------------------------------------------------
 
-def is_minimal_definition(
-    D: DefiningSet,
-    max_classes: int = DEF_MAX_CLASSES,
-    max_n: int = DEF_MAX_N,
-) -> MinimalityReport:
-    """Brute force over ordered pairs of projective classes.
+def is_minimal_definition(D: DefiningSet) -> MinimalityReport:
+    """Brute force over ordered pairs of projective points of C(D).
 
     c_j is covered by c_i when |supp c_j minus supp c_i| = wt_j - S_i . S_j
     is 0, S being the 0/1 support matrix.  For a block of rows i the counts
@@ -395,8 +321,8 @@ def is_minimal_definition(
     violating pair (i, j); it is reported once every pair in its rows has
     been tested.
     """
-    _check_oracle_scale(D, max_classes, max_n)
-    Y, words = _distinct_codeword_reps(D)
+    _check_oracle_scale(D)
+    Y, words = D.projective_codewords
     S = (words != 0).astype(np.float32 if D.n < 2**24 else np.float64)
     wt = S.sum(axis=1)
     R = len(S)
@@ -447,30 +373,27 @@ def ab_condition(D: DefiningSet) -> MinimalityReport:
     return MinimalityReport("ab", INCONCLUSIVE, witness=(we.w_min, we.w_max))
 
 
-def dhz_criterion(
-    D: DefiningSet,
-    max_classes: int = DEF_MAX_CLASSES,
-    max_n: int = DEF_MAX_N,
-) -> MinimalityReport:
+def dhz_criterion(D: DefiningSet) -> MinimalityReport:
     """Weight-identity test over ordered pairs of independent codewords.
 
     Minimal iff sum_{c != 0} wt(a + c b) != (q-1) wt(a) - wt(b) for every
-    pair of linearly independent codewords; projective representatives
-    suffice on both sides of the pair.  a + c b is the codeword of the
+    pair of linearly independent codewords.  Scalar multiples change
+    neither side, so the pairs run over D.projective_codewords, whose
+    codewords are pairwise independent.  a + c b is the codeword of the
     message y_a + c y_b, so each weight is n - N at that message, N being
     D.hyperplane_counts: a pair costs (q-1) k table lookups, not n.
     """
-    _check_oracle_scale(D, max_classes, max_n)
-    Y, _ = _distinct_codeword_reps(D)
+    _check_oracle_scale(D)
+    Y, _ = D.projective_codewords
     field, n, N = D.field, D.n, D.hyperplane_counts
     q, R = field.q, len(Y)
-    cY = field.np_mul.take(np.arange(1, q)[:, None, None] * q + Y)  # cY[c-1] = c Y
+    cY = field.vmul(np.arange(1, q)[:, None, None], Y)  # cY[c-1] = c Y
     wt = n - N.take(np_indices(q, Y))
     # a block of rows i gathers N[y_i + c y_j] for every c and j in one take
     step = max(1, linalg.DOT_BLOCK // max(1, cY.size))
     for start in range(0, R, step):
         Yi = Y[start:start + step, None, None, :]
-        msgs = field.np_add.take(Yi * q + cY)
+        msgs = field.vadd(Yi, cY)
         lhs = (q - 1) * n - N.take(np_indices(q, msgs)).sum(axis=1)
         bad = lhs == (q - 1) * wt[start:start + step, None] - wt
         at = np.arange(len(bad))
@@ -572,7 +495,7 @@ def rank_criterion_code(
         raise BudgetExceededError(
             f"estimated {estimated} field ops exceed the budget {limit}"
         )
-    reps = _class_array(q, k).astype(_element_dtype(q))
+    reps = np_class_reps(q, k).astype(field.element_dtype)
     order = _scan_order(n)
     rows, cols = D.vectors[order], D.digit_columns[:, order]  # D in scan order
     entries = np.empty((P, k - 1), dtype=np.min_scalar_type(n))
@@ -722,14 +645,14 @@ def verify_certificate(D: DefiningSet, cert: Certificate) -> bool:
         if not _within(E, lo, hi):
             return False
         if vectors:
-            keys = _row_keys(D.vectors, q)
+            keys = np_row_keys(field, D.vectors)
             order = np.argsort(keys)
             members = keys[order]
         step = np_block_rows(field, k * k)
         for start in range(0, P, step):
             Eb = E[start:start + step]
             if vectors:  # the D position of each entry, if it is a member
-                wanted = _row_keys(Eb.reshape(-1, k), q)
+                wanted = np_row_keys(field, Eb.reshape(-1, k))
                 at = np.searchsorted(members, wanted)
                 if (at == members.size).any() or (members[at] != wanted).any():
                     return False
@@ -741,24 +664,13 @@ def verify_certificate(D: DefiningSet, cert: Certificate) -> bool:
             if np_paired_dots(field, Yb, W).any() or (np_ranks(field, W) != k - 1).any():
                 return False
     # P distinct representatives are every projective class once
-    rep_keys = np.sort(_row_keys(Y, q))
+    rep_keys = np.sort(np_row_keys(field, Y))
     return bool((rep_keys[1:] != rep_keys[:-1]).all())
 
 
 def _within(A: np.ndarray, lo: int, hi: int) -> bool:
     """Whether every entry of A lies in lo..hi."""
     return not A.size or (lo <= A.min() and A.max() <= hi)
-
-
-def _element_dtype(q: int) -> np.dtype:
-    """The narrowest unsigned type that holds every element of F_q: one byte for q <= 256."""
-    return np.min_scalar_type(q - 1)
-
-
-def _row_keys(rows: np.ndarray, q: int) -> np.ndarray:
-    """Each row of F_q elements as one byte string, for exact lookup."""
-    rows = np.ascontiguousarray(rows, dtype=_element_dtype(q))
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
 
 def write_certificate(out: Union[str, TextIO], cert: Certificate) -> None:

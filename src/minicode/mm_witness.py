@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import construction_bug
 from .families import FunctionSpec, MaioranaMcFarland, TheoremId
 from .gf import FieldSpec
 from .linalg import (
@@ -26,11 +27,6 @@ from .linalg import (
     np_paired_dots,
     np_vectors,
 )
-from .witness import _add, _fail, _mul, _neg
-
-
-def _sub(field: FieldSpec, a, b) -> np.ndarray:
-    return field.np_sub.take(np.multiply(a, field.q) + b)
 
 
 def _lows(field: FieldSpec, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -42,7 +38,7 @@ def _lows(field: FieldSpec, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     at, j = np.arange(G)[:, None], np.arange(n - 1)
     p = (R != 0).argmax(axis=1)
     free = j + (j >= p[:, None])
-    coef = _neg(field, _mul(field, field.np_inv.take(R[at[:, 0], p])[:, None], R))
+    coef = field.vneg(field.vmul(field.np_inv.take(R[at[:, 0], p])[:, None], R))
     out = np.zeros((G, n - 1, n), dtype=np.int64)
     out[at, j, free] = 1
     out[at, j, p[:, None]] = coef[at, free]
@@ -54,7 +50,7 @@ def _point(field: FieldSpec, R: np.ndarray, b) -> np.ndarray:
     at = np.arange(len(R))
     p = (R != 0).argmax(axis=1)
     x = np.zeros_like(R)
-    x[at, p] = _mul(field, field.np_inv.take(R[at, p]), b)
+    x[at, p] = field.vmul(field.np_inv.take(R[at, p]), b)
     return x
 
 
@@ -65,8 +61,7 @@ def _solutions(field: FieldSpec, R: np.ndarray, b) -> np.ndarray:
     """
     lows, _ = _lows(field, R)
     x0 = _point(field, R, b)
-    return _add(field, np.concatenate([np.zeros_like(lows[:, :1]), lows], axis=1),
-                x0[:, None])
+    return field.vadd(np.concatenate([np.zeros_like(lows[:, :1]), lows], axis=1), x0[:, None])
 
 
 def _solve2(field: FieldSpec, R1: np.ndarray, R2: np.ndarray, b1, b2) -> np.ndarray:
@@ -85,26 +80,26 @@ def _solve2(field: FieldSpec, R1: np.ndarray, R2: np.ndarray, b1, b2) -> np.ndar
     A, a = np.where(swap[:, None], R2, R1), np.where(swap, b2, b1)
     B, b = np.where(swap[:, None], R1, R2), np.where(swap, b1, b2)
     inv = field.np_inv.take(A[at, p1])
-    A, a = _mul(field, inv[:, None], A), _mul(field, inv, a)
+    A, a = field.vmul(inv[:, None], A), field.vmul(inv, a)
     lead = B[at, p1]
-    B, b = _sub(field, B, _mul(field, lead[:, None], A)), _sub(field, b, _mul(field, lead, a))
+    B, b = field.vsub(B, field.vmul(lead[:, None], A)), field.vsub(b, field.vmul(lead, a))
     p2 = (B != 0).argmax(axis=1)
     inv = field.np_inv.take(B[at, p2])  # 0 when B is zero: then b and x[p2] stay 0
-    b = _mul(field, inv, b)
-    a = _sub(field, a, _mul(field, A[at, p2], b))
+    b = field.vmul(inv, b)
+    a = field.vsub(a, field.vmul(A[at, p2], b))
     x = np.zeros_like(R1)
     x[at, p2] = b
     x[at, p1] = a
     dots = np_paired_dots(field, x, np.stack([R1, R2], axis=1))
     if (dots != np.stack([b1, b2], axis=1)).any():
-        raise _fail("a two-row system of the Maiorana-McFarland proof is inconsistent")
+        raise construction_bug("a two-row system of the Maiorana-McFarland proof is inconsistent")
     return x
 
 
 def _first(ok: np.ndarray, what: str) -> np.ndarray:
     """The first candidate along axis 1 that passes, for every row of ok."""
     if not ok.any(axis=1).all():
-        raise _fail(f"no {what}")
+        raise construction_bug(f"no {what}")
     return ok.argmax(axis=1)
 
 
@@ -132,18 +127,18 @@ def case2_alphas(thm: TheoremId, f: FunctionSpec, omega: np.ndarray) -> np.ndarr
         idx is a scalar or has a leading class axis (of length 1 when shared).
         """
         w = w2[at].reshape((len(at),) + (1,) * (np.ndim(idx) - 1) + (t,))
-        return _sub(field, phi[idx], w)
+        return field.vsub(phi[idx], w)
 
     at = np.flatnonzero(w1.any(axis=1))
     A[at, :s, :s] = _solutions(field, w1[at], c)
     if thm is TheoremId.C1:
         a = np.arange(q)
         ok = (phi[a * unit[0]] != w2[at, None]).any(axis=2)
-        ok &= _mul(field, a, w1[at, :1]) != c
+        ok &= field.vmul(a, w1[at, :1]) != c
         a = _first(ok, "scalar a with phi(a e_1) != omega_2 and omega_1.(a e_1) != c")
         A[at, s:, 0] = a[:, None]
         A[at, s:, s:] = _solutions(field, rows(at, a * unit[0]),
-                                   _sub(field, _mul(field, a, w1[at, 0]), c))
+                                   field.vsub(field.vmul(a, w1[at, 0]), c))
     else:
         via0 = off0[at]  # phi(0) != omega_2
         sub = at[via0]
@@ -151,13 +146,13 @@ def case2_alphas(thm: TheoremId, f: FunctionSpec, omega: np.ndarray) -> np.ndarr
         via_e1 = ~via0 & (w1[at, 0] != 1)
         sub = at[via_e1]
         A[sub, s:, 0] = 1
-        A[sub, s:, s:] = _solutions(field, rows(sub, unit[0]), _sub(field, w1[sub, 0], 1))
+        A[sub, s:, s:] = _solutions(field, rows(sub, unit[0]), field.vsub(w1[sub, 0], 1))
         sub = at[~via0 & ~via_e1]
         r1 = rows(sub, unit[0])
         A[sub, s:m - 1, 0] = 1
         A[sub, s:m - 1, s:] = _lows(field, r1)[0]
         A[sub, m - 1, 1] = 1
-        A[sub, m - 1, s:] = _solve2(field, r1, rows(sub, unit[1]), 1, _sub(field, w1[sub, 1], 1))
+        A[sub, m - 1, s:] = _solve2(field, r1, rows(sub, unit[1]), 1, field.vsub(w1[sub, 1], 1))
 
     at = np.flatnonzero(~w1.any(axis=1) & off0)
     A[at, :t, s:] = _solutions(field, rows(at, 0), negc)
@@ -187,18 +182,18 @@ def case2_alphas(thm: TheoremId, f: FunctionSpec, omega: np.ndarray) -> np.ndarr
         X = rows(at, a[None] * unit[0])  # G x (q-1) x t
         p = (r1 != 0).argmax(axis=1)
         g = np.arange(len(at))
-        lam = _mul(field, X[g, :, p], field.np_inv.take(r1[g, p])[:, None])
-        out = (X != _mul(field, lam[:, :, None], r1[:, None])).any(axis=2)
+        lam = field.vmul(X[g, :, p], field.np_inv.take(r1[g, p])[:, None])
+        out = (X != field.vmul(lam[:, :, None], r1[:, None])).any(axis=2)
         found = out.any(axis=1)
         a_out = 1 + out[found].argmax(axis=1)
         sub = at[found]
         A[sub, m - 1, 0] = a_out
         A[sub, m - 1, s:] = _solve2(field, X[found, a_out - 1], r1[found], negc,
-                                    _add(field, _neg(field, _mul(field, a_out, c)), 1))
+                                    field.vadd(field.vneg(field.vmul(a_out, c)), 1))
         at, r1 = at[~found], r1[~found]
     eta = _solve2(field, rows(at, unit[1]), r1, 0, 1)
     A[at, m - 1, 1] = 1
-    A[at, m - 1, s:] = _add(field, A[at, t, s:], eta)
+    A[at, m - 1, s:] = field.vadd(A[at, t, s:], eta)
     return A
 
 
@@ -222,7 +217,7 @@ def case3_alphas(f: FunctionSpec, values: np.ndarray, v: np.ndarray) -> np.ndarr
     J[at, :t - 1] = s + free
     A[at, t - 1:m - 1, :s] = np.eye(s, dtype=np.int64)
     A[at, t - 1:m - 1, s:] = _point(field, np.repeat(v2[at], s, axis=0),
-                                    _neg(field, v1[at]).ravel()).reshape(len(at), s, t)
+                                    field.vneg(v1[at]).ravel()).reshape(len(at), s, t)
     J[at, t - 1:] = np.arange(s)
     at = np.flatnonzero(~v2.any(axis=1))
     A[at, :s - 1, :s], free = _lows(field, v1[at])
@@ -230,7 +225,7 @@ def case3_alphas(f: FunctionSpec, values: np.ndarray, v: np.ndarray) -> np.ndarr
     A[at, s - 1:m - 1, s:] = np.eye(t, dtype=np.int64)
     J[at, s - 1:] = s + np.arange(t)
     if q > 2:
-        A[:, m - 1] = _mul(field, 2, A[:, 0])
+        A[:, m - 1] = field.vmul(2, A[:, 0])
     else:
         A[:, m - 1] = _first_extending(field, values, v, A[:, :m - 1], J)
     return A
@@ -249,16 +244,16 @@ def _first_extending(field: FieldSpec, values: np.ndarray, v: np.ndarray,
     """
     q, (G, m) = field.q, v.shape
     Z = np.zeros((G, m), dtype=np.int64)
-    Z[np.arange(G)[:, None], J] = _neg(field, values.take(np_indices(q, partial)))
+    Z[np.arange(G)[:, None], J] = field.vneg(values.take(np_indices(q, partial)))
     out = np.zeros((G, m), dtype=np.int64)
     todo, start = np.arange(G), 1
     while len(todo):
         if start == q**m:
-            raise _fail("no hyperplane vector extends the case-3 lift span")
+            raise construction_bug("no hyperplane vector extends the case-3 lift span")
         stop = min(q**m, start + np_block_rows(field, 2 * len(todo)))
         X = np_vectors(q, m, start, stop)
         dots = np_dots(field, np.concatenate([v[todo], Z[todo]]), np_digit_columns(field, X))
-        hit = (dots[:len(todo)] == 0) & (_add(field, dots[len(todo):], values[start:stop]) != 0)
+        hit = (dots[:len(todo)] == 0) & (field.vadd(dots[len(todo):], values[start:stop]) != 0)
         got = hit.any(axis=1)
         out[todo[got]] = X[hit[got].argmax(axis=1)]
         todo, start = todo[~got], stop

@@ -51,7 +51,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConstructionError
+from .errors import construction_bug
 from .families import (
     FunctionSpec,
     MaioranaMcFarland,
@@ -68,6 +68,7 @@ from .linalg import (
     enumerate_vectors,
     kernel_basis,
     np_block_rows,
+    np_class_reps,
     np_indices,
     np_paired_dots,
     np_ranks,
@@ -80,7 +81,8 @@ from .linalg import (
     vector_to_index,
     weight,
 )
-from .minimality import Certificate, CertificateClasses, _class_array, _element_dtype
+from .minimality import Certificate, CertificateClasses
+from .mm_witness import case2_alphas, case3_alphas
 
 
 @dataclass(frozen=True)
@@ -89,10 +91,6 @@ class WitnessBasis:
 
     kind: tuple
     vectors: tuple[Vec, ...]
-
-
-def _fail(msg: str) -> ConstructionError:
-    return ConstructionError(f"witness construction bug: {msg}")
 
 
 # -- lemma-level bases ---------------------------------------------------------
@@ -134,9 +132,9 @@ def full_weight_basis(field: FieldSpec, m: int) -> WitnessBasis:
         min_wt = m
     wb = WitnessBasis(("full_weight",), tuple(rows))
     if rank(field, rows) != m:
-        raise _fail(f"full-weight rows not independent for q={q}, m={m}")
+        raise construction_bug(f"full-weight rows not independent for q={q}, m={m}")
     if any(weight(r) < min_wt for r in rows):
-        raise _fail(f"full-weight rows below weight {min_wt} for q={q}, m={m}")
+        raise construction_bug(f"full-weight rows below weight {min_wt} for q={q}, m={m}")
     return wb
 
 
@@ -160,9 +158,9 @@ def unit_inner_basis(field: FieldSpec, omega: Sequence[int]) -> WitnessBasis:
     wb = WitnessBasis(("unit_inner", tuple(omega)), tuple(rows))
     for r in rows:
         if dot(field, omega, r) != 1 or not 1 <= weight(r) <= 2:
-            raise _fail("unit-inner row violates its constraints")
+            raise construction_bug("unit-inner row violates its constraints")
     if rank(field, rows) != m:
-        raise _fail("unit-inner rows not independent")
+        raise construction_bug("unit-inner rows not independent")
     return wb
 
 
@@ -176,9 +174,9 @@ def hyperplane_low_weight_basis(field: FieldSpec, v: Sequence[int]) -> WitnessBa
     wb = WitnessBasis(("hyperplane", tuple(v)), tuple(rows))
     for r in rows:
         if dot(field, v, r) != 0 or not 1 <= weight(r) <= 2:
-            raise _fail("hyperplane row violates its constraints")
+            raise construction_bug("hyperplane row violates its constraints")
     if rank(field, rows) != m - 1:
-        raise _fail("hyperplane rows not independent")
+        raise construction_bug("hyperplane rows not independent")
     return wb
 
 
@@ -202,14 +200,14 @@ def linear_system_solutions(
         raise ValueError("inconsistent linear system")
     sols = [x0] + [vec_add(field, x0, kv) for kv in kernel_basis(field, rows, n)]
     if rank(field, sols) != len(sols):
-        raise _fail("solution set unexpectedly dependent")
+        raise construction_bug("solution set unexpectedly dependent")
     return sols
 
 
 def _first_solution(field: FieldSpec, rows: Sequence[Vec], rhs: Sequence[int]) -> Vec:
     x0 = solve(field, rows, rhs)
     if x0 is None:
-        raise _fail(f"system {rows} = {rhs} is inconsistent")
+        raise construction_bug(f"system {rows} = {rhs} is inconsistent")
     return x0
 
 
@@ -261,23 +259,23 @@ def _verify_theorem_witness(f: FunctionSpec, u: int, v: Vec, wb: WitnessBasis) -
     field, m = f.field, f.m
     alphas = wb.vectors
     if len(alphas) != m:
-        raise _fail(f"expected {m} vectors, got {len(alphas)}")
+        raise construction_bug(f"expected {m} vectors, got {len(alphas)}")
     if any(not any(a) for a in alphas):
-        raise _fail("witness contains the zero vector")
+        raise construction_bug("witness contains the zero vector")
     if u != 0:
         omega = _omega_of(field, u, v) if any(v) else (0,) * m
         for a in alphas:
             if f.eval(a) != dot(field, omega, a):
-                raise _fail(f"f(alpha) != omega.alpha at alpha={a}")
+                raise construction_bug(f"f(alpha) != omega.alpha at alpha={a}")
         if rank(field, alphas) != m:
-            raise _fail("case 1/2 vectors are not a basis")
+            raise construction_bug("case 1/2 vectors are not a basis")
     else:
         for a in alphas:
             if dot(field, v, a) != 0:
-                raise _fail(f"alpha={a} is outside the hyperplane")
+                raise construction_bug(f"alpha={a} is outside the hyperplane")
         lifts = [(f.eval(a),) + a for a in alphas]
         if rank(field, lifts) != m:
-            raise _fail("case 3 lifts are not independent")
+            raise construction_bug("case 3 lifts are not independent")
 
 
 def _case1_vectors(thm: TheoremId, f: FunctionSpec) -> list[Vec]:
@@ -387,14 +385,14 @@ def _case2_monomial(thm: TheoremId, f: FunctionSpec, omega: Vec) -> list[Vec]:
             if f.eval(lows[i]) != dot(field, omega, lows[i])
         ]
         if len(offending) > 1:
-            raise _fail("more than one low vector misses its monomial value")
+            raise construction_bug("more than one low vector misses its monomial value")
         if offending:
             i1 = offending[0]
             j0 = next(
                 (j for j, s in enumerate(supports) if s == {i0 + 1, i1 + 1}), None
             )
             if j0 is None:
-                raise _fail("no pair monomial explains the offending vector")
+                raise construction_bug("no pair monomial explains the offending vector")
             s_j1 = sorted(i - 1 for i in supports[j1])
             live = [i2 for i2 in s_j1 if omega[i2] != 0]
             if live:
@@ -435,7 +433,7 @@ def _case2_mm(thm: TheoremId, f: FunctionSpec, omega: Vec) -> list[Vec]:
                 None,
             )
             if a is None:
-                raise _fail("no scalar a with phi(a e_1) != omega_2 and "
+                raise construction_bug("no scalar a with phi(a e_1) != omega_2 and "
                             "omega_1.(a e_1) != c")
             ae1 = scale(field, a, unit_vector(s, 1))
             row = vec_sub(field, _phi_at(f, ae1), w2)
@@ -477,7 +475,7 @@ def _case2_mm(thm: TheoremId, f: FunctionSpec, omega: Vec) -> list[Vec]:
                     None,
                 )
                 if ai is None:
-                    raise _fail(f"no nonzero a with phi(a e_{i}) != omega_2")
+                    raise construction_bug(f"no nonzero a with phi(a e_{i}) != omega_2")
                 aei = scale(field, ai, ei)
                 gi = _first_solution(
                     field, [vec_sub(field, _phi_at(f, aei), w2)], [field.neg(c)]
@@ -490,7 +488,7 @@ def _case2_mm(thm: TheoremId, f: FunctionSpec, omega: Vec) -> list[Vec]:
                 None,
             )
             if i0 is None:
-                raise _fail("phi hits omega_2 on every e_i, impossible for "
+                raise construction_bug("phi hits omega_2 on every e_i, impossible for "
                             "an injection with s >= 2")
             for i in range(1, s + 1):
                 beta = (unit_vector(s, i0) if i == i0
@@ -534,7 +532,7 @@ def _case2_mm(thm: TheoremId, f: FunctionSpec, omega: Vec) -> list[Vec]:
     row2 = vec_sub(field, _phi_at(f, e2s), w2)
     eta = solve(field, [row2, row1], [0, 1])
     if eta is None:
-        raise _fail(
+        raise construction_bug(
             "phi(e_2) - omega_2 dependent on phi(e_1) - omega_2; the "
             "injectivity argument does not cover this instance"
         )
@@ -610,19 +608,19 @@ def _case3_mm(thm: TheoremId, f: FunctionSpec, v: Vec) -> list[Vec]:
     lifts = EchelonBasis(field, m + 1)
     for a in partial:
         if not lifts.add((f.eval(a),) + a):
-            raise _fail("partial case-3 lifts unexpectedly dependent")
+            raise construction_bug("partial case-3 lifts unexpectedly dependent")
 
     if field.q > 2:
         cand = scale(field, 2, partial[0])
         if not lifts.add((f.eval(cand),) + cand):
-            raise _fail("2*alpha_1 does not extend the case-3 lift span")
+            raise construction_bug("2*alpha_1 does not extend the case-3 lift span")
         return partial + [cand]
     for x in enumerate_vectors(field, m):
         if dot(field, v, x) != 0:
             continue
         if lifts.add((f.eval(x),) + x):
             return partial + [x]
-    raise _fail("no hyperplane vector extends the case-3 lift span")
+    raise construction_bug("no hyperplane vector extends the case-3 lift span")
 
 
 # -- certificates ----------------------------------------------------------------
@@ -653,18 +651,6 @@ def witness_certificate(thm: TheoremId, f: FunctionSpec) -> Certificate:
 
 # -- batched builder --------------------------------------------------------------
 
-def _add(field: FieldSpec, a, b) -> np.ndarray:
-    return field.np_add.take(np.multiply(a, field.q) + b)
-
-
-def _mul(field: FieldSpec, a, b) -> np.ndarray:
-    return field.np_mul.take(np.multiply(a, field.q) + b)
-
-
-def _neg(field: FieldSpec, a) -> np.ndarray:
-    return field.np_sub.take(a)  # row 0 of the table: 0 - a
-
-
 def _batched_arrays(thm: TheoremId, f: FunctionSpec) -> tuple[np.ndarray, np.ndarray]:
     """(reps, lifts): every class in canonical order and its m lifted witnesses.
 
@@ -675,8 +661,8 @@ def _batched_arrays(thm: TheoremId, f: FunctionSpec) -> tuple[np.ndarray, np.nda
     field, m = f.field, f.m
     q, k = field.q, m + 1
     values = np.array(f.materialize().variant.values, dtype=np.int64)
-    reps = _class_array(q, k)
-    dtype = _element_dtype(q)
+    reps = np_class_reps(q, k)
+    dtype = field.element_dtype
     out = np.empty((len(reps), m, k), dtype=dtype)
     step = np_block_rows(field, k * k)
     for start in range(0, len(reps), step):
@@ -705,7 +691,7 @@ def _check_block(field: FieldSpec, Y: np.ndarray, lifts: np.ndarray) -> None:
     if bad.any():
         i = int(bad.argmax())
         why = "a lift is not orthogonal to it" if dots[i].any() else "rank below m"
-        raise _fail(f"class {tuple(Y[i].tolist())} fails the post-condition: {why}")
+        raise construction_bug(f"class {tuple(Y[i].tolist())} fails the post-condition: {why}")
 
 
 def _block_alphas(thm: TheoremId, f: FunctionSpec, values: np.ndarray,
@@ -722,10 +708,8 @@ def _block_alphas(thm: TheoremId, f: FunctionSpec, values: np.ndarray,
     case1 = (u != 0) & ~v.any(axis=1)
     if case1.any():
         A[case1] = _case1_vectors(thm, f)
-    omega = _mul(field, _neg(field, field.np_inv.take(u))[:, None], v)
+    omega = field.vmul(field.vneg(field.np_inv.take(u))[:, None], v)
     if thm in (TheoremId.C1, TheoremId.C2):
-        from .mm_witness import case2_alphas, case3_alphas  # deferred: it imports this module
-
         rows = np.flatnonzero((u != 0) & ~case1)
         A[rows] = case2_alphas(thm, f, omega[rows])
         rows = np.flatnonzero(u == 0)
@@ -748,7 +732,7 @@ def _combine(field: FieldSpec, coef: np.ndarray, i0: int, lam: np.ndarray,
     acc = np.broadcast_to(np.asarray(extra, dtype=np.int64), lam.shape[:1])
     for i in range(lam.shape[1]):
         if i != i0:
-            acc = _add(field, acc, _mul(field, lam[:, i], coef[:, i]))
+            acc = field.vadd(acc, field.vmul(lam[:, i], coef[:, i]))
     out[:, i0] = acc
     return out
 
@@ -764,7 +748,7 @@ def _group_alphas(thm: TheoremId, f: FunctionSpec, values: np.ndarray, case: int
     field, m, q = f.field, f.m, f.field.q
     G = len(w)
     inv0 = field.np_inv.take(w[:, i0])
-    coef = _neg(field, _mul(field, inv0[:, None], w))
+    coef = field.vneg(field.vmul(inv0[:, None], w))
     A = np.broadcast_to(np.eye(m, dtype=np.int64), (G, m, m)).copy()
     A[:, :, i0] = coef
     A[:, i0, i0] = 0
@@ -774,16 +758,16 @@ def _group_alphas(thm: TheoremId, f: FunctionSpec, values: np.ndarray, case: int
 
     if case == 2 and thm in (TheoremId.A1, TheoremId.A2):
         # unit_inner_basis: e_i + (1 - w_i)/w_i0 e_i0, and e_i0/w_i0 at i0
-        A[:, :, i0] = _mul(field, inv0[:, None], field.np_sub.take(q + w))
+        A[:, :, i0] = field.vmul(inv0[:, None], field.vsub(1, w))
         A[:, i0, i0] = inv0
         if thm is TheoremId.A1:
-            A = _mul(field, fvals(A)[:, :, None], A)
+            A = field.vmul(fvals(A)[:, :, None], A)
         return A
     if thm is TheoremId.A1:
         # hyperplane_low_weight_basis, closed by twice its first vector
         order = [i for i in range(m) if i != i0]
         A = A[:, order + order[:1]]
-        A[:, -1] = _mul(field, 2, A[:, -1])
+        A[:, -1] = field.vmul(2, A[:, -1])
         return A
 
     extra = 0
@@ -801,12 +785,12 @@ def _group_alphas(thm: TheoremId, f: FunctionSpec, values: np.ndarray, case: int
         j1 = next(j for j, s in enumerate(supports) if (i0 + 1) not in s)
         S = sorted(i - 1 for i in supports[j1])
         if case == 2:
-            extra = _mul(field, ms.terms[j1][0], inv0)
+            extra = field.vmul(ms.terms[j1][0], inv0)
     lam = np.zeros((G, m), dtype=np.int64)
     lam[:, S] = 1
     anchor = _combine(field, coef, i0, lam, extra)
     if thm is TheoremId.B and case == 2:
-        anchor = _mul(field, fvals(anchor)[:, None], anchor)
+        anchor = field.vmul(fvals(anchor)[:, None], anchor)
     A[:, i0] = anchor
     if thm is TheoremId.D2 and case == 2:
         _repair_d2(f, fvals(A), i0, j1, S, w, coef, A)
@@ -837,11 +821,10 @@ def _repair_d2(f: FunctionSpec, fA: np.ndarray, i0: int, j1: int, S: list[int],
     # live: lows[i1] - (w_i1/w_i2) lows[i2], i2 the first i in S with w_i != 0
     hit = np.flatnonzero(live.any(axis=1))
     i2 = np.array(S)[live[hit].argmax(axis=1)]
-    lam[hit, i2] = _neg(field, _mul(field, field.np_inv.take(w[hit, i2]), w[hit, i1]))
+    lam[hit, i2] = field.vneg(field.vmul(field.np_inv.take(w[hit, i2]), w[hit, i1]))
     # none live: lows[i1] + sum_{i in S} lows[i], with k2 in place of 1 at S[0]
     rest = np.flatnonzero(~live.any(axis=1))
     lam[np.ix_(rest, S)] = 1
     a = field.mul(field.inv(ms.terms[j1][0]), ms.terms[j0][0])
-    lam[rest, S[0]] = _mul(field, a, _mul(field, w[rest, i1],
-                                          field.np_inv.take(w[rest, i0])))
+    lam[rest, S[0]] = field.vmul(a, field.vmul(w[rest, i1], field.np_inv.take(w[rest, i0])))
     A[fix, i1] = _combine(field, coef, i0, lam)

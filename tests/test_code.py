@@ -32,7 +32,15 @@ from minicode.families import (
     validate_hypotheses,
 )
 from minicode.gf import make_field
-from minicode.linalg import dot, index_to_vector, rank, unit_vector, vector_to_index, weight
+from minicode.linalg import (
+    dot,
+    index_to_vector,
+    rank,
+    read_matrix,
+    unit_vector,
+    vector_to_index,
+    weight,
+)
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -348,6 +356,15 @@ def test_params_reports_ratio():
 def test_empty_defining_set_guard():
     with pytest.raises(GuardError):
         read_defining_set(io.StringIO("3 5 0\n"))
+
+
+@pytest.mark.parametrize("text, row", [("3 3 1\n1 2 5\n", (1, 2, 5)),
+                                       ("3 3 2\n1 2 0\n-1 0 0\n", (-1, 0, 0))])
+def test_read_defining_set_refuses_entries_outside_the_field(text, row):
+    # read_matrix only parses the integers; the DefiningSet built from them checks them
+    assert read_matrix(io.StringIO(text))[1][-1] == row
+    with pytest.raises(ValueError, match="0..2"):
+        read_defining_set(io.StringIO(text))
 
 
 def test_weight_distribution_guard():

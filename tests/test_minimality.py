@@ -7,12 +7,21 @@ import random
 import numpy as np
 import pytest
 
-from minicode.code import DefiningSet, codeword, defining_set, linearity_check
+from minicode.code import DefiningSet, codeword, defining_set, linearity_check, read_defining_set
 from minicode.errors import BudgetExceededError, CertificateFormatError, GuardError
 from minicode.families import FunctionSpec, TableFunction, get_preset
 from minicode.gf import make_field
 import minicode.linalg as linalg_mod
-from minicode.linalg import covers, dot, enumerate_vectors, index_to_vector, rank
+from minicode.linalg import (
+    class_count,
+    covers,
+    dot,
+    enumerate_vectors,
+    index_to_vector,
+    np_class_codewords,
+    np_class_reps,
+    rank,
+)
 from minicode.linalg import weight as weight_of
 from minicode.minimality import (
     Certificate,
@@ -21,7 +30,6 @@ from minicode.minimality import (
     MinimalityReport,
     ab_condition,
     cf_case_check,
-    class_count,
     dhz_criterion,
     is_minimal_definition,
     normalize_class,
@@ -32,7 +40,6 @@ from minicode.minimality import (
     verify_certificate,
     write_certificate,
 )
-from minicode.minimality import _class_array, _class_codewords, _distinct_codeword_reps
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -63,7 +70,7 @@ def test_projective_classes_count_and_order():
     assert seen == set(reps)
     # the array the criteria build lists the same representatives in order
     for field, k in ((F2, 1), (F2, 6), (F3, 3), (F4, 4), (F9, 3)):
-        assert _class_array(field.q, k).tolist() == list(map(list, projective_classes(field, k)))
+        assert np_class_reps(field.q, k).tolist() == list(map(list, projective_classes(field, k)))
 
 
 def test_normalize_class_idempotent_and_zero_rejected():
@@ -141,19 +148,30 @@ def test_dhz_sec4_f2_minimal():
     assert dhz_criterion(D).verdict == "minimal"
 
 
+def projective_words(D):
+    """(reps, words): per projective point of C(D), its first class and codeword.
+
+    The codewords are built with linalg.dot, class by class in canonical
+    order; a codeword that is zero or a multiple of an earlier one is skipped.
+    """
+    reps, words, seen = [], [], set()
+    for y in projective_classes(D.field, D.k):
+        c = tuple(dot(D.field, y, d) for d in D.vectors.tolist())
+        if any(c) and normalize_class(D.field, c) not in seen:
+            seen.add(normalize_class(D.field, c))
+            reps.append(y)
+            words.append(c)
+    return reps, words
+
+
 def dhz_reference(D):
     """The first dhz violation over codewords built with linalg.dot, or None.
 
-    Same scan order as dhz_criterion: class representatives with distinct
-    nonzero codewords in canonical order, then ordered pairs (a, b).
+    Same scan order as dhz_criterion: the projective_words, then ordered
+    pairs (a, b) of them.
     """
     field, q = D.field, D.field.q
-    reps, words = [], []
-    for y in projective_classes(field, D.k):
-        c = tuple(dot(field, y, d) for d in D.vectors.tolist())
-        if any(c) and c not in words:
-            reps.append(y)
-            words.append(c)
+    reps, words = projective_words(D)
     for i, a in enumerate(words):
         for j, b in enumerate(words):
             lhs = sum(weight_of([field.add(x, field.mul(c, z)) for x, z in zip(a, b)])
@@ -253,15 +271,10 @@ def test_budget_env_override(monkeypatch):
 def definition_reference(D):
     """The first cover over codewords built with linalg.dot, or None.
 
-    The per-row loop: class representatives with distinct nonzero codewords
-    in canonical order, then ordered pairs (a, b) with b != a covered by a.
+    The per-row loop: the projective_words, then ordered pairs (a, b) of
+    them with b != a covered by a.
     """
-    reps, words = [], []
-    for y in projective_classes(D.field, D.k):
-        c = tuple(dot(D.field, y, d) for d in D.vectors.tolist())
-        if any(c) and c not in words:
-            reps.append(y)
-            words.append(c)
+    reps, words = projective_words(D)
     for i, a in enumerate(words):
         for j, b in enumerate(words):
             if i != j and covers(b, a):
@@ -328,6 +341,43 @@ def test_definition_and_dhz_match_per_class_reference(monkeypatch, field, block)
     assert verdicts == {"minimal", "not_minimal"}
 
 
+def test_oracles_compare_codewords_up_to_scalars_on_rank_deficient_codes():
+    # two classes whose codewords are scalar multiples are one projective
+    # point of C(D): no pair of them may be reported as a cover or a dhz
+    # violation, since both criteria need linearly independent codewords
+    def independent(D, rep):
+        a, b = codeword(rep.witness.a, D), codeword(rep.witness.b, D)
+        return any(a) and any(b) and normalize_class(D.field, a) != normalize_class(D.field, b)
+
+    # D spans the minimal 1-dimensional code {0, (1, 2, 1), (2, 1, 2)}
+    D = read_defining_set(io.StringIO("3 2 3\n0 1\n0 2\n0 1\n"))
+    assert D.rank == 1
+    assert is_minimal_definition(D).verdict == dhz_criterion(D).verdict == "minimal"
+    assert ab_condition(D).verdict == "minimal"
+    # {(a, b, a + b)} is not minimal; (0, 0, 1) and (1, 0, 2) give (0, 1, 1) and twice it
+    D = DefiningSet(F3, 3, ((0, 1, 0), (0, 0, 1), (0, 1, 1)))
+    for rep in (is_minimal_definition(D), dhz_criterion(D)):
+        assert rep.verdict == "not_minimal"
+        assert independent(D, rep)
+        assert (rep.witness.a, rep.witness.b) != ((0, 0, 1), (1, 0, 2))
+    # seeded codes, a third of them rank-deficient
+    decided = 0
+    for field in ORACLE_FIELDS + [make_field(257)]:
+        rng = random.Random(83 + field.q)
+        for D in oracle_codes(field, rng):
+            reps = is_minimal_definition(D), dhz_criterion(D)
+            assert reps[0].verdict == reps[1].verdict
+            for rep in reps:
+                assert rep.is_minimal or independent(D, rep)
+            if not reps[0].is_minimal:
+                w = reps[0].witness
+                assert covers(codeword(w.b, D), codeword(w.a, D))
+            if ab_condition(D).is_minimal:  # ab is a proof of minimality
+                assert reps[0].is_minimal
+                decided += D.rank < D.k
+    assert decided >= 5
+
+
 @pytest.mark.parametrize("block", [1, 4])
 def test_definition_blocks_match_single_block(monkeypatch, block):
     # the upper triangle of blocks, read transposed for the lower one,
@@ -343,8 +393,9 @@ def test_definition_blocks_match_single_block(monkeypatch, block):
     monkeypatch.setattr(linalg_mod, "DOT_BLOCK", block)
     earlier = 0
     for D, want in zip(codes, single):
-        Y = _distinct_codeword_reps(D)[0].tolist()
-        assert 64 * block // len(Y) < len(Y)  # two blocks or more
+        Y = D.projective_codewords[0].tolist()
+        if D.rank == D.k:  # two rank-3 codes have 13 points, one block at block = 4
+            assert 64 * block // len(Y) < len(Y)  # two blocks or more
         got = is_minimal_definition(D)
         assert got == want
         if not got.is_minimal:
@@ -354,31 +405,31 @@ def test_definition_blocks_match_single_block(monkeypatch, block):
 
 
 def test_distinct_codewords_computed_once_per_defining_set(monkeypatch):
-    # definition and dhz share one class-codeword table per D, kept
-    # read-only for as long as D lives
+    # definition and dhz share one class-codeword table per D, the cached
+    # D.projective_codewords, read-only and gone with D
     import gc
     import weakref
 
-    import minicode.minimality as minimality_mod
+    import minicode.code as code_mod
 
     calls = []
-    table = minimality_mod._class_codewords
-    monkeypatch.setattr(minimality_mod, "_class_codewords",
-                        lambda D: calls.append(D.n) or table(D))
+    table = code_mod.np_class_codewords
+    monkeypatch.setattr(code_mod, "np_class_codewords",
+                        lambda field, rows: calls.append(len(rows)) or table(field, rows))
     rng = random.Random(79)
     D = defining_set(random_table_code(F3, 3, rng))
     first = is_minimal_definition(D), dhz_criterion(D)
     assert (is_minimal_definition(D), dhz_criterion(D)) == first
     assert len(calls) == 1
-    Y, words = _distinct_codeword_reps(D)
+    Y, words = D.projective_codewords
     assert not Y.flags.writeable and not words.flags.writeable
     other = DefiningSet(F3, 2, ((1, 0), (0, 1), (1, 1)))
     dhz_criterion(other)
     assert len(calls) == 2
-    gone = weakref.ref(D)
+    gone = weakref.ref(D), weakref.ref(words)
     del D, Y, words
     gc.collect()
-    assert gone() is None
+    assert gone[0]() is None and gone[1]() is None
 
 
 @pytest.mark.parametrize("field", [F2, F3, F4, F8, F9, F64, F256, make_field(257)],
@@ -395,7 +446,7 @@ def test_class_codewords_match_per_class_dot(field):
              random_defining_set(field, 1, n, 1, rng)]
     top = 0
     for D in codes:
-        words = _class_codewords(D)
+        words = np_class_codewords(field, D.vectors)
         assert words.dtype == np.min_scalar_type(q - 1)
         assert words.tolist() == [[dot(field, y, d) for d in D.vectors.tolist()]
                                   for y in projective_classes(field, D.k)]
