@@ -117,8 +117,7 @@ class DefiningSet:
         words = np_class_codewords(field, self.vectors)
         if self.rank < self.k:
             lead = words[np.arange(len(words)), (words != 0).argmax(axis=1)]
-            mul = field.np_mul.astype(field.element_dtype).reshape(field.q, field.q)
-            scaled = mul[field.np_inv.take(lead)[:, None], words]  # a zero row stays 0
+            scaled = field.vmul(field.np_inv.take(lead)[:, None], words)  # a zero row stays 0
             _, first = np.unique(np_row_keys(field, scaled), return_index=True)
             keep = np.sort(first)
             keep = keep[lead[keep] != 0]

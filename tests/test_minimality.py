@@ -295,6 +295,15 @@ def random_defining_set(field, k, n, r, rng):
     return DefiningSet(field, k, tuple(rows))
 
 
+def full_rank_defining_set(field, k, n, rng):
+    """random_defining_set(field, k, n, k, rng), drawn again until D has rank k."""
+    assert n >= k
+    while True:
+        D = random_defining_set(field, k, n, k, rng)
+        if D.rank == k:
+            return D
+
+
 ORACLE_FIELDS = [F2, F3, F4, make_field(5), F8, F9]
 
 
@@ -387,15 +396,14 @@ def test_definition_blocks_match_single_block(monkeypatch, block):
     rng = random.Random(73)
     codes = [defining_set(random_table_code(F, m, rng))
              for F, m, count in ((F2, 5, 8), (F3, 3, 8), (F4, 2, 4)) for _ in range(count)]
-    codes += [random_defining_set(F3, 4, rng.randrange(20, 60), 4, rng) for _ in range(6)]
+    codes += [full_rank_defining_set(F3, 4, rng.randrange(20, 60), rng) for _ in range(6)]
     codes.append(defining_set(get_preset("sec5_f1").function))
     single = [is_minimal_definition(D) for D in codes]
     monkeypatch.setattr(linalg_mod, "DOT_BLOCK", block)
     earlier = 0
     for D, want in zip(codes, single):
         Y = D.projective_codewords[0].tolist()
-        if D.rank == D.k:  # two rank-3 codes have 13 points, one block at block = 4
-            assert 64 * block // len(Y) < len(Y)  # two blocks or more
+        assert 64 * block // len(Y) < len(Y)  # two blocks or more
         got = is_minimal_definition(D)
         assert got == want
         if not got.is_minimal:
