@@ -40,7 +40,7 @@ import operator
 import os
 from collections import abc
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from typing import Callable, Iterator, Optional, Sequence, TextIO, Union
 
 import numpy as np
@@ -722,15 +722,19 @@ class _Text(dict):
 def read_certificate(src: Union[str, TextIO]) -> Certificate:
     """Parse a certificate file straight into its two arrays.
 
-    The text is read a line at a time; no copy of the whole is kept.  Each
-    distinct token becomes an int once, through a self-filling int() memo.
-    In mode "vectors" each distinct k-token vector gets a row code on first
-    sight, and the entries are codes into that table of rows.  The checks
-    and their messages are those of a reader that splits the whole text
-    into lines, checks the header and the line count and then each line in
+    The text is read a line at a time and parsed READ_BLOCK non-blank lines
+    at a time; no copy of the whole is kept.  A plain block (ASCII digits,
+    spaces and tabs around one "|" per line, with k tokens before it and
+    k-1 entries after it, and no token over 18 digits) is read by numpy,
+    which finds its tokens as runs of digits.  Any other block is read a
+    line and a token at a time, with one int() per distinct token; that
+    path reads the full language (signs, "1_0", non-ASCII digits) and gives
+    every error.  Each block is narrowed as it is read.  The checks and
+    their messages are those of a reader that splits the whole text into
+    lines, checks the header and the line count and then each line in
     order: the first failing line is reported only after the count, and a
-    class with other than k-1 entries only after every line, with the
-    message Certificate's constructor gives.
+    class with other than k-1 entries, or an integer beyond 64 bits, only
+    after every line, with the message Certificate's constructor gives.
     """
     if isinstance(src, str):
         with open(src, "r", encoding="utf-8") as fh:
@@ -738,9 +742,12 @@ def read_certificate(src: Union[str, TextIO]) -> Certificate:
     return _parse_certificate(src)
 
 
+READ_BLOCK = 1024  # non-blank certificate lines parsed at once
+
+
 def _parse_certificate(stream: TextIO) -> Certificate:
     # the non-blank lines, as str.splitlines splits the whole text
-    lines = (ln for line in stream for ln in line.splitlines() if ln.strip())
+    lines = filter(str.strip, chain.from_iterable(map(str.splitlines, stream)))
     first = next(lines, None)
     if first is None:
         raise CertificateFormatError("empty certificate file")
@@ -758,51 +765,130 @@ def _parse_certificate(stream: TextIO) -> Certificate:
     mode = head[4]
     if mode not in ("indices", "vectors"):
         raise CertificateFormatError(f"unknown certificate mode {mode!r}")
+    shape = (k - 1,) if mode == "indices" else (k - 1, k)  # the entries of one class
+    top = n if mode == "indices" else q - 1
     ints = _IntReader().__getitem__
-    rows = _RowCodes(ints)
-    rep_cells: list[int] = []
-    cells: list[int] = []  # indices, or the row codes of vectors
-    short = None  # the first class with other than k - 1 entries
-    found, error = 0, None
-    try:
-        for ln in lines:
-            found += 1
-            if "|" not in ln:
-                raise CertificateFormatError(f"class line without separator: {ln!r}")
-            left, right = ln.split("|", 1)
-            tokens = right.split()
-            rep = list(map(ints, left.split()))
-            if mode == "indices":
-                cells.extend(map(ints, tokens))
-                entries = len(tokens)
-            else:
-                whole = len(tokens) - len(tokens) % k  # tokens of whole vectors
-                cells.extend(map(rows.__getitem__, zip(*[iter(tokens)] * k)))
-                list(map(ints, tokens[whole:]))  # the tokens after the last whole vector
-                entries = whole // k
-            if len(rep) != k:
-                raise CertificateFormatError(f"representative {tuple(rep)} has length != k")
-            if mode == "vectors" and whole != len(tokens):
-                raise CertificateFormatError("vector payload not a multiple of k")
-            rep_cells.extend(rep)
-            if entries != k - 1 and short is None:
-                short = _count_message(tuple(rep), entries, k)
-    except CertificateFormatError as exc:
-        error = exc
-        found += sum(1 for _ in lines)
+    reps: list[np.ndarray] = []
+    entries: list[np.ndarray] = []
+    # the first malformed line, the first class with other than k - 1
+    # entries and an integer beyond 64 bits, raised in that order after the count
+    found, error, short, overflow = 0, None, None, None
+    for block in iter(lambda: list(islice(lines, READ_BLOCK)), []):
+        found += len(block)
+        if error is not None:
+            continue  # only counted
+        arrays = _plain_block(block, k, shape)
+        if arrays is None:
+            try:
+                rep_cells, cells, short_here = _token_block(block, k, shape, ints)
+            except CertificateFormatError as exc:
+                error = exc
+                continue
+            short = short or short_here
+            if short is None and overflow is None:
+                try:
+                    arrays = _token_ints(rep_cells), _token_ints(cells)
+                except CertificateFormatError as exc:
+                    overflow = exc
+        if short is None and overflow is None:
+            reps.append(_narrow(arrays[0].reshape(len(block), k), q - 1))
+            entries.append(_narrow(arrays[1].reshape(len(block), *shape), top))
     if found != count:
         raise CertificateFormatError(f"expected {count} class lines, found {found}")
-    if error is not None:
-        raise error
-    if short is not None:
-        raise CertificateFormatError(short)
-    reps = _narrow(_token_ints(rep_cells), q - 1).reshape(count, k)
-    if mode == "indices":
-        E = _narrow(_token_ints(cells), n).reshape(count, k - 1)
+    for late in (error, short, overflow):
+        if late is not None:
+            raise late
+    return Certificate(q=q, n=n, k=k, mode=mode, classes=CertificateClasses(
+        _stack(reps, (0, k), q - 1), _stack(entries, (0, *shape), top)))
+
+
+def _plain_block(block: list[str], k: int, shape: tuple[int, ...],
+                 ) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """A plain block's representatives and entries as unsigned arrays; None for any other block.
+
+    In a plain block every token is a run of ASCII digits with a value
+    below 10^18, and each line is k of them, "|" and prod(shape) of them.
+    Each byte-sized temporary is dropped once spent, which keeps a block's
+    peak near its token positions and values.
+    """
+    L, R = len(block), k + math.prod(shape)  # lines and tokens per line
+    text = "\n" + "\n".join(block) + "\n" + " " * 18  # padded so that starts + 18 is inside
+    if not text.isascii():
+        return None
+    raw = text.encode("ascii")
+    del text
+    if raw.translate(None, b"0123456789 \t|\n"):
+        return None
+    at = np.int32 if len(raw) < 2**31 else np.int64  # a position in the block
+    b = np.frombuffer(raw, np.uint8)
+    ends = np.flatnonzero(b == ord("\n")).astype(at)  # L + 1 line breaks
+    bars = np.flatnonzero(b == ord("|")).astype(at)
+    if len(bars) != L or not ((ends[:-1] < bars) & (bars < ends[1:])).all():
+        return None  # a line without "|" or with two
+    digit = b - ord("0")  # 10 or more for any other byte
+    del b, raw
+    isdigit = digit < 10
+    starts = np.flatnonzero(isdigit[1:] > isdigit[:-1]).astype(at)
+    del isdigit
+    starts += 1
+    if len(starts) != L * R:
+        return None
+    if (np.searchsorted(starts, ends) != R * np.arange(L + 1)).any():
+        return None  # a line of other than R tokens
+    if (np.searchsorted(starts, bars) != R * np.arange(L) + k).any():
+        return None  # a line with other than k tokens before "|"
+    V = np.take(digit, starts)  # the values so far, widened as longer tokens go on
+    live = np.ones(len(starts), dtype=bool)  # tokens whose digits go on
+    for j in range(1, 19):
+        d = np.take(digit, starts + j)
+        live &= d < 10
+        if not live.any():
+            break
+        V = V.astype(np.min_scalar_type(10 ** (j + 1) - 1), copy=False)
+        np.multiply(V, 10, out=V, where=live)
+        np.add(V, d, out=V, where=live)
     else:
-        table = _narrow(_token_ints(rows.cells), q - 1).reshape(-1, k)
-        E = table[np.fromiter(cells, dtype=np.intp, count=len(cells))].reshape(count, k - 1, k)
-    return Certificate(q=q, n=n, k=k, mode=mode, classes=CertificateClasses(reps, E))
+        return None  # a token of 19 digits or more
+    V = V.reshape(L, R)
+    return V[:, :k], V[:, k:]
+
+
+def _token_block(block: list[str], k: int, shape: tuple[int, ...],
+                 ints: Callable[[str], int],
+                 ) -> tuple[list[int], list[int], Optional[CertificateFormatError]]:
+    """A block read a line and a token at a time, with int().
+
+    Returns the representatives' and the entries' integers and, for the
+    block's first class with other than k-1 entries, the error to raise
+    after every line.  A malformed line raises CertificateFormatError.
+    """
+    width = math.prod(shape[1:])  # integers per entry
+    rep_cells: list[int] = []
+    cells: list[int] = []
+    short = None
+    for ln in block:
+        if "|" not in ln:
+            raise CertificateFormatError(f"class line without separator: {ln!r}")
+        left, right = ln.split("|", 1)
+        rep = list(map(ints, left.split()))
+        items = list(map(ints, right.split()))
+        if len(rep) != k:
+            raise CertificateFormatError(f"representative {tuple(rep)} has length != k")
+        if len(items) % width:
+            raise CertificateFormatError("vector payload not a multiple of k")
+        if len(items) != (k - 1) * width and short is None:
+            short = CertificateFormatError(_count_message(tuple(rep), len(items) // width, k))
+        rep_cells += rep
+        cells += items
+    return rep_cells, cells, short
+
+
+def _stack(blocks: list[np.ndarray], empty: tuple[int, ...], top: int) -> np.ndarray:
+    """The narrowed blocks as one array, as _narrow would narrow it whole."""
+    if not blocks:
+        return _narrow(np.zeros(empty, dtype=np.int64), top)
+    wide = any(A.dtype == np.int64 for A in blocks)  # a block with an entry outside 0..top
+    return np.concatenate(blocks, dtype=np.int64 if wide else blocks[0].dtype, casting="unsafe")
 
 
 def _token_ints(cells: list[int]) -> np.ndarray:
@@ -822,23 +908,3 @@ class _IntReader(dict):
         except ValueError as exc:
             raise CertificateFormatError(str(exc)) from None
         return value
-
-
-class _RowCodes(dict):
-    """k tokens -> the row code of their vector, assigned on first sight.
-
-    cells holds the rows' integers, row after row, in code order.  A key
-    is stored with one shared string per distinct token, so it does not
-    keep the strings of the line it came from alive.
-    """
-
-    def __init__(self, ints: Callable[[str], int]) -> None:
-        super().__init__()
-        self.ints = ints
-        self.cells: list[int] = []
-        self.tokens: dict[str, str] = {}
-
-    def __missing__(self, tokens: tuple[str, ...]) -> int:
-        self.cells.extend(map(self.ints, tokens))
-        code = self[tuple([self.tokens.setdefault(t, t) for t in tokens])] = len(self)
-        return code

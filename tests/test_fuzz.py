@@ -4,19 +4,25 @@ Each reader gets arbitrary text and text shaped like its own format (a header
 of small integers and keywords, then lines of integers).  Either it returns
 a parsed object, or it raises a ValueError subclass, which the CLI maps to
 exit code 2.  read_certificate is also compared with a line-by-line reader
-that converts every token with int().
+that converts every token with int(), also across its blocks of lines.
 """
 
 import io
+from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+import numpy as np
+import pytest
+
+from hypothesis import example, given, settings, strategies as st
 
 from minicode.cli import main
 from minicode.code import DefiningSet, read_defining_set
 from minicode.errors import CertificateFormatError
-from minicode.families import FunctionSpec, read_function
+from minicode.families import FunctionSpec, TheoremId, get_preset, read_function
 from minicode.linalg import read_matrix
-from minicode.minimality import Certificate, read_certificate
+import minicode.minimality as minimality_mod
+from minicode.minimality import Certificate, read_certificate, write_certificate
+from minicode.witness import witness_certificate
 
 FUZZ = settings(max_examples=500, deadline=None, derandomize=True, database=None)
 
@@ -168,3 +174,94 @@ def read_outcome(reader, text):
 @given(st.one_of(any_text, certificate_text, codec_text()))
 def test_read_certificate_matches_int_per_token_reader(text):
     assert read_outcome(read_certificate, text) == read_outcome(reference_read_certificate, text)
+
+
+def typed_outcome(reader, text):
+    """read_outcome, with the dtypes of a parsed certificate's two arrays."""
+    out = read_outcome(reader, text)
+    if isinstance(out, Certificate):
+        return out, out.classes.reps.dtype, out.classes.entries.dtype
+    return out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(certificate_text, codec_text()))
+# blocks whose token counts add up although a line's do not: a line's surplus
+# made up by the next line's representative, or by its entries, and a line
+# without "|" beside one with two when k = 1
+@example("3 7 2 2 indices\n1 0 | 3 4\n1 | 5\n")
+@example("3 7 2 2 indices\n1 0 2 |\n0 1 | 3\n")
+@example("3 7 1 2 indices\n1\n| 1 |\n")
+@example("3 7 1 2 vectors\n1 |\n| 1\n")
+def test_read_certificate_matches_int_per_token_reader_across_blocks(text):
+    # blocks of two lines: a plain block beside one read token by token
+    # gives the same arrays, dtypes and first error as one pass over the text
+    with mock.patch.object(minimality_mod, "READ_BLOCK", 2):
+        assert typed_outcome(read_certificate, text) == typed_outcome(reference_read_certificate, text)
+
+
+@pytest.fixture(scope="module")
+def sec7_d1_lines():
+    f = get_preset("sec7_f1").function
+    buf = io.StringIO()
+    write_certificate(buf, witness_certificate(TheoremId.D1, f))
+    return buf.getvalue().splitlines()
+
+
+def test_read_certificate_blocks_of_a_witness_certificate(sec7_d1_lines):
+    # sec7_f1's D1 witness certificate is about ten blocks; a change inside
+    # block 5 that leaves it not plain makes that block, and only it, go
+    # token by token, and every variant reads as the int()-per-token reader
+    head, body = sec7_d1_lines[0], sec7_d1_lines[1:]
+    q, n, k, count, mode = head.split()
+    block = minimality_mod.READ_BLOCK
+    assert 9 * block < len(body) <= 10 * block
+    line, late = 4 * block + 100, 7 * block + 5  # 0-based, in blocks 5 and 8
+
+    def text(*changes, header=head):
+        lines = list(body)
+        for i, new in changes:
+            lines[i] = new
+        return "\n".join([header, *lines]) + "\n"
+
+    def swap(i, at, token):  # token `at` of body line i replaced
+        tokens = body[i].split()
+        tokens[at] = token
+        return i, " ".join(tokens)
+
+    def drop(i, tokens):  # the last tokens of body line i dropped
+        return i, body[i].rsplit(" ", tokens)[0]
+
+    variants = {
+        "unchanged": (text(), 0),
+        "+1": (text(swap(line, 0, "+1")), 1),
+        "007": (text(swap(line, 12, "007")), 0),  # plain digits
+        "dropped entry at 5000": (text(drop(4999, 1)), 1),
+        "19-digit token": (text(swap(line, 12, "0" * 18 + "2")), 1),
+        "beyond 64 bits": (text(swap(line, 12, "9" * 20)), 1),
+        "count off by one": (text(header=f"{q} {n} {k} {int(count) + 1} {mode}"), 0),
+        # a class short of one vector is reported after every line, and
+        # before an integer beyond 64 bits, whichever block each is in
+        "short class, then +1": (text(drop(100, int(k)), swap(late, 0, "+1")), 2),
+        "beyond 64 bits, then short class": (
+            text(swap(block + 5, 12, "9" * 20), drop(late, int(k))), 2),
+    }
+    token_block = minimality_mod._token_block
+    outcomes = {}
+    for name, (variant, slow_blocks) in variants.items():
+        calls = []
+        with mock.patch.object(minimality_mod, "_token_block",
+                               lambda *a: calls.append(1) or token_block(*a)):
+            outcomes[name] = typed_outcome(read_certificate, variant)
+        assert outcomes[name] == typed_outcome(reference_read_certificate, variant), name
+        assert len(calls) == slow_blocks, name
+    assert isinstance(outcomes["unchanged"][0], Certificate)
+    assert outcomes["unchanged"][2] == np.uint8
+    assert outcomes["007"][2] == np.int64  # 7 lies outside F_3, so every block is widened
+    assert outcomes["dropped entry at 5000"] == (
+        CertificateFormatError, "vector payload not a multiple of k")
+    assert outcomes["beyond 64 bits"][0] is CertificateFormatError
+    for name in ("short class, then +1", "beyond 64 bits, then short class"):
+        assert outcomes[name][1].endswith("has 7 entries, expected k - 1 = 8"), name
+    assert outcomes["count off by one"] == (
+        CertificateFormatError, f"expected {int(count) + 1} class lines, found {count}")

@@ -322,7 +322,7 @@ def oracle_codes(field, rng):
              for _ in range(6 if q <= 3 else 3)]
     for _ in range(4):
         k = 3 if q <= 5 else 2
-        codes.append(random_defining_set(field, k, rng.randrange(2, 8 * q), k, rng))
+        codes.append(full_rank_defining_set(field, k, rng.randrange(k, 8 * q), rng))
         codes.append(random_defining_set(field, k, rng.randrange(1, 3 * q), k - 1, rng))
     return codes
 
@@ -370,7 +370,7 @@ def test_oracles_compare_codewords_up_to_scalars_on_rank_deficient_codes():
         assert independent(D, rep)
         assert (rep.witness.a, rep.witness.b) != ((0, 0, 1), (1, 0, 2))
     # seeded codes, a third of them rank-deficient
-    decided = 0
+    decided = zero = 0
     for field in ORACLE_FIELDS + [make_field(257)]:
         rng = random.Random(83 + field.q)
         for D in oracle_codes(field, rng):
@@ -381,10 +381,15 @@ def test_oracles_compare_codewords_up_to_scalars_on_rank_deficient_codes():
             if not reps[0].is_minimal:
                 w = reps[0].witness
                 assert covers(codeword(w.b, D), codeword(w.a, D))
-            if ab_condition(D).is_minimal:  # ab is a proof of minimality
+            if D.rank == 0:  # D is all zero: C(D) has no weight ratio for ab to test
+                with pytest.raises(GuardError, match="code has no nonzero-weight codeword"):
+                    ab_condition(D)
+                zero += 1
+            elif ab_condition(D).is_minimal:  # ab is a proof of minimality
                 assert reps[0].is_minimal
                 decided += D.rank < D.k
     assert decided >= 5
+    assert zero >= 1
 
 
 @pytest.mark.parametrize("block", [1, 4])
