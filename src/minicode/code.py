@@ -203,19 +203,19 @@ class WeightEnumerator:
     def to_json(self) -> str:
         return json.dumps(self.record(), separators=(", ", ": "))
 
-    @property
-    def w_min(self) -> int:
+    def _nonzero_weights(self) -> list[int]:
         nz = [w for w, c in self.counts.items() if w > 0 and c]
         if not nz:
             raise GuardError("code has no nonzero-weight codeword")
-        return min(nz)
+        return nz
+
+    @property
+    def w_min(self) -> int:
+        return min(self._nonzero_weights())
 
     @property
     def w_max(self) -> int:
-        nz = [w for w, c in self.counts.items() if w > 0 and c]
-        if not nz:
-            raise GuardError("code has no nonzero-weight codeword")
-        return max(nz)
+        return max(self._nonzero_weights())
 
 
 @dataclass(frozen=True)

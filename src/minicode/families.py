@@ -24,8 +24,10 @@ from .linalg import (
     check_enumerable,
     dot,
     index_to_vector,
+    text_lines,
     vector_to_index,
     weight,
+    write_text,
 )
 
 
@@ -526,32 +528,22 @@ def write_function(out: Union[str, TextIO], f: FunctionSpec) -> None:
         lines += [" ".join(str(t) for t in (a, *exps)) for a, exps in v.terms]
     else:  # pragma: no cover - guarded at construction
         raise TypeError(type(v).__name__)
-    text = "\n".join(lines) + "\n"
-    if isinstance(out, str):
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        out.write(text)
+    write_text(out, ["\n".join(lines) + "\n"])
 
 
 def read_function(src: Union[str, TextIO]) -> FunctionSpec:
-    if isinstance(src, str):
-        with open(src, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = src.read()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty function file")
-    head = lines[0].split()
-    if len(head) != 3:
-        raise ValueError(f"bad function header {lines[0]!r}")
-    q, m, kind = int(head[0]), int(head[1]), head[2]
-    field = field_by_order(q)
-    if m < 1:
-        raise ValueError(f"arity m = {m} must be >= 1")
-    body = lines[1:]
-    flat = [int(t) for ln in body for t in ln.split()]
+    with text_lines(src) as lines:
+        first = next(lines, None)
+        if first is None:
+            raise ValueError("empty function file")
+        head = first.split()
+        if len(head) != 3:
+            raise ValueError(f"bad function header {first!r}")
+        q, m, kind = int(head[0]), int(head[1]), head[2]
+        field = field_by_order(q)
+        if m < 1:
+            raise ValueError(f"arity m = {m} must be >= 1")
+        flat = [int(t) for ln in lines for t in ln.split()]
     lead = {"weight_threshold": 1, "complement_threshold": 1,
             "maiorana_mcfarland": 2, "monomial_sum": 1}.get(kind, 0)
     if len(flat) < lead:

@@ -11,7 +11,9 @@ same vectors as int64 rows and serve every field.
 
 from __future__ import annotations
 
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
 
 import numpy as np
@@ -125,6 +127,20 @@ class EchelonBasis:
                 return True
         return False
 
+    def reduced(self) -> list[Vec]:
+        """The rows in reduced row echelon form, by one back-substitution.
+
+        From the last row up, each row is reduced by the rows below it,
+        which are reduced already and zero at each other's pivots, so its
+        own leading 1 stays.  add does not do this; only the callers that
+        need the reduced form pay for it.
+        """
+        done = EchelonBasis(self.field, self.width)
+        for row, piv in zip(reversed(self.rows), reversed(self.pivots)):
+            done.rows.insert(0, done.reduce(row))
+            done.pivots.insert(0, piv)
+        return done.rows
+
 
 def rank(field: FieldSpec, rows: Iterable[Sequence[int]]) -> int:
     """Row rank over F_q by Gaussian elimination."""
@@ -136,51 +152,24 @@ def rank(field: FieldSpec, rows: Iterable[Sequence[int]]) -> int:
     return 0 if basis is None else basis.rank
 
 
-def _rref(field: FieldSpec, rows: list[list[int]], width: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form in place; returns (nonzero rows, pivot columns)."""
-    r = 0
-    pivots: list[int] = []
-    for c in range(width):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(inv, a) for a in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows[:r], pivots
-
-
 def kernel_basis(field: FieldSpec, rows: Sequence[Sequence[int]], width: int) -> list[Vec]:
     """Basis of {x : A x^T = 0} for the matrix with the given rows.
 
     Deterministic: free columns ascending, free coordinate set to 1.
     """
-    work = [list(r) for r in rows]
-    for r in work:
-        if len(r) != width:
-            raise ValueError("ragged matrix")
-    red, pivots = _rref(field, work, width)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(width):
-        if free in pivot_set:
-            continue
+    basis = EchelonBasis(field, width)
+    for r in rows:
+        basis.add(r)
+    pivots = basis.pivots
+    reduced = basis.reduced()
+    out = []
+    for free in (c for c in range(width) if c not in pivots):
         v = [0] * width
         v[free] = 1
-        for row, piv in zip(red, pivots):
+        for row, piv in zip(reduced, pivots):
             v[piv] = field.neg(row[free])
-        basis.append(tuple(v))
-    return basis
+        out.append(tuple(v))
+    return out
 
 
 def solve(field: FieldSpec, rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Optional[Vec]:
@@ -190,15 +179,14 @@ def solve(field: FieldSpec, rows: Sequence[Sequence[int]], rhs: Sequence[int]) -
     if not rows:
         return ()
     width = len(rows[0])
-    work = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = _rref(field, work, width)
-    x = [0] * width
-    for row, piv in zip(red, pivots):
-        x[piv] = row[width]
-    # _rref only pivots on the A-columns, so inconsistency shows up here.
+    basis = EchelonBasis(field, width + 1)
     for r, b in zip(rows, rhs):
-        if dot(field, r, x) != b:
-            return None
+        basis.add((*r, b))
+    if basis.pivots and basis.pivots[-1] == width:  # 0 = 1 lies in the row space
+        return None
+    x = [0] * width
+    for row, piv in zip(basis.reduced(), basis.pivots):
+        x[piv] = row[width]
     return tuple(x)
 
 
@@ -469,7 +457,26 @@ def np_ranks(field: FieldSpec, M) -> np.ndarray:
     return ranks
 
 
-# -- matrix text format -------------------------------------------------------
+# -- text files and the matrix format ------------------------------------------
+
+@contextmanager
+def text_lines(src: Union[str, TextIO]) -> Iterator[Iterator[str]]:
+    """The non-blank lines of a path or a stream, read one line at a time.
+
+    Lines are split as str.splitlines splits the whole text.  A path is
+    opened as UTF-8 and closed when the block exits, also on an error; a
+    stream is read as it is and left open.
+    """
+    with open(src, "r", encoding="utf-8") if isinstance(src, str) else nullcontext(src) as fh:
+        yield filter(str.strip, chain.from_iterable(map(str.splitlines, fh)))
+
+
+def write_text(out: Union[str, TextIO], chunks: Iterable[str]) -> None:
+    """Write the chunks of text in order to a path, as UTF-8 with LF endings, or a stream."""
+    path = isinstance(out, str)
+    with open(out, "w", encoding="utf-8", newline="\n") if path else nullcontext(out) as fh:
+        fh.writelines(chunks)
+
 
 def write_matrix(out: Union[str, TextIO], field: FieldSpec, rows: Sequence[Sequence[int]]) -> None:
     """Write the matrix text format: header "q m rows", one row per line."""
@@ -479,33 +486,25 @@ def write_matrix(out: Union[str, TextIO], field: FieldSpec, rows: Sequence[Seque
         if len(r) != m:
             raise ValueError("ragged matrix")
         lines.append(" ".join(str(a) for a in r))
-    text = "\n".join(lines) + "\n"
-    if isinstance(out, str):
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        out.write(text)
+    write_text(out, ["\n".join(lines) + "\n"])
 
 
 def read_matrix(src: Union[str, TextIO]) -> tuple[FieldSpec, list[Vec]]:
     """The field and integer rows of the matrix text format; DefiningSet checks the entries."""
-    if isinstance(src, str):
-        with open(src, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = src.read()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    with text_lines(src) as lines:
+        first = next(lines, None)
+        body = list(lines)
+    if first is None:
         raise ValueError("empty matrix file")
-    header = lines[0].split()
+    header = first.split()
     if len(header) != 3:
-        raise ValueError(f"bad matrix header {lines[0]!r}")
+        raise ValueError(f"bad matrix header {first!r}")
     q, m, nrows = (int(t) for t in header)
     field = field_by_order(q)
-    if len(lines) - 1 != nrows:
-        raise ValueError(f"expected {nrows} rows, found {len(lines) - 1}")
+    if len(body) != nrows:
+        raise ValueError(f"expected {nrows} rows, found {len(body)}")
     rows = []
-    for ln in lines[1:]:
+    for ln in body:
         row = tuple(map(int, ln.split()))
         if len(row) != m:
             raise ValueError(f"row {ln!r} has length {len(row)}, expected {m}")

@@ -50,7 +50,7 @@ from .code import (
     check_message,
     defining_set,
     linearity_check,
-    weight_distribution,
+    params,
 )
 from .errors import BudgetExceededError, CertificateFormatError, GuardError
 from .families import FunctionSpec
@@ -71,6 +71,8 @@ from .linalg import (
     np_ranks,
     np_row_keys,
     scale,
+    text_lines,
+    write_text,
 )
 
 DEFAULT_BUDGET = 10**10
@@ -123,7 +125,7 @@ class CertificateClasses(abc.Sequence):
     "indices") or P x (k-1) x k of witness vectors (mode "vectors").  Item i
     is the pair (rep, items) of plain-int tuples, items being a tuple of
     indices or of k-tuples; a slice is a tuple of such pairs.  Two views are
-    equal when their arrays hold the same values.
+    equal when their arrays hold the same values in the same dtypes.
     """
 
     __slots__ = ("reps", "entries")
@@ -148,8 +150,8 @@ class CertificateClasses(abc.Sequence):
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CertificateClasses):
             return NotImplemented
-        return (np.array_equal(self.reps, other.reps)
-                and np.array_equal(self.entries, other.entries))
+        return all(a.dtype == b.dtype and np.array_equal(a, b)
+                   for a, b in ((self.reps, other.reps), (self.entries, other.entries)))
 
     def __repr__(self) -> str:
         return f"CertificateClasses({len(self)} classes)"
@@ -365,12 +367,10 @@ def _first_cover(S: np.ndarray, wt: np.ndarray, start: int, stop: int) -> int:
 
 
 def ab_condition(D: DefiningSet) -> MinimalityReport:
-    """Sufficient condition w_min/w_max > (q-1)/q, by integer cross-products."""
-    we = weight_distribution(D)
-    q = we.q
-    if q * we.w_min > (q - 1) * we.w_max:
-        return MinimalityReport("ab", MINIMAL, witness=(we.w_min, we.w_max))
-    return MinimalityReport("ab", INCONCLUSIVE, witness=(we.w_min, we.w_max))
+    """Sufficient condition w_min/w_max > (q-1)/q, decided by CodeParams.ab_ratio_exceeds."""
+    cp = params(D)
+    verdict = MINIMAL if cp.ab_ratio_exceeds else INCONCLUSIVE
+    return MinimalityReport("ab", verdict, witness=(cp.w_min, cp.w_max))
 
 
 def dhz_criterion(D: DefiningSet) -> MinimalityReport:
@@ -693,18 +693,14 @@ def write_certificate(out: Union[str, TextIO], cert: Certificate) -> None:
 
     ints, items = _Text(str).__getitem__, _Text(entry_text).__getitem__
 
-    def write(fh: TextIO) -> None:
-        fh.write(head)
+    def chunks() -> Iterator[str]:
+        yield head
         for start in range(0, P, 1024):
             lines = zip(reps[start:start + 1024].tolist(), cells[start:start + 1024].tolist())
-            fh.write("".join([" ".join(map(ints, rep)) + " | " + " ".join(map(items, row)) + "\n"
-                              for rep, row in lines]))
+            yield "".join([" ".join(map(ints, rep)) + " | " + " ".join(map(items, row)) + "\n"
+                           for rep, row in lines])
 
-    if isinstance(out, str):
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            write(fh)
-    else:
-        write(out)
+    write_text(out, chunks())
 
 
 class _Text(dict):
@@ -736,18 +732,14 @@ def read_certificate(src: Union[str, TextIO]) -> Certificate:
     class with other than k-1 entries, or an integer beyond 64 bits, only
     after every line, with the message Certificate's constructor gives.
     """
-    if isinstance(src, str):
-        with open(src, "r", encoding="utf-8") as fh:
-            return _parse_certificate(fh)
-    return _parse_certificate(src)
+    with text_lines(src) as lines:
+        return _parse_certificate(lines)
 
 
 READ_BLOCK = 1024  # non-blank certificate lines parsed at once
 
 
-def _parse_certificate(stream: TextIO) -> Certificate:
-    # the non-blank lines, as str.splitlines splits the whole text
-    lines = filter(str.strip, chain.from_iterable(map(str.splitlines, stream)))
+def _parse_certificate(lines: Iterator[str]) -> Certificate:
     first = next(lines, None)
     if first is None:
         raise CertificateFormatError("empty certificate file")

@@ -5,11 +5,12 @@ vectors witness._case2_mm and witness._case3_mm build one class at a time;
 witness._block_alphas calls them for the C1 and C2 certificates.
 
 Every one-row system r.x = b of _case2_mm and _case3_mm has a closed form
-from p, the first nonzero column of r: _rref scales that row to r/r_p, so
-solve gives b/r_p at p and zero elsewhere, and kernel_basis gives the low
-vectors e_j - (r_j/r_p) e_p for the free columns j != p, ascending.  The
-two-row systems are one batched 2 x t elimination (_solve2), and the
-scalar searches are masks over the q candidates.
+from p, the first nonzero column of r: the reduced echelon form of that
+row is r/r_p, so solve gives b/r_p at p and zero elsewhere, and
+kernel_basis gives the low vectors e_j - (r_j/r_p) e_p for the free
+columns j != p, ascending.  The two-row systems are one batched 2 x t
+elimination (_solve2), and the scalar searches are masks over the q
+candidates.
 """
 
 from __future__ import annotations
@@ -67,10 +68,12 @@ def _solutions(field: FieldSpec, R: np.ndarray, b) -> np.ndarray:
 def _solve2(field: FieldSpec, R1: np.ndarray, R2: np.ndarray, b1, b2) -> np.ndarray:
     """solve(field, [r1, r2], [b1, b2]) for each pair of rows of R1 and R2.
 
-    _rref pivots on p1, the first column where r1 or r2 is nonzero, with the
-    first row nonzero there, and then on the first nonzero column of the
-    other row once reduced; free coordinates are 0.  An inconsistent system
-    is a construction bug, as it is for _first_solution.
+    The solution, 0 at the free coordinates, is read from the reduced
+    echelon form of the pair.  Its first pivot is p1, the first column
+    where r1 or r2 is nonzero, eliminated here with the first row nonzero
+    there; its second is the first nonzero column of the other row once
+    reduced.  An inconsistent system is a construction bug, as it is for
+    _first_solution.
     """
     G = len(R1)
     at = np.arange(G)

@@ -213,6 +213,13 @@ def _first_solution(field: FieldSpec, rows: Sequence[Vec], rhs: Sequence[int]) -
 
 # -- theorem witnesses ----------------------------------------------------------
 
+def _require_hypotheses(thm: TheoremId, f: FunctionSpec) -> None:
+    """Raise ValueError, naming the first failing condition, unless thm's hypotheses hold for f."""
+    result = validate_hypotheses(f, thm)
+    if not result:
+        raise ValueError(f"hypotheses of {thm.value} fail: {result.condition} at {result.witness}")
+
+
 def theorem_witness(
     thm: TheoremId,
     f: FunctionSpec,
@@ -229,12 +236,7 @@ def theorem_witness(
     if u == 0 and not any(v):
         raise ValueError("(u, v) must be nonzero")
     if not _validated:
-        result = validate_hypotheses(f, thm)
-        if not result:
-            raise ValueError(
-                f"hypotheses of {thm.value} fail: {result.condition} "
-                f"witness={result.witness}"
-            )
+        _require_hypotheses(thm, f)
 
     if u != 0 and not any(v):
         alphas = _case1_vectors(thm, f)
@@ -638,12 +640,7 @@ def witness_certificate(thm: TheoremId, f: FunctionSpec) -> Certificate:
     goes through the batched builder (_batched_arrays), which fills the
     certificate's two arrays directly.
     """
-    result = validate_hypotheses(f, thm)
-    if not result:
-        raise ValueError(
-            f"hypotheses of {thm.value} fail: {result.condition} "
-            f"witness={result.witness}"
-        )
+    _require_hypotheses(thm, f)
     field, m = f.field, f.m
     return Certificate(q=field.q, n=field.q**m - 1, k=m + 1, mode="vectors",
                        classes=CertificateClasses(*_batched_arrays(thm, f)))

@@ -9,8 +9,9 @@ import pytest
 
 from minicode.cli import EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK, REPRO_CASES, main
 from minicode.code import defining_set, weight_distribution
-from minicode.families import get_preset, write_function
+from minicode.families import TheoremId, get_preset, write_function
 from minicode.minimality import read_certificate, verify_certificate
+from minicode.witness import witness_certificate
 
 
 def run_cli(*argv):
@@ -139,8 +140,26 @@ def test_check_witness_criterion(tmp_path):
     # theorem hypotheses that fail are a usage-class error
     code, _, err = run_cli("check", "sec6_q2", "--criterion", "witness:C2")
     assert code == EXIT_ERROR and "phi" in err
+    with pytest.raises(ValueError) as raised:
+        witness_certificate(TheoremId.C2, get_preset("sec6_q2").function)
+    assert err == f"error: {raised.value}\n"
     code, _, err = run_cli("check", "sec4_f1", "--criterion", "witness:Z9")
     assert code == EXIT_ERROR
+
+
+def test_blank_first_line_is_skipped(tmp_path):
+    # a blank line before the header: the same stdout and exit code as without it
+    prefix = str(tmp_path / "c")
+    assert run_cli("build", "sec5_f1", "--out", prefix)[0] == EXIT_OK
+    fn = tmp_path / "f.fn"
+    write_function(str(fn), get_preset("sec5_f1").function)
+    for path, command, options in ((tmp_path / "c.dset.txt", "check", ("--criterion", "rank")),
+                                   (fn, "wdist", ())):
+        code, out, _ = run_cli(command, str(path), *options)
+        assert code == EXIT_OK
+        blank = tmp_path / f"blank-{path.name}"
+        blank.write_text("\n" + path.read_text())
+        assert run_cli(command, str(blank), *options)[:2] == (code, out)
 
 
 def test_check_unknown_criterion():

@@ -22,14 +22,18 @@ from minicode.linalg import (
     read_matrix,
     solve,
     support,
+    text_lines,
     unit_vector,
     vector_to_index,
     weight,
     write_matrix,
+    write_text,
 )
+import minicode.linalg as linalg_mod
 
 F2 = make_field(2)
 F3 = make_field(3)
+F4 = make_field(2, 2)
 F5 = make_field(5)
 
 
@@ -228,6 +232,87 @@ def test_solve_and_kernel():
     assert kernel_basis(F2, [(1, 1)], 2) == [(1, 1)]
     assert solve(F2, [(1, 1), (1, 1)], (1, 0)) is None  # inconsistent
     assert solve(F3, [(0, 0)], (0,)) == (0, 0)
+
+
+def combinations_of(field, vectors, n):
+    """Every F_q-linear combination of the vectors, as a set of n-tuples."""
+    span = {(0,) * n}
+    for v in vectors:
+        span = {tuple(field.add(a, field.mul(c, b)) for a, b in zip(x, v))
+                for x in span for c in range(field.q)}
+    return span
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4, F5], ids=lambda f: f"F{f.q}")
+def test_elimination_matches_brute_force(field):
+    # kernel_basis and solve against a walk over all of F_q^n, n <= 4, on
+    # seeded matrices with zero rows, repeated rows and row combinations
+    rng, q = random.Random(field.q), field.q
+    seen = set()
+    for trial in range(60):
+        n, nrows = rng.randint(1, 4), rng.randint(1, 4)
+        rows = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(nrows)]
+        extra = trial % 4
+        if extra == 1:
+            rows.insert(rng.randrange(len(rows) + 1), (0,) * n)
+        elif extra == 2:
+            rows.append(rng.choice(rows))
+        elif extra == 3:
+            c = rng.randrange(1, q)
+            rows.append(tuple(field.add(a, field.mul(c, b)) for a, b in zip(rows[0], rows[-1])))
+        space = list(enumerate_vectors(field, n, include_zero=True))
+        kernel = {x for x in space if not any(dot(field, r, x) for r in rows)}
+        # j is free iff some kernel vector ends at j: column j depends on the earlier ones
+        free = sorted({max(i for i, a in enumerate(x) if a) for x in kernel if any(x)})
+        basis = kernel_basis(field, rows, n)
+        assert len(basis) == len(free) and combinations_of(field, basis, n) == kernel
+        for j, v in zip(free, basis):
+            assert [v[i] for i in free] == [int(i == j) for i in free]
+        rhs = [rng.randrange(q) for _ in rows]
+        if trial % 3 == 0:
+            rhs = [dot(field, r, space[rng.randrange(len(space))]) for r in rows]
+        solutions = [x for x in space if [dot(field, r, x) for r in rows] == rhs]
+        x = solve(field, rows, rhs)
+        if not solutions:
+            assert x is None
+        else:
+            assert x in solutions and not any(x[i] for i in free)
+        seen.add(bool(solutions))
+    assert seen == {True, False}  # consistent and inconsistent systems both occur
+
+
+def test_text_lines_and_write_text(tmp_path, monkeypatch):
+    # the non-blank lines as str.splitlines splits the whole text, from a
+    # path or a stream; the writer writes the chunks as they are
+    chunks = ["\n  \n3 1 2\r\n", "", "1\x0b\n\t\n2", "\x1c0\n"]
+    text = "".join(chunks)
+    expected = [ln for ln in text.splitlines() if ln.strip()]
+    path = str(tmp_path / "t.txt")
+    write_text(path, iter(chunks))
+    assert (tmp_path / "t.txt").read_bytes() == text.encode("utf-8")
+    buf = io.StringIO()
+    write_text(buf, chunks)
+    assert buf.getvalue() == text
+    for src in (path, io.StringIO(text)):
+        with text_lines(src) as lines:
+            assert list(lines) == expected
+    # a path is closed when the block exits, also on an error; a stream is left open
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(linalg_mod, "open", recording_open, raising=False)
+    with pytest.raises(KeyError):
+        with text_lines(path) as lines:
+            next(lines)
+            raise KeyError
+    assert len(opened) == 1 and opened[0].closed
+    stream = io.StringIO(text)
+    with text_lines(stream) as lines:
+        next(lines)
+    assert not stream.closed
 
 
 def test_matrix_io_round_trip():

@@ -25,6 +25,7 @@ from minicode.linalg import (
 from minicode.linalg import weight as weight_of
 from minicode.minimality import (
     Certificate,
+    CertificateClasses,
     CoverViolation,
     DhzViolation,
     MinimalityReport,
@@ -903,6 +904,13 @@ def test_certificate_classes_view():
                   Certificate(2, 7, 3, "indices", pairs[:2] + (((1, 0, 0), (2, 5)),)),
                   Certificate(2, 7, 3, "indices", pairs[:2])):
         assert other != cert
+    # the same values held in another dtype are another certificate
+    def widened():
+        return CertificateClasses(classes.reps.astype(np.int64), classes.entries.astype(np.int64))
+
+    assert classes.reps.dtype == classes.entries.dtype == np.uint8
+    assert widened() != classes and Certificate(2, 7, 3, "indices", widened()) != cert
+    assert widened() == widened()
     vcert = Certificate(3, 8, 2, "vectors", (((0, 1), [[np.int64(1), 0]]), ((1, 2), ((1, 1),))))
     assert vcert.classes[:] == (((0, 1), ((1, 0),)), ((1, 2), ((1, 1),)))
     assert vcert.classes.entries.shape == (2, 1, 2)

@@ -429,9 +429,17 @@ def test_batched_post_condition_names_the_corrupted_class(monkeypatch, name, cor
 
 
 def test_witness_certificate_rejects_failing_hypotheses():
+    # one message, naming the failing condition and where it fails
     preset = get_preset("sec6_q2")
-    with pytest.raises(ValueError):
-        witness_certificate(preset.theorem, preset.function)
+    f, thm = preset.function, preset.theorem
+    result = validate_hypotheses(f, thm)
+    message = f"hypotheses of {thm.value} fail: {result.condition} at {result.witness}"
+    with pytest.raises(ValueError) as err:
+        witness_certificate(thm, f)
+    assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        theorem_witness(thm, f, 1, (0,) * f.m)
+    assert str(err.value) == message
 
 
 @functools.lru_cache(maxsize=1)
