@@ -50,6 +50,7 @@ from .minimality import (
     CoverViolation,
     DhzViolation,
     MinimalityReport,
+    Witness,
     ab_condition,
     cf_case_check,
     dhz_criterion,

@@ -7,9 +7,11 @@ since the enumeration kernels downstream are table-lookup bound.
 
 The numpy kernels of the package see elements only through the numpy views
 built here on first use: flat q*q tables (one ``take`` at a*q + b), which
-vadd, vsub, vmul and vneg apply elementwise to arrays, and the F_p-digits
-and F_p-multiplication matrix of each element.  Each view is a Python loop
-of up to q*q steps, refused before it starts when q*q > NP_TABLE_GUARD.
+vadd, vsub, vmul and vneg apply elementwise to arrays, the F_p-digits and
+F_p-multiplication matrix of each element, and the chunk tables of
+np_chunks, which act on h coordinates of F_q^c packed into one integer.
+Each view is a Python loop of up to q*q steps, or numpy built from those,
+refused before it starts when q*q > NP_TABLE_GUARD.
 
 A FieldSpec is immutable after construction; every operation is pure.
 """
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, lru_cache, wraps
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -40,6 +42,7 @@ _MODULI: dict[tuple[int, int], tuple[int, ...]] = {
 
 _TABLE_LIMIT = 256
 NP_TABLE_GUARD = 2**20  # ceiling on q*q for the numpy views: q <= 1024
+CHUNK_TABLE = 2**16  # entries of a chunk subtraction table, unless q*q is larger
 
 
 def is_prime(p: int) -> bool:
@@ -124,14 +127,33 @@ def _check_irreducible(modulus: Sequence[int], p: int, e: int) -> None:
                     )
 
 
-def _numpy_view(build: Callable[[FieldSpec], np.ndarray]) -> cached_property:
+def _numpy_view(build: Callable[[FieldSpec], object]) -> cached_property:
     """The cached numpy view build, refused before it runs when q*q > NP_TABLE_GUARD."""
     @wraps(build)
-    def view(field: FieldSpec) -> np.ndarray:
+    def view(field: FieldSpec) -> object:
         if field.q * field.q > NP_TABLE_GUARD:
             raise GuardError(f"q^2 = {field.q}^2 exceeds the numpy table guard {NP_TABLE_GUARD}")
         return build(field)
     return cached_property(view)
+
+
+class ChunkTables(NamedTuple):
+    """Tables for vectors of F_q^h packed into chunks x = sum_t x_t q^t, x < Q = q^h.
+
+    h is the largest width whose Q*Q subtraction table has at most
+    max(CHUNK_TABLE, q*q) entries, so Q <= 256 whenever h >= 2 and h = 1
+    from q = 17 up.  sub, mul and div hold chunks in the narrowest type
+    for Q - 1 (one byte up to q = 256).  A row of h coordinates packs to
+    its dot product with weights, and digits reads one coordinate back.
+    """
+
+    h: int
+    Q: np.intp
+    weights: np.ndarray  # h: q^t, the value of digit t
+    digits: np.ndarray   # h x Q intp: digits[t, x] = x_t * Q, a row index of mul and div
+    sub: np.ndarray      # Q*Q: sub[x*Q + y] = x - y, coordinatewise
+    mul: np.ndarray      # q*Q: mul[a*Q + y] = a * y for a in F_q
+    div: np.ndarray      # q*Q: div[a*Q + y] = y / a for a != 0; row 0 is 0
 
 
 class FieldSpec:
@@ -281,6 +303,35 @@ class FieldSpec:
         # images give the columns of each matrix; digits index the rows
         return _frozen(self.np_digits[images].transpose(0, 2, 1))
 
+    @_numpy_view
+    def np_chunks(self) -> ChunkTables:
+        """The chunk tables of this field, each built from the flat tables at once.
+
+        A table over t + 1 digits is the one-digit table of the top digit,
+        times q^t, plus the table over the t digits below it, so each step
+        is one broadcast sum that fits the chunk type.
+        """
+        q = self.q
+        h = 1
+        while q ** (2 * h + 2) <= max(CHUNK_TABLE, q * q):
+            h += 1
+        Q = q**h
+        dtype = np.min_scalar_type(Q - 1)
+        sub1 = self.np_sub.reshape(q, q).astype(dtype)
+        mul1 = self.np_mul.reshape(q, q).astype(dtype)
+        sub, mul = sub1, mul1
+        for t in range(1, h):
+            top = dtype.type(q**t)
+            sub = (sub1[:, None, :, None] * top + sub[None, :, None, :]).reshape(q**t * q, -1)
+            mul = (mul1[:, :, None] * top + mul[:, None, :]).reshape(q, -1)
+        x = np.arange(Q)
+        digits = np.stack([x // q**t % q * Q for t in range(h)])
+        return ChunkTables(
+            h, np.intp(Q), _frozen(q ** np.arange(h), dtype), _frozen(digits, np.intp),
+            _frozen(sub.ravel(), dtype), _frozen(mul.ravel(), dtype),
+            _frozen(mul[self.np_inv].ravel(), dtype),
+        )
+
     @property
     def element_dtype(self) -> np.dtype:
         """The narrowest unsigned type that holds every element: one byte for q <= 256."""
@@ -311,8 +362,8 @@ class FieldSpec:
         return f"FieldSpec(F_{self.q}, modulus={self.modulus})"
 
 
-def _frozen(values) -> np.ndarray:
-    arr = np.ascontiguousarray(values, dtype=np.int64)
+def _frozen(values, dtype=np.int64) -> np.ndarray:
+    arr = np.ascontiguousarray(values, dtype=dtype)
     arr.flags.writeable = False
     return arr
 

@@ -421,40 +421,44 @@ def np_row_keys(field: FieldSpec, rows: np.ndarray) -> np.ndarray:
 
 
 def np_ranks(field: FieldSpec, M) -> np.ndarray:
-    """Ranks over F_q of the B matrices of a B x r x c array, by batched elimination.
+    """Ranks over F_q of the B matrices of a B x r x c array, by batched elimination on chunks.
 
-    Column by column, each matrix takes as pivot its first row that is nonzero
-    there, scales it to a leading 1 and subtracts multiples of it from every
-    row, itself included, so a pivot row is zero afterwards and never chosen
-    again.  Matrices without a pivot in a column are left unchanged.  After
-    column col every row is zero in columns <= col, so each step touches only
-    the columns from col on, held column-major (c x B x r) so that they are
-    one contiguous slab, and the loop ends once every matrix has rank r.
-    The slab is int32, half the memory traffic of int64: every table index
-    a*q + b is below q^2, and a flat q^2 table exists only while that fits.
+    Each row is packed into ceil(c/h) chunks of field.np_chunks, h
+    coordinates per integer (zero-padded; a zero column adds no pivot), and
+    the chunks are held column-major (chunks x B x r).  Column by column,
+    each matrix takes as pivot its first row that is nonzero there, scales
+    it to a leading 1 and subtracts multiples of it from every row, itself
+    included, so a pivot row is zero afterwards and never chosen again:
+    sub[T*Q + mul[a*Q + pivot]] on whole chunks, a being each row's
+    coordinate in the column.  Matrices without a pivot in a column are left
+    unchanged.  After column col every row is zero in columns <= col, so
+    each step touches only the chunks from the one holding col on, and when
+    r < c the loop ends once every row of every matrix is zero.  From q = 17
+    up a chunk is one coordinate and this is the per-element elimination.
     """
-    q, inv = field.q, field.np_inv.astype(np.int32)
-    sub, mul = field.np_sub.astype(np.int32), field.np_mul.astype(np.int32)
+    ch = field.np_chunks
     M = np.asarray(M)
     B, r, c = M.shape
-    ranks = np.zeros(B, dtype=np.int64)
-    if not r:
-        return ranks
-    M = np.array(M.transpose(2, 0, 1), dtype=np.int32, order="C")  # M[col] is column col
-    at = np.arange(B)
+    if not r or not c:
+        return np.zeros(B, dtype=np.int64)
+    h, Q, w = ch.h, ch.Q, ch.weights
+    S = np.stack([part @ w[:part.shape[2]] for part in (M[:, :, j:j + h] for j in range(0, c, h))])
+    first = np.arange(0, B * r, r)  # the flat index of each matrix's row 0
+    leads = np.zeros((c, B), dtype=np.intp)  # each pivot's coordinate times Q, 0 for none
+    done = 0  # S holds the chunks from done on
     for col in range(c):
-        T = M[col:]
-        lead = T[0] * q
-        nonzero = lead != 0
-        pivot = T[:, at, nonzero.argmax(axis=1)]  # each matrix's pivot row, from col on
-        pivot = mul.take(inv.take(pivot[0]) * q + pivot)
-        T *= q
-        T += mul.take(lead + pivot[:, :, None])
-        sub.take(T, out=T)
-        ranks += nonzero.any(axis=1)
-        if ranks.min() == r:
+        j, t = divmod(col, h)
+        T = S[j - done:]
+        lead = ch.digits[t].take(T[0])
+        at = first + (lead != 0).argmax(axis=1)
+        pivot = T.reshape(len(T), -1).take(at, axis=1)
+        pivot = ch.div.take(lead.take(at, out=leads[col]) + pivot)
+        X = T * Q
+        X += ch.mul.take(lead + pivot[:, :, None])
+        S, done = ch.sub.take(X), j
+        if r < c and not S.any():
             break
-    return ranks
+    return np.count_nonzero(leads, axis=0)
 
 
 # -- text files and the matrix format ------------------------------------------

@@ -69,7 +69,6 @@ from .linalg import (
     np_indices,
     np_paired_dots,
     np_ranks,
-    np_row_keys,
     scale,
     text_lines,
     write_text,
@@ -257,11 +256,20 @@ def _narrow(A: np.ndarray, top: int) -> np.ndarray:
     return A.astype(np.int64)
 
 
+# What a criterion reports beside its verdict: a Certificate (rank_criterion_code)
+# or RankWitness (rank_criterion_codeword) when minimal, a CoverViolation
+# (definition) or DhzViolation (dhz) when not, the dicts of a failing rank class
+# ({"y", "rank", "covered"}) and of cf_case_check ({"case", "y"}, plus
+# {"alphas", "indices"} when minimal), ab's (w_min, w_max), or None.
+Witness = Union[Certificate, RankWitness, CoverViolation, DhzViolation,
+                dict[str, object], tuple[int, int], None]
+
+
 @dataclass(frozen=True)
 class MinimalityReport:
     criterion: str
     verdict: str
-    witness: object = None
+    witness: Witness = None
 
     def __post_init__(self) -> None:
         if self.verdict == INCONCLUSIVE and self.criterion != "ab":
@@ -625,9 +633,11 @@ def verify_certificate(D: DefiningSet, cert: Certificate) -> bool:
     (by index or by value), orthogonal to its class representative, and each
     class's k-1 vectors must have rank exactly k-1.  The check reads the
     certificate's two arrays, whose entry types and shapes its constructor
-    checked.  Classes are checked in blocks of about DOT_BLOCK / k^2 with
-    the flat field tables; a block's vector entries are found in D by one
-    sorted lookup of their row keys.
+    checked.  Representatives are told apart, and vector entries found in
+    D, through tables of q^k flags, one per canonical index.  Classes are
+    checked in blocks of about DOT_BLOCK / k^2 with the flat field tables
+    and linalg.np_ranks; a block's vector entries are ranked as they are,
+    and its index entries are gathered from D.
     """
     field, k, n = D.field, D.k, D.n
     q = field.q
@@ -639,33 +649,31 @@ def verify_certificate(D: DefiningSet, cert: Certificate) -> bool:
         return False
     if (Y[np.arange(P), (Y != 0).argmax(axis=1)] != 1).any():
         return False  # a first nonzero entry other than 1
+    # P distinct representatives are every projective class once.  Flags are
+    # kept per canonical index of F_q^k: q^k is about (q - 1) P, P just counted.
+    seen = np.zeros(q**k, dtype=bool)
+    seen[np_indices(q, Y)] = True
+    if np.count_nonzero(seen) != P:
+        return False
     if k > 1:
         vectors = cert.mode == "vectors"
         lo, hi = (0, q - 1) if vectors else (1, n)
         if not _within(E, lo, hi):
             return False
         if vectors:
-            keys = np_row_keys(field, D.vectors)
-            order = np.argsort(keys)
-            members = keys[order]
+            member = np.zeros(q**k, dtype=bool)
+            member[np_indices(q, D.vectors)] = True
         step = np_block_rows(field, k * k)
         for start in range(0, P, step):
-            Eb = E[start:start + step]
-            if vectors:  # the D position of each entry, if it is a member
-                wanted = np_row_keys(field, Eb.reshape(-1, k))
-                at = np.searchsorted(members, wanted)
-                if (at == members.size).any() or (members[at] != wanted).any():
-                    return False
-                at = order[at]
-            else:
-                at = Eb.astype(np.intp) - 1
+            W = E[start:start + step]
+            if not vectors:
+                W = D.vectors[W.astype(np.intp) - 1]
+            elif not member[np_indices(q, W)].all():
+                return False
             Yb = Y[start:start + step].astype(np.int64)
-            W = D.vectors[at.reshape(len(Yb), k - 1)]
             if np_paired_dots(field, Yb, W).any() or (np_ranks(field, W) != k - 1).any():
                 return False
-    # P distinct representatives are every projective class once
-    rep_keys = np.sort(np_row_keys(field, Y))
-    return bool((rep_keys[1:] != rep_keys[:-1]).all())
+    return True
 
 
 def _within(A: np.ndarray, lo: int, hi: int) -> bool:

@@ -5,6 +5,7 @@ of small integers and keywords, then lines of integers).  Either it returns
 a parsed object, or it raises a ValueError subclass, which the CLI maps to
 exit code 2.  read_certificate is also compared with a line-by-line reader
 that converts every token with int(), also across its blocks of lines.
+np_ranks is compared with EchelonBasis on random batches over F_2 to F_9.
 """
 
 import io
@@ -19,7 +20,8 @@ from minicode.cli import main
 from minicode.code import DefiningSet, read_defining_set
 from minicode.errors import CertificateFormatError
 from minicode.families import FunctionSpec, TheoremId, get_preset, read_function
-from minicode.linalg import read_matrix
+from minicode.gf import field_by_order
+from minicode.linalg import EchelonBasis, np_ranks, read_matrix
 import minicode.minimality as minimality_mod
 from minicode.minimality import Certificate, read_certificate, write_certificate
 from minicode.witness import witness_certificate
@@ -90,6 +92,34 @@ def test_cli_malformed_function_file_exits_2(tmp_path_factory, text):
         path = tmp_path_factory.mktemp("fuzz") / "f.txt"
         path.write_text(text, encoding="utf-8")
         assert main(["wdist", str(path)]) == 2
+
+
+@st.composite
+def rank_batches(draw):
+    """A field F_2..F_9 and a B x r x c batch over it, with rows repeated and scaled."""
+    field = field_by_order(draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9])))
+    B, r, c = draw(st.integers(1, 4)), draw(st.integers(0, 6)), draw(st.integers(0, 12))
+    element = st.integers(0, field.q - 1)
+    M = [[draw(st.lists(element, min_size=c, max_size=c)) for _ in range(r)] for _ in range(B)]
+    for rows in M:
+        for i in range(1, r):
+            if draw(st.booleans()):  # a multiple of an earlier row
+                a, j = draw(element), draw(st.integers(0, i - 1))
+                rows[i] = [field.mul(a, x) for x in rows[j]]
+    return field, np.array(M, dtype=np.int64).reshape(B, r, c)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(rank_batches())
+def test_np_ranks_matches_echelon_basis(batch):
+    field, M = batch
+    expected = []
+    for rows in M.tolist():
+        basis = EchelonBasis(field, M.shape[2])
+        for row in rows:
+            basis.add(row)
+        expected.append(basis.rank)
+    assert np_ranks(field, M).tolist() == expected
 
 
 def reference_read_certificate(src):

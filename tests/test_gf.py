@@ -1,5 +1,6 @@
 """Field arithmetic: axioms, tables, construction errors."""
 
+import random
 import time
 
 import pytest
@@ -167,13 +168,46 @@ def test_numpy_views_refused_beyond_the_table_guard():
     # it is refused before the loop starts, and scalar arithmetic still works
     for q in (1031, 65537):
         F = make_field(q)
-        for view in ("np_add", "np_sub", "np_mul", "np_inv", "np_digits", "np_mulmat"):
+        for view in ("np_add", "np_sub", "np_mul", "np_inv", "np_digits", "np_mulmat", "np_chunks"):
             start = time.perf_counter()
             with pytest.raises(GuardError, match="numpy table guard"):
                 getattr(F, view)
             assert time.perf_counter() - start < 0.1
         assert F.mul(q - 1, q - 1) == 1 and F.inv(q - 1) == q - 1
     assert make_field(257).np_add.shape == (257 * 257,)
+
+
+@pytest.mark.parametrize("q, h", [(2, 8), (3, 5), (4, 4), (5, 3), (7, 2), (8, 2), (9, 2),
+                                  (16, 2), (17, 1), (64, 1), (256, 1), (257, 1)])
+def test_chunk_tables(q, h):
+    # h coordinates per chunk, the widest whose subtraction table has at most
+    # max(2^16, q^2) entries; each table agrees with the scalar arithmetic
+    # coordinate by coordinate, and none is built before its first use
+    F = make_field(2, 8, (1, 0, 1, 1, 1, 0, 0, 0, 1)) if q == 256 else field_by_order(q)
+    fresh = FieldSpec(F.p, F.e, F.modulus)
+    assert "np_chunks" not in vars(fresh)
+    ch = fresh.np_chunks
+    Q = q**h
+    assert (ch.h, ch.Q) == (h, Q)
+    assert ch.sub.dtype == ch.mul.dtype == ch.div.dtype == fresh.element_dtype
+    assert ch.sub.shape == (Q * Q,) and ch.mul.shape == ch.div.shape == (q * Q,)
+    assert ch.weights.tolist() == [q**t for t in range(h)]
+
+    def coords(x):
+        return [x // q**t % q for t in range(h)]
+
+    def chunk(xs):
+        return sum(a * q**t for t, a in enumerate(xs))
+
+    rng = random.Random(q)
+    for _ in range(200):
+        x, y, a = rng.randrange(Q), rng.randrange(Q), rng.randrange(q)
+        X, Y = coords(x), coords(y)
+        assert ch.sub[x * Q + y] == chunk([F.sub(s, t) for s, t in zip(X, Y)])
+        assert ch.mul[a * Q + y] == chunk([F.mul(a, t) for t in Y])
+        assert ch.div[a * Q + y] == (chunk([F.mul(F.inv(a), t) for t in Y]) if a else 0)
+        assert ch.digits[:, x].tolist() == [c * Q for c in X]
+    assert not ch.sub.flags.writeable and not ch.digits.flags.writeable
 
 
 def test_pow_zero_convention():

@@ -137,8 +137,18 @@ def test_np_ranks_against_rank():
             assert np_ranks(field, mats).tolist() == [rank(field, m) for m in mats]
 
 
-@pytest.mark.parametrize("field", [F2, F3, make_field(2, 2), make_field(2, 3), make_field(3, 2)],
-                         ids=lambda F: f"F{F.q}")
+def echelon_rank(field, rows, width):
+    basis = EchelonBasis(field, width)
+    for row in rows:
+        basis.add(row)
+    return basis.rank
+
+
+RANK_FIELDS = [F2, F3, F4, F5, make_field(7), make_field(2, 3), make_field(3, 2),
+               make_field(2, 4), make_field(257)]
+
+
+@pytest.mark.parametrize("field", RANK_FIELDS, ids=lambda F: f"F{F.q}")
 def test_np_ranks_matches_echelon_basis_on_seeded_batches(field):
     # batches of products A B with an inner dimension below r and c are
     # rank-deficient by construction; tall, wide and square shapes cover
@@ -156,14 +166,39 @@ def test_np_ranks_matches_echelon_basis_on_seeded_batches(field):
         mats = [product(r, rng.randrange(min(r, c) + 1), c) for _ in range(20)]
         mats += [[tuple(rng.randrange(F.q) for _ in range(c)) for _ in range(r)]
                  for _ in range(20)]
-        expected = []
-        for m in mats:
-            basis = EchelonBasis(F, c)
-            for row in m:
-                basis.add(row)
-            expected.append(basis.rank)
+        expected = [echelon_rank(F, m, c) for m in mats]
         assert np_ranks(F, mats).tolist() == expected
         assert min(expected) < min(r, c)
+
+
+@pytest.mark.parametrize("field", RANK_FIELDS, ids=lambda F: f"F{F.q}")
+def test_np_ranks_on_chunk_boundaries(field):
+    # np_ranks packs h coordinates into one chunk; widths around h and 2h, a
+    # tall single matrix (the shape D.rank passes), no rows and no columns
+    # all give the EchelonBasis ranks, for int64 rows and element-typed rows
+    F, h = field, field.np_chunks.h
+    rng = random.Random(7 * F.q)
+
+    def batch(B, r, c):
+        mats = []
+        for _ in range(B):
+            rows = [[rng.randrange(F.q) if rng.random() < 0.8 else 0 for _ in range(c)]
+                    for _ in range(r)]
+            if r > 1 and rng.random() < 0.5:  # a row that is a multiple of another
+                rows[-1] = [F.mul(rng.randrange(F.q), a) for a in rows[0]]
+            mats.append(rows)
+        return np.array(mats, dtype=np.int64).reshape(B, r, c)
+
+    shapes = [(12, r, c) for c in {max(h - 1, 1), h, h + 1, 2 * h} for r in (1, c - 1, c, c + 2)]
+    shapes += [(1, 4 * h + 5, h + 1), (1, 30, 2 * h), (5, 0, h), (5, 3, 0), (0, 3, h)]
+    seen = set()
+    for B, r, c in shapes:
+        M = batch(B, r, c)
+        expected = [echelon_rank(F, m.tolist(), c) for m in M]
+        for A in (M, M.astype(F.element_dtype)):
+            assert np_ranks(F, A).tolist() == expected
+        seen.update(e == min(r, c) for e in expected)
+    assert seen == {True, False}
 
 
 def test_np_matmul_mod_refuses_inexact():

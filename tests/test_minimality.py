@@ -722,6 +722,58 @@ def with_classes(cert, change):
     return Certificate(cert.q, cert.n, cert.k, cert.mode, classes)
 
 
+def with_entry(cert, j, i, new):
+    """cert with entry i of class j replaced by new."""
+    return with_classes(cert, lambda c, y, it: (y, it[:i] + (new,) + it[i + 1:]) if c == j
+                        else (y, it))
+
+
+@pytest.mark.parametrize("block", [None, SMALL_BLOCK])
+def test_verifier_membership_matches_reference(monkeypatch, block):
+    # value-mode entries are looked up in D by canonical index: a zero entry,
+    # a D row with one coordinate changed, repeated rows of D and a repeated
+    # representative each get the pure-Python reference's verdict, and the
+    # same tampering of the index-mode certificate does too
+    if block:
+        monkeypatch.setattr(linalg_mod, "DOT_BLOCK", block)
+    rng = random.Random(61)
+    outcomes = {"indices": set(), "vectors": set()}
+    for field, m in ((F2, 4), (F3, 3), (F4, 2)):
+        k = m + 1
+        f = random_table_code(field, m, rng)
+        while linearity_check(f) is not None or not rank_criterion_code(defining_set(f)).is_minimal:
+            f = random_table_code(field, m, rng)
+        rows = list(map(tuple, defining_set(f).vectors.tolist()))
+        zero = (0,) * k
+        for extra in ((), (zero,), tuple(rows[:3]), (zero,) + tuple(rows[::2])):
+            D = DefiningSet(field, k, rows + list(extra))
+            cert = rank_criterion_code(D).witness
+            where = {}  # every D position of each row, 1-based
+            for i, d in enumerate(D.vectors.tolist()):
+                where.setdefault(tuple(d), []).append(i + 1)
+            for j in sorted({0, len(cert.classes) // 2, len(cert.classes) - 1}):
+                y, items = cert.classes[j]
+                other = cert.classes[0][0] if j else cert.classes[1][0]
+                d = D.vectors[items[0] - 1].tolist()
+                changed = tuple(field.add(a, 1) if t == j % k else a for t, a in enumerate(d))
+                copies = where[tuple(d)]
+                index_certs = [
+                    with_entry(cert, j, 0, copies[-1]),  # another copy of the same row
+                    with_entry(cert, j, 1, items[0]),  # a repeated entry
+                    with_classes(cert, lambda c, r, it: (other, it) if c == j else (r, it)),
+                ]
+                index_certs += [with_entry(cert, j, 0, where[v][0])
+                                for v in (zero, changed) if v in where]
+                vector_certs = [with_entry(as_vectors(D, cert), j, 0, v) for v in (zero, changed)]
+                assert verify_certificate(D, index_certs[0])
+                assert not verify_certificate(D, vector_certs[0])  # a zero entry
+                for c in index_certs + [as_vectors(D, c) for c in index_certs] + vector_certs:
+                    got = verify_certificate(D, c)
+                    assert got == reference_verify(D, c)
+                    outcomes[c.mode].add(got)
+    assert outcomes == {"indices": {True, False}, "vectors": {True, False}}
+
+
 @pytest.mark.parametrize("block", [None, SMALL_BLOCK])
 def test_verifier_entry_types(monkeypatch, block):
     # one rule whatever the block size: integer entries of any integer type
