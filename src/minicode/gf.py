@@ -142,18 +142,17 @@ class ChunkTables(NamedTuple):
 
     h is the largest width whose Q*Q subtraction table has at most
     max(CHUNK_TABLE, q*q) entries, so Q <= 256 whenever h >= 2 and h = 1
-    from q = 17 up.  sub, mul and div hold chunks in the narrowest type
-    for Q - 1 (one byte up to q = 256).  A row of h coordinates packs to
-    its dot product with weights, and digits reads one coordinate back.
+    from q = 17 up.  sub and mul hold chunks in the narrowest type for
+    Q - 1 (one byte up to q = 256).  A row of h coordinates packs to its
+    dot product with weights, and digits reads one coordinate back.
     """
 
     h: int
-    Q: np.intp
+    Q: int
     weights: np.ndarray  # h: q^t, the value of digit t
-    digits: np.ndarray   # h x Q intp: digits[t, x] = x_t * Q, a row index of mul and div
+    digits: np.ndarray   # h x Q intp: digits[t, x] = x_t * Q, a row index of mul
     sub: np.ndarray      # Q*Q: sub[x*Q + y] = x - y, coordinatewise
     mul: np.ndarray      # q*Q: mul[a*Q + y] = a * y for a in F_q
-    div: np.ndarray      # q*Q: div[a*Q + y] = y / a for a != 0; row 0 is 0
 
 
 class FieldSpec:
@@ -327,9 +326,8 @@ class FieldSpec:
         x = np.arange(Q)
         digits = np.stack([x // q**t % q * Q for t in range(h)])
         return ChunkTables(
-            h, np.intp(Q), _frozen(q ** np.arange(h), dtype), _frozen(digits, np.intp),
+            h, Q, _frozen(q ** np.arange(h), dtype), _frozen(digits, np.intp),
             _frozen(sub.ravel(), dtype), _frozen(mul.ravel(), dtype),
-            _frozen(mul[self.np_inv].ravel(), dtype),
         )
 
     @property

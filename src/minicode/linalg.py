@@ -452,8 +452,9 @@ def np_ranks(field: FieldSpec, M) -> np.ndarray:
         lead = ch.digits[t].take(T[0])
         at = first + (lead != 0).argmax(axis=1)
         pivot = T.reshape(len(T), -1).take(at, axis=1)
-        pivot = ch.div.take(lead.take(at, out=leads[col]) + pivot)
-        X = T * Q
+        a = lead.take(at, out=leads[col]) // Q  # each pivot's coordinate in the column
+        pivot = ch.mul.take(np.multiply(field.np_inv.take(a), Q, dtype=np.intp) + pivot)
+        X = np.multiply(T, Q, dtype=np.intp)  # intp: a narrow T times Q must not wrap
         X += ch.mul.take(lead + pivot[:, :, None])
         S, done = ch.sub.take(X), j
         if r < c and not S.any():

@@ -188,9 +188,9 @@ def test_chunk_tables(q, h):
     assert "np_chunks" not in vars(fresh)
     ch = fresh.np_chunks
     Q = q**h
-    assert (ch.h, ch.Q) == (h, Q)
-    assert ch.sub.dtype == ch.mul.dtype == ch.div.dtype == fresh.element_dtype
-    assert ch.sub.shape == (Q * Q,) and ch.mul.shape == ch.div.shape == (q * Q,)
+    assert (ch.h, ch.Q) == (h, Q) and type(ch.Q) is int
+    assert ch.sub.dtype == ch.mul.dtype == fresh.element_dtype
+    assert ch.sub.shape == (Q * Q,) and ch.mul.shape == (q * Q,)
     assert ch.weights.tolist() == [q**t for t in range(h)]
 
     def coords(x):
@@ -205,7 +205,6 @@ def test_chunk_tables(q, h):
         X, Y = coords(x), coords(y)
         assert ch.sub[x * Q + y] == chunk([F.sub(s, t) for s, t in zip(X, Y)])
         assert ch.mul[a * Q + y] == chunk([F.mul(a, t) for t in Y])
-        assert ch.div[a * Q + y] == (chunk([F.mul(F.inv(a), t) for t in Y]) if a else 0)
         assert ch.digits[:, x].tolist() == [c * Q for c in X]
     assert not ch.sub.flags.writeable and not ch.digits.flags.writeable
 
