@@ -68,10 +68,6 @@ def vec_add(field: FieldSpec, u: Sequence[int], v: Sequence[int]) -> Vec:
     check_same_length(u, v)
     return tuple(field.add(a, b) for a, b in zip(u, v))
 
-def vec_sub(field: FieldSpec, u: Sequence[int], v: Sequence[int]) -> Vec:
-    check_same_length(u, v)
-    return tuple(field.sub(a, b) for a, b in zip(u, v))
-
 
 def scale(field: FieldSpec, c: int, v: Sequence[int]) -> Vec:
     return tuple(field.mul(c, a) for a in v)

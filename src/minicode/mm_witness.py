@@ -1,19 +1,22 @@
 """Batched witness construction for the Maiorana-McFarland theorems C1 and C2.
 
-case2_alphas and case3_alphas build, for a group of classes at once, the
-vectors witness._case2_mm and witness._case3_mm build one class at a time;
-witness._block_alphas calls them for the C1 and C2 certificates.
+case2_alphas and case3_alphas build the C1 and C2 witness vectors of a
+group of classes at once, following the proofs' sub-branches;
+witness._block_alphas calls them for a block of certificate classes or for
+the one class of theorem_witness.  A sub-branch that no class of the group
+takes is skipped, so a block of one runs only its own.
 
-Every one-row system r.x = b of _case2_mm and _case3_mm has a closed form
-from p, the first nonzero column of r: the reduced echelon form of that
-row is r/r_p, so solve gives b/r_p at p and zero elsewhere, and
-kernel_basis gives the low vectors e_j - (r_j/r_p) e_p for the free
-columns j != p, ascending.  The two-row systems are one batched 2 x t
-elimination (_solve2), and the scalar searches are masks over the q
-candidates.
+Every one-row system r.x = b of these proofs has a closed form from p,
+the first nonzero column of r: the reduced echelon form of that row is
+r/r_p, so solve gives b/r_p at p and zero elsewhere, and kernel_basis
+gives the low vectors e_j - (r_j/r_p) e_p for the free columns j != p,
+ascending.  The two-row systems are one batched 2 x t elimination
+(_solve2), and the scalar searches are masks over the q candidates.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -28,6 +31,8 @@ from .linalg import (
     np_paired_dots,
     np_vectors,
 )
+
+Values = Callable[[np.ndarray], np.ndarray]  # f at each row of an (..., m) array: shape (...)
 
 
 def _lows(field: FieldSpec, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -107,7 +112,7 @@ def _first(ok: np.ndarray, what: str) -> np.ndarray:
 
 
 def case2_alphas(thm: TheoremId, f: FunctionSpec, omega: np.ndarray) -> np.ndarray:
-    """_case2_mm for the G classes whose omega = -v/u are the rows of omega.
+    """Case-2 witness vectors of the G classes whose omega = -v/u are the rows of omega.
 
     Sub-branches: omega_1 != 0 (C2 then splits on phi(0) and omega_1.e_1);
     omega_1 = 0 with phi(0) != omega_2; phi(0) = omega_2, where C1 closes
@@ -133,75 +138,85 @@ def case2_alphas(thm: TheoremId, f: FunctionSpec, omega: np.ndarray) -> np.ndarr
         return field.vsub(phi[idx], w)
 
     at = np.flatnonzero(w1.any(axis=1))
-    A[at, :s, :s] = _solutions(field, w1[at], c)
-    if thm is TheoremId.C1:
-        a = np.arange(q)
-        ok = (phi[a * unit[0]] != w2[at, None]).any(axis=2)
-        ok &= field.vmul(a, w1[at, :1]) != c
-        a = _first(ok, "scalar a with phi(a e_1) != omega_2 and omega_1.(a e_1) != c")
-        A[at, s:, 0] = a[:, None]
-        A[at, s:, s:] = _solutions(field, rows(at, a * unit[0]),
-                                   field.vsub(field.vmul(a, w1[at, 0]), c))
-    else:
-        via0 = off0[at]  # phi(0) != omega_2
-        sub = at[via0]
-        A[sub, s:, s:] = _solutions(field, rows(sub, 0), negc)
-        via_e1 = ~via0 & (w1[at, 0] != 1)
-        sub = at[via_e1]
-        A[sub, s:, 0] = 1
-        A[sub, s:, s:] = _solutions(field, rows(sub, unit[0]), field.vsub(w1[sub, 0], 1))
-        sub = at[~via0 & ~via_e1]
-        r1 = rows(sub, unit[0])
-        A[sub, s:m - 1, 0] = 1
-        A[sub, s:m - 1, s:] = _lows(field, r1)[0]
-        A[sub, m - 1, 1] = 1
-        A[sub, m - 1, s:] = _solve2(field, r1, rows(sub, unit[1]), 1, field.vsub(w1[sub, 1], 1))
+    if len(at):
+        A[at, :s, :s] = _solutions(field, w1[at], c)
+        if thm is TheoremId.C1:
+            a = np.arange(q)
+            ok = (phi[a * unit[0]] != w2[at, None]).any(axis=2)
+            ok &= field.vmul(a, w1[at, :1]) != c
+            a = _first(ok, "scalar a with phi(a e_1) != omega_2 and omega_1.(a e_1) != c")
+            A[at, s:, 0] = a[:, None]
+            A[at, s:, s:] = _solutions(field, rows(at, a * unit[0]),
+                                       field.vsub(field.vmul(a, w1[at, 0]), c))
+        else:
+            via0 = off0[at]  # phi(0) != omega_2
+            sub = at[via0]
+            if len(sub):
+                A[sub, s:, s:] = _solutions(field, rows(sub, 0), negc)
+            via_e1 = ~via0 & (w1[at, 0] != 1)
+            sub = at[via_e1]
+            if len(sub):
+                A[sub, s:, 0] = 1
+                A[sub, s:, s:] = _solutions(field, rows(sub, unit[0]),
+                                            field.vsub(w1[sub, 0], 1))
+            sub = at[~via0 & ~via_e1]
+            if len(sub):
+                r1 = rows(sub, unit[0])
+                A[sub, s:m - 1, 0] = 1
+                A[sub, s:m - 1, s:] = _lows(field, r1)[0]
+                A[sub, m - 1, 1] = 1
+                A[sub, m - 1, s:] = _solve2(field, r1, rows(sub, unit[1]), 1,
+                                            field.vsub(w1[sub, 1], 1))
 
     at = np.flatnonzero(~w1.any(axis=1) & off0)
-    A[at, :t, s:] = _solutions(field, rows(at, 0), negc)
-    if thm is TheoremId.C1:
-        a = np.arange(1, q)[:, None]
-        ok = (phi[a * unit] != w2[at, None, None]).any(axis=3)  # G x (q-1) x s
-        ai = 1 + _first(ok, "nonzero a with phi(a e_i) != omega_2")  # G x s
-        beta = np.zeros((len(at), s, s), dtype=np.int64)
-        beta[:, np.arange(s), np.arange(s)] = ai
-    else:
-        i0 = _first((phi[unit] != w2[at, None]).any(axis=2), "e_i with phi(e_i) != omega_2")
-        beta = np.broadcast_to(np.eye(s, dtype=np.int64), (len(at), s, s)).copy()
-        beta[np.arange(len(at)), :, i0] = 1  # e_i0 + e_i, and e_i0 itself
-    A[at, t:, :s] = beta
-    A[at, t:, s:] = _point(field, rows(at, np_indices(q, beta)).reshape(-1, t),
-                           negc).reshape(len(at), s, t)
+    if len(at):
+        A[at, :t, s:] = _solutions(field, rows(at, 0), negc)
+        if thm is TheoremId.C1:
+            a = np.arange(1, q)[:, None]
+            ok = (phi[a * unit] != w2[at, None, None]).any(axis=3)  # G x (q-1) x s
+            ai = 1 + _first(ok, "nonzero a with phi(a e_i) != omega_2")  # G x s
+            beta = np.zeros((len(at), s, s), dtype=np.int64)
+            beta[:, np.arange(s), np.arange(s)] = ai
+        else:
+            i0 = _first((phi[unit] != w2[at, None]).any(axis=2), "e_i with phi(e_i) != omega_2")
+            beta = np.broadcast_to(np.eye(s, dtype=np.int64), (len(at), s, s)).copy()
+            beta[np.arange(len(at)), :, i0] = 1  # e_i0 + e_i, and e_i0 itself
+        A[at, t:, :s] = beta
+        A[at, t:, s:] = _point(field, rows(at, np_indices(q, beta)).reshape(-1, t),
+                               negc).reshape(len(at), s, t)
 
     at = np.flatnonzero(~w1.any(axis=1) & ~off0)
-    r1 = rows(at, unit[0])
-    A[at, :t, 0] = 1
-    A[at, :t, s:] = _solutions(field, r1, negc)
-    A[at, t:m - 1, 1:s] = np.eye(s - 1, dtype=np.int64)
-    A[at, t:m - 1, s:] = _point(field, rows(at, unit[None, 1:]).reshape(-1, t),
-                                negc).reshape(len(at), s - 1, t)
-    if thm is TheoremId.C1:
-        a = np.arange(1, q)
-        X = rows(at, a[None] * unit[0])  # G x (q-1) x t
-        p = (r1 != 0).argmax(axis=1)
-        g = np.arange(len(at))
-        lam = field.vmul(X[g, :, p], field.np_inv.take(r1[g, p])[:, None])
-        out = (X != field.vmul(lam[:, :, None], r1[:, None])).any(axis=2)
-        found = out.any(axis=1)
-        a_out = 1 + out[found].argmax(axis=1)
-        sub = at[found]
-        A[sub, m - 1, 0] = a_out
-        A[sub, m - 1, s:] = _solve2(field, X[found, a_out - 1], r1[found], negc,
-                                    field.vadd(field.vneg(field.vmul(a_out, c)), 1))
-        at, r1 = at[~found], r1[~found]
-    eta = _solve2(field, rows(at, unit[1]), r1, 0, 1)
-    A[at, m - 1, 1] = 1
-    A[at, m - 1, s:] = field.vadd(A[at, t, s:], eta)
+    if len(at):
+        r1 = rows(at, unit[0])
+        A[at, :t, 0] = 1
+        A[at, :t, s:] = _solutions(field, r1, negc)
+        A[at, t:m - 1, 1:s] = np.eye(s - 1, dtype=np.int64)
+        A[at, t:m - 1, s:] = _point(field, rows(at, unit[None, 1:]).reshape(-1, t),
+                                    negc).reshape(len(at), s - 1, t)
+        if thm is TheoremId.C1:
+            a = np.arange(1, q)
+            X = rows(at, a[None] * unit[0])  # G x (q-1) x t
+            p = (r1 != 0).argmax(axis=1)
+            g = np.arange(len(at))
+            lam = field.vmul(X[g, :, p], field.np_inv.take(r1[g, p])[:, None])
+            out = (X != field.vmul(lam[:, :, None], r1[:, None])).any(axis=2)
+            found = out.any(axis=1)
+            a_out = 1 + out[found].argmax(axis=1)
+            sub = at[found]
+            if len(sub):
+                A[sub, m - 1, 0] = a_out
+                A[sub, m - 1, s:] = _solve2(field, X[found, a_out - 1], r1[found], negc,
+                                            field.vadd(field.vneg(field.vmul(a_out, c)), 1))
+            at, r1 = at[~found], r1[~found]
+        if len(at):
+            eta = _solve2(field, rows(at, unit[1]), r1, 0, 1)
+            A[at, m - 1, 1] = 1
+            A[at, m - 1, s:] = field.vadd(A[at, t, s:], eta)
     return A
 
 
-def case3_alphas(f: FunctionSpec, values: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """_case3_mm for the G classes (0, v), v the rows of v.
+def case3_alphas(f: FunctionSpec, fvals: Values, v: np.ndarray) -> np.ndarray:
+    """Case-3 witness vectors of the G classes (0, v), v the rows of v.
 
     The m - 1 partial alphas are e_j + lambda e_P for distinct columns j and
     the pivot column P of v_2 (v_2 != 0) or of v_1 (v_2 = 0); J holds each
@@ -216,25 +231,27 @@ def case3_alphas(f: FunctionSpec, values: np.ndarray, v: np.ndarray) -> np.ndarr
     J = np.zeros((len(v), m - 1), dtype=np.int64)
     v1, v2 = v[:, :s], v[:, s:]
     at = np.flatnonzero(v2.any(axis=1))
-    A[at, :t - 1, s:], free = _lows(field, v2[at])
-    J[at, :t - 1] = s + free
-    A[at, t - 1:m - 1, :s] = np.eye(s, dtype=np.int64)
-    A[at, t - 1:m - 1, s:] = _point(field, np.repeat(v2[at], s, axis=0),
-                                    field.vneg(v1[at]).ravel()).reshape(len(at), s, t)
-    J[at, t - 1:] = np.arange(s)
+    if len(at):
+        A[at, :t - 1, s:], free = _lows(field, v2[at])
+        J[at, :t - 1] = s + free
+        A[at, t - 1:m - 1, :s] = np.eye(s, dtype=np.int64)
+        A[at, t - 1:m - 1, s:] = _point(field, np.repeat(v2[at], s, axis=0),
+                                        field.vneg(v1[at]).ravel()).reshape(len(at), s, t)
+        J[at, t - 1:] = np.arange(s)
     at = np.flatnonzero(~v2.any(axis=1))
-    A[at, :s - 1, :s], free = _lows(field, v1[at])
-    J[at, :s - 1] = free
-    A[at, s - 1:m - 1, s:] = np.eye(t, dtype=np.int64)
-    J[at, s - 1:] = s + np.arange(t)
+    if len(at):
+        A[at, :s - 1, :s], free = _lows(field, v1[at])
+        J[at, :s - 1] = free
+        A[at, s - 1:m - 1, s:] = np.eye(t, dtype=np.int64)
+        J[at, s - 1:] = s + np.arange(t)
     if q > 2:
         A[:, m - 1] = field.vmul(2, A[:, 0])
     else:
-        A[:, m - 1] = _first_extending(field, values, v, A[:, :m - 1], J)
+        A[:, m - 1] = _first_extending(field, fvals, v, A[:, :m - 1], J)
     return A
 
 
-def _first_extending(field: FieldSpec, values: np.ndarray, v: np.ndarray,
+def _first_extending(field: FieldSpec, fvals: Values, v: np.ndarray,
                      partial: np.ndarray, J: np.ndarray) -> np.ndarray:
     """For each class (0, v), the first canonical x != 0 with v.x = 0 whose
     lift (f(x), x) is outside the span L of the partial lifts.
@@ -243,20 +260,23 @@ def _first_extending(field: FieldSpec, values: np.ndarray, v: np.ndarray,
     orthogonal to every partial lift, and z and y = (0, v) span L's
     orthogonal complement, so a lift orthogonal to y lies in L exactly
     when z.(f(x), x) = 0.  The candidates are scanned in windows of about
-    DOT_BLOCK dot products until every class has its x.
+    DOT_BLOCK dot products until every class has its x.  A window is never
+    longer than the scan before it, so f is read at no more than twice as
+    many candidates as the last class needs: a block of one class does not
+    tabulate f.
     """
     q, (G, m) = field.q, v.shape
     Z = np.zeros((G, m), dtype=np.int64)
-    Z[np.arange(G)[:, None], J] = field.vneg(values.take(np_indices(q, partial)))
+    Z[np.arange(G)[:, None], J] = field.vneg(fvals(partial))
     out = np.zeros((G, m), dtype=np.int64)
     todo, start = np.arange(G), 1
     while len(todo):
         if start == q**m:
             raise construction_bug("no hyperplane vector extends the case-3 lift span")
-        stop = min(q**m, start + np_block_rows(field, 2 * len(todo)))
+        stop = min(q**m, 2 * start, start + np_block_rows(field, 2 * len(todo)))
         X = np_vectors(q, m, start, stop)
         dots = np_dots(field, np.concatenate([v[todo], Z[todo]]), np_digit_columns(field, X))
-        hit = (dots[:len(todo)] == 0) & (field.vadd(dots[len(todo):], values[start:stop]) != 0)
+        hit = (dots[:len(todo)] == 0) & (field.vadd(dots[len(todo):], fvals(X)) != 0)
         got = hit.any(axis=1)
         out[todo[got]] = X[hit[got].argmax(axis=1)]
         todo, start = todo[~got], stop

@@ -15,27 +15,27 @@ Every constructor validates its own output (membership, weights, inner
 products, rank) before returning; a post-condition failure is reported as a
 construction bug, never silently repaired.
 
-theorem_witness builds one class at a time and is the reference.
-witness_certificate builds every theorem's certificate with a batched
-builder instead.  It takes the classes in blocks of
-np_block_rows(field, k*k), the block size verify_certificate uses, and
-within a block groups them by case and by i0, the first nonzero index of
-omega (case 2) or v (case 3).  Each of the A1, A2, B, D1 and D2 proofs
-builds its vectors from the "low" vectors e_i - (w_i/w_i0) e_i0 and one
-anchor, so a group is a few flat-table operations over a
-(classes x m x m) array; f(alpha) is read from f's cached dense table.  The
-D2 repair of an offending low vector is done with masks.  The
-Maiorana-McFarland proofs (C1, C2) group by their sub-branches instead
-(minicode.mm_witness); their one-row systems have the same low-vector closed form, with a pivot
-per class, their two-row systems are one batched elimination and their
-scalar searches are masks over the q candidates.  The per-class self-check
-is replaced by one post-condition per block: every lift (f(alpha), alpha)
-is orthogonal to its class (f(alpha) = omega.alpha in cases 1-2,
-v.alpha = 0 in case 3), and np_ranks gives rank m for the alphas (cases
-1-2) or the lifts (case 3).  A failure raises ConstructionError naming the
-first failing class.  The certificate equals the one the per-class loop
-over theorem_witness would give, and verify_certificate remains the
-independent check.
+One builder makes every theorem witness.  witness_certificate runs it on
+every class, in blocks of np_block_rows(field, k*k) classes (the block size
+verify_certificate uses), and theorem_witness runs it on a block of one:
+the representative of its message's class, as the witness depends only on
+the class.  Within a block the classes are grouped by case and by i0, the
+first nonzero index of omega (case 2) or v (case 3).  Each of the A1, A2,
+B, D1 and D2 proofs builds its vectors from the "low" vectors
+e_i - (w_i/w_i0) e_i0 and one anchor, so a group is a few flat-table
+operations over a (classes x m x m) array.  The D2 repair of an offending
+low vector is done with masks.  The Maiorana-McFarland proofs (C1, C2)
+group by their sub-branches instead (minicode.mm_witness).  f is read
+through a function of an array of vectors: the certificate looks f up in
+its dense table, and theorem_witness evaluates f at the vectors the proof
+reads, so a single witness never tabulates f.  One post-condition checks a
+block: every lift (f(alpha), alpha) is orthogonal to its class
+(f(alpha) = omega.alpha in cases 1-2, v.alpha = 0 in case 3), and np_ranks
+gives rank m for the alphas (cases 1-2) or the lifts (case 3).  A failure
+raises ConstructionError naming the first failing class; verify_certificate
+remains the independent check of a certificate.  The per-class
+constructions, written as the proofs read, are a test-only oracle
+(tests/witness_oracle.py) that the tests compare with this builder.
 
 One wrinkle: the natural Maiorana-McFarland case-3 argument closes the
 basis with the zero vector, whose lift is not a code position.  Here the
@@ -62,10 +62,8 @@ from .families import (
 )
 from .gf import FieldSpec
 from .linalg import (
-    EchelonBasis,
     Vec,
     dot,
-    enumerate_vectors,
     kernel_basis,
     np_block_rows,
     np_class_reps,
@@ -77,12 +75,11 @@ from .linalg import (
     solve,
     unit_vector,
     vec_add,
-    vec_sub,
     vector_to_index,
     weight,
 )
-from .minimality import Certificate, CertificateClasses
-from .mm_witness import case2_alphas, case3_alphas
+from .minimality import Certificate, CertificateClasses, normalize_class
+from .mm_witness import Values, case2_alphas, case3_alphas
 
 
 @dataclass(frozen=True)
@@ -140,6 +137,7 @@ def full_weight_basis(field: FieldSpec, m: int) -> WitnessBasis:
 
 def unit_inner_basis(field: FieldSpec, omega: Sequence[int]) -> WitnessBasis:
     """A basis of weight <= 2 vectors with omega.beta_i = 1 for every i."""
+    _check_entries(field, omega)
     if not any(omega):
         raise ValueError("omega must be nonzero")
     m = len(omega)
@@ -166,6 +164,7 @@ def unit_inner_basis(field: FieldSpec, omega: Sequence[int]) -> WitnessBasis:
 
 def hyperplane_low_weight_basis(field: FieldSpec, v: Sequence[int]) -> WitnessBasis:
     """A basis of the hyperplane v^perp made of weight <= 2 vectors."""
+    _check_entries(field, v)
     if not any(v):
         raise ValueError("v must be nonzero")
     m = len(v)
@@ -193,6 +192,9 @@ def linear_system_solutions(
     n = len(rows[0])
     if len(rhs) != len(rows):
         raise ValueError("rhs length must match row count")
+    for row in rows:
+        _check_entries(field, row)
+    _check_entries(field, rhs)
     if not any(rhs):
         return kernel_basis(field, rows, n)
     x0 = solve(field, rows, rhs)
@@ -202,6 +204,12 @@ def linear_system_solutions(
     if rank(field, sols) != len(sols):
         raise construction_bug("solution set unexpectedly dependent")
     return sols
+
+
+def _check_entries(field: FieldSpec, vector: Sequence[int]) -> None:
+    """Refuse a coordinate that is not a canonical element, before any table lookup."""
+    for a in vector:
+        field.check_scalar(a)
 
 
 def _first_solution(field: FieldSpec, rows: Sequence[Vec], rhs: Sequence[int]) -> Vec:
@@ -220,64 +228,25 @@ def _require_hypotheses(thm: TheoremId, f: FunctionSpec) -> None:
         raise ValueError(f"hypotheses of {thm.value} fail: {result.condition} at {result.witness}")
 
 
-def theorem_witness(
-    thm: TheoremId,
-    f: FunctionSpec,
-    u: int,
-    v: Sequence[int],
-    _validated: bool = False,
-) -> WitnessBasis:
-    """The vectors the matching construction proof builds for message (u, v)."""
+def theorem_witness(thm: TheoremId, f: FunctionSpec, u: int, v: Sequence[int]) -> WitnessBasis:
+    """The vectors the matching construction proof builds for message (u, v).
+
+    This is the batched builder on a block of one.  The alphas depend only
+    on the class of (u, v), so they are built for its representative, with
+    f evaluated at the vectors the proof reads instead of tabulated.
+    """
     field, m = f.field, f.m
     field.check_scalar(u)
     if len(v) != m:
         raise ValueError(f"v has length {len(v)}, expected m = {m}")
     v = tuple(v)
+    _check_entries(field, v)
     if u == 0 and not any(v):
         raise ValueError("(u, v) must be nonzero")
-    if not _validated:
-        _require_hypotheses(thm, f)
-
-    if u != 0 and not any(v):
-        alphas = _case1_vectors(thm, f)
-        case = 1
-    elif u != 0:
-        alphas = _case2_vectors(thm, f, u, v)
-        case = 2
-    else:
-        alphas = _case3_vectors(thm, f, v)
-        case = 3
-
-    wb = WitnessBasis(("theorem_case", thm, u, v), tuple(alphas))
-    _verify_theorem_witness(f, u, v, wb)
-    return wb
-
-
-def _omega_of(field: FieldSpec, u: int, v: Vec) -> Vec:
-    return scale(field, field.neg(field.inv(u)), v)
-
-
-def _verify_theorem_witness(f: FunctionSpec, u: int, v: Vec, wb: WitnessBasis) -> None:
-    field, m = f.field, f.m
-    alphas = wb.vectors
-    if len(alphas) != m:
-        raise construction_bug(f"expected {m} vectors, got {len(alphas)}")
-    if any(not any(a) for a in alphas):
-        raise construction_bug("witness contains the zero vector")
-    if u != 0:
-        omega = _omega_of(field, u, v) if any(v) else (0,) * m
-        for a in alphas:
-            if f.eval(a) != dot(field, omega, a):
-                raise construction_bug(f"f(alpha) != omega.alpha at alpha={a}")
-        if rank(field, alphas) != m:
-            raise construction_bug("case 1/2 vectors are not a basis")
-    else:
-        for a in alphas:
-            if dot(field, v, a) != 0:
-                raise construction_bug(f"alpha={a} is outside the hyperplane")
-        lifts = [(f.eval(a),) + a for a in alphas]
-        if rank(field, lifts) != m:
-            raise construction_bug("case 3 lifts are not independent")
+    _require_hypotheses(thm, f)
+    Y = np.array([normalize_class(field, (u,) + v)], dtype=np.int64)
+    lifts = _checked_lifts(thm, f, _eval_values(f), Y)
+    return WitnessBasis(("theorem_case", thm, u, v), tuple(map(tuple, lifts[0, :, 1:].tolist())))
 
 
 def _case1_vectors(thm: TheoremId, f: FunctionSpec) -> list[Vec]:
@@ -330,301 +299,6 @@ def _low_basis_against(field: FieldSpec, w: Vec) -> tuple[int, dict[int, Vec]]:
     return i0, out
 
 
-def _case2_vectors(thm: TheoremId, f: FunctionSpec, u: int, v: Vec) -> list[Vec]:
-    field, m = f.field, f.m
-    omega = _omega_of(field, u, v)
-
-    if thm in (TheoremId.A1, TheoremId.A2):
-        betas = unit_inner_basis(field, omega).vectors
-        if thm is TheoremId.A2:
-            return list(betas)
-        return [scale(field, f.eval(b), b) for b in betas]
-
-    if thm is TheoremId.B:
-        i0, lows = _low_basis_against(field, omega)
-        beta = (0,) * m
-        for a in lows.values():
-            beta = vec_add(field, beta, a)
-        beta = vec_add(
-            field, beta,
-            scale(field, field.inv(omega[i0]), unit_vector(m, i0 + 1)),
-        )
-        out = []
-        for i in range(m):
-            if i == i0:
-                out.append(scale(field, f.eval(beta), beta))
-            else:
-                out.append(lows[i])
-        return out
-
-    if thm in (TheoremId.D1, TheoremId.D2):
-        return _case2_monomial(thm, f, omega)
-
-    if thm in (TheoremId.C1, TheoremId.C2):
-        return _case2_mm(thm, f, omega)
-
-    raise ValueError(f"unknown theorem id {thm!r}")
-
-
-def _case2_monomial(thm: TheoremId, f: FunctionSpec, omega: Vec) -> list[Vec]:
-    field, m = f.field, f.m
-    ms = f.variant
-    assert isinstance(ms, MonomialSum)
-    supports = [monomial_support(exps) for _, exps in ms.terms]
-    i0, lows = _low_basis_against(field, omega)
-    j1 = next(j for j, s in enumerate(supports) if (i0 + 1) not in s)
-    a_j1 = ms.terms[j1][0]
-    inv0 = field.inv(omega[i0])
-    anchor = scale(field, field.mul(a_j1, inv0), unit_vector(m, i0 + 1))
-    for i1b in sorted(supports[j1]):
-        anchor = vec_add(field, anchor, lows[i1b - 1])
-    out = {i0: anchor}
-    out.update(lows)
-
-    if thm is TheoremId.D2:
-        offending = [
-            i for i in lows
-            if f.eval(lows[i]) != dot(field, omega, lows[i])
-        ]
-        if len(offending) > 1:
-            raise construction_bug("more than one low vector misses its monomial value")
-        if offending:
-            i1 = offending[0]
-            j0 = next(
-                (j for j, s in enumerate(supports) if s == {i0 + 1, i1 + 1}), None
-            )
-            if j0 is None:
-                raise construction_bug("no pair monomial explains the offending vector")
-            s_j1 = sorted(i - 1 for i in supports[j1])
-            live = [i2 for i2 in s_j1 if omega[i2] != 0]
-            if live:
-                i2 = live[0]
-                coef = field.neg(field.mul(field.inv(omega[i2]), omega[i1]))
-                beta = vec_add(field, lows[i1], scale(field, coef, lows[i2]))
-            else:
-                i2 = s_j1[0]
-                k2 = field.mul(
-                    field.mul(field.inv(a_j1), ms.terms[j0][0]),
-                    field.mul(omega[i1], field.inv(omega[i0])),
-                )
-                beta = lows[i1]
-                for i in s_j1:
-                    coef = k2 if i == i2 else 1
-                    beta = vec_add(field, beta, scale(field, coef, lows[i]))
-            out[i1] = beta
-    return [out[i] for i in range(m)]
-
-
-def _case2_mm(thm: TheoremId, f: FunctionSpec, omega: Vec) -> list[Vec]:
-    field = f.field
-    mm = f.variant
-    assert isinstance(mm, MaioranaMcFarland)
-    s, t = mm.s, mm.t
-    w1, w2 = omega[:s], omega[s:]
-    zero_s, zero_t = (0,) * s, (0,) * t
-    c = _g_at(f, zero_s)
-    phi0 = _phi_at(f, zero_s)
-
-    if any(w1):
-        betas = linear_system_solutions(field, [w1], [c])
-        if thm is TheoremId.C1:
-            a = next(
-                (a for a in field.elements()
-                 if _phi_at(f, scale(field, a, unit_vector(s, 1))) != w2
-                 and field.mul(a, w1[0]) != c),
-                None,
-            )
-            if a is None:
-                raise construction_bug("no scalar a with phi(a e_1) != omega_2 and "
-                            "omega_1.(a e_1) != c")
-            ae1 = scale(field, a, unit_vector(s, 1))
-            row = vec_sub(field, _phi_at(f, ae1), w2)
-            rhs = field.sub(dot(field, w1, ae1), c)
-            gammas = linear_system_solutions(field, [row], [rhs])
-            return [b + zero_t for b in betas] + [ae1 + g for g in gammas]
-        # C2 (q = 2): three sub-branches on phi(0) and omega_1.e_1.
-        e1s = unit_vector(s, 1)
-        if phi0 != w2:
-            row = vec_sub(field, phi0, w2)
-            gammas = linear_system_solutions(field, [row], [field.neg(c)])
-            return [b + zero_t for b in betas] + [zero_s + g for g in gammas]
-        if w1[0] != 1:
-            row = vec_sub(field, _phi_at(f, e1s), w2)
-            rhs = field.sub(w1[0], 1)
-            gammas = linear_system_solutions(field, [row], [rhs])
-            return [b + zero_t for b in betas] + [e1s + g for g in gammas]
-        e2s = unit_vector(s, 2)
-        row1 = vec_sub(field, _phi_at(f, e1s), w2)
-        row2 = vec_sub(field, _phi_at(f, e2s), w2)
-        gammas = kernel_basis(field, [row1], t)
-        gp = _first_solution(field, [row1, row2], [1, field.sub(dot(field, w1, e2s), 1)])
-        out = [b + zero_t for b in betas]
-        out += [e1s + g for g in gammas]
-        out.append(e2s + gp)
-        return out
-
-    # omega_1 = 0, hence omega_2 != 0 (omega itself is nonzero in case 2).
-    if phi0 != w2:
-        row = vec_sub(field, phi0, w2)
-        gammas = linear_system_solutions(field, [row], [field.neg(c)])
-        out = [zero_s + g for g in gammas]
-        if thm is TheoremId.C1:
-            for i in range(1, s + 1):
-                ei = unit_vector(s, i)
-                ai = next(
-                    (a for a in field.nonzero()
-                     if _phi_at(f, scale(field, a, ei)) != w2),
-                    None,
-                )
-                if ai is None:
-                    raise construction_bug(f"no nonzero a with phi(a e_{i}) != omega_2")
-                aei = scale(field, ai, ei)
-                gi = _first_solution(
-                    field, [vec_sub(field, _phi_at(f, aei), w2)], [field.neg(c)]
-                )
-                out.append(aei + gi)
-        else:
-            i0 = next(
-                (i for i in range(1, s + 1)
-                 if _phi_at(f, unit_vector(s, i)) != w2),
-                None,
-            )
-            if i0 is None:
-                raise construction_bug("phi hits omega_2 on every e_i, impossible for "
-                            "an injection with s >= 2")
-            for i in range(1, s + 1):
-                beta = (unit_vector(s, i0) if i == i0
-                        else vec_add(field, unit_vector(s, i0), unit_vector(s, i)))
-                gi = _first_solution(
-                    field, [vec_sub(field, _phi_at(f, beta), w2)], [field.neg(c)]
-                )
-                out.append(beta + gi)
-        return out
-
-    # phi(0) = omega_2: build m-1 vectors on e_1, then pick a suitable last one.
-    e1s = unit_vector(s, 1)
-    e2s = unit_vector(s, 2)
-    row1 = vec_sub(field, _phi_at(f, e1s), w2)
-    gammas1 = linear_system_solutions(field, [row1], [field.neg(c)])
-    out = [e1s + g for g in gammas1]
-    tail: dict[int, Vec] = {}
-    for i in range(2, s + 1):
-        ei = unit_vector(s, i)
-        gi = _first_solution(
-            field, [vec_sub(field, _phi_at(f, ei), w2)], [field.neg(c)]
-        )
-        tail[i] = gi
-        out.append(ei + gi)
-    if thm is TheoremId.C1:
-        span1 = EchelonBasis(field, t)
-        span1.add(row1)
-        a_out = next(
-            (a for a in field.nonzero()
-             if not span1.contains(
-                 vec_sub(field, _phi_at(f, scale(field, a, e1s)), w2))),
-            None,
-        )
-        if a_out is not None:
-            ae1 = scale(field, a_out, e1s)
-            row_a = vec_sub(field, _phi_at(f, ae1), w2)
-            target = field.add(field.neg(field.mul(a_out, c)), 1)
-            g0 = _first_solution(field, [row_a, row1], [field.neg(c), target])
-            out.append(ae1 + g0)
-            return out
-    row2 = vec_sub(field, _phi_at(f, e2s), w2)
-    eta = solve(field, [row2, row1], [0, 1])
-    if eta is None:
-        raise construction_bug(
-            "phi(e_2) - omega_2 dependent on phi(e_1) - omega_2; the "
-            "injectivity argument does not cover this instance"
-        )
-    out.append(e2s + vec_add(field, tail[2], eta))
-    return out
-
-
-def _case3_vectors(thm: TheoremId, f: FunctionSpec, v: Vec) -> list[Vec]:
-    field, m = f.field, f.m
-
-    if thm is TheoremId.A1:
-        base = list(hyperplane_low_weight_basis(field, v).vectors)
-        return base + [scale(field, 2, base[0])]
-
-    if thm is TheoremId.A2:
-        i0, lows = _low_basis_against(field, v)
-        skip = {i0}
-        if m % 2 == 1:
-            i1 = next(i for i in range(m) if i != i0)
-            skip.add(i1)
-        anchor = (0,) * m
-        for i in range(m):
-            if i not in skip:
-                anchor = vec_add(field, anchor, lows[i])
-        out = dict(lows)
-        out[i0] = anchor
-        return [out[i] for i in range(m)]
-
-    if thm is TheoremId.B or thm in (TheoremId.D1, TheoremId.D2):
-        i0, lows = _low_basis_against(field, v)
-        if thm is TheoremId.B:
-            indices = [i for i in range(m) if i != i0]
-        else:
-            ms = f.variant
-            assert isinstance(ms, MonomialSum)
-            supports = [monomial_support(exps) for _, exps in ms.terms]
-            j1 = next(j for j, s in enumerate(supports) if (i0 + 1) not in s)
-            indices = sorted(i - 1 for i in supports[j1])
-        anchor = (0,) * m
-        for i in indices:
-            anchor = vec_add(field, anchor, lows[i])
-        out = dict(lows)
-        out[i0] = anchor
-        return [out[i] for i in range(m)]
-
-    if thm in (TheoremId.C1, TheoremId.C2):
-        return _case3_mm(thm, f, v)
-
-    raise ValueError(f"unknown theorem id {thm!r}")
-
-
-def _case3_mm(thm: TheoremId, f: FunctionSpec, v: Vec) -> list[Vec]:
-    field, m = f.field, f.m
-    mm = f.variant
-    assert isinstance(mm, MaioranaMcFarland)
-    s, t = mm.s, mm.t
-    v1, v2 = v[:s], v[s:]
-    zero_s, zero_t = (0,) * s, (0,) * t
-    partial: list[Vec] = []
-    if any(v2):
-        for g in kernel_basis(field, [v2], t):
-            partial.append(zero_s + g)
-        for i in range(1, s + 1):
-            ei = unit_vector(s, i)
-            gi = _first_solution(field, [v2], [field.neg(dot(field, v1, ei))])
-            partial.append(ei + gi)
-    else:
-        for b in kernel_basis(field, [v1], s):
-            partial.append(b + zero_t)
-        for j in range(1, t + 1):
-            partial.append(zero_s + unit_vector(t, j))
-
-    lifts = EchelonBasis(field, m + 1)
-    for a in partial:
-        if not lifts.add((f.eval(a),) + a):
-            raise construction_bug("partial case-3 lifts unexpectedly dependent")
-
-    if field.q > 2:
-        cand = scale(field, 2, partial[0])
-        if not lifts.add((f.eval(cand),) + cand):
-            raise construction_bug("2*alpha_1 does not extend the case-3 lift span")
-        return partial + [cand]
-    for x in enumerate_vectors(field, m):
-        if dot(field, v, x) != 0:
-            continue
-        if lifts.add((f.eval(x),) + x):
-            return partial + [x]
-    raise construction_bug("no hyperplane vector extends the case-3 lift span")
-
-
 # -- certificates ----------------------------------------------------------------
 
 def lift_witness(f: FunctionSpec, wb: WitnessBasis) -> tuple[Vec, ...]:
@@ -636,9 +310,8 @@ def witness_certificate(thm: TheoremId, f: FunctionSpec) -> Certificate:
     """A value-mode certificate covering every projective class of C_f.
 
     Requires the theorem hypotheses to hold; each class's entry is the
-    lifted witness basis that theorem_witness builds for it.  Every theorem
-    goes through the batched builder (_batched_arrays), which fills the
-    certificate's two arrays directly.
+    lifted witness basis that theorem_witness builds for it.  The batched
+    builder (_batched_arrays) fills the certificate's two arrays directly.
     """
     _require_hypotheses(thm, f)
     field, m = f.field, f.m
@@ -652,24 +325,39 @@ def _batched_arrays(thm: TheoremId, f: FunctionSpec) -> tuple[np.ndarray, np.nda
     """(reps, lifts): every class in canonical order and its m lifted witnesses.
 
     reps is P x (m+1) and lifts P x m x (m+1), both in the element type;
-    each block's lifts (f(x), x) are read from f's value table by the
-    canonical indices of its alphas and checked before they are stored.
+    f is read from its value table by the canonical indices of the
+    vectors, and each block's lifts are checked before they are stored.
     """
     field, m = f.field, f.m
     q, k = field.q, m + 1
     values = np.array(f.materialize().variant.values, dtype=np.int64)
+
+    def fvals(X: np.ndarray) -> np.ndarray:
+        return values.take(np_indices(q, X))
+
     reps = np_class_reps(q, k)
     dtype = field.element_dtype
     out = np.empty((len(reps), m, k), dtype=dtype)
     step = np_block_rows(field, k * k)
     for start in range(0, len(reps), step):
-        Y = reps[start:start + step]
-        alphas = _block_alphas(thm, f, values, Y)
-        x = np_indices(q, alphas)
-        lifts = np.concatenate([values.take(x)[:, :, None], alphas], axis=2)
-        _check_block(field, Y, lifts)
-        out[start:start + step] = lifts
+        out[start:start + step] = _checked_lifts(thm, f, fvals, reps[start:start + step])
     return reps.astype(dtype), out
+
+
+def _eval_values(f: FunctionSpec) -> Values:
+    """f at each vector of an array, one f.eval per vector: no table is built."""
+    def fvals(X: np.ndarray) -> np.ndarray:
+        flat = [f.eval(x) for x in X.reshape(-1, f.m).tolist()]
+        return np.array(flat, dtype=np.int64).reshape(X.shape[:-1])
+    return fvals
+
+
+def _checked_lifts(thm: TheoremId, f: FunctionSpec, fvals: Values, Y: np.ndarray) -> np.ndarray:
+    """The B x m x (m+1) lifts (f(alpha), alpha) of the B classes Y, checked."""
+    alphas = _block_alphas(thm, f, fvals, Y)
+    lifts = np.concatenate([fvals(alphas)[:, :, None], alphas], axis=2)
+    _check_block(f.field, Y, lifts)
+    return lifts
 
 
 def _check_block(field: FieldSpec, Y: np.ndarray, lifts: np.ndarray) -> None:
@@ -691,9 +379,8 @@ def _check_block(field: FieldSpec, Y: np.ndarray, lifts: np.ndarray) -> None:
         raise construction_bug(f"class {tuple(Y[i].tolist())} fails the post-condition: {why}")
 
 
-def _block_alphas(thm: TheoremId, f: FunctionSpec, values: np.ndarray,
-                  Y: np.ndarray) -> np.ndarray:
-    """The B x m x m witness vectors theorem_witness builds for the B classes Y.
+def _block_alphas(thm: TheoremId, f: FunctionSpec, fvals: Values, Y: np.ndarray) -> np.ndarray:
+    """The B x m x m witness vectors of the B classes Y, f read through fvals.
 
     Classes are grouped by case and by i0, the first nonzero index of
     w = omega (case 2) or w = v (case 3); each group is built at once.
@@ -708,9 +395,11 @@ def _block_alphas(thm: TheoremId, f: FunctionSpec, values: np.ndarray,
     omega = field.vmul(field.vneg(field.np_inv.take(u))[:, None], v)
     if thm in (TheoremId.C1, TheoremId.C2):
         rows = np.flatnonzero((u != 0) & ~case1)
-        A[rows] = case2_alphas(thm, f, omega[rows])
+        if len(rows):
+            A[rows] = case2_alphas(thm, f, omega[rows])
         rows = np.flatnonzero(u == 0)
-        A[rows] = case3_alphas(f, values, v[rows])
+        if len(rows):
+            A[rows] = case3_alphas(f, fvals, v[rows])
         return A
     for case, rows, w in ((2, (u != 0) & ~case1, omega), (3, u == 0, v)):
         rows = np.flatnonzero(rows)
@@ -718,7 +407,7 @@ def _block_alphas(thm: TheoremId, f: FunctionSpec, values: np.ndarray,
         i0s = (w != 0).argmax(axis=1)
         for i0 in np.unique(i0s).tolist():
             at = i0s == i0
-            A[rows[at]] = _group_alphas(thm, f, values, case, i0, w[at])
+            A[rows[at]] = _group_alphas(thm, f, fvals, case, i0, w[at])
     return A
 
 
@@ -734,7 +423,7 @@ def _combine(field: FieldSpec, coef: np.ndarray, i0: int, lam: np.ndarray,
     return out
 
 
-def _group_alphas(thm: TheoremId, f: FunctionSpec, values: np.ndarray, case: int,
+def _group_alphas(thm: TheoremId, f: FunctionSpec, fvals: Values, case: int,
                   i0: int, w: np.ndarray) -> np.ndarray:
     """Witness vectors of the case-2 or case-3 classes whose w starts at i0.
 
@@ -742,16 +431,13 @@ def _group_alphas(thm: TheoremId, f: FunctionSpec, values: np.ndarray, case: int
     identity with column i0 replaced by coef = -w/w_i0; row i0 is a
     placeholder that each theorem overwrites.
     """
-    field, m, q = f.field, f.m, f.field.q
+    field, m = f.field, f.m
     G = len(w)
     inv0 = field.np_inv.take(w[:, i0])
     coef = field.vneg(field.vmul(inv0[:, None], w))
     A = np.broadcast_to(np.eye(m, dtype=np.int64), (G, m, m)).copy()
     A[:, :, i0] = coef
     A[:, i0, i0] = 0
-
-    def fvals(V: np.ndarray) -> np.ndarray:
-        return values.take(np_indices(q, V))
 
     if case == 2 and thm in (TheoremId.A1, TheoremId.A2):
         # unit_inner_basis: e_i + (1 - w_i)/w_i0 e_i0, and e_i0/w_i0 at i0
@@ -796,7 +482,7 @@ def _group_alphas(thm: TheoremId, f: FunctionSpec, values: np.ndarray, case: int
 
 def _repair_d2(f: FunctionSpec, fA: np.ndarray, i0: int, j1: int, S: list[int],
                w: np.ndarray, coef: np.ndarray, A: np.ndarray) -> None:
-    """Replace the offending low vector of each class, as _case2_monomial does.
+    """Replace the offending low vector of each class, as the D2 proof does.
 
     lows[i1] offends when f(lows[i1]) != 0 = omega.lows[i1], which the pair
     monomial on {i0, i1} explains.  Any other offender is left as it is and

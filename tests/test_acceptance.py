@@ -42,9 +42,7 @@ from minicode.minimality import (
 from minicode.witness import (
     full_weight_basis,
     hyperplane_low_weight_basis,
-    lift_witness,
     linear_system_solutions,
-    theorem_witness,
     unit_inner_basis,
 )
 
@@ -314,7 +312,7 @@ def test_criterion_10_witness_soundness(witness_reference):
         field, m = f.field, f.m
         D = defining_set(f)
         members = set(map(tuple, D.vectors.tolist()))
-        # theorem_witness(thm, f, y[0], y[1:]) lifted, for every class y
+        # the test oracle's witness for every class y, lifted (tests/witness_oracle.py)
         entries = witness_reference(thm, f)
         assert [y for y, _ in entries] == list(projective_classes(field, m + 1)), name
         for y, lifts in entries:

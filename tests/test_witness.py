@@ -29,7 +29,6 @@ from minicode.linalg import (
     rank,
     scale,
     unit_vector,
-    vec_sub,
     vector_to_index,
     weight,
 )
@@ -43,6 +42,7 @@ from minicode.witness import (
     unit_inner_basis,
     witness_certificate,
 )
+from witness_oracle import reference_witness, vec_sub
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -192,6 +192,41 @@ def test_theorem_witness_rejects_zero_message():
         theorem_witness(TheoremId.B, f, 0, (0,) * 5)
 
 
+@pytest.mark.parametrize("bad", [7, -1, 1.0], ids=["out-of-range", "negative", "float"])
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda a: theorem_witness(TheoremId.D1, get_preset("sec7_f1").function,
+                                           a, (1,) + (0,) * 7), id="theorem_witness-u"),
+    pytest.param(lambda a: theorem_witness(TheoremId.D1, get_preset("sec7_f1").function,
+                                           0, (1,) * 7 + (a,)), id="theorem_witness-v"),
+    pytest.param(lambda a: unit_inner_basis(F3, (a, 1)), id="unit_inner_basis"),
+    pytest.param(lambda a: hyperplane_low_weight_basis(F3, (a, 1)), id="hyperplane"),
+    pytest.param(lambda a: linear_system_solutions(F3, [(a, 1)], [1]), id="system-row"),
+    pytest.param(lambda a: linear_system_solutions(F3, [(1, 1)], [a]), id="system-rhs"),
+])
+def test_witness_entry_points_refuse_non_canonical_entries(call, bad):
+    # F_3: every entry is checked before a field table is read
+    with pytest.raises(ValueError, match="is not a canonical element of F_3"):
+        call(bad)
+
+
+def test_theorem_witness_never_tabulates_f(monkeypatch):
+    def refuse(self):
+        raise AssertionError("f was tabulated")
+
+    monkeypatch.setattr(FunctionSpec, "values", refuse)
+    m = 11
+    exps = [(1,) * 5 + (0,) * 6, (0,) * 5 + (1,) * 6]  # supports {1..5} and {6..11}
+    f = FunctionSpec(F3, m, MonomialSum(tuple((1, e) for e in exps)))
+    w = (0, 2, 1, 0, 0, 1, 2, 2, 0, 1, 1)
+    for u, v in ((1, (0,) * m), (2, w), (0, w)):  # cases 1, 2 and 3
+        y = (u,) + v
+        wb = theorem_witness(TheoremId.D1, f, u, v)
+        assert wb == reference_witness(TheoremId.D1, f, u, v), y
+        lifts = lift_witness(f, wb)  # f-values by f.eval
+        assert all(dot(F3, y, d) == 0 for d in lifts), y
+        assert rank(F3, lifts) == m, y
+
+
 def sweep_preset(name, sample=None):
     preset = get_preset(name)
     f, thm = preset.function, preset.theorem
@@ -203,7 +238,7 @@ def sweep_preset(name, sample=None):
     if sample is not None:
         classes = random.Random(71).sample(classes, sample)
     for y in classes:
-        wb = theorem_witness(thm, f, y[0], y[1:], _validated=True)
+        wb = theorem_witness(thm, f, y[0], y[1:])
         lifts = lift_witness(f, wb)
         assert all(d in members for d in lifts)
         assert all(dot(field, y, d) == 0 for d in lifts)
@@ -229,7 +264,7 @@ def test_theorem_witness_d2_repair_branches():
     D = defining_set(f)
     members = set(map(tuple, D.vectors.tolist()))
     for y in projective_classes(field, 5):
-        wb = theorem_witness(TheoremId.D2, f, y[0], y[1:], _validated=True)
+        wb = theorem_witness(TheoremId.D2, f, y[0], y[1:])
         lifts = lift_witness(f, wb)
         assert all(d in members for d in lifts)
         assert rank(field, lifts) == 4
@@ -271,7 +306,7 @@ def test_theorem_witness_mm_randomized_branches():
             D = defining_set(f)
             members = set(map(tuple, D.vectors.tolist()))
             for y in projective_classes(field, m + 1):
-                wb = theorem_witness(thm, f, y[0], y[1:], _validated=True)
+                wb = theorem_witness(thm, f, y[0], y[1:])
                 lifts = lift_witness(f, wb)
                 assert all(d in members for d in lifts)
                 assert rank(field, lifts) == m
@@ -406,8 +441,8 @@ def test_batched_post_condition_names_the_corrupted_class(monkeypatch, name, cor
     build = witness_mod._block_alphas
     calls = []
 
-    def corrupt(thm, f, values, Y):
-        A = build(thm, f, values, Y)
+    def corrupt(thm, f, fvals, Y):
+        A = build(thm, f, fvals, Y)
         calls.append(tuple(Y[5].tolist()))
         if len(calls) == 7:  # a block in the middle
             y = Y[5]
@@ -460,7 +495,7 @@ def test_batched_builder_matches_reference_on_mm_instances(witness_reference, in
 
 
 def mm_branch(thm, f, y):
-    """The sub-branch of _case2_mm or _case3_mm that class y takes."""
+    """The sub-branch of the oracle's _case2_mm or _case3_mm that class y takes."""
     field, mm = f.field, f.variant
     s = mm.s
     u, v = y[0], y[1:]
@@ -518,3 +553,40 @@ def test_every_theorem_is_built_without_the_per_class_reference(monkeypatch):
     for thm, f in specs:
         assert validate_hypotheses(f, thm)
         assert verify_certificate(defining_set(f), witness_certificate(thm, f)), thm
+
+
+SMALL_WITNESS_PRESETS = ("sec4_f1", "sec4_f2", "sec5_f1", "sec5_f2", "sec5_f3", "dhz_m7")
+
+
+def assert_matches_oracle(thm, f, messages):
+    """theorem_witness equals the test oracle's WitnessBasis on each message y = (u, v)."""
+    for y in messages:
+        assert theorem_witness(thm, f, y[0], y[1:]) == reference_witness(thm, f, y[0], y[1:]), y
+
+
+def every_message(f):
+    q, k = f.field.q, f.m + 1
+    return (index_to_vector(q, k, i) for i in range(1, q**k))
+
+
+@pytest.mark.parametrize("name", SMALL_WITNESS_PRESETS)
+def test_theorem_witness_matches_oracle_on_every_message(name):
+    preset = get_preset(name)
+    assert_matches_oracle(preset.theorem, preset.function, every_message(preset.function))
+
+
+@pytest.mark.parametrize("name", ("sec7_f1", "sec7_f2", "sec7_f3", "sec7_f4"))
+def test_theorem_witness_matches_oracle_on_sampled_messages(name):
+    preset = get_preset(name)
+    f = preset.function
+    q, k = f.field.q, f.m + 1
+    rng = random.Random(2026)
+    messages = [index_to_vector(q, k, rng.randrange(1, q**k)) for _ in range(200)]
+    assert_matches_oracle(preset.theorem, f, messages)
+
+
+@pytest.mark.parametrize("index", [i for i, (_, f) in enumerate(mm_instances())
+                                   if f.field.q ** (f.m + 1) <= 1024])
+def test_theorem_witness_matches_oracle_on_mm_instances(index):
+    thm, f = mm_instances()[index]
+    assert_matches_oracle(thm, f, every_message(f))
