@@ -144,7 +144,8 @@ class ChunkTables(NamedTuple):
     max(CHUNK_TABLE, q*q) entries, so Q <= 256 whenever h >= 2 and h = 1
     from q = 17 up.  sub and mul hold chunks in the narrowest type for
     Q - 1 (one byte up to q = 256).  A row of h coordinates packs to its
-    dot product with weights, and digits reads one coordinate back.
+    dot product with weights, digits reads one coordinate back, and lowest
+    finds the first nonzero coordinate of a chunk, a pivot.
     """
 
     h: int
@@ -153,6 +154,7 @@ class ChunkTables(NamedTuple):
     digits: np.ndarray   # h x Q intp: digits[t, x] = x_t * Q, a row index of mul
     sub: np.ndarray      # Q*Q: sub[x*Q + y] = x - y, coordinatewise
     mul: np.ndarray      # q*Q: mul[a*Q + y] = a * y for a in F_q
+    lowest: np.ndarray   # Q: lowest[x] = t * Q for the least t with x_t != 0, 0 for x = 0
 
 
 class FieldSpec:
@@ -328,6 +330,7 @@ class FieldSpec:
         return ChunkTables(
             h, Q, _frozen(q ** np.arange(h), dtype), _frozen(digits, np.intp),
             _frozen(sub.ravel(), dtype), _frozen(mul.ravel(), dtype),
+            _frozen((digits != 0).argmax(axis=0) * Q, np.min_scalar_type(h * Q)),
         )
 
     @property

@@ -249,9 +249,9 @@ def np_vectors(q: int, m: int, start: int, stop: int) -> np.ndarray:
     return np_digits(q, m, np.arange(start, stop, dtype=np.int64))
 
 
-def np_digits(q: int, m: int, idx: np.ndarray) -> np.ndarray:
-    """Rows index_to_vector(q, m, i) for the indices i of the 1-D array idx."""
-    out = np.empty((len(idx), m), dtype=np.int64)
+def np_digits(q: int, m: int, idx: np.ndarray, dtype=np.int64) -> np.ndarray:
+    """Rows index_to_vector(q, m, i) for the indices i of the 1-D array idx, in dtype."""
+    out = np.empty((len(idx), m), dtype=dtype)
     for i in range(m - 1, -1, -1):
         idx, out[:, i] = np.divmod(idx, q)
     return out
@@ -370,15 +370,16 @@ def class_count(q: int, k: int) -> int:
     return (q**k - 1) // (q - 1)
 
 
-def np_class_reps(q: int, k: int) -> np.ndarray:
-    """Every projective class of F_q^k as a P x k array, in canonical order.
+def np_class_reps(q: int, k: int, dtype=np.int64) -> np.ndarray:
+    """Every projective class of F_q^k as a P x k array of dtype, in canonical order.
 
     A class is represented by its vector (0..0, 1, tail), whose first
     nonzero coordinate is 1.  With t tail digits its canonical index is
     q^t + idx(tail), so the classes in ascending index are the ranges
     [q^t, 2 q^t), t = 0..k-1.
     """
-    return np_digits(q, k, np.concatenate([np.arange(q**t, 2 * q**t) for t in range(k)]))
+    idx = np.concatenate([np.arange(q**t, 2 * q**t) for t in range(k)])
+    return np_digits(q, k, idx, dtype)
 
 
 def np_class_codewords(field: FieldSpec, rows: np.ndarray) -> np.ndarray:
@@ -416,6 +417,17 @@ def np_row_keys(field: FieldSpec, rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
 
+def np_chunk_rows(field: FieldSpec, M: np.ndarray) -> np.ndarray:
+    """The rows of M, c coordinates each, as ceil(c/h) chunks of field.np_chunks, chunks first.
+
+    Chunk j holds coordinates jh .. jh + h - 1, the last chunk zero-padded:
+    an array of shape (ceil(c/h),) + M.shape[:-1].
+    """
+    ch = field.np_chunks
+    c, h = M.shape[-1], ch.h
+    return np.stack([M[..., j:j + h] @ ch.weights[:min(h, c - j)] for j in range(0, c, h)])
+
+
 def np_ranks(field: FieldSpec, M) -> np.ndarray:
     """Ranks over F_q of the B matrices of a B x r x c array, by batched elimination on chunks.
 
@@ -437,8 +449,8 @@ def np_ranks(field: FieldSpec, M) -> np.ndarray:
     B, r, c = M.shape
     if not r or not c:
         return np.zeros(B, dtype=np.int64)
-    h, Q, w = ch.h, ch.Q, ch.weights
-    S = np.stack([part @ w[:part.shape[2]] for part in (M[:, :, j:j + h] for j in range(0, c, h))])
+    h, Q = ch.h, ch.Q
+    S = np_chunk_rows(field, M)
     first = np.arange(0, B * r, r)  # the flat index of each matrix's row 0
     leads = np.zeros((c, B), dtype=np.intp)  # each pivot's coordinate times Q, 0 for none
     done = 0  # S holds the chunks from done on

@@ -16,12 +16,15 @@ criterion scans D in a fixed stride order for a block of classes at a time,
 in hit rounds: each class's hits (the candidates orthogonal to it) are
 listed in scan order, and round r reduces the r-th hit of every class still
 scanning against the echelon rows that class kept, so a window of
-candidates costs about k rounds, not one step per candidate.  A class keeps
-a hit when a remainder is left and retires at rank k-1, exactly as the
-sequential rank_criterion_codeword does.  The criterion emits a certificate
-whose per-class entries are indices into the serialized D order, so
-verification is exact membership; the verifier checks blocks of classes
-with batched elimination.  A certificate is two arrays, the P x k
+candidates costs about as many rounds as a class has hits in it, not one
+step per candidate.  Rows are packed into the np_chunks chunks of gf, so
+one table lookup updates several coordinates, and a block holds thousands
+of classes, so the few classes that scan longest are waited for once per
+block.  A class keeps a hit when a remainder is left and retires at rank
+k-1, exactly as the sequential rank_criterion_codeword does.  The criterion
+emits a certificate whose per-class entries are indices into the serialized
+D order, so verification is exact membership; the verifier checks blocks of
+classes with batched elimination.  A certificate is two arrays, the P x k
 representatives and the P x (k-1) indices or P x (k-1) x k vectors, in the
 narrowest exact type; its producers, the verifier and the text codec work
 on them directly.  A failing class is reported with the rank its scan
@@ -64,6 +67,7 @@ from .linalg import (
     index_to_vector,
     kernel_basis,
     np_block_rows,
+    np_chunk_rows,
     np_class_reps,
     np_dots,
     np_indices,
@@ -489,8 +493,14 @@ def rank_criterion_code(
     Minimal verdicts carry an index-mode Certificate covering all classes;
     otherwise the failing class with the smallest canonical index is
     reported.  Refuses (without partial answers) when the estimated cost
-    P * n * k exceeds the operation budget.  Classes run in blocks of about
-    DOT_BLOCK / k^2, in canonical order, so a failure stops at its block.
+    P * n * k exceeds the operation budget.  Classes run in blocks, in
+    canonical order, so a failure stops at its block.  The scan reads D a
+    window of candidates at a time: 2qk of them, among which a class meets
+    about 2k hits, or all of D when it is smaller, and never more than
+    2 sqrt(DOT_BLOCK).  A block holds 4 DOT_BLOCK / window classes, so its
+    table of hits has about 4 DOT_BLOCK entries and the block is at least
+    as tall as the window is wide.  D is packed once into np_chunks chunk
+    rows in scan order; the class representatives stay in the element type.
     """
     if D.rank != D.k:
         raise GuardError(f"rank criterion needs rank(D) = k; got {D.rank} < {D.k}")
@@ -503,14 +513,16 @@ def rank_criterion_code(
         raise BudgetExceededError(
             f"estimated {estimated} field ops exceed the budget {limit}"
         )
-    reps = np_class_reps(q, k).astype(field.element_dtype)
+    reps = np_class_reps(q, k, field.element_dtype)
     order = _scan_order(n)
-    rows, cols = D.vectors[order], D.digit_columns[:, order]  # D in scan order
+    rows = np_chunk_rows(field, D.vectors).astype(field.np_chunks.sub.dtype)[:, order]
     entries = np.empty((P, k - 1), dtype=np.min_scalar_type(n))
-    step = np_block_rows(field, k * k)
+    table = 4 * linalg.DOT_BLOCK  # hit-table entries of a block
+    window = min(n, 2 * q * k, math.isqrt(table))
+    step = max(1, table // window)
     for start in range(0, P, step):
-        Y = reps[start:start + step].astype(np.int64)
-        picked, count = _greedy_block(field, Y, rows, cols)
+        Y = reps[start:start + step]
+        picked, count = _greedy_block(field, Y, rows, D.digit_columns, order, window)
         failed = np.flatnonzero(count < k - 1)
         if failed.size:
             b = int(failed[0])
@@ -523,65 +535,103 @@ def rank_criterion_code(
 
 
 def _greedy_block(
-    field: FieldSpec, Y: np.ndarray, rows: np.ndarray, cols: np.ndarray
+    field: FieldSpec, Y: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+    order: np.ndarray, window: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The greedy scans of D cap H(y) for every class y of a block, run in hit rounds.
 
-    rows and cols are D's members and np_dots columns in scan order, visited
-    a window of candidates at a time.  np_dots over the window gives each
-    live class its hits, the candidates it is orthogonal to, and a stable
-    argsort of the hit mask lists them first, in scan order.  Round r then takes the r-th hit of every class that is
-    still scanning and has one, reduces it against that class's kept rows
-    with the flat field tables, and keeps it when a remainder is left; a
-    class retires at k-1 rows.  Each class meets its own hits in scan
-    order, so it keeps the rows rank_criterion_codeword keeps, while a
-    window costs as many rounds as its busiest class has hits to try
-    (about k), not one step per candidate.
+    rows holds D's members as np_chunks chunks, chunk-major (chunks x n),
+    in scan order; cols holds D's np_dots columns in D's order.  The scan
+    reads D a window of candidates at a time.  np_dots over the window,
+    DOT_BLOCK entries a call, gives each class still scanning its hits,
+    the candidates it is orthogonal to, listed in scan order.  Round r
+    then takes the r-th hit of every class that is still scanning and has
+    one and reduces it against that class's kept rows, whole chunks at a
+    time: sub[X Q + mul[c Q + row]], c being the candidate's coordinate at
+    the row's pivot, read through digits.  A remainder is kept, scaled to a
+    leading 1 found through the lowest table; a class retires at k-1 rows.
+    Each class meets its own hits in scan order, so it keeps the rows
+    rank_criterion_codeword keeps, while a window costs as many rounds as
+    its busiest class has hits to try, not one step per candidate.  The
+    arrays of a round are chunk-major too (chunks x classes), so each
+    numpy call runs along the classes.
 
     Returns (picked, count): picked[b, :count[b]] are the scan positions
     class b kept.  count[b] < k-1 means its scan exhausted D cap H(y), whose
     rank is then count[b].
     """
-    q, sub, mul, inv = field.q, field.np_sub, field.np_mul, field.np_inv
+    ch = field.np_chunks
+    Q, sub, mul, lowest = ch.Q, ch.sub, ch.mul, ch.lowest
+    digits = ch.digits.ravel()  # digits[t Q + x] = x_t Q
+    # scale[t Q + x] = (1/x_t) Q, the row of mul that divides by x_t
+    scale = np.multiply(field.np_inv.take(digits // Q), Q, dtype=np.intp)
     B, k = Y.shape
-    n = len(rows)
-    basis = np.zeros((k - 1, B, k), dtype=np.int64)  # kept rows scaled to a leading 1
-    pivots = np.zeros((k - 1, B), dtype=np.int64)
-    picked = np.zeros((B, k - 1), dtype=np.int64)
-    count = np.zeros(B, dtype=np.int64)
-    live = np.flatnonzero(count < k - 1)  # the classes still scanning
+    C, n = rows.shape
+    # the kept rows scaled to a leading 1 (chunk-major), each pivot's chunk j
+    # and its t Q in that chunk, and the rows' scan positions, at slot B + class
+    basis = np.zeros((C, (k - 1) * B), dtype=rows.dtype)
+    chunk = np.zeros((k - 1) * B, dtype=np.min_scalar_type(C))
+    digit = np.zeros((k - 1) * B, dtype=lowest.dtype)
+    picked = np.zeros((k - 1) * B, dtype=np.min_scalar_type(n))
+    count = np.zeros(B, dtype=np.intp)
+    slots = np.arange(0, (k - 1) * B, B)[:, None]  # where each slot starts
+    live = np.arange(B if k > 1 else 0)  # the classes still scanning
     t = 0
     while live.size and t < n:
-        stop = min(n, t + np_block_rows(field, live.size))
-        hits = np_dots(field, Y[live], cols[:, t:stop]) == 0
-        ranked = np.argsort(~hits, axis=1, kind="stable") + t  # hits first, in scan order
-        total = hits.sum(axis=1)
-        sel = np.flatnonzero(total)  # rows of live with an r-th hit
+        stop = min(n, t + window)
+        at_cols = cols[:, order[t:stop]]
+        part = np_block_rows(field, stop - t)
+        total, found = [], []
+        for a in range(0, live.size, part):
+            hits = np_dots(field, Y[live[a:a + part]], at_cols) == 0
+            total.append(hits.sum(axis=1))
+            flat = hits.ravel().nonzero()[0]  # row-major: each class's hits in scan order
+            found.append((flat % (stop - t) + t).astype(picked.dtype))
+        # the scan positions of the hits of every live class, one class after another
+        total, found = (np.concatenate(v) if len(v) > 1 else v[0] for v in (total, found))
+        first = total.cumsum() - total  # where each class's hits start in found
+        sel = total.nonzero()[0]  # rows of live with an r-th hit
+        most = int(count.take(live).max())  # kept rows so far; a round adds at most one
         r = 0
         while sel.size:
-            h = live[sel]
-            pos = ranked[sel, r]
-            w = rows[pos]
-            at = np.arange(h.size)
-            for i in range(int(count[h].max())):
-                # rows past a class's count are zero, so this leaves it as is
-                c = w[at, pivots[i, h]]
-                w = sub.take(w * q + mul.take(c[:, None] * q + basis[i, h]))
-            new = np.flatnonzero(w.any(axis=1))
+            h = live.take(sel)
+            pos = found.take(first.take(sel) + r)
+            w = rows.take(pos, axis=1)
+            kept = min(most + r, k - 2)
+            if kept:
+                # rows past a class's count are zero, so they leave it as is
+                at = h + slots[:kept]  # kept x classes, flat
+                G, T = basis.take(at, axis=1), digit.take(at)
+                if C > 1:  # else each pivot lies in a row's one chunk
+                    J = np.multiply(chunk.take(at), h.size, dtype=np.intp)
+                    J += np.arange(h.size)  # flat in w
+                for i in range(kept):
+                    x = w.take(J[i]) if C > 1 else w.ravel()  # the chunk of the pivot
+                    c = digits.take(T[i] + x)  # c Q, c the coordinate at the pivot
+                    X = np.multiply(w, Q, dtype=np.intp)
+                    X += mul.take(c + G[:, i])
+                    w = sub.take(X)
+            new = w.any(axis=0).nonzero()[0]
             if new.size:
-                w, hn = w[new], h[new]
-                piv = (w != 0).argmax(axis=1)
-                lead = w[np.arange(new.size), piv]
-                slot = count[hn]
-                basis[slot, hn] = mul.take(inv.take(lead)[:, None] * q + w)
-                pivots[slot, hn] = piv
-                picked[hn, slot] = pos[new]
+                w, hn = w.take(new, axis=1), h.take(new)
+                slot = count.take(hn)
+                at = slot * B + hn
+                if C > 1:
+                    j = (w != 0).argmax(axis=0)
+                    x = w.take(j * new.size + np.arange(new.size))  # each new pivot's chunk
+                    chunk[at] = j
+                else:
+                    x = w.ravel()
+                low = lowest.take(x)
+                basis[:, at] = mul.take(scale.take(low + x) + w)
+                digit[at] = low
+                picked[at] = pos.take(new)
                 count[hn] = slot + 1
             r += 1
-            sel = sel[(total[sel] > r) & (count[h] < k - 1)]
-        live = live[count[live] < k - 1]
+            sel = sel[(total.take(sel) > r) & (count.take(h) < k - 1)]
+        live = live[count.take(live) < k - 1]
         t = stop
-    return picked, count
+    return picked.reshape(k - 1, B).T, count
 
 
 def cf_case_check(

@@ -3,6 +3,7 @@
 import random
 import time
 
+import numpy as np
 import pytest
 
 from minicode.errors import GuardError
@@ -207,6 +208,11 @@ def test_chunk_tables(q, h):
         assert ch.mul[a * Q + y] == chunk([F.mul(a, t) for t in Y])
         assert ch.digits[:, x].tolist() == [c * Q for c in X]
     assert not ch.sub.flags.writeable and not ch.digits.flags.writeable
+    # lowest holds t Q, the row of digits, for the first nonzero coordinate t
+    # of every chunk, and 0 for the zero chunk
+    first = [next((t for t, c in enumerate(coords(x)) if c), 0) for x in range(Q)]
+    assert ch.lowest.tolist() == [t * Q for t in first]
+    assert ch.lowest.dtype == np.min_scalar_type(h * Q) and not ch.lowest.flags.writeable
 
 
 def test_pow_zero_convention():

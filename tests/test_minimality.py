@@ -1,5 +1,7 @@
 """The four minimality criteria, projective classes, certificates."""
 
+import collections
+import hashlib
 import io
 import itertools
 import random
@@ -12,6 +14,7 @@ from minicode.errors import BudgetExceededError, CertificateFormatError, GuardEr
 from minicode.families import FunctionSpec, TableFunction, get_preset
 from minicode.gf import make_field
 import minicode.linalg as linalg_mod
+import minicode.minimality as minimality_mod
 from minicode.linalg import (
     class_count,
     covers,
@@ -468,23 +471,60 @@ def test_class_codewords_match_per_class_dot(field):
     assert top == q - 1  # the largest element was met, past one byte over F_257
 
 
+def scan_cuts(monkeypatch, D):
+    """rank_criterion_code(D), how many class blocks its scan ran, and the most
+    windows in which one class met hits.
+
+    A window reaches each class still scanning through one np_dots call.
+    """
+    blocks, windows = [], collections.Counter()
+    greedy, dots = minimality_mod._greedy_block, minimality_mod.np_dots
+
+    def block(field, Y, *args):
+        blocks.append(len(Y))
+        return greedy(field, Y, *args)
+
+    def window(field, Y, cols):
+        out = dots(field, Y, cols)
+        windows.update(tuple(y) for y, row in zip(np.asarray(Y).tolist(), out) if (row == 0).any())
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(minimality_mod, "_greedy_block", block)
+        m.setattr(minimality_mod, "np_dots", window)
+        report = rank_criterion_code(D)
+    return report, len(blocks), max(windows.values(), default=0)
+
+
+def space_codes(field, k):
+    """Every point of PG(k-1, q), a minimal code, and the same code without all
+    but one point of the last class's hyperplane, which fails at that class alone."""
+    points = list(map(tuple, np_class_reps(field.q, k).tolist()))
+    plane = [d for d in points if dot(field, points[-1], d) == 0]
+    return [DefiningSet(field, k, points),
+            DefiningSet(field, k, [d for d in points if d not in plane[1:]])]
+
+
 @pytest.mark.parametrize("block", [None, 40])
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda F: f"F{F.q}")
 def test_rank_hit_rounds_match_sequential_scan(monkeypatch, field, block):
     # every class keeps the rows rank_criterion_codeword keeps, and a failing
-    # code reports the first failing class with the same rank and cover
+    # code reports the first failing class with the same rank and cover; at
+    # the shrunken DOT_BLOCK the scan splits the classes of a passing and of
+    # a failing code over several blocks and a class's hits over several windows
     if block:
         monkeypatch.setattr(linalg_mod, "DOT_BLOCK", block)
     rng = random.Random(67 + field.q)
-    verdicts = set()
-    codes = oracle_codes(field, rng)
+    cuts = {}  # verdict -> the most blocks of a code and the most windows of a class
+    codes = oracle_codes(field, rng) + space_codes(field, {2: 6, 3: 5}.get(field.q, 3))
     codes += [random_defining_set(field, 3, rng.randrange(field.q, 6 * field.q), 3, rng)
               for _ in range(4)]
     for D in codes:
         if D.rank != D.k:
             continue
-        got = rank_criterion_code(D)
-        verdicts.add(got.verdict)
+        got, blocks, windows = scan_cuts(monkeypatch, D)
+        most = cuts.get(got.verdict, (0, 0))
+        cuts[got.verdict] = (max(most[0], blocks), max(most[1], windows))
         if got.is_minimal:
             for y, items in got.witness.classes:
                 assert items == rank_criterion_codeword(y, D).witness.indices
@@ -492,7 +532,9 @@ def test_rank_hit_rounds_match_sequential_scan(monkeypatch, field, block):
         first = next(r for y in projective_classes(field, D.k)
                      if not (r := rank_criterion_codeword(y, D)).is_minimal)
         assert got.witness == first.witness
-    assert verdicts == {"minimal", "not_minimal"}
+    assert cuts.keys() == {"minimal", "not_minimal"}
+    if block:
+        assert all(blocks > 1 and windows > 1 for blocks, windows in cuts.values()), cuts
 
 
 def test_criterion_agreement_micro_sweep():
@@ -562,21 +604,44 @@ def test_collectors_agree():
             assert items == rank_criterion_codeword(y, D).witness.indices
 
 
-SMALL_BLOCK = 40  # one or two classes per block and window of 20 candidates at k = 4
+# sha256 of write_certificate's text of each preset's rank certificate
+PINNED_CERTIFICATES = {
+    "sec6_q3": "cd6218cb115d9e8e33aa35e4ff4f6d03324552708bc887c3a7cd39a91ec1c821",
+    "sec7_f1": "fbcefffb82bea71396dff825f32edc26936478c110f08e5be2d52abe3888cbee",
+    "sec7_f2": "95a80eb542064af85267be689b63b5292cfa63088afa9799b1596629357def30",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CERTIFICATES))
+def test_rank_certificates_pinned(name):
+    # each class keeps the rows of the sequential scan, so however the batched
+    # scan is cut and packed, the index certificates stay byte for byte the same
+    D = defining_set(get_preset(name).function)
+    out = io.StringIO()
+    write_certificate(out, rank_criterion_code(D).witness)
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == PINNED_CERTIFICATES[name]
+
+
+# the verifier checks 40 / k^2 classes a block; the rank scan reads at most 12
+# candidates a window, in blocks of 160 / window classes
+SMALL_BLOCK = 40
 
 
 def test_rank_failure_across_many_blocks(monkeypatch):
     # with many class blocks the smallest failing class and its evidence
-    # still match the sequential reference, also past the first block
+    # still match the sequential reference, also past the first block, and
+    # the scans of passing and of failing codes still span several windows
     monkeypatch.setattr(linalg_mod, "DOT_BLOCK", SMALL_BLOCK)
     rng = random.Random(53)
     late = 0
+    split = collections.Counter()  # codes whose scan took several blocks and windows
     for field, m in [(F2, 3)] * 40 + [(F3, 3)] * 10 + [(F4, 2)] * 10:
         f = random_table_code(field, m, rng)
         if linearity_check(f) is not None:
             continue
         D = defining_set(f)
-        rep = rank_criterion_code(D)
+        rep, blocks, windows = scan_cuts(monkeypatch, D)
+        split[rep.verdict] += blocks > 1 and windows > 1
         classes = list(projective_classes(field, D.k))
         verdicts = [rank_criterion_codeword(y, D) for y in classes]
         failing = [i for i, r in enumerate(verdicts) if not r.is_minimal]
@@ -586,6 +651,7 @@ def test_rank_failure_across_many_blocks(monkeypatch):
         assert rep.witness == verdicts[failing[0]].witness
         late += failing[0] >= 2
     assert late >= 5
+    assert split["minimal"] >= 1 and split["not_minimal"] >= 1, split
 
 
 def as_vectors(D, cert):
