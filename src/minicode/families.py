@@ -106,8 +106,10 @@ class FunctionSpec:
         elif isinstance(v, WeightThreshold):
             if not 1 <= v.t <= m:
                 raise ValueError(f"threshold t = {v.t} out of range 1..{m}")
-            if len(v.coeffs) != v.t or any(not 1 <= a < q for a in v.coeffs):
+            if len(v.coeffs) != v.t or 0 in v.coeffs:
                 raise ValueError("weight-threshold coefficients must be t nonzero scalars")
+            for a in v.coeffs:
+                self.field.check_scalar(a)
         elif isinstance(v, ComplementThreshold):
             if not 0 <= v.t <= m:
                 raise ValueError(f"threshold t = {v.t} out of range 0..{m}")
@@ -127,7 +129,8 @@ class FunctionSpec:
             if not v.terms:
                 raise ValueError("monomial sum needs at least one term")
             for a, exps in v.terms:
-                if not 1 <= a < q:
+                self.field.check_scalar(a)
+                if a == 0:
                     raise ValueError(f"monomial coefficient {a} must be nonzero")
                 if len(exps) != m or any(b < 0 for b in exps):
                     raise ValueError("exponent vectors must be m nonnegative integers")

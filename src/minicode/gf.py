@@ -2,16 +2,21 @@
 
 Elements are canonical integers in [0, q).  For e > 1 the base-p digits of
 the integer are the polynomial-basis coordinates, least significant digit =
-constant term.  Fields with q <= 256 precompute full add/mul/inv tables,
-since the enumeration kernels downstream are table-lookup bound.
+constant term.
 
-The numpy kernels of the package see elements only through the numpy views
-built here on first use: flat q*q tables (one ``take`` at a*q + b), which
-vadd, vsub, vmul and vneg apply elementwise to arrays, the F_p-digits and
-F_p-multiplication matrix of each element, and the chunk tables of
-np_chunks, which act on h coordinates of F_q^c packed into one integer.
-Each view is a Python loop of up to q*q steps, or numpy built from those,
-refused before it starts when q*q > NP_TABLE_GUARD.
+A field with q <= 1024 builds all its tables when it is made, with one
+numpy formula for every p and e: the digits D of each element and its
+F_p-multiplication matrix M give the q x q addition and multiplication
+tables, and those give the rest.  The multiplication table also decides
+irreducibility for every degree: a modulus is refused when it shows a zero
+divisor.  Scalar operations read Python lists of the tables.  The numpy
+kernels of the package see elements only through read-only arrays of them:
+flat q*q tables (one ``take`` at a*q + b), which vadd, vsub, vmul and vneg
+apply elementwise to arrays, D, M, and the chunk tables of np_chunks, built
+on first use, which act on h coordinates of F_q^c packed into one integer.
+Past NP_TABLE_GUARD a prime field computes mod p and refuses its numpy
+views with GuardError, and an extension field is refused when it is made:
+without tables neither its modulus nor any kernel can be checked or run.
 
 A FieldSpec is immutable after construction; every operation is pure.
 """
@@ -19,8 +24,8 @@ A FieldSpec is immutable after construction; every operation is pure.
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache, wraps
-from typing import Callable, NamedTuple, Optional, Sequence
+from functools import cached_property, lru_cache
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -40,9 +45,9 @@ _MODULI: dict[tuple[int, int], tuple[int, ...]] = {
     (7, 2): (1, 0, 1),              # x^2 + 1
 }
 
-_TABLE_LIMIT = 256
-NP_TABLE_GUARD = 2**20  # ceiling on q*q for the numpy views: q <= 1024
+NP_TABLE_GUARD = 2**20  # ceiling on q*q for the tables: q <= 1024
 CHUNK_TABLE = 2**16  # entries of a chunk subtraction table, unless q*q is larger
+_VIEWS = ("np_add", "np_sub", "np_mul", "np_inv", "np_digits", "np_mulmat")
 
 
 def is_prime(p: int) -> bool:
@@ -54,87 +59,6 @@ def is_prime(p: int) -> bool:
             return False
         d += 1
     return True
-
-
-def _digits(value: int, p: int, e: int) -> list[int]:
-    out = []
-    for _ in range(e):
-        value, r = divmod(value, p)
-        out.append(r)
-    return out
-
-
-def _undigits(coeffs: Sequence[int], p: int) -> int:
-    value = 0
-    for c in reversed(coeffs):
-        value = value * p + c
-    return value
-
-
-def _poly_mod(num: list[int], modulus: Sequence[int], p: int) -> list[int]:
-    """Remainder of num by the monic modulus, coefficients mod p."""
-    num = [c % p for c in num]
-    deg_m = len(modulus) - 1
-    for i in range(len(num) - 1, deg_m - 1, -1):
-        c = num[i]
-        if c:
-            for j in range(deg_m + 1):
-                num[i - deg_m + j] = (num[i - deg_m + j] - c * modulus[j]) % p
-    return num[:deg_m]
-
-
-def _poly_has_root(poly: Sequence[int], p: int) -> bool:
-    for x in range(p):
-        acc = 0
-        for c in reversed(poly):
-            acc = (acc * x + c) % p
-        if acc == 0:
-            return True
-    return False
-
-
-def _poly_divisible(poly: Sequence[int], divisor: Sequence[int], p: int) -> bool:
-    rem = list(poly)
-    deg_d = len(divisor) - 1
-    lead_inv = pow(divisor[-1], -1, p)
-    while len(rem) - 1 >= deg_d:
-        c = (rem[-1] * lead_inv) % p
-        shift = len(rem) - 1 - deg_d
-        for j in range(deg_d + 1):
-            rem[shift + j] = (rem[shift + j] - c * divisor[j]) % p
-        while len(rem) > 1 and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < deg_d:
-            break
-    return all(c == 0 for c in rem)
-
-
-def _check_irreducible(modulus: Sequence[int], p: int, e: int) -> None:
-    """Exhaustive root/factor test, supported for e <= 4."""
-    if _poly_has_root(modulus, p):
-        raise ValueError(f"modulus {tuple(modulus)} has a root in F_{p}; reducible")
-    if e == 4:
-        # No roots rules out linear factors; still need to exclude an
-        # irreducible quadratic divisor.
-        for b in range(p):
-            for c in range(p):
-                quad = (c, b, 1)
-                if _poly_has_root(quad, p):
-                    continue
-                if _poly_divisible(modulus, quad, p):
-                    raise ValueError(
-                        f"modulus {tuple(modulus)} divisible by {quad}; reducible"
-                    )
-
-
-def _numpy_view(build: Callable[[FieldSpec], object]) -> cached_property:
-    """The cached numpy view build, refused before it runs when q*q > NP_TABLE_GUARD."""
-    @wraps(build)
-    def view(field: FieldSpec) -> object:
-        if field.q * field.q > NP_TABLE_GUARD:
-            raise GuardError(f"q^2 = {field.q}^2 exceeds the numpy table guard {NP_TABLE_GUARD}")
-        return build(field)
-    return cached_property(view)
 
 
 class ChunkTables(NamedTuple):
@@ -162,79 +86,85 @@ class FieldSpec:
 
     Do not instantiate directly; use :func:`make_field` (construction is
     deterministic and cached for a given (p, e, modulus)).
+
+    Up to q = 1024 the numpy views are read-only int64 arrays, set here:
+    np_add, np_sub and np_mul are flat q*q tables (np_add[a*q + b] = a + b),
+    np_inv[a] = 1/a for a != 0 (np_inv[0] = 0 is a placeholder), np_digits
+    is q x e, the base-p digits of each element, least significant first,
+    and np_mulmat is q x e x e, with digits(a * x) = np_mulmat[a] @
+    digits(x) mod p.  Beyond that each of them raises GuardError.
     """
 
     def __init__(self, p: int, e: int, modulus: tuple[int, ...]):
         self.p = p
         self.e = e
-        self.q = p**e
+        self.q = q = p**e
         self.modulus = modulus
-        self._add = None
-        self._mul = None
-        self._inv = None
-        self._neg = None
-        if self.q <= _TABLE_LIMIT:
-            self._build_tables()
+        self._add = self._mul = self._neg = self._inv = None
+        if q * q > NP_TABLE_GUARD:
+            if e > 1:
+                raise GuardError(f"q^2 = {q}^2 exceeds the numpy table guard {NP_TABLE_GUARD}:"
+                                 " an extension field needs its tables")
+            return
+        D = np.arange(q, dtype=np.int64)[:, None] // p ** np.arange(e, dtype=np.int64) % p
+        M = np.zeros((q, e, e), np.int64)
+        M[:, :, 0] = D
+        # a x^s is a x^(s-1) one digit up, less its top digit times the monic modulus
+        for s in range(1, e):
+            prev = M[:, :, s - 1]
+            M[:, 1:, s] = prev[:, :-1]
+            M[:, :, s] -= prev[:, -1:] * np.array(modulus[:e])
+            M[:, :, s] %= p
+        add = np.zeros((q, q), np.int64)
+        mul = np.zeros((q, q), np.int64)
+        for s in range(e):
+            add += (D[:, s, None] + D[:, s]) % p * p**s
+            mul += M[:, s] @ D.T % p * p**s
+        if not mul[1:, 1:].all():  # F_p[x]/(modulus) is a field iff it has no zero divisors
+            raise ValueError(f"modulus {modulus} is reducible: F_{q} would have zero divisors")
+        neg = add.argmin(axis=1)  # the column of the one 0 in each row
+        inv = (mul == 1).argmax(axis=1)  # row 0 has no 1: the placeholder np_inv[0] = 0
+        self.np_add, self.np_sub, self.np_mul = (
+            _frozen(t.ravel()) for t in (add, add[:, neg], mul))
+        self.np_inv, self.np_digits, self.np_mulmat = _frozen(inv), _frozen(D), _frozen(M)
+        # one int object per element, shared by every row: values past 256 are not cached
+        elements = list(range(q))
+        self._add, self._mul = ([list(map(elements.__getitem__, row.tolist())) for row in t]
+                                for t in (add, mul))
+        self._neg, self._inv = neg.tolist(), inv.tolist()
 
-    # -- raw polynomial arithmetic (used for table construction and q > 256)
+    def __getattr__(self, name: str):
+        # reached only when normal lookup fails: a view of a field without tables
+        if name in _VIEWS:
+            raise GuardError(f"q^2 = {self.q}^2 exceeds the numpy table guard {NP_TABLE_GUARD}")
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
-    def _add_raw(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a + b) % self.p
-        da, db = _digits(a, self.p, self.e), _digits(b, self.p, self.e)
-        return _undigits([(x + y) % self.p for x, y in zip(da, db)], self.p)
-
-    def _mul_raw(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a * b) % self.p
-        da, db = _digits(a, self.p, self.e), _digits(b, self.p, self.e)
-        prod = [0] * (2 * self.e - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] += x * y
-        return _undigits(_poly_mod(prod, self.modulus, self.p), self.p)
-
-    def _build_tables(self) -> None:
-        q = self.q
-        self._add = [[self._add_raw(a, b) for b in range(q)] for a in range(q)]
-        self._mul = [[self._mul_raw(a, b) for b in range(q)] for a in range(q)]
-        self._neg = [self._add[a].index(0) for a in range(q)]
-        inv = [0] * q
-        for a in range(1, q):
-            inv[a] = self._mul[a].index(1)
-        self._inv = inv
-
-    # -- public operations
+    # -- scalar operations: table lookups, or arithmetic mod p past the guard
 
     def add(self, a: int, b: int) -> int:
-        if self._add is not None:
-            return self._add[a][b]
-        return self._add_raw(a, b)
+        if self._add is None:
+            return (a + b) % self.p
+        return self._add[a][b]
 
     def neg(self, a: int) -> int:
-        if self._neg is not None:
-            return self._neg[a]
-        if self.e == 1:
-            return (-a) % self.p
-        return _undigits([(-c) % self.p for c in _digits(a, self.p, self.e)], self.p)
+        if self._neg is None:
+            return -a % self.p
+        return self._neg[a]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        if self._mul is not None:
-            return self._mul[a][b]
-        return self._mul_raw(a, b)
+        if self._mul is None:
+            return a * b % self.p
+        return self._mul[a][b]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ValueError("zero has no multiplicative inverse")
-        if self._inv is not None:
-            return self._inv[a]
-        if self.e == 1:
+        if self._inv is None:
             return pow(a, -1, self.p)
-        return self.pow(a, self.q - 2)
+        return self._inv[a]
 
     def pow(self, a: int, n: int) -> int:
         """a**n with the convention 0**0 = 1."""
@@ -249,26 +179,7 @@ class FieldSpec:
             n >>= 1
         return acc
 
-    # -- numpy views, built on first use
-
-    def _flat_table(self, op: Callable[[int, int], int]) -> np.ndarray:
-        q = self.q
-        return _frozen([op(a, b) for a in range(q) for b in range(q)])
-
-    @_numpy_view
-    def np_add(self) -> np.ndarray:
-        """Flat q*q table: np_add[a*q + b] = a + b."""
-        return self._flat_table(self.add)
-
-    @_numpy_view
-    def np_sub(self) -> np.ndarray:
-        """Flat q*q table: np_sub[a*q + b] = a - b."""
-        return self._flat_table(self.sub)
-
-    @_numpy_view
-    def np_mul(self) -> np.ndarray:
-        """Flat q*q table: np_mul[a*q + b] = a * b."""
-        return self._flat_table(self.mul)
+    # -- numpy views
 
     def vadd(self, a, b) -> np.ndarray:
         """a + b elementwise for integer arrays (or ints) a and b that broadcast, via np_add."""
@@ -286,25 +197,7 @@ class FieldSpec:
         """-a elementwise: row 0 of np_sub."""
         return self.np_sub.take(a)
 
-    @_numpy_view
-    def np_inv(self) -> np.ndarray:
-        """np_inv[a] = 1/a for a != 0; np_inv[0] = 0 is a placeholder."""
-        return _frozen([0] + [self.inv(a) for a in self.nonzero()])
-
-    @_numpy_view
-    def np_digits(self) -> np.ndarray:
-        """q x e: the base-p digits of each element, least significant first."""
-        return _frozen([_digits(a, self.p, self.e) for a in range(self.q)])
-
-    @_numpy_view
-    def np_mulmat(self) -> np.ndarray:
-        """q x e x e: digits(a * x) = np_mulmat[a] @ digits(x) mod p."""
-        p, e = self.p, self.e
-        images = [[self.mul(a, p**s) for s in range(e)] for a in range(self.q)]
-        # images give the columns of each matrix; digits index the rows
-        return _frozen(self.np_digits[images].transpose(0, 2, 1))
-
-    @_numpy_view
+    @cached_property
     def np_chunks(self) -> ChunkTables:
         """The chunk tables of this field, each built from the flat tables at once.
 
@@ -345,7 +238,8 @@ class FieldSpec:
         return range(1, self.q)
 
     def check_scalar(self, a: int) -> None:
-        if not isinstance(a, int) or not 0 <= a < self.q:
+        # a bool is an int to isinstance, but no element: True would pass as 1
+        if isinstance(a, bool) or not isinstance(a, int) or not 0 <= a < self.q:
             raise ValueError(f"{a!r} is not a canonical element of F_{self.q}")
 
     def __eq__(self, other: object) -> bool:
@@ -379,7 +273,10 @@ def make_field(p: int, e: int = 1, modulus: Optional[Sequence[int]] = None) -> F
 
     For e > 1 a modulus may be supplied as e+1 ascending coefficients of a
     monic irreducible polynomial; otherwise a built-in table supplies one
-    for p^e <= 64.  Irreducibility is verified exhaustively for e <= 4.
+    for p^e <= 64.  A reducible modulus of any degree is refused with
+    ValueError, found by the zero divisors of the field's multiplication
+    table, and an extension field with q > 1024 with GuardError, as it has
+    no tables.
     """
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
@@ -399,10 +296,6 @@ def make_field(p: int, e: int = 1, modulus: Optional[Sequence[int]] = None) -> F
     modulus = tuple(int(c) % p for c in modulus)
     if len(modulus) != e + 1 or modulus[-1] != 1:
         raise ValueError(f"modulus must be monic of degree {e}")
-    if e <= 4:
-        _check_irreducible(modulus, p, e)
-    elif _poly_has_root(modulus, p):
-        raise ValueError(f"modulus {modulus} has a root in F_{p}; reducible")
     return _make_field_cached(p, e, modulus)
 
 

@@ -103,6 +103,24 @@ def test_variant_invariants():
         FunctionSpec(F3, 2, MonomialSum(((0, (1, 1)),)))  # zero coefficient
 
 
+@pytest.mark.parametrize("variant", [
+    TableFunction((True, 0, 2)),
+    TableFunction((1, 0, 2.0)),
+    WeightThreshold(1, (True,)),
+    WeightThreshold(2, (1, 2.0)),
+    WeightThreshold(1, (3,)),
+    MonomialSum(((True, (1,)),)),
+    MonomialSum(((1.0, (1,)),)),
+    MonomialSum(((5, (1,)),)),
+])
+def test_coefficients_must_be_canonical_elements(variant):
+    # a bool is an int to isinstance; True once passed as 1, eval returned
+    # True and write_function wrote a file ("True 0 2") that read_function refuses
+    m = 2 if isinstance(variant, WeightThreshold) and variant.t == 2 else 1
+    with pytest.raises(ValueError, match="canonical element of F_3"):
+        FunctionSpec(F3, m, variant)
+
+
 def test_validate_sec4_presets_pass_a1():
     for name in ("sec4_f1", "sec4_f2"):
         assert validate_hypotheses(get_preset(name).function, TheoremId.A1)

@@ -1,5 +1,6 @@
 """Field arithmetic: axioms, tables, construction errors."""
 
+import itertools
 import random
 import time
 
@@ -125,6 +126,85 @@ def test_make_field_errors():
         make_field(2, 7)  # 128 > 64: no built-in modulus
     with pytest.raises(ValueError):
         make_field(2, 3, (1, 1, 1))  # wrong degree
+
+
+# Gauss's count of monic irreducible polynomials of degree e over F_p
+IRREDUCIBLE_COUNTS = {(2, 2): 1, (2, 3): 2, (2, 4): 3, (2, 5): 6, (2, 6): 9, (2, 7): 18,
+                      (3, 2): 3, (3, 3): 8, (3, 4): 18}
+
+
+def test_make_field_accepts_exactly_the_irreducible_moduli():
+    # every monic modulus of each degree: the zero-divisor test of the
+    # multiplication table accepts exactly as many as there are irreducibles
+    start = time.perf_counter()
+    for (p, e), count in IRREDUCIBLE_COUNTS.items():
+        accepted = []
+        for low in itertools.product(range(p), repeat=e):
+            try:
+                accepted.append(make_field(p, e, low + (1,)))
+            except ValueError as err:
+                assert "reducible" in str(err)
+        assert len(accepted) == count, (p, e)
+        F = accepted[0]
+        assert all(F.mul(a, F.inv(a)) == 1 for a in F.nonzero())
+    assert time.perf_counter() - start < 2
+
+
+def test_reducible_modulus_without_roots_refused():
+    # (x^2+x+1)(x^7+x+1) over F_2 has no root; in the quotient ring 7 * 131 = 0
+    with pytest.raises(ValueError, match="reducible"):
+        make_field(2, 9, (1, 0, 0, 1, 0, 0, 0, 1, 1, 1))
+    # nor (x^2+x+1)^2 (x^3+x+1) = x^7 + x^4 + x^2 + x + 1
+    with pytest.raises(ValueError, match="reducible"):
+        make_field(2, 7, (1, 1, 1, 0, 1, 0, 0, 1))
+
+
+@pytest.mark.parametrize("p, e, modulus", [
+    (2, 6, (1, 1, 0, 0, 0, 0, 1)),               # x^6 + x + 1, F_64's built-in modulus
+    (2, 8, (1, 0, 1, 1, 1, 0, 0, 0, 1)),         # x^8 + x^4 + x^3 + x^2 + 1
+    (3, 5, (1, 2, 0, 0, 0, 1)),                  # x^5 + 2x + 1
+    (2, 10, (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1)),  # x^10 + x^3 + 1
+    (1021, 1, ()),
+])
+def test_large_field_tables_match_brute_force(p, e, modulus):
+    # fields the exhaustive test does not reach, on seeded pairs; built
+    # outside make_field's cache, which would hold their tables to the end
+    F = FieldSpec(p, e, modulus)
+    q = F.q
+    assert F.np_digits.shape == (q, e) and F.np_mulmat.shape == (q, e, e)
+    for view in (F.np_add, F.np_sub, F.np_mul, F.np_inv, F.np_digits, F.np_mulmat):
+        assert view.dtype == np.int64 and not view.flags.writeable
+    rng = random.Random(q)
+    for _ in range(500):
+        a, b = rng.randrange(q), rng.randrange(q)
+        prod = brute_poly_mul(p, e, F.modulus, a, b)
+        assert F.mul(a, b) == F.np_mul[a * q + b] == prod
+        assert F.add(a, b) == F.np_add[a * q + b] == brute_poly_add(p, e, a, b)
+        diff = F.sub(a, b)
+        assert diff == F.np_sub[a * q + b] and brute_poly_add(p, e, diff, b) == a
+        assert F.np_digits[a].tolist() == [a // p**t % p for t in range(e)]
+        digits = (F.np_mulmat[a] @ F.np_digits[b]) % p
+        assert sum(int(d) * p**t for t, d in enumerate(digits)) == prod
+        if a:
+            assert F.inv(a) == F.np_inv[a]
+            assert brute_poly_mul(p, e, F.modulus, a, F.inv(a)) == 1
+
+
+def test_extension_field_beyond_the_table_guard_refused_when_made():
+    # q = 37^2 = 1369: no tables, so no check of the modulus and no kernel
+    start = time.perf_counter()
+    with pytest.raises(GuardError, match="numpy table guard"):
+        make_field(37, 2, (2, 0, 1))
+    assert time.perf_counter() - start < 0.1
+
+
+def test_bools_are_not_field_elements():
+    f3 = make_field(3)
+    for a in (True, False, 1.0, np.int64(1)):
+        with pytest.raises(ValueError, match="canonical element"):
+            f3.check_scalar(a)
+    with pytest.raises(ValueError):
+        field_arith(f3, "add", True, 1)
 
 
 def test_field_arith_dispatch():
