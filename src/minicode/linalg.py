@@ -274,8 +274,9 @@ def np_matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
         raise GuardError(
             f"inner dimension {inner} with p = {p} exceeds the exact float64 range"
         )
-    prod = np.rint(a @ np.asarray(b, dtype=np.float64))
-    return prod.astype(np.int64) % p
+    prod = a @ np.asarray(b, dtype=np.float64)
+    prod = np.rint(prod, out=prod).astype(np.int64)  # rint and % p in place
+    return np.remainder(prod, p, out=prod)
 
 
 def np_digit_columns(field: FieldSpec, D: np.ndarray) -> np.ndarray:

@@ -27,8 +27,9 @@ D order, so verification is exact membership; the verifier checks blocks of
 classes with batched elimination.  A certificate is two arrays, the P x k
 representatives and the P x (k-1) indices or P x (k-1) x k vectors, in the
 narrowest exact type; its producers, the verifier and the text codec work
-on them directly.  A failing class is reported with the rank its scan
-reached and a message whose codeword it covers.  The definition and dhz
+on them directly, and the writer formats a block of lines as one byte
+array.  A failing class is reported with the rank its scan reached and a
+message whose codeword it covers.  The definition and dhz
 oracles read D.projective_codewords, one class and its codeword per
 projective point of C(D), cached on D, and test a block of rows against
 every other row at once: one support product over the upper triangle of
@@ -734,43 +735,60 @@ def _within(A: np.ndarray, lo: int, hi: int) -> bool:
 def write_certificate(out: Union[str, TextIO], cert: Certificate) -> None:
     """Write cert as text: its header, then "rep | entries" for each class.
 
-    The lines are formatted from the two arrays a block of classes at a
-    time.  Each distinct integer of a representative, and each distinct
-    entry (an index or a whole vector, looked up by its bytes), is
-    formatted once.
+    The lines of WRITE_BLOCK classes are formatted as one byte array, with
+    no Python work per line or per integer.  Their integers are the rows of
+    a token matrix, in the certificate's narrow type (in uint64, signs
+    aside, if an array is int64 to keep values the verifier refuses).  A
+    token's width is its separator's (" ", " | " after the representative,
+    "\n" at the end of the line), plus one, plus one for each power of ten
+    it reaches and one for a sign; one cumsum of the widths places every
+    token.  The digits are written from the units up, pass d writing only
+    the tokens of at least 10^d, into a buffer of spaces that then gets its
+    "-", "|" and line breaks.  The text is str() of every value.
     """
     reps, entries = cert.classes.reps, cert.classes.entries
     P, k = len(reps), cert.k
-    width = k if cert.mode == "vectors" else 1  # integers per entry
-    cells = np.ascontiguousarray(entries).reshape(P, (k - 1) * width)
-    cells = cells.view(np.dtype((np.void, entries.itemsize * width)))
-    head = f"{cert.q} {cert.n} {cert.k} {P} {cert.mode}\n"
+    R = k + entries[:1].size  # integers per line
+    flat = entries.reshape(P, R - k)
+    sep = np.ones(R, dtype=np.int8)  # the width of the separator after each integer
+    sep[k - 1] = 3
+    sep[-1] += R == k  # " | \n" when k = 1
+    signed = "i" in (reps.dtype.kind, entries.dtype.kind)
 
-    def entry_text(raw: bytes) -> str:  # the integers of one index or vector
-        return " ".join(map(str, np.frombuffer(raw, entries.dtype).tolist()))
-
-    ints, items = _Text(str).__getitem__, _Text(entry_text).__getitem__
+    def block(Y: np.ndarray, E: np.ndarray) -> str:
+        T = np.concatenate((Y, E), axis=1, dtype=np.uint64 if signed else None, casting="unsafe")
+        at = np.int32 if T.size * 25 < 2**31 else np.int64  # a position in the text
+        width = np.broadcast_to(sep + 1, T.shape).astype(at)
+        if signed:
+            neg = np.concatenate((Y < 0, E < 0), axis=1)
+            np.negative(T, out=T, where=neg)  # |value|, also for -2^63
+            width += neg
+        for d in range(1, len(str(int(T.max())))):
+            width += T >= 10**d
+        end = np.cumsum(width, dtype=at)  # each token's end, separator included
+        units = (end.reshape(-1, R) - (sep + 1)).ravel()  # each token's last digit
+        text = np.full(end[-1], ord(" "), dtype=np.uint8)
+        V, pos = T.ravel(), units
+        while V.size:
+            text[pos] = V % 10 + ord("0")
+            V //= 10
+            live = V.nonzero()[0]
+            V, pos = V.take(live), pos.take(live) - 1
+        if signed:
+            text[(end - width.ravel())[neg.ravel()]] = ord("-")
+        text[units[k - 1::R] + 2] = ord("|")
+        text[end[R - 1::R] - 1] = ord("\n")
+        return text.tobytes().decode("ascii")
 
     def chunks() -> Iterator[str]:
-        yield head
-        for start in range(0, P, 1024):
-            lines = zip(reps[start:start + 1024].tolist(), cells[start:start + 1024].tolist())
-            yield "".join([" ".join(map(ints, rep)) + " | " + " ".join(map(items, row)) + "\n"
-                           for rep, row in lines])
+        yield f"{cert.q} {cert.n} {cert.k} {P} {cert.mode}\n"
+        for start in range(0, P, WRITE_BLOCK):
+            yield block(reps[start:start + WRITE_BLOCK], flat[start:start + WRITE_BLOCK])
 
     write_text(out, chunks())
 
 
-class _Text(dict):
-    """key -> its text, each distinct key formatted once."""
-
-    def __init__(self, format: Callable[[object], str]) -> None:
-        super().__init__()
-        self.format = format
-
-    def __missing__(self, key: object) -> str:
-        text = self[key] = self.format(key)
-        return text
+WRITE_BLOCK = 1024  # certificate lines formatted at once
 
 
 def read_certificate(src: Union[str, TextIO]) -> Certificate:

@@ -612,6 +612,22 @@ PINNED_CERTIFICATES = {
 }
 
 
+# sha256 of write_certificate's text of a theorem witness certificate (mode
+# "vectors"), which pins the witness builder's bytes and the writer's
+PINNED_WITNESS_CERTIFICATES = {
+    "sec7_f1": "6865830d28ee11f0b9988762d09d5e369f822476eef35eaf72f8069f71a9054f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_WITNESS_CERTIFICATES))
+def test_witness_certificates_pinned(name):
+    from minicode.witness import witness_certificate
+
+    preset = get_preset(name)
+    text = certificate_text(witness_certificate(preset.theorem, preset.function))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_WITNESS_CERTIFICATES[name]
+
+
 @pytest.mark.parametrize("name", sorted(PINNED_CERTIFICATES))
 def test_rank_certificates_pinned(name):
     # each class keeps the rows of the sequential scan, so however the batched
@@ -1090,6 +1106,55 @@ def test_certificate_writer_bytes_on_odd_entries():
     index = Certificate(2, 7, 3, "indices", (((0, 0, 1), [np.int64(1), 7]),))
     assert certificate_text(index) == reference_write(Certificate(2, 7, 3, "indices",
                                                                   (((0, 0, 1), (1, 7)),)))
+
+
+@pytest.mark.parametrize("mode", ["indices", "vectors"])
+def test_certificate_writer_edge_cases(mode, tmp_path):
+    # the writer formats blocks of lines as byte arrays; each case is
+    # checked against one str() per value
+    def cert(q, n, k, classes):
+        return Certificate(q, n, k, mode, classes)
+
+    def entry(value, k):  # one index, or a vector holding value last
+        return value if mode == "indices" else (0,) * (k - 1) + (value,)
+
+    cases = [
+        cert(2, 1, 1, (((1,), ()),)),  # k = 1: "1 | "
+        cert(3, 4, 1, (((1,), ()), ((2,), ()))),
+        cert(2, 7, 3, ()),  # header only
+        cert(2, 7, 2, ()),
+    ]
+    # out-of-range int64 entries, kept for the verifier to refuse
+    odd = (-1, -10, -(2**63), 2**63 - 1, 0, 10**18)
+    cases.append(cert(2, 7, 3, tuple(((1, 0, 1), (entry(a, 3), entry(b, 3)))
+                                     for a, b in zip(odd, odd[::-1]))))
+    cases.append(cert(2, 7, 2, (((-3, 1), (entry(-(2**63), 2),)),)))
+    # every digit count from 1 to 19, in uint64 (indices) or int64 (vectors)
+    wide = [10**d - 1 for d in range(1, 19)] + [10**d for d in range(19)] + [2**63 - 1]
+    cases.append(cert(2, 2**63 - 1, 2, tuple(((0, 1), (entry(v, 2),)) for v in wide)))
+    # about a block boundary, with the widest value on the first line after it
+    for P in (1023, 1024, 1025):
+        classes = [((0, 1, 1), (entry(1 + i % 7, 3), entry(2, 3))) for i in range(P)]
+        widest = min(1024, P - 1)
+        classes[widest] = ((0, 1, 1), (entry(987654321, 3), entry(2, 3)))
+        cases.append(cert(2, 10**9, 3, tuple(classes)))
+    for c in cases:
+        assert certificate_text(c) == reference_write(c)
+    path = tmp_path / "cert.txt"
+    write_certificate(str(path), cases[-1])
+    assert path.read_bytes() == certificate_text(cases[-1]).encode("ascii")
+
+
+def test_certificate_writer_random_int64_entries():
+    # values of random digit counts and signs, over several blocks
+    rng = np.random.default_rng(5)
+    P, k = 2500, 3
+    digits = rng.integers(0, 19, size=(P, k - 1, k))
+    E = rng.integers(0, 10, size=digits.shape) * 10**digits * rng.choice([-1, 1], size=digits.shape)
+    reps = rng.integers(0, 3, size=(P, k))
+    for mode, entries in (("vectors", E), ("indices", E[:, :, 0])):
+        c = Certificate(3, 10**18, k, mode, CertificateClasses(reps, entries))
+        assert certificate_text(c) == reference_write(c)
 
 
 def test_certificate_tampering_detected():
