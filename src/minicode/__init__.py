@@ -43,8 +43,8 @@ from .families import (
     validate_hypotheses,
     write_function,
 )
-from .gf import FieldSpec, field_arith, field_by_order, make_field
-from .linalg import covers, dot, enumerate_vectors, rank, support, weight
+from .gf import FieldSpec, field_by_order, make_field
+from .linalg import covers, dot, support, weight
 from .minimality import (
     Certificate,
     CoverViolation,
@@ -55,21 +55,12 @@ from .minimality import (
     cf_case_check,
     dhz_criterion,
     is_minimal_definition,
-    projective_classes,
     rank_criterion_code,
     rank_criterion_codeword,
     read_certificate,
     verify_certificate,
     write_certificate,
 )
-from .witness import (
-    WitnessBasis,
-    full_weight_basis,
-    hyperplane_low_weight_basis,
-    linear_system_solutions,
-    theorem_witness,
-    unit_inner_basis,
-    witness_certificate,
-)
+from .witness import WitnessBasis, theorem_witness, witness_certificate
 
 __version__ = "0.1.0"

@@ -313,18 +313,3 @@ def field_by_order(q: int) -> FieldSpec:
         n //= p
         e += 1
     return make_field(p, e)
-
-
-def field_arith(field: FieldSpec, op: str, a: int, b: Optional[int] = None) -> int:
-    """Dispatch a single field operation; op in {add, sub, mul, inv, neg}."""
-    field.check_scalar(a)
-    if op in ("add", "sub", "mul"):
-        if b is None:
-            raise ValueError(f"{op} needs two operands")
-        field.check_scalar(b)
-        return getattr(field, op)(a, b)
-    if op == "neg":
-        return field.neg(a)
-    if op == "inv":
-        return field.inv(a)
-    raise ValueError(f"unknown field operation {op!r}")

@@ -4,9 +4,12 @@ Vectors are plain tuples of canonical integers; the field travels alongside
 as an explicit argument.  Coordinate indices are 1-based in every reported
 support/index, matching the x_1..x_m convention used throughout.
 
-Gaussian elimination uses first-nonzero pivoting and exact field arithmetic;
-there are no tolerances anywhere.  The numpy kernels at the end take the
-same vectors as int64 rows and serve every field.
+The numpy kernels take the same vectors as int64 rows and serve every
+field.  The one elimination kernel is np_ranks: batched, on rows packed
+into chunks, with first-nonzero pivoting and exact table arithmetic; there
+are no tolerances anywhere.  The pure-Python elimination (EchelonBasis,
+rank, kernel_basis, solve) is kept in tests/scalar_reference.py as the
+reference the tests check np_ranks against.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
+from typing import Iterable, Iterator, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -64,11 +67,6 @@ def covers(u: Sequence[int], v: Sequence[int]) -> bool:
     return all(b != 0 for a, b in zip(u, v) if a != 0)
 
 
-def vec_add(field: FieldSpec, u: Sequence[int], v: Sequence[int]) -> Vec:
-    check_same_length(u, v)
-    return tuple(field.add(a, b) for a, b in zip(u, v))
-
-
 def scale(field: FieldSpec, c: int, v: Sequence[int]) -> Vec:
     return tuple(field.mul(c, a) for a in v)
 
@@ -78,112 +76,6 @@ def unit_vector(m: int, i: int) -> Vec:
     if not 1 <= i <= m:
         raise ValueError(f"unit index {i} out of range 1..{m}")
     return tuple(1 if j == i - 1 else 0 for j in range(m))
-
-
-class EchelonBasis:
-    """Incremental row-echelon basis: feed rows, track rank, test membership.
-
-    Rows are kept pivot-normalized (leading coefficient 1) and sorted by
-    pivot column, so reduction of an incoming vector is a single pass.
-    """
-
-    def __init__(self, field: FieldSpec, width: int):
-        self.field = field
-        self.width = width
-        self.rows: list[Vec] = []
-        self.pivots: list[int] = []
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def reduce(self, v: Sequence[int]) -> Vec:
-        field = self.field
-        w = tuple(v)
-        for row, piv in zip(self.rows, self.pivots):
-            c = w[piv]
-            if c:
-                w = tuple(field.sub(a, field.mul(c, b)) for a, b in zip(w, row))
-        return w
-
-    def contains(self, v: Sequence[int]) -> bool:
-        return not any(self.reduce(v))
-
-    def add(self, v: Sequence[int]) -> bool:
-        """Insert v if independent of the current rows; report whether rank grew."""
-        if len(v) != self.width:
-            raise ValueError(f"row length {len(v)} != width {self.width}")
-        w = self.reduce(v)
-        for piv, c in enumerate(w):
-            if c:
-                w = scale(self.field, self.field.inv(c), w)
-                at = sum(1 for p in self.pivots if p < piv)
-                self.rows.insert(at, w)
-                self.pivots.insert(at, piv)
-                return True
-        return False
-
-    def reduced(self) -> list[Vec]:
-        """The rows in reduced row echelon form, by one back-substitution.
-
-        From the last row up, each row is reduced by the rows below it,
-        which are reduced already and zero at each other's pivots, so its
-        own leading 1 stays.  add does not do this; only the callers that
-        need the reduced form pay for it.
-        """
-        done = EchelonBasis(self.field, self.width)
-        for row, piv in zip(reversed(self.rows), reversed(self.pivots)):
-            done.rows.insert(0, done.reduce(row))
-            done.pivots.insert(0, piv)
-        return done.rows
-
-
-def rank(field: FieldSpec, rows: Iterable[Sequence[int]]) -> int:
-    """Row rank over F_q by Gaussian elimination."""
-    basis: Optional[EchelonBasis] = None
-    for row in rows:
-        if basis is None:
-            basis = EchelonBasis(field, len(row))
-        basis.add(row)
-    return 0 if basis is None else basis.rank
-
-
-def kernel_basis(field: FieldSpec, rows: Sequence[Sequence[int]], width: int) -> list[Vec]:
-    """Basis of {x : A x^T = 0} for the matrix with the given rows.
-
-    Deterministic: free columns ascending, free coordinate set to 1.
-    """
-    basis = EchelonBasis(field, width)
-    for r in rows:
-        basis.add(r)
-    pivots = basis.pivots
-    reduced = basis.reduced()
-    out = []
-    for free in (c for c in range(width) if c not in pivots):
-        v = [0] * width
-        v[free] = 1
-        for row, piv in zip(reduced, pivots):
-            v[piv] = field.neg(row[free])
-        out.append(tuple(v))
-    return out
-
-
-def solve(field: FieldSpec, rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Optional[Vec]:
-    """One solution of A x^T = b (free coordinates 0), or None if inconsistent."""
-    if len(rows) != len(rhs):
-        raise ValueError("rhs length must match row count")
-    if not rows:
-        return ()
-    width = len(rows[0])
-    basis = EchelonBasis(field, width + 1)
-    for r, b in zip(rows, rhs):
-        basis.add((*r, b))
-    if basis.pivots and basis.pivots[-1] == width:  # 0 = 1 lies in the row space
-        return None
-    x = [0] * width
-    for row, piv in zip(basis.reduced(), basis.pivots):
-        x[piv] = row[width]
-    return tuple(x)
 
 
 # -- canonical enumeration ---------------------------------------------------
@@ -211,15 +103,6 @@ def check_enumerable(q: int, m: int, guard: str = "enumeration guard") -> None:
     """
     if m > ENUM_GUARD.bit_length() or q**m > ENUM_GUARD:
         raise GuardError(f"q^m = {q}^{m} exceeds the {guard}")
-
-
-def enumerate_vectors(field: FieldSpec, m: int, include_zero: bool = False) -> Iterator[Vec]:
-    """All of F_q^m in ascending canonical-index order (zero first if included)."""
-    q = field.q
-    check_enumerable(q, m, f"enumeration guard {ENUM_GUARD}")
-    start = 0 if include_zero else 1
-    for idx in range(start, q**m):
-        yield index_to_vector(q, m, idx)
 
 
 # -- numpy kernels (every field) -----------------------------------------------

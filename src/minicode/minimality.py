@@ -21,16 +21,19 @@ step per candidate.  Rows are packed into the np_chunks chunks of gf, so
 one table lookup updates several coordinates, and a block holds thousands
 of classes, so the few classes that scan longest are waited for once per
 block.  A class keeps a hit when a remainder is left and retires at rank
-k-1, exactly as the sequential rank_criterion_codeword does.  The criterion
-emits a certificate whose per-class entries are indices into the serialized
-D order, so verification is exact membership; the verifier checks blocks of
-classes with batched elimination.  A certificate is two arrays, the P x k
-representatives and the P x (k-1) indices or P x (k-1) x k vectors, in the
-narrowest exact type; its producers, the verifier and the text codec work
-on them directly, and the writer formats a block of lines as one byte
-array.  A failing class is reported with the rank its scan reached and a
-message whose codeword it covers.  The definition and dhz
-oracles read D.projective_codewords, one class and its codeword per
+k-1, exactly as a sequential echelon walk over its hits would (the tests
+keep that walk as their reference), so a class keeps the same rows in any
+block; rank_criterion_codeword runs the scan on a block of one class.  The
+criterion emits a certificate whose per-class entries are indices into the
+serialized D order, so verification is exact membership; the verifier
+checks blocks of classes with batched elimination.  A certificate is two
+arrays, the P x k representatives and the P x (k-1) indices or
+P x (k-1) x k vectors, in the narrowest exact type; its producers, the
+verifier and the text codec work on them directly, and the writer formats
+a block of lines as one byte array.  A failing class is reported with the rank its scan
+reached and a message whose codeword it covers: the first class, in
+canonical order, orthogonal to every row the scan kept.  The definition and
+dhz oracles read D.projective_codewords, one class and its codeword per
 projective point of C(D), cached on D, and test a block of rows against
 every other row at once: one support product over the upper triangle of
 S S^T (all of it, symmetric, when the block is every row), or one gather
@@ -61,21 +64,22 @@ from .families import FunctionSpec
 from .gf import FieldSpec
 from . import linalg
 from .linalg import (
-    EchelonBasis,
     SubspaceBasis,
     Vec,
     class_count,
     index_to_vector,
-    kernel_basis,
     np_block_rows,
     np_chunk_rows,
     np_class_reps,
+    np_digit_columns,
+    np_digits,
     np_dots,
     np_indices,
     np_paired_dots,
     np_ranks,
     scale,
     text_lines,
+    vector_to_index,
     write_text,
 )
 
@@ -299,17 +303,6 @@ def normalize_class(field: FieldSpec, y: Sequence[int]) -> Vec:
     raise ValueError("the zero vector has no projective class")
 
 
-def projective_classes(field: FieldSpec, k: int) -> Iterator[Vec]:
-    """Canonical representatives in ascending canonical-index order."""
-    q = field.q
-    # Representatives are exactly the vectors whose first nonzero entry is 1:
-    # (0...0, 1, tail).  More leading zeros means a smaller canonical index.
-    for lead in range(k - 1, -1, -1):
-        tail = k - lead - 1
-        for idx in range(q**tail):
-            yield (0,) * lead + (1,) + index_to_vector(q, tail, idx)
-
-
 def _check_oracle_scale(D: DefiningSet) -> None:
     P = class_count(D.field.q, D.k)
     if P > DEF_MAX_CLASSES or D.n > DEF_MAX_N:
@@ -435,53 +428,78 @@ def _scan_order(n: int) -> np.ndarray:
     return np.arange(n, dtype=np.int64) * s % n
 
 
-def _rank_failure(D: DefiningSet, y: Sequence[int], chosen: Sequence[int]) -> MinimalityReport:
-    """not_minimal for class y, whose greedy scan of D cap H(y) chose too few rows.
+def _rank_failure(D: DefiningSet, y: Vec, chosen: np.ndarray) -> MinimalityReport:
+    """not_minimal for class y, whose greedy scan of D cap H(y) kept too few rows.
 
-    chosen spans D cap H(y), so any b orthogonal to it vanishes wherever c(y)
-    does: c(y) covers c(b).  A kernel vector that is no multiple of y exists
-    because the rank is below k - 1, and c(b) is nonzero and no multiple of
-    c(y) because rank(D) = k.  Both the rank and b depend only on the span,
-    not on the order of the scan.
+    chosen holds the 1-based D indices of the kept rows, which span
+    D cap H(y).  Their orthogonal complement has dimension k - rank >= 2, so
+    it holds a class b other than y's; b vanishes wherever c(y) does, so
+    c(y) covers c(b), and c(b) is nonzero and no multiple of c(y) because
+    rank(D) = k.  The covered message is the first such class in canonical
+    order, found by np_dots over blocks of canonical-index ranges that stop
+    at the first hit.  Both the rank and b depend only on the span, not on
+    the order of the scan.
     """
-    field = D.field
-    y = normalize_class(field, y)
-    rows = D.vectors[np.array(chosen, dtype=np.intp) - 1].tolist()
-    covered = next(
-        b for b in kernel_basis(field, rows, D.k) if normalize_class(field, b) != y
-    )
+    field, k = D.field, D.k
+    q = field.q
+    cols = np_digit_columns(field, D.vectors[chosen - 1])
+    step = np_block_rows(field, max(1, len(chosen)))
+    # the classes with t tail digits are the canonical indices [q^t, 2 q^t)
+    blocks = (np.arange(start, min(start + step, 2 * q**t))
+              for t in range(k) for start in range(q**t, 2 * q**t, step))
+    skip = vector_to_index(q, y)
+    hits = (idx[~np_dots(field, np_digits(q, k, idx), cols).any(axis=1) & (idx != skip)]
+            for idx in blocks)
+    covered = index_to_vector(q, k, int(next(h[0] for h in hits if h.size)))
     return MinimalityReport(
         "rank", NOT_MINIMAL, {"y": y, "rank": len(chosen), "covered": covered}
     )
 
 
+def _block_scan(D: DefiningSet) -> tuple[Callable, int]:
+    """(scan, step): the rank criterion's per-block setup, shared by both rank checks.
+
+    scan(Y) runs _greedy_block on the classes Y and returns (chosen,
+    count): chosen[b, :count[b]] are the 1-based D indices class b kept.
+    The scan reads D a window of candidates at a time: 2qk of them, among
+    which a class meets about 2k hits, or all of D when it is smaller, and
+    never more than 2 sqrt(DOT_BLOCK).  step = 4 DOT_BLOCK / window classes
+    make a block, so its table of hits has about 4 DOT_BLOCK entries and
+    the block is at least as tall as the window is wide.  D is packed once
+    into np_chunks chunk rows in scan order.
+    """
+    field, k, n = D.field, D.k, D.n
+    order = _scan_order(n)
+    rows = np_chunk_rows(field, D.vectors).astype(field.np_chunks.sub.dtype)[:, order]
+    table = 4 * linalg.DOT_BLOCK  # hit-table entries of a block
+    window = min(n, 2 * field.q * k, math.isqrt(table))
+
+    def scan(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        picked, count = _greedy_block(field, Y, rows, D.digit_columns, order, window)
+        return order[picked] + 1, count
+
+    return scan, max(1, table // window)
+
+
 def rank_criterion_codeword(y: Sequence[int], D: DefiningSet) -> MinimalityReport:
     """c(y) minimal iff rank(D cap H(y)) = k - 1 (requires rank(D) = k).
 
-    The sequential reference of rank_criterion_code: it scans D in the same
-    order and keeps the same rows.
+    The block scan of rank_criterion_code on a block of one class: it
+    keeps the rows that class keeps in every block.
     """
     check_message(y, D)
     if not any(y):
         raise ValueError("y must be nonzero")
     if D.rank != D.k:
         raise GuardError(f"rank criterion needs rank(D) = k; got {D.rank} < {D.k}")
-    field, k = D.field, D.k
-    basis = EchelonBasis(field, k)
-    chosen: list[int] = []
-    rows: list[Vec] = []  # the members at chosen, as plain-int tuples
-    order = _scan_order(D.n)
-    members = order[np_dots(field, [y], D.digit_columns)[0][order] == 0]  # D cap H(y)
-    for i in members.tolist():
-        if basis.rank == k - 1:
-            break
-        d = tuple(D.vectors[i].tolist())  # one row at a time: the scan stops after a few
-        if basis.add(d):
-            chosen.append(i + 1)
-            rows.append(d)
-    if basis.rank < k - 1:
+    y = normalize_class(D.field, y)
+    scan, _ = _block_scan(D)
+    chosen, count = scan(np.array([y], dtype=np.int64))
+    chosen = chosen[0, :count[0]]
+    if count[0] < D.k - 1:
         return _rank_failure(D, y, chosen)
-    witness = RankWitness(normalize_class(field, y), tuple(chosen), SubspaceBasis(tuple(rows), k))
+    rows = tuple(map(tuple, D.vectors[chosen - 1].tolist()))
+    witness = RankWitness(y, tuple(chosen.tolist()), SubspaceBasis(rows, D.k))
     return MinimalityReport("rank", MINIMAL, witness)
 
 
@@ -494,14 +512,9 @@ def rank_criterion_code(
     Minimal verdicts carry an index-mode Certificate covering all classes;
     otherwise the failing class with the smallest canonical index is
     reported.  Refuses (without partial answers) when the estimated cost
-    P * n * k exceeds the operation budget.  Classes run in blocks, in
-    canonical order, so a failure stops at its block.  The scan reads D a
-    window of candidates at a time: 2qk of them, among which a class meets
-    about 2k hits, or all of D when it is smaller, and never more than
-    2 sqrt(DOT_BLOCK).  A block holds 4 DOT_BLOCK / window classes, so its
-    table of hits has about 4 DOT_BLOCK entries and the block is at least
-    as tall as the window is wide.  D is packed once into np_chunks chunk
-    rows in scan order; the class representatives stay in the element type.
+    P * n * k exceeds the operation budget.  Classes run in blocks of
+    _block_scan's step, in canonical order, so a failure stops at its
+    block; the class representatives stay in the element type.
     """
     if D.rank != D.k:
         raise GuardError(f"rank criterion needs rank(D) = k; got {D.rank} < {D.k}")
@@ -515,21 +528,16 @@ def rank_criterion_code(
             f"estimated {estimated} field ops exceed the budget {limit}"
         )
     reps = np_class_reps(q, k, field.element_dtype)
-    order = _scan_order(n)
-    rows = np_chunk_rows(field, D.vectors).astype(field.np_chunks.sub.dtype)[:, order]
     entries = np.empty((P, k - 1), dtype=np.min_scalar_type(n))
-    table = 4 * linalg.DOT_BLOCK  # hit-table entries of a block
-    window = min(n, 2 * q * k, math.isqrt(table))
-    step = max(1, table // window)
+    scan, step = _block_scan(D)
     for start in range(0, P, step):
         Y = reps[start:start + step]
-        picked, count = _greedy_block(field, Y, rows, D.digit_columns, order, window)
+        chosen, count = scan(Y)
         failed = np.flatnonzero(count < k - 1)
         if failed.size:
             b = int(failed[0])
-            chosen = order[picked[b, :count[b]]] + 1
-            return _rank_failure(D, tuple(Y[b].tolist()), chosen.tolist())
-        entries[start:start + step] = order[picked] + 1
+            return _rank_failure(D, tuple(Y[b].tolist()), chosen[b, :count[b]])
+        entries[start:start + step] = chosen
     cert = Certificate(q=q, n=n, k=k, mode="indices",
                        classes=CertificateClasses(reps, entries))
     return MinimalityReport("rank", MINIMAL, cert)
@@ -551,10 +559,10 @@ def _greedy_block(
     time: sub[X Q + mul[c Q + row]], c being the candidate's coordinate at
     the row's pivot, read through digits.  A remainder is kept, scaled to a
     leading 1 found through the lowest table; a class retires at k-1 rows.
-    Each class meets its own hits in scan order, so it keeps the rows
-    rank_criterion_codeword keeps, while a window costs as many rounds as
-    its busiest class has hits to try, not one step per candidate.  The
-    arrays of a round are chunk-major too (chunks x classes), so each
+    Each class meets its own hits in scan order, so it keeps the rows a
+    sequential echelon walk over them keeps, while a window costs as many
+    rounds as its busiest class has hits to try, not one step per candidate.
+    The arrays of a round are chunk-major too (chunks x classes), so each
     numpy call runs along the classes.
 
     Returns (picked, count): picked[b, :count[b]] are the scan positions

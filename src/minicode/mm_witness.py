@@ -1,17 +1,21 @@
 """Batched witness construction for the Maiorana-McFarland theorems C1 and C2.
 
-case2_alphas and case3_alphas build the C1 and C2 witness vectors of a
-group of classes at once, following the proofs' sub-branches;
+case1_alphas builds the C1 and C2 case-1 witness vectors, which every
+case-1 class shares; case2_alphas and case3_alphas build those of a group
+of classes at once, following the proofs' sub-branches.
 witness._block_alphas calls them for a block of certificate classes or for
 the one class of theorem_witness.  A sub-branch that no class of the group
 takes is skipped, so a block of one runs only its own.
 
 Every one-row system r.x = b of these proofs has a closed form from p,
-the first nonzero column of r: the reduced echelon form of that row is
-r/r_p, so solve gives b/r_p at p and zero elsewhere, and kernel_basis
-gives the low vectors e_j - (r_j/r_p) e_p for the free columns j != p,
-ascending.  The two-row systems are one batched 2 x t elimination
-(_solve2), and the scalar searches are masks over the q candidates.
+the first nonzero column of r, and no elimination runs: _point gives the
+solution b/r_p at p and zero elsewhere, _lows the kernel basis of the
+low vectors e_j - (r_j/r_p) e_p for the free columns j != p, ascending,
+and _solutions x0 followed by x0 plus each kernel vector.  These are the
+solution and kernel basis that Gaussian elimination reads from the
+reduced echelon form r/r_p of the row.  The two-row systems are one
+batched 2 x t elimination (_solve2), and the scalar searches are masks
+over the q candidates.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ Values = Callable[[np.ndarray], np.ndarray]  # f at each row of an (..., m) arra
 
 
 def _lows(field: FieldSpec, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """kernel_basis(field, [r], n) for each nonzero row r of the G x n array R.
+    """The kernel basis of each nonzero row r of the G x n array R: the low vectors.
 
     Returns the G x (n-1) x n bases and the G x (n-1) free columns.
     """
@@ -52,7 +56,7 @@ def _lows(field: FieldSpec, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _point(field: FieldSpec, R: np.ndarray, b) -> np.ndarray:
-    """solve(field, [r], [b]) for each nonzero row r of R: b/r_p at p."""
+    """A solution of r.x = b for each nonzero row r of R: b/r_p at p, zero elsewhere."""
     at = np.arange(len(R))
     p = (R != 0).argmax(axis=1)
     x = np.zeros_like(R)
@@ -61,9 +65,9 @@ def _point(field: FieldSpec, R: np.ndarray, b) -> np.ndarray:
 
 
 def _solutions(field: FieldSpec, R: np.ndarray, b) -> np.ndarray:
-    """linear_system_solutions(field, [r], [b]) for nonzero rows r and b != 0.
+    """n independent solutions of r.x = b for nonzero rows r and b != 0.
 
-    x0 and x0 + each kernel vector: G x n x n.
+    x0 = _point and x0 + each vector of _lows: G x n x n.
     """
     lows, _ = _lows(field, R)
     x0 = _point(field, R, b)
@@ -71,14 +75,13 @@ def _solutions(field: FieldSpec, R: np.ndarray, b) -> np.ndarray:
 
 
 def _solve2(field: FieldSpec, R1: np.ndarray, R2: np.ndarray, b1, b2) -> np.ndarray:
-    """solve(field, [r1, r2], [b1, b2]) for each pair of rows of R1 and R2.
+    """The solution of r1.x = b1, r2.x = b2 for each pair of rows of R1 and R2.
 
     The solution, 0 at the free coordinates, is read from the reduced
     echelon form of the pair.  Its first pivot is p1, the first column
     where r1 or r2 is nonzero, eliminated here with the first row nonzero
     there; its second is the first nonzero column of the other row once
-    reduced.  An inconsistent system is a construction bug, as it is for
-    _first_solution.
+    reduced.  An inconsistent system is a construction bug.
     """
     G = len(R1)
     at = np.arange(G)
@@ -109,6 +112,25 @@ def _first(ok: np.ndarray, what: str) -> np.ndarray:
     if not ok.any(axis=1).all():
         raise construction_bug(f"no {what}")
     return ok.argmax(axis=1)
+
+
+def case1_alphas(f: FunctionSpec) -> np.ndarray:
+    """The m x m case-1 witness vectors (u != 0, v = 0) of C1 and C2.
+
+    With c = g(0): the t solutions of phi(0).gamma = -c, after the zero
+    beta, then e_i with the solution of phi(e_i).gamma = -g(e_i) for each i.
+    """
+    field, m, q = f.field, f.m, f.field.q
+    mm = f.variant
+    assert isinstance(mm, MaioranaMcFarland)
+    s, t = mm.s, mm.t
+    phi = np.array(mm.phi, dtype=np.int64).reshape(q**s, t)
+    unit = q ** np.arange(s - 1, -1, -1)  # the canonical index of e_i in F_q^s
+    A = np.zeros((m, m), dtype=np.int64)
+    A[:t, s:] = _solutions(field, phi[:1], field.neg(mm.g[0]))[0]
+    A[t:, :s] = np.eye(s, dtype=np.int64)
+    A[t:, s:] = _point(field, phi[unit], field.vneg(np.array(mm.g)[unit]))
+    return A
 
 
 def case2_alphas(thm: TheoremId, f: FunctionSpec, omega: np.ndarray) -> np.ndarray:

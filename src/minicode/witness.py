@@ -11,31 +11,35 @@ shapes:
   case 3 (u = 0,  v != 0): m nonzero vectors in the hyperplane v^perp with
                            independent lifts.
 
-Every constructor validates its own output (membership, weights, inner
-products, rank) before returning; a post-condition failure is reported as a
-construction bug, never silently repaired.
+The builder validates its own output (inner products and rank) before
+returning; a post-condition failure is reported as a construction bug,
+never silently repaired.
 
 One builder makes every theorem witness.  witness_certificate runs it on
 every class, in blocks of np_block_rows(field, k*k) classes (the block size
 verify_certificate uses), and theorem_witness runs it on a block of one:
 the representative of its message's class, as the witness depends only on
-the class.  Within a block the classes are grouped by case and by i0, the
-first nonzero index of omega (case 2) or v (case 3).  Each of the A1, A2,
-B, D1 and D2 proofs builds its vectors from the "low" vectors
-e_i - (w_i/w_i0) e_i0 and one anchor, so a group is a few flat-table
-operations over a (classes x m x m) array.  The D2 repair of an offending
-low vector is done with masks.  The Maiorana-McFarland proofs (C1, C2)
-group by their sub-branches instead (minicode.mm_witness).  f is read
-through a function of an array of vectors: the certificate looks f up in
-its dense table, and theorem_witness evaluates f at the vectors the proof
-reads, so a single witness never tabulates f.  One post-condition checks a
-block: every lift (f(alpha), alpha) is orthogonal to its class
-(f(alpha) = omega.alpha in cases 1-2, v.alpha = 0 in case 3), and np_ranks
-gives rank m for the alphas (cases 1-2) or the lifts (case 3).  A failure
-raises ConstructionError naming the first failing class; verify_certificate
-remains the independent check of a certificate.  The per-class
+the class.  Case 1 has one set of vectors per theorem, built as an array
+from its closed form.  The other classes of a block are grouped by case
+and by i0, the first nonzero index of omega (case 2) or v (case 3).  Each
+of the A1, A2, B, D1 and D2 proofs builds its vectors from the "low"
+vectors e_i - (w_i/w_i0) e_i0 and one anchor, so a group is a few
+flat-table operations over a (classes x m x m) array.  The D2 repair of
+an offending low vector is done with masks.  The Maiorana-McFarland
+proofs (C1, C2) group by their sub-branches instead (minicode.mm_witness).
+f is read through a function of an array of vectors: the certificate
+looks f up in its dense table, and theorem_witness evaluates f at the
+vectors the proof reads, so a single witness never tabulates f.  One
+post-condition checks a block: every lift (f(alpha), alpha) is
+orthogonal to its class (f(alpha) = omega.alpha in cases 1-2,
+v.alpha = 0 in case 3), and np_ranks gives rank m for the alphas (cases
+1-2) or the lifts (case 3).  A failure raises ConstructionError naming
+the first failing class; verify_certificate remains the independent
+check of a certificate.  The per-class
 constructions, written as the proofs read, are a test-only oracle
-(tests/witness_oracle.py) that the tests compare with this builder.
+(tests/witness_oracle.py) that the tests compare with this builder; it
+builds on the lemma-level bases and the scalar elimination of
+tests/scalar_reference.py.
 
 One wrinkle: the natural Maiorana-McFarland case-3 argument closes the
 basis with the zero vector, whose lift is not a code position.  Here the
@@ -54,7 +58,6 @@ import numpy as np
 from .errors import construction_bug
 from .families import (
     FunctionSpec,
-    MaioranaMcFarland,
     MonomialSum,
     TheoremId,
     monomial_support,
@@ -63,23 +66,14 @@ from .families import (
 from .gf import FieldSpec
 from .linalg import (
     Vec,
-    dot,
-    kernel_basis,
     np_block_rows,
     np_class_reps,
     np_indices,
     np_paired_dots,
     np_ranks,
-    rank,
-    scale,
-    solve,
-    unit_vector,
-    vec_add,
-    vector_to_index,
-    weight,
 )
 from .minimality import Certificate, CertificateClasses, normalize_class
-from .mm_witness import Values, case2_alphas, case3_alphas
+from .mm_witness import Values, case1_alphas, case2_alphas, case3_alphas
 
 
 @dataclass(frozen=True)
@@ -88,135 +82,6 @@ class WitnessBasis:
 
     kind: tuple
     vectors: tuple[Vec, ...]
-
-
-# -- lemma-level bases ---------------------------------------------------------
-
-def full_weight_basis(field: FieldSpec, m: int) -> WitnessBasis:
-    """A basis of F_q^m of uniformly heavy vectors.
-
-    q >= 3: all weights equal m.  q = 2: weights >= m-1 (m even) or >= m-2
-    (m odd).  Built from the rank-one perturbations of the identity whose
-    determinants are nonzero for the given (q, m).
-    """
-    q = field.q
-    if q == 2 and m < 2:
-        raise ValueError("q = 2 requires m >= 2")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    neg1 = field.neg(1)
-    if q == 2:
-        if m % 2 == 0:
-            rows = [tuple(0 if j == i else 1 for j in range(m)) for i in range(m)]
-        else:
-            rows = [
-                tuple(0 if (j == i or j == m - 1) else 1 for j in range(m))
-                for i in range(m - 1)
-            ]
-            rows.append(tuple([1] * m))
-        min_wt = m - 1 if m % 2 == 0 else m - 2
-    elif q == 3 and m % 3 == 2:
-        rows = [tuple(neg1 for _ in range(m))]
-        rows += [
-            tuple(1 if j == i else neg1 for j in range(m)) for i in range(1, m)
-        ]
-        min_wt = m
-    else:
-        m_img = m % field.p
-        b = next(a for a in field.elements() if a not in (0, 1, m_img))
-        diag = field.sub(b, 1)
-        rows = [tuple(diag if j == i else neg1 for j in range(m)) for i in range(m)]
-        min_wt = m
-    wb = WitnessBasis(("full_weight",), tuple(rows))
-    if rank(field, rows) != m:
-        raise construction_bug(f"full-weight rows not independent for q={q}, m={m}")
-    if any(weight(r) < min_wt for r in rows):
-        raise construction_bug(f"full-weight rows below weight {min_wt} for q={q}, m={m}")
-    return wb
-
-
-def unit_inner_basis(field: FieldSpec, omega: Sequence[int]) -> WitnessBasis:
-    """A basis of weight <= 2 vectors with omega.beta_i = 1 for every i."""
-    _check_entries(field, omega)
-    if not any(omega):
-        raise ValueError("omega must be nonzero")
-    m = len(omega)
-    i0 = next(i for i, a in enumerate(omega) if a)
-    w0inv = field.inv(omega[i0])
-    rows = []
-    for i in range(m):
-        if i == i0:
-            rows.append(scale(field, w0inv, unit_vector(m, i0 + 1)))
-        else:
-            coef = field.mul(w0inv, field.sub(1, omega[i]))
-            rows.append(
-                vec_add(field, unit_vector(m, i + 1),
-                        scale(field, coef, unit_vector(m, i0 + 1)))
-            )
-    wb = WitnessBasis(("unit_inner", tuple(omega)), tuple(rows))
-    for r in rows:
-        if dot(field, omega, r) != 1 or not 1 <= weight(r) <= 2:
-            raise construction_bug("unit-inner row violates its constraints")
-    if rank(field, rows) != m:
-        raise construction_bug("unit-inner rows not independent")
-    return wb
-
-
-def hyperplane_low_weight_basis(field: FieldSpec, v: Sequence[int]) -> WitnessBasis:
-    """A basis of the hyperplane v^perp made of weight <= 2 vectors."""
-    _check_entries(field, v)
-    if not any(v):
-        raise ValueError("v must be nonzero")
-    m = len(v)
-    _, lows = _low_basis_against(field, tuple(v))
-    rows = list(lows.values())
-    wb = WitnessBasis(("hyperplane", tuple(v)), tuple(rows))
-    for r in rows:
-        if dot(field, v, r) != 0 or not 1 <= weight(r) <= 2:
-            raise construction_bug("hyperplane row violates its constraints")
-    if rank(field, rows) != m - 1:
-        raise construction_bug("hyperplane rows not independent")
-    return wb
-
-
-def linear_system_solutions(
-    field: FieldSpec, rows: Sequence[Sequence[int]], rhs: Sequence[int]
-) -> list[Vec]:
-    """Maximal linearly independent solution sets of A x = b.
-
-    b = 0: a kernel basis, n - rank(A) vectors.  b != 0 (consistent):
-    n - rank(A) + 1 independent solutions x0, x0+k_1, ..., x0+k_{n-r}.
-    """
-    if not rows:
-        raise ValueError("A needs at least one row (possibly zero)")
-    n = len(rows[0])
-    if len(rhs) != len(rows):
-        raise ValueError("rhs length must match row count")
-    for row in rows:
-        _check_entries(field, row)
-    _check_entries(field, rhs)
-    if not any(rhs):
-        return kernel_basis(field, rows, n)
-    x0 = solve(field, rows, rhs)
-    if x0 is None:
-        raise ValueError("inconsistent linear system")
-    sols = [x0] + [vec_add(field, x0, kv) for kv in kernel_basis(field, rows, n)]
-    if rank(field, sols) != len(sols):
-        raise construction_bug("solution set unexpectedly dependent")
-    return sols
-
-
-def _check_entries(field: FieldSpec, vector: Sequence[int]) -> None:
-    """Refuse a coordinate that is not a canonical element, before any table lookup."""
-    for a in vector:
-        field.check_scalar(a)
-
-
-def _first_solution(field: FieldSpec, rows: Sequence[Vec], rhs: Sequence[int]) -> Vec:
-    x0 = solve(field, rows, rhs)
-    if x0 is None:
-        raise construction_bug(f"system {rows} = {rhs} is inconsistent")
-    return x0
 
 
 # -- theorem witnesses ----------------------------------------------------------
@@ -240,7 +105,8 @@ def theorem_witness(thm: TheoremId, f: FunctionSpec, u: int, v: Sequence[int]) -
     if len(v) != m:
         raise ValueError(f"v has length {len(v)}, expected m = {m}")
     v = tuple(v)
-    _check_entries(field, v)
+    for a in v:  # every entry is checked before a table is read
+        field.check_scalar(a)
     if u == 0 and not any(v):
         raise ValueError("(u, v) must be nonzero")
     _require_hypotheses(thm, f)
@@ -249,62 +115,39 @@ def theorem_witness(thm: TheoremId, f: FunctionSpec, u: int, v: Sequence[int]) -
     return WitnessBasis(("theorem_case", thm, u, v), tuple(map(tuple, lifts[0, :, 1:].tolist())))
 
 
-def _case1_vectors(thm: TheoremId, f: FunctionSpec) -> list[Vec]:
+def _case1_vectors(thm: TheoremId, f: FunctionSpec) -> np.ndarray:
+    """The m x m case-1 witness vectors (u != 0, v = 0), shared by every such class.
+
+    A1 and A2 take full-weight rows, rank-one perturbations of the identity
+    whose determinant is nonzero for (q, m): over F_2 the complement of the
+    identity (m even) or of the identity and the last column, closed by the
+    all-ones row (m odd); over F_3 with m = 2 mod 3 the identity with -1
+    off the diagonal and the first row all -1; otherwise b - 1 on the
+    diagonal and -1 off it, b the first element other than 0, 1 and m.
+    B, D1 and D2 take the identity, C1 and C2 mm_witness.case1_alphas.
+    """
     field, m = f.field, f.m
-    if thm in (TheoremId.A1, TheoremId.A2):
-        return list(full_weight_basis(field, m).vectors)
-    if thm is TheoremId.B or thm in (TheoremId.D1, TheoremId.D2):
-        return [unit_vector(m, i) for i in range(1, m + 1)]
     if thm in (TheoremId.C1, TheoremId.C2):
-        mm = f.variant
-        assert isinstance(mm, MaioranaMcFarland)
-        s, t = mm.s, mm.t
-        phi0 = _phi_at(f, (0,) * s)
-        c = f.eval((0,) * m)  # g(0), since the gamma part is zero
-        gammas = linear_system_solutions(field, [phi0], [field.neg(c)])
-        out = [(0,) * s + g for g in gammas]
-        for i in range(1, s + 1):
-            ei = unit_vector(s, i)
-            gi = _first_solution(field, [_phi_at(f, ei)],
-                                 [field.neg(_g_at(f, ei))])
-            out.append(ei + gi)
-        return out
-    raise ValueError(f"unknown theorem id {thm!r}")
-
-
-def _phi_at(f: FunctionSpec, beta: Vec) -> Vec:
-    mm = f.variant
-    assert isinstance(mm, MaioranaMcFarland)
-    return mm.phi[vector_to_index(f.field.q, beta)]
-
-
-def _g_at(f: FunctionSpec, beta: Vec) -> int:
-    mm = f.variant
-    assert isinstance(mm, MaioranaMcFarland)
-    return mm.g[vector_to_index(f.field.q, beta)]
-
-
-def _low_basis_against(field: FieldSpec, w: Vec) -> tuple[int, dict[int, Vec]]:
-    """i0 (0-based) and the vectors e_i - w_i/w_{i0} e_{i0} for i != i0."""
-    i0 = next(i for i, a in enumerate(w) if a)
-    inv0 = field.inv(w[i0])
-    m = len(w)
-    out = {}
-    for i in range(m):
-        if i == i0:
-            continue
-        coef = field.neg(field.mul(inv0, w[i]))
-        out[i] = vec_add(field, unit_vector(m, i + 1),
-                         scale(field, coef, unit_vector(m, i0 + 1)))
-    return i0, out
+        return case1_alphas(f)
+    eye = np.eye(m, dtype=np.int64)
+    if thm not in (TheoremId.A1, TheoremId.A2):
+        return eye
+    q, neg1 = field.q, field.neg(1)
+    if q == 2:
+        A = 1 - eye
+        if m % 2:
+            A[:, m - 1] = 0
+            A[m - 1] = 1
+        return A
+    if q == 3 and m % 3 == 2:
+        A = np.where(eye == 1, 1, neg1)
+        A[0, 0] = neg1
+        return A
+    b = next(a for a in field.elements() if a not in (0, 1, m % field.p))
+    return np.where(eye == 1, field.sub(b, 1), neg1)
 
 
 # -- certificates ----------------------------------------------------------------
-
-def lift_witness(f: FunctionSpec, wb: WitnessBasis) -> tuple[Vec, ...]:
-    """The d-vectors (f(alpha), alpha) of a witness basis."""
-    return tuple((f.eval(a),) + a for a in wb.vectors)
-
 
 def witness_certificate(thm: TheoremId, f: FunctionSpec) -> Certificate:
     """A value-mode certificate covering every projective class of C_f.
@@ -427,9 +270,9 @@ def _group_alphas(thm: TheoremId, f: FunctionSpec, fvals: Values, case: int,
                   i0: int, w: np.ndarray) -> np.ndarray:
     """Witness vectors of the case-2 or case-3 classes whose w starts at i0.
 
-    Row i of lows is e_i - (w_i/w_i0) e_i0 (_low_basis_against), i.e. the
-    identity with column i0 replaced by coef = -w/w_i0; row i0 is a
-    placeholder that each theorem overwrites.
+    Row i of lows is e_i - (w_i/w_i0) e_i0, i.e. the identity with column
+    i0 replaced by coef = -w/w_i0; row i0 is a placeholder that each
+    theorem overwrites.
     """
     field, m = f.field, f.m
     G = len(w)
@@ -440,14 +283,14 @@ def _group_alphas(thm: TheoremId, f: FunctionSpec, fvals: Values, case: int,
     A[:, i0, i0] = 0
 
     if case == 2 and thm in (TheoremId.A1, TheoremId.A2):
-        # unit_inner_basis: e_i + (1 - w_i)/w_i0 e_i0, and e_i0/w_i0 at i0
+        # the unit-inner basis: e_i + (1 - w_i)/w_i0 e_i0, and e_i0/w_i0 at i0
         A[:, :, i0] = field.vmul(inv0[:, None], field.vsub(1, w))
         A[:, i0, i0] = inv0
         if thm is TheoremId.A1:
             A = field.vmul(fvals(A)[:, :, None], A)
         return A
     if thm is TheoremId.A1:
-        # hyperplane_low_weight_basis, closed by twice its first vector
+        # the low vectors, a basis of the hyperplane, closed by twice the first
         order = [i for i in range(m) if i != i0]
         A = A[:, order + order[:1]]
         A[:, -1] = field.vmul(2, A[:, -1])

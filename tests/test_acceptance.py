@@ -31,18 +31,19 @@ from minicode.families import (
     validate_hypotheses,
 )
 from minicode.gf import field_by_order, make_field
-from minicode.linalg import covers, dot, index_to_vector, rank, scale, weight
+from minicode.linalg import covers, dot, index_to_vector, scale, weight
 from minicode.minimality import (
     ab_condition,
     dhz_criterion,
     is_minimal_definition,
-    projective_classes,
     rank_criterion_code,
 )
-from minicode.witness import (
+from scalar_reference import (
     full_weight_basis,
     hyperplane_low_weight_basis,
     linear_system_solutions,
+    projective_classes,
+    rank,
     unit_inner_basis,
 )
 

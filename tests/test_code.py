@@ -35,12 +35,12 @@ from minicode.gf import make_field
 from minicode.linalg import (
     dot,
     index_to_vector,
-    rank,
     read_matrix,
     unit_vector,
     vector_to_index,
     weight,
 )
+from scalar_reference import rank
 
 F2 = make_field(2)
 F3 = make_field(3)

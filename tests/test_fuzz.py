@@ -5,7 +5,8 @@ of small integers and keywords, then lines of integers).  Either it returns
 a parsed object, or it raises a ValueError subclass, which the CLI maps to
 exit code 2.  read_certificate is also compared with a line-by-line reader
 that converts every token with int(), also across its blocks of lines.
-np_ranks is compared with EchelonBasis on random batches over F_2 to F_9.
+np_ranks is compared with the scalar EchelonBasis of tests/scalar_reference.py
+on random batches over F_2 to F_9.
 """
 
 import io
@@ -21,10 +22,11 @@ from minicode.code import DefiningSet, read_defining_set
 from minicode.errors import CertificateFormatError
 from minicode.families import FunctionSpec, TheoremId, get_preset, read_function
 from minicode.gf import field_by_order
-from minicode.linalg import EchelonBasis, np_ranks, read_matrix
+from minicode.linalg import np_ranks, read_matrix
 import minicode.minimality as minimality_mod
 from minicode.minimality import Certificate, read_certificate, write_certificate
 from minicode.witness import witness_certificate
+from scalar_reference import EchelonBasis
 
 FUZZ = settings(max_examples=500, deadline=None, derandomize=True, database=None)
 

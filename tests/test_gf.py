@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from minicode.errors import GuardError
-from minicode.gf import FieldSpec, field_arith, field_by_order, is_prime, make_field
+from minicode.gf import FieldSpec, field_by_order, is_prime, make_field
 
 SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9]
 
@@ -203,25 +203,6 @@ def test_bools_are_not_field_elements():
     for a in (True, False, 1.0, np.int64(1)):
         with pytest.raises(ValueError, match="canonical element"):
             f3.check_scalar(a)
-    with pytest.raises(ValueError):
-        field_arith(f3, "add", True, 1)
-
-
-def test_field_arith_dispatch():
-    f3 = make_field(3)
-    assert field_arith(f3, "add", 2, 2) == 1
-    assert field_arith(f3, "sub", 0, 1) == 2
-    assert field_arith(f3, "mul", 2, 2) == 1
-    assert field_arith(f3, "neg", 1) == 2
-    assert field_arith(f3, "inv", 2) == 2
-    with pytest.raises(ValueError):
-        field_arith(f3, "inv", 0)
-    with pytest.raises(ValueError):
-        field_arith(f3, "add", 1)
-    with pytest.raises(ValueError):
-        field_arith(f3, "frobnicate", 1, 1)
-    with pytest.raises(ValueError):
-        field_arith(f3, "add", 3, 1)  # out of range
 
 
 def test_is_prime_small():

@@ -19,11 +19,9 @@ from minicode.linalg import (
     class_count,
     covers,
     dot,
-    enumerate_vectors,
     index_to_vector,
     np_class_codewords,
     np_class_reps,
-    rank,
 )
 from minicode.linalg import weight as weight_of
 from minicode.minimality import (
@@ -37,13 +35,13 @@ from minicode.minimality import (
     dhz_criterion,
     is_minimal_definition,
     normalize_class,
-    projective_classes,
     rank_criterion_code,
     rank_criterion_codeword,
     read_certificate,
     verify_certificate,
     write_certificate,
 )
+from scalar_reference import enumerate_vectors, projective_classes, rank, reference_rank_codeword
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -237,15 +235,17 @@ def test_rank_criterion_codeword_rejects_a_non_message(y):
 
 
 def test_rank_criterion_codeword_scalar_invariance():
-    D = defining_set(get_preset("sec4_f1").function)
-    rng = random.Random(23)
-    for _ in range(10):
-        y = tuple(rng.randrange(3) for _ in range(5))
-        if not any(y):
-            continue
-        r1 = rank_criterion_codeword(y, D)
-        r2 = rank_criterion_codeword(tuple(F3.mul(2, a) for a in y), D)
-        assert r1.verdict == r2.verdict
+    # a message and its multiple get one report: the class representative,
+    # the kept rows, and a cover from another class
+    failing = FunctionSpec(F4, 2, TableFunction((2, 0, 3, 3, 2, 2, 3, 3, 0, 3, 0, 0, 0, 2, 3, 0)))
+    verdicts = collections.Counter()
+    for f in (get_preset("sec4_f1").function, failing):
+        D, field = defining_set(f), f.field
+        for y in projective_classes(field, D.k):
+            rep = rank_criterion_codeword(y, D)
+            assert rank_criterion_codeword(tuple(field.mul(2, a) for a in y), D) == rep
+            verdicts[rep.verdict] += 1
+    assert verdicts["minimal"] and verdicts["not_minimal"]
 
 
 def test_rank_criterion_requires_full_rank():
@@ -508,10 +508,11 @@ def space_codes(field, k):
 @pytest.mark.parametrize("block", [None, 40])
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda F: f"F{F.q}")
 def test_rank_hit_rounds_match_sequential_scan(monkeypatch, field, block):
-    # every class keeps the rows rank_criterion_codeword keeps, and a failing
-    # code reports the first failing class with the same rank and cover; at
-    # the shrunken DOT_BLOCK the scan splits the classes of a passing and of
-    # a failing code over several blocks and a class's hits over several windows
+    # every class keeps the rows the sequential scan of the scalar reference
+    # keeps, and a failing code reports the first failing class with the same
+    # rank and cover; so does each class on its own, a block of one; at the
+    # shrunken DOT_BLOCK the scan splits the classes of a passing and of a
+    # failing code over several blocks and a class's hits over several windows
     if block:
         monkeypatch.setattr(linalg_mod, "DOT_BLOCK", block)
     rng = random.Random(67 + field.q)
@@ -525,13 +526,14 @@ def test_rank_hit_rounds_match_sequential_scan(monkeypatch, field, block):
         got, blocks, windows = scan_cuts(monkeypatch, D)
         most = cuts.get(got.verdict, (0, 0))
         cuts[got.verdict] = (max(most[0], blocks), max(most[1], windows))
+        expected = [reference_rank_codeword(y, D) for y in projective_classes(field, D.k)]
+        for y, want in zip(projective_classes(field, D.k), expected):
+            assert rank_criterion_codeword(y, D) == want, y
         if got.is_minimal:
-            for y, items in got.witness.classes:
-                assert items == rank_criterion_codeword(y, D).witness.indices
+            assert [items for _, items in got.witness.classes] == [
+                r.witness.indices for r in expected]
             continue
-        first = next(r for y in projective_classes(field, D.k)
-                     if not (r := rank_criterion_codeword(y, D)).is_minimal)
-        assert got.witness == first.witness
+        assert got.witness == next(r for r in expected if not r.is_minimal).witness
     assert cuts.keys() == {"minimal", "not_minimal"}
     if block:
         assert all(blocks > 1 and windows > 1 for blocks, windows in cuts.values()), cuts
@@ -549,7 +551,9 @@ def test_criterion_agreement_micro_sweep():
             v1 = is_minimal_definition(D).verdict
             v2 = dhz_criterion(D).verdict
             v3 = rank_criterion_code(D).verdict
-            assert v1 == v2 == v3
+            v4 = ("minimal" if all(reference_rank_codeword(y, D).is_minimal
+                                   for y in projective_classes(field, D.k)) else "not_minimal")
+            assert v1 == v2 == v3 == v4
             agreed += 1
     assert agreed > 40
 
@@ -575,10 +579,10 @@ def test_rank_not_minimal_reports_smallest_class():
         # recompute the first failing class independently
         expected = next(
             y for y in projective_classes(f.field, D.k)
-            if rank_criterion_codeword(y, D).verdict == "not_minimal"
+            if reference_rank_codeword(y, D).verdict == "not_minimal"
         )
         assert failing == expected
-        assert rank_criterion_codeword(failing, D).witness == rep.witness
+        assert reference_rank_codeword(failing, D).witness == rep.witness
         assert rep.witness["rank"] < D.k - 1
         b = rep.witness["covered"]
         cy, cb = codeword(failing, D), codeword(b, D)
@@ -589,7 +593,7 @@ def test_rank_not_minimal_reports_smallest_class():
 
 def test_collectors_agree():
     # every class of the batched certificate keeps exactly the rows the
-    # sequential EchelonBasis scan of rank_criterion_codeword keeps
+    # sequential EchelonBasis scan of the scalar reference keeps
     rng = random.Random(47)
     codes = [defining_set(get_preset("sec4_f2").function)]
     for F, m in ((F4, 3), (F8, 2), (F9, 2)):
@@ -601,7 +605,7 @@ def test_collectors_agree():
         cert = rank_criterion_code(D).witness
         assert len(cert.classes) == class_count(D.field.q, D.k)
         for y, items in cert.classes:
-            assert items == rank_criterion_codeword(y, D).witness.indices
+            assert items == reference_rank_codeword(y, D).witness.indices
 
 
 # sha256 of write_certificate's text of each preset's rank certificate
@@ -659,7 +663,7 @@ def test_rank_failure_across_many_blocks(monkeypatch):
         rep, blocks, windows = scan_cuts(monkeypatch, D)
         split[rep.verdict] += blocks > 1 and windows > 1
         classes = list(projective_classes(field, D.k))
-        verdicts = [rank_criterion_codeword(y, D) for y in classes]
+        verdicts = [reference_rank_codeword(y, D) for y in classes]
         failing = [i for i, r in enumerate(verdicts) if not r.is_minimal]
         if not failing:
             assert rep.is_minimal and verify_certificate(D, rep.witness)

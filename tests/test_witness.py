@@ -2,6 +2,7 @@
 
 import functools
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -23,24 +24,24 @@ from minicode.families import (
 )
 from minicode.gf import field_by_order, make_field
 from minicode.linalg import (
-    EchelonBasis,
     dot,
     index_to_vector,
-    rank,
     scale,
     unit_vector,
     vector_to_index,
     weight,
 )
-from minicode.minimality import normalize_class, projective_classes, verify_certificate
-from minicode.witness import (
+from minicode.minimality import normalize_class, verify_certificate
+from minicode.witness import theorem_witness, witness_certificate
+from scalar_reference import (
+    EchelonBasis,
     full_weight_basis,
     hyperplane_low_weight_basis,
     lift_witness,
     linear_system_solutions,
-    theorem_witness,
+    projective_classes,
+    rank,
     unit_inner_basis,
-    witness_certificate,
 )
 from witness_oracle import reference_witness, vec_sub
 
@@ -81,6 +82,17 @@ def test_full_weight_basis_examples():
 def test_full_weight_basis_rejects_q2_m1():
     with pytest.raises(ValueError):
         full_weight_basis(F2, 1)
+
+
+def test_case1_rows_are_the_full_weight_basis():
+    # the builder's closed-form A1 and A2 case-1 rows are the lemma's basis on
+    # every branch of its formula, also at (q, m) no preset or seeded spec has
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        field = field_by_order(q)
+        thm = TheoremId.A2 if q == 2 else TheoremId.A1
+        for m in range(2 if q == 2 else 1, 9):
+            rows = witness_mod._case1_vectors(thm, SimpleNamespace(field=field, m=m))
+            assert tuple(map(tuple, rows.tolist())) == full_weight_basis(field, m).vectors, (q, m)
 
 
 def test_unit_inner_basis_examples_and_randoms():

@@ -7,12 +7,13 @@ membership, orthogonality and rank.  The library builds every witness with
 its batched builder (minicode.witness and minicode.mm_witness); the tests
 compare that builder with this oracle, class by class.
 
-The oracle shares no private construction code with the builder it
-checks: it imports only public names from minicode (the lemma-level bases,
-which acceptance test 11 checks on their own, the scalar linear algebra
-and the spec types) and nothing from minicode.mm_witness, and CI refuses
-any other import.  It does not check the theorem hypotheses; its callers
-do.
+The oracle shares no construction code with the builder it checks: from
+minicode it imports only public names (the spec types, WitnessBasis and
+scalar vector helpers) and nothing from minicode.mm_witness, and CI
+refuses any other import.  Its elimination and its lemma-level bases
+(which acceptance test 11 checks on their own) come from the test-only
+tests/scalar_reference.py.  It does not check the theorem hypotheses; its
+callers do.
 """
 
 from __future__ import annotations
@@ -28,26 +29,21 @@ from minicode.families import (
     monomial_support,
 )
 from minicode.gf import FieldSpec
-from minicode.linalg import (
+from minicode.linalg import Vec, check_same_length, dot, scale, unit_vector, vector_to_index
+from minicode.witness import WitnessBasis
+from scalar_reference import (
     EchelonBasis,
-    Vec,
-    check_same_length,
-    dot,
     enumerate_vectors,
-    kernel_basis,
-    rank,
-    scale,
-    solve,
-    unit_vector,
-    vec_add,
-    vector_to_index,
-)
-from minicode.witness import (
-    WitnessBasis,
+    first_solution,
     full_weight_basis,
     hyperplane_low_weight_basis,
+    kernel_basis,
     linear_system_solutions,
+    low_basis_against,
+    rank,
+    solve,
     unit_inner_basis,
+    vec_add,
 )
 
 
@@ -68,13 +64,6 @@ def reference_witness(thm: TheoremId, f: FunctionSpec, u: int, v: Sequence[int])
 def vec_sub(field: FieldSpec, u: Sequence[int], v: Sequence[int]) -> Vec:
     check_same_length(u, v)
     return tuple(field.sub(a, b) for a, b in zip(u, v))
-
-
-def _first_solution(field: FieldSpec, rows: Sequence[Vec], rhs: Sequence[int]) -> Vec:
-    x0 = solve(field, rows, rhs)
-    if x0 is None:
-        raise construction_bug(f"system {rows} = {rhs} is inconsistent")
-    return x0
 
 
 def _omega_of(field: FieldSpec, u: int, v: Vec) -> Vec:
@@ -120,7 +109,7 @@ def _case1_vectors(thm: TheoremId, f: FunctionSpec) -> list[Vec]:
         out = [(0,) * s + g for g in gammas]
         for i in range(1, s + 1):
             ei = unit_vector(s, i)
-            gi = _first_solution(field, [_phi_at(f, ei)],
+            gi = first_solution(field, [_phi_at(f, ei)],
                                  [field.neg(_g_at(f, ei))])
             out.append(ei + gi)
         return out
@@ -139,21 +128,6 @@ def _g_at(f: FunctionSpec, beta: Vec) -> int:
     return mm.g[vector_to_index(f.field.q, beta)]
 
 
-def _low_basis_against(field: FieldSpec, w: Vec) -> tuple[int, dict[int, Vec]]:
-    """i0 (0-based) and the vectors e_i - w_i/w_{i0} e_{i0} for i != i0."""
-    i0 = next(i for i, a in enumerate(w) if a)
-    inv0 = field.inv(w[i0])
-    m = len(w)
-    out = {}
-    for i in range(m):
-        if i == i0:
-            continue
-        coef = field.neg(field.mul(inv0, w[i]))
-        out[i] = vec_add(field, unit_vector(m, i + 1),
-                         scale(field, coef, unit_vector(m, i0 + 1)))
-    return i0, out
-
-
 def _case2_vectors(thm: TheoremId, f: FunctionSpec, u: int, v: Vec) -> list[Vec]:
     field, m = f.field, f.m
     omega = _omega_of(field, u, v)
@@ -165,7 +139,7 @@ def _case2_vectors(thm: TheoremId, f: FunctionSpec, u: int, v: Vec) -> list[Vec]
         return [scale(field, f.eval(b), b) for b in betas]
 
     if thm is TheoremId.B:
-        i0, lows = _low_basis_against(field, omega)
+        i0, lows = low_basis_against(field, omega)
         beta = (0,) * m
         for a in lows.values():
             beta = vec_add(field, beta, a)
@@ -195,7 +169,7 @@ def _case2_monomial(thm: TheoremId, f: FunctionSpec, omega: Vec) -> list[Vec]:
     ms = f.variant
     assert isinstance(ms, MonomialSum)
     supports = [monomial_support(exps) for _, exps in ms.terms]
-    i0, lows = _low_basis_against(field, omega)
+    i0, lows = low_basis_against(field, omega)
     j1 = next(j for j, s in enumerate(supports) if (i0 + 1) not in s)
     a_j1 = ms.terms[j1][0]
     inv0 = field.inv(omega[i0])
@@ -281,7 +255,7 @@ def _case2_mm(thm: TheoremId, f: FunctionSpec, omega: Vec) -> list[Vec]:
         row1 = vec_sub(field, _phi_at(f, e1s), w2)
         row2 = vec_sub(field, _phi_at(f, e2s), w2)
         gammas = kernel_basis(field, [row1], t)
-        gp = _first_solution(field, [row1, row2], [1, field.sub(dot(field, w1, e2s), 1)])
+        gp = first_solution(field, [row1, row2], [1, field.sub(dot(field, w1, e2s), 1)])
         out = [b + zero_t for b in betas]
         out += [e1s + g for g in gammas]
         out.append(e2s + gp)
@@ -303,7 +277,7 @@ def _case2_mm(thm: TheoremId, f: FunctionSpec, omega: Vec) -> list[Vec]:
                 if ai is None:
                     raise construction_bug(f"no nonzero a with phi(a e_{i}) != omega_2")
                 aei = scale(field, ai, ei)
-                gi = _first_solution(
+                gi = first_solution(
                     field, [vec_sub(field, _phi_at(f, aei), w2)], [field.neg(c)]
                 )
                 out.append(aei + gi)
@@ -319,7 +293,7 @@ def _case2_mm(thm: TheoremId, f: FunctionSpec, omega: Vec) -> list[Vec]:
             for i in range(1, s + 1):
                 beta = (unit_vector(s, i0) if i == i0
                         else vec_add(field, unit_vector(s, i0), unit_vector(s, i)))
-                gi = _first_solution(
+                gi = first_solution(
                     field, [vec_sub(field, _phi_at(f, beta), w2)], [field.neg(c)]
                 )
                 out.append(beta + gi)
@@ -334,7 +308,7 @@ def _case2_mm(thm: TheoremId, f: FunctionSpec, omega: Vec) -> list[Vec]:
     tail: dict[int, Vec] = {}
     for i in range(2, s + 1):
         ei = unit_vector(s, i)
-        gi = _first_solution(
+        gi = first_solution(
             field, [vec_sub(field, _phi_at(f, ei), w2)], [field.neg(c)]
         )
         tail[i] = gi
@@ -352,7 +326,7 @@ def _case2_mm(thm: TheoremId, f: FunctionSpec, omega: Vec) -> list[Vec]:
             ae1 = scale(field, a_out, e1s)
             row_a = vec_sub(field, _phi_at(f, ae1), w2)
             target = field.add(field.neg(field.mul(a_out, c)), 1)
-            g0 = _first_solution(field, [row_a, row1], [field.neg(c), target])
+            g0 = first_solution(field, [row_a, row1], [field.neg(c), target])
             out.append(ae1 + g0)
             return out
     row2 = vec_sub(field, _phi_at(f, e2s), w2)
@@ -374,7 +348,7 @@ def _case3_vectors(thm: TheoremId, f: FunctionSpec, v: Vec) -> list[Vec]:
         return base + [scale(field, 2, base[0])]
 
     if thm is TheoremId.A2:
-        i0, lows = _low_basis_against(field, v)
+        i0, lows = low_basis_against(field, v)
         skip = {i0}
         if m % 2 == 1:
             i1 = next(i for i in range(m) if i != i0)
@@ -388,7 +362,7 @@ def _case3_vectors(thm: TheoremId, f: FunctionSpec, v: Vec) -> list[Vec]:
         return [out[i] for i in range(m)]
 
     if thm is TheoremId.B or thm in (TheoremId.D1, TheoremId.D2):
-        i0, lows = _low_basis_against(field, v)
+        i0, lows = low_basis_against(field, v)
         if thm is TheoremId.B:
             indices = [i for i in range(m) if i != i0]
         else:
@@ -423,7 +397,7 @@ def _case3_mm(thm: TheoremId, f: FunctionSpec, v: Vec) -> list[Vec]:
             partial.append(zero_s + g)
         for i in range(1, s + 1):
             ei = unit_vector(s, i)
-            gi = _first_solution(field, [v2], [field.neg(dot(field, v1, ei))])
+            gi = first_solution(field, [v2], [field.neg(dot(field, v1, ei))])
             partial.append(ei + gi)
     else:
         for b in kernel_basis(field, [v1], s):
