@@ -29,6 +29,7 @@ from .linalg import (
     Vec,
     check_enumerable,
     int_cells,
+    np_chunk_rows,
     np_class_codewords,
     np_class_reps,
     np_digit_columns,
@@ -90,6 +91,13 @@ class DefiningSet:
     def digit_columns(self) -> np.ndarray:
         """D's right-hand side for linalg.np_dots."""
         return np_digit_columns(self.field, self.vectors)
+
+    @cached_property
+    def chunk_rows(self) -> np.ndarray:
+        """D's rows as linalg.np_chunk_rows chunks, n x C, read-only: the rank kernels' input."""
+        rows = np_chunk_rows(self.field, self.vectors)
+        rows.flags.writeable = False
+        return rows
 
     @cached_property
     def hyperplane_counts(self) -> np.ndarray:

@@ -46,6 +46,7 @@ _MODULI: dict[tuple[int, int], tuple[int, ...]] = {
 }
 
 NP_TABLE_GUARD = 2**20  # ceiling on q*q for the tables: q <= 1024
+FIELD_CACHE = 32  # fields make_field keeps; one of q near 1024 holds about 45 MB of tables
 CHUNK_TABLE = 2**16  # entries of a chunk subtraction table, unless q*q is larger
 _VIEWS = ("np_add", "np_sub", "np_mul", "np_inv", "np_digits", "np_mulmat")
 
@@ -67,9 +68,11 @@ class ChunkTables(NamedTuple):
     h is the largest width whose Q*Q subtraction table has at most
     max(CHUNK_TABLE, q*q) entries, so Q <= 256 whenever h >= 2 and h = 1
     from q = 17 up.  sub and mul hold chunks in the narrowest type for
-    Q - 1 (one byte up to q = 256).  A row of h coordinates packs to its
-    dot product with weights, digits reads one coordinate back, and lowest
-    finds the first nonzero coordinate of a chunk, a pivot.
+    Q - 1 (one byte up to q = 256), and dot holds elements in the element
+    type; at h = 1 dot is mul.  A row of h coordinates packs to its dot
+    product with weights, digits reads one coordinate back, lowest finds
+    the first nonzero coordinate of a chunk, a pivot, and dot gives the
+    inner product of two chunks in one lookup.
     """
 
     h: int
@@ -79,13 +82,15 @@ class ChunkTables(NamedTuple):
     sub: np.ndarray      # Q*Q: sub[x*Q + y] = x - y, coordinatewise
     mul: np.ndarray      # q*Q: mul[a*Q + y] = a * y for a in F_q
     lowest: np.ndarray   # Q: lowest[x] = t * Q for the least t with x_t != 0, 0 for x = 0
+    dot: np.ndarray      # Q*Q: dot[y*Q + x] = sum_t y_t x_t in F_q
 
 
 class FieldSpec:
     """The field F_q with q = p^e and a fixed irreducible modulus for e > 1.
 
     Do not instantiate directly; use :func:`make_field` (construction is
-    deterministic and cached for a given (p, e, modulus)).
+    deterministic, and the FIELD_CACHE fields used last are cached by
+    (p, e, modulus); a field made again equals the one evicted).
 
     Up to q = 1024 the numpy views are read-only int64 arrays, set here:
     np_add, np_sub and np_mul are flat q*q tables (np_add[a*q + b] = a + b),
@@ -203,7 +208,9 @@ class FieldSpec:
 
         A table over t + 1 digits is the one-digit table of the top digit,
         times q^t, plus the table over the t digits below it, so each step
-        is one broadcast sum that fits the chunk type.
+        is one broadcast sum that fits the chunk type.  The dot table over
+        t + 1 digits adds, in F_q, the product of the top digits to the dot
+        table over the t digits below them.
         """
         q = self.q
         h = 1
@@ -213,17 +220,20 @@ class FieldSpec:
         dtype = np.min_scalar_type(Q - 1)
         sub1 = self.np_sub.reshape(q, q).astype(dtype)
         mul1 = self.np_mul.reshape(q, q).astype(dtype)
-        sub, mul = sub1, mul1
+        add = self.np_add.reshape(q, q).astype(self.element_dtype)
+        sub, mul, dot = sub1, mul1, mul1.astype(self.element_dtype)
         for t in range(1, h):
             top = dtype.type(q**t)
             sub = (sub1[:, None, :, None] * top + sub[None, :, None, :]).reshape(q**t * q, -1)
             mul = (mul1[:, :, None] * top + mul[:, None, :]).reshape(q, -1)
+            dot = add[mul1[:, None, :, None], dot[None, :, None, :]].reshape(q**t * q, -1)
         x = np.arange(Q)
         digits = np.stack([x // q**t % q * Q for t in range(h)])
         return ChunkTables(
             h, Q, _frozen(q ** np.arange(h), dtype), _frozen(digits, np.intp),
             _frozen(sub.ravel(), dtype), _frozen(mul.ravel(), dtype),
             _frozen((digits != 0).argmax(axis=0) * Q, np.min_scalar_type(h * Q)),
+            _frozen(dot.ravel(), self.element_dtype),
         )
 
     @property
@@ -263,7 +273,7 @@ def _frozen(values, dtype=np.int64) -> np.ndarray:
     return arr
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FIELD_CACHE)
 def _make_field_cached(p: int, e: int, modulus: tuple[int, ...]) -> FieldSpec:
     return FieldSpec(p, e, modulus)
 

@@ -4,11 +4,15 @@ Vectors are plain tuples of canonical integers; the field travels alongside
 as an explicit argument.  Coordinate indices are 1-based in every reported
 support/index, matching the x_1..x_m convention used throughout.
 
-The numpy kernels take the same vectors as int64 rows and serve every
-field.  The one elimination kernel is np_ranks: batched, on rows packed
-into chunks, with first-nonzero pivoting and exact table arithmetic; there
-are no tolerances anywhere.  The pure-Python elimination (EchelonBasis,
-rank, kernel_basis, solve) is kept in tests/scalar_reference.py as the
+The numpy kernels take the same vectors as integer rows and serve every
+field.  The certificate checks work on rows packed h coordinates to an
+integer (np_chunk_rows, the np_chunks chunks of gf): np_paired_dots reads
+one inner product of two chunks per lookup in the chunk dot table, and
+np_chunk_ranks, the one elimination kernel, eliminates in row order on
+whole chunks, with first-nonzero pivoting and exact table arithmetic;
+np_ranks is its front for matrices of coordinates.  There are no
+tolerances anywhere.  The pure-Python elimination (EchelonBasis, rank,
+kernel_basis, solve) is kept in tests/scalar_reference.py as the
 reference the tests check np_ranks against.
 """
 
@@ -237,16 +241,28 @@ def np_hyperplane_counts(field: FieldSpec, D: np.ndarray) -> np.ndarray:
 
 
 def np_paired_dots(field: FieldSpec, Y: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """B x r values y_b . w over F_q for the r rows w of each W[b], Y being B x c."""
-    dots = np.zeros(W.shape[:2], dtype=np.int64)
-    for j in range(Y.shape[1]):
-        dots = field.vadd(dots, field.vmul(Y[:, j, None], W[:, :, j]))
+    """B x r values y_b . w over F_q for the r rows w of each W[b].
+
+    Y (B x C) and W (B x r x C) are chunk rows from np_chunk_rows.  One
+    lookup in the chunk dot table at y Q + x gives the inner product of a
+    pair of chunks, so y . w costs C lookups and C - 1 field additions.
+    """
+    ch = field.np_chunks
+    T = ch.dot.take(np.multiply(Y[:, None, :], ch.Q, dtype=np.intp) + W)
+    dots = T[..., 0]
+    for j in range(1, T.shape[-1]):
+        dots = field.vadd(dots, T[..., j])
     return dots
 
 
 def np_block_rows(field: FieldSpec, n: int) -> int:
     """Rows per np_dots call so that one call produces about DOT_BLOCK entries."""
     return max(1, DOT_BLOCK // (n * field.e))
+
+
+def np_check_rows(k: int) -> int:
+    """Classes per block of a certificate check, k x k entries each: 4 DOT_BLOCK a block."""
+    return max(1, 4 * DOT_BLOCK // (k * k))
 
 
 def class_count(q: int, k: int) -> int:
@@ -302,56 +318,75 @@ def np_row_keys(field: FieldSpec, rows: np.ndarray) -> np.ndarray:
 
 
 def np_chunk_rows(field: FieldSpec, M: np.ndarray) -> np.ndarray:
-    """The rows of M, c coordinates each, as ceil(c/h) chunks of field.np_chunks, chunks first.
+    """The rows of M, c coordinates each, as ceil(c/h) chunks of field.np_chunks.
 
     Chunk j holds coordinates jh .. jh + h - 1, the last chunk zero-padded:
-    an array of shape (ceil(c/h),) + M.shape[:-1].
-    """
-    ch = field.np_chunks
-    c, h = M.shape[-1], ch.h
-    return np.stack([M[..., j:j + h] @ ch.weights[:min(h, c - j)] for j in range(0, c, h)])
-
-
-def np_ranks(field: FieldSpec, M) -> np.ndarray:
-    """Ranks over F_q of the B matrices of a B x r x c array, by batched elimination on chunks.
-
-    Each row is packed into ceil(c/h) chunks of field.np_chunks, h
-    coordinates per integer (zero-padded; a zero column adds no pivot), and
-    the chunks are held column-major (chunks x B x r).  Column by column,
-    each matrix takes as pivot its first row that is nonzero there, scales
-    it to a leading 1 and subtracts multiples of it from every row, itself
-    included, so a pivot row is zero afterwards and never chosen again:
-    sub[T*Q + mul[a*Q + pivot]] on whole chunks, a being each row's
-    coordinate in the column.  Matrices without a pivot in a column are left
-    unchanged.  After column col every row is zero in columns <= col, so
-    each step touches only the chunks from the one holding col on, and when
-    r < c the loop ends once every row of every matrix is zero.  From q = 17
-    up a chunk is one coordinate and this is the per-element elimination.
+    an array of shape M.shape[:-1] + (ceil(c/h),) in the chunk type.  The
+    rows are copied, padded, into float32, reshaped to one group of h
+    coordinates per line and packed by one product with the weights; a
+    chunk is below Q <= 1024, so float32 holds every sum exactly.
     """
     ch = field.np_chunks
     M = np.asarray(M)
-    B, r, c = M.shape
-    if not r or not c:
-        return np.zeros(B, dtype=np.int64)
-    h, Q = ch.h, ch.Q
-    S = np_chunk_rows(field, M)
-    first = np.arange(0, B * r, r)  # the flat index of each matrix's row 0
-    leads = np.zeros((c, B), dtype=np.intp)  # each pivot's coordinate times Q, 0 for none
-    done = 0  # S holds the chunks from done on
-    for col in range(c):
-        j, t = divmod(col, h)
-        T = S[j - done:]
-        lead = ch.digits[t].take(T[0])
-        at = first + (lead != 0).argmax(axis=1)
-        pivot = T.reshape(len(T), -1).take(at, axis=1)
-        a = lead.take(at, out=leads[col]) // Q  # each pivot's coordinate in the column
-        pivot = ch.mul.take(np.multiply(field.np_inv.take(a), Q, dtype=np.intp) + pivot)
-        X = np.multiply(T, Q, dtype=np.intp)  # intp: a narrow T times Q must not wrap
-        X += ch.mul.take(lead + pivot[:, :, None])
-        S, done = ch.sub.take(X), j
-        if r < c and not S.any():
-            break
-    return np.count_nonzero(leads, axis=0)
+    c, h = M.shape[-1], ch.h
+    C = -(-c // h)
+    S = np.zeros(M.shape[:-1] + (C * h,), dtype=np.float32)
+    S[..., :c] = M
+    packed = S.reshape(-1, h) @ ch.weights.astype(np.float32)
+    return packed.astype(ch.sub.dtype).reshape(M.shape[:-1] + (C,))
+
+
+def np_ranks(field: FieldSpec, M) -> np.ndarray:
+    """Ranks over F_q of the B matrices of a B x r x c array.
+
+    A batch with r > c is transposed first, which leaves the ranks as
+    they are, so the elimination runs over min(r, c) rows; the rows are
+    packed by np_chunk_rows and ranked by np_chunk_ranks.
+    """
+    M = np.asarray(M)
+    if M.shape[1] > M.shape[2]:
+        M = M.transpose(0, 2, 1)
+    return np_chunk_ranks(field, np_chunk_rows(field, M))
+
+
+def np_chunk_ranks(field: FieldSpec, S: np.ndarray) -> np.ndarray:
+    """Ranks over F_q of the B matrices of a B x r x C array of np_chunk_rows rows.
+
+    Row-order elimination on whole chunks, with exact table arithmetic.
+    The batch is held rows first (r x C x B).  Row i in turn takes its
+    first nonzero coordinate as its pivot, found through lowest in its
+    first nonzero chunk, and is scaled to a leading 1; that coordinate is
+    then cleared from the contiguous slab of rows below it:
+    sub[X*Q + mul[a*Q + pivot]], a being each row's coordinate there.
+    Every row below a pivot is zero at it, so a row's pivot is new, the
+    nonzero rows are independent at the end and the rank is their count.
+    A zero row scales to zero and clears nothing.  This costs r(r-1)/2
+    chunk-row updates per matrix, in about ten numpy calls per row.  From
+    q = 17 up a chunk is one coordinate and this is per-element
+    elimination.
+    """
+    ch = field.np_chunks
+    Q, sub = ch.Q, ch.sub
+    # the small tables in intp, so that every index is formed without a cast
+    mul, lowest = ch.mul.astype(np.intp), ch.lowest.astype(np.intp)
+    digits = ch.digits.ravel()  # digits[t Q + x] = x_t Q
+    scale = field.np_inv.take(digits // Q) * Q  # scale[t Q + x] = (1/x_t) Q, a row of mul
+    B, r, C = S.shape
+    S = np.ascontiguousarray(S.transpose(1, 2, 0), dtype=np.intp)
+    flat = S.reshape(r, C * B)
+    offsets = np.arange(B)
+    for i in range(r - 1 if C else 0):
+        row = S[i]  # C x B
+        if C > 1:  # each matrix's lead chunk, flat in C x B, and that chunk of rows i..r-1
+            col = flat[i:].take((row != 0).argmax(axis=0) * B + offsets, axis=1)
+        else:
+            col = flat[i:]
+        at = lowest.take(col[0]) + col  # t Q + x: digit t of each chunk x, t the pivot's
+        pivot = mul.take(scale.take(at[0]) + row)  # row i with a leading 1
+        X = S[i + 1:] * Q
+        X += mul.take(digits.take(at[1:])[:, None, :] + pivot)
+        S[i + 1:] = sub.take(X)
+    return np.count_nonzero(S.any(axis=1), axis=0)
 
 
 # -- text files and the matrix format ------------------------------------------

@@ -26,7 +26,8 @@ keep that walk as their reference), so a class keeps the same rows in any
 block; rank_criterion_codeword runs the scan on a block of one class.  The
 criterion emits a certificate whose per-class entries are indices into the
 serialized D order, so verification is exact membership; the verifier
-checks blocks of classes with batched elimination.  A certificate is two
+checks large blocks of classes on chunk rows, with the chunk dot table
+and row-order elimination.  A certificate is two
 arrays, the P x k representatives and the P x (k-1) indices or
 P x (k-1) x k vectors, in the narrowest exact type; its producers, the
 verifier and the text codec work on them directly, and the writer formats
@@ -69,6 +70,8 @@ from .linalg import (
     class_count,
     index_to_vector,
     np_block_rows,
+    np_check_rows,
+    np_chunk_ranks,
     np_chunk_rows,
     np_class_reps,
     np_digit_columns,
@@ -76,7 +79,6 @@ from .linalg import (
     np_dots,
     np_indices,
     np_paired_dots,
-    np_ranks,
     scale,
     text_lines,
     vector_to_index,
@@ -465,12 +467,12 @@ def _block_scan(D: DefiningSet) -> tuple[Callable, int]:
     which a class meets about 2k hits, or all of D when it is smaller, and
     never more than 2 sqrt(DOT_BLOCK).  step = 4 DOT_BLOCK / window classes
     make a block, so its table of hits has about 4 DOT_BLOCK entries and
-    the block is at least as tall as the window is wide.  D is packed once
-    into np_chunks chunk rows in scan order.
+    the block is at least as tall as the window is wide.  The chunk rows
+    D holds are read chunk-major in scan order.
     """
     field, k, n = D.field, D.k, D.n
     order = _scan_order(n)
-    rows = np_chunk_rows(field, D.vectors).astype(field.np_chunks.sub.dtype)[:, order]
+    rows = D.chunk_rows.T.take(order, axis=1)
     table = 4 * linalg.DOT_BLOCK  # hit-table entries of a block
     window = min(n, 2 * field.q * k, math.isqrt(table))
 
@@ -694,9 +696,11 @@ def verify_certificate(D: DefiningSet, cert: Certificate) -> bool:
     certificate's two arrays, whose entry types and shapes its constructor
     checked.  Representatives are told apart, and vector entries found in
     D, through tables of q^k flags, one per canonical index.  Classes are
-    checked in blocks of about DOT_BLOCK / k^2 with the flat field tables
-    and linalg.np_ranks; a block's vector entries are ranked as they are,
-    and its index entries are gathered from D.
+    checked in blocks of np_check_rows(k) = 4 DOT_BLOCK / k^2 on chunk rows
+    (linalg.np_chunk_rows): the pairs y.w through the chunk dot table
+    (np_paired_dots) and the ranks by np_chunk_ranks.  A block's vector
+    entries are packed as they are, and its index entries gather the
+    chunk rows D holds.
     """
     field, k, n = D.field, D.k, D.n
     q = field.q
@@ -722,15 +726,17 @@ def verify_certificate(D: DefiningSet, cert: Certificate) -> bool:
         if vectors:
             member = np.zeros(q**k, dtype=bool)
             member[np_indices(q, D.vectors)] = True
-        step = np_block_rows(field, k * k)
+        step = np_check_rows(k)
         for start in range(0, P, step):
             W = E[start:start + step]
-            if not vectors:
-                W = D.vectors[W.astype(np.intp) - 1]
-            elif not member[np_indices(q, W)].all():
-                return False
-            Yb = Y[start:start + step].astype(np.int64)
-            if np_paired_dots(field, Yb, W).any() or (np_ranks(field, W) != k - 1).any():
+            if vectors:
+                if not member[np_indices(q, W)].all():
+                    return False
+                W = np_chunk_rows(field, W)
+            else:
+                W = D.chunk_rows.take(W.astype(np.intp) - 1, axis=0)
+            Yb = np_chunk_rows(field, Y[start:start + step])
+            if np_paired_dots(field, Yb, W).any() or (np_chunk_ranks(field, W) != k - 1).any():
                 return False
     return True
 

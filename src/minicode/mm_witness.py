@@ -29,6 +29,7 @@ from .families import FunctionSpec, MaioranaMcFarland, TheoremId
 from .gf import FieldSpec
 from .linalg import (
     np_block_rows,
+    np_chunk_rows,
     np_digit_columns,
     np_dots,
     np_indices,
@@ -101,7 +102,8 @@ def _solve2(field: FieldSpec, R1: np.ndarray, R2: np.ndarray, b1, b2) -> np.ndar
     x = np.zeros_like(R1)
     x[at, p2] = b
     x[at, p1] = a
-    dots = np_paired_dots(field, x, np.stack([R1, R2], axis=1))
+    dots = np_paired_dots(field, np_chunk_rows(field, x),
+                          np_chunk_rows(field, np.stack([R1, R2], axis=1)))
     if (dots != np.stack([b1, b2], axis=1)).any():
         raise construction_bug("a two-row system of the Maiorana-McFarland proof is inconsistent")
     return x

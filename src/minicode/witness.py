@@ -16,30 +16,31 @@ returning; a post-condition failure is reported as a construction bug,
 never silently repaired.
 
 One builder makes every theorem witness.  witness_certificate runs it on
-every class, in blocks of np_block_rows(field, k*k) classes (the block size
-verify_certificate uses), and theorem_witness runs it on a block of one:
-the representative of its message's class, as the witness depends only on
-the class.  Case 1 has one set of vectors per theorem, built as an array
-from its closed form.  The other classes of a block are grouped by case
-and by i0, the first nonzero index of omega (case 2) or v (case 3).  Each
-of the A1, A2, B, D1 and D2 proofs builds its vectors from the "low"
-vectors e_i - (w_i/w_i0) e_i0 and one anchor, so a group is a few
-flat-table operations over a (classes x m x m) array.  The D2 repair of
-an offending low vector is done with masks.  The Maiorana-McFarland
-proofs (C1, C2) group by their sub-branches instead (minicode.mm_witness).
-f is read through a function of an array of vectors: the certificate
-looks f up in its dense table, and theorem_witness evaluates f at the
-vectors the proof reads, so a single witness never tabulates f.  One
-post-condition checks a block: every lift (f(alpha), alpha) is
+every class, in blocks of np_check_rows(k) = 4 DOT_BLOCK / k^2 classes
+(the block size verify_certificate uses), and theorem_witness runs it on
+a block of one: the representative of its message's class, as the
+witness depends only on the class.  Case 1 has one set of vectors per
+theorem, built as an array from its closed form.  The other classes of a
+block are grouped by case and by i0, the first nonzero index of omega
+(case 2) or v (case 3).  Each of the A1, A2, B, D1 and D2 proofs builds
+its vectors from the "low" vectors e_i - (w_i/w_i0) e_i0 and one anchor,
+so a group is a few flat-table operations over a (classes x m x m)
+array.  The D2 repair of an offending low vector is done with masks.
+The Maiorana-McFarland proofs (C1, C2) group by their sub-branches
+instead (minicode.mm_witness).  f is read through a function of an array
+of vectors: the certificate looks f up in its dense table, and
+theorem_witness evaluates f at the vectors the proof reads, so a single
+witness never tabulates f.  One post-condition checks a block on the
+lifts packed into chunk rows once: every lift (f(alpha), alpha) is
 orthogonal to its class (f(alpha) = omega.alpha in cases 1-2,
-v.alpha = 0 in case 3), and np_ranks gives rank m for the alphas (cases
-1-2) or the lifts (case 3).  A failure raises ConstructionError naming
-the first failing class; verify_certificate remains the independent
-check of a certificate.  The per-class
-constructions, written as the proofs read, are a test-only oracle
-(tests/witness_oracle.py) that the tests compare with this builder; it
-builds on the lemma-level bases and the scalar elimination of
-tests/scalar_reference.py.
+v.alpha = 0 in case 3), by np_paired_dots, and np_chunk_ranks gives the
+lifts rank m, which on orthogonal lifts of cases 1-2 is the rank of the
+alphas.  A failure raises ConstructionError naming the first failing
+class; verify_certificate remains the independent check of a
+certificate.  The per-class constructions, written as the proofs read, are a test-only
+oracle (tests/witness_oracle.py) that the tests compare with this
+builder; it builds on the lemma-level bases and the scalar elimination
+of tests/scalar_reference.py.
 
 One wrinkle: the natural Maiorana-McFarland case-3 argument closes the
 basis with the zero vector, whose lift is not a code position.  Here the
@@ -66,11 +67,12 @@ from .families import (
 from .gf import FieldSpec
 from .linalg import (
     Vec,
-    np_block_rows,
+    np_check_rows,
+    np_chunk_ranks,
+    np_chunk_rows,
     np_class_reps,
     np_indices,
     np_paired_dots,
-    np_ranks,
 )
 from .minimality import Certificate, CertificateClasses, normalize_class
 from .mm_witness import Values, case1_alphas, case2_alphas, case3_alphas
@@ -181,7 +183,7 @@ def _batched_arrays(thm: TheoremId, f: FunctionSpec) -> tuple[np.ndarray, np.nda
     reps = np_class_reps(q, k)
     dtype = field.element_dtype
     out = np.empty((len(reps), m, k), dtype=dtype)
-    step = np_block_rows(field, k * k)
+    step = np_check_rows(k)
     for start in range(0, len(reps), step):
         out[start:start + step] = _checked_lifts(thm, f, fvals, reps[start:start + step])
     return reps.astype(dtype), out
@@ -209,13 +211,16 @@ def _check_block(field: FieldSpec, Y: np.ndarray, lifts: np.ndarray) -> None:
     Each lift (f(alpha), alpha) must be orthogonal to its class y = (u, v):
     u f(alpha) + v.alpha = 0 is f(alpha) = omega.alpha in cases 1 and 2
     and v.alpha = 0 in case 3.  The m alphas must have rank m in cases 1
-    and 2, the m lifts in case 3.
+    and 2, the m lifts in case 3.  One rank of the lifts checks both: on
+    orthogonal lifts of cases 1 and 2, f(alpha) = omega.alpha is linear in
+    alpha, so the lifts have the rank of the alphas, and a class whose
+    lifts are not orthogonal fails either way.  The lifts are packed into
+    chunk rows once, for both kernels.
     """
     m = lifts.shape[1]
-    dots = np_paired_dots(field, Y, lifts)
-    M = lifts.copy()
-    M[Y[:, 0] != 0, :, 0] = 0  # cases 1 and 2 rank the alphas alone
-    bad = dots.any(axis=1) | (np_ranks(field, M) != m)
+    L = np_chunk_rows(field, lifts)
+    dots = np_paired_dots(field, np_chunk_rows(field, Y), L)
+    bad = dots.any(axis=1) | (np_chunk_ranks(field, L) != m)
     if bad.any():
         i = int(bad.argmax())
         why = "a lift is not orthogonal to it" if dots[i].any() else "rank below m"

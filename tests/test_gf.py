@@ -1,5 +1,6 @@
 """Field arithmetic: axioms, tables, construction errors."""
 
+import functools
 import itertools
 import random
 import time
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 from minicode.errors import GuardError
-from minicode.gf import FieldSpec, field_by_order, is_prime, make_field
+from minicode.gf import FIELD_CACHE, FieldSpec, field_by_order, is_prime, make_field
+import minicode.gf as gf_mod
 
 SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9]
 
@@ -111,6 +113,22 @@ def test_f4_example():
     f4 = make_field(2, 2, (1, 1, 1))
     assert f4.mul(2, 2) == 3
     assert f4 is make_field(2, 2)  # built-in modulus agrees, construction cached
+
+
+def test_field_cache_is_bounded():
+    # making more fields than FIELD_CACHE keeps at most FIELD_CACHE of them;
+    # the least recently used one is evicted, and made again it is equal to
+    # the one evicted, tables included
+    first = make_field(3, 3, (2, 2, 0, 1))  # x^3 + 2x + 2
+    primes = [p for p in range(5, 1000) if is_prime(p)][:FIELD_CACHE + 2]
+    for p in primes:
+        make_field(p)
+        assert gf_mod._make_field_cached.cache_info().currsize <= FIELD_CACHE
+    again = make_field(3, 3, (2, 2, 0, 1))
+    assert again is not first and again == first and hash(again) == hash(first)
+    for view in ("np_add", "np_mul", "np_inv", "np_mulmat"):
+        assert getattr(again, view).tolist() == getattr(first, view).tolist()
+    assert again.np_chunks.dot.tolist() == first.np_chunks.dot.tolist()
 
 
 def test_make_field_errors():
@@ -251,8 +269,8 @@ def test_chunk_tables(q, h):
     ch = fresh.np_chunks
     Q = q**h
     assert (ch.h, ch.Q) == (h, Q) and type(ch.Q) is int
-    assert ch.sub.dtype == ch.mul.dtype == fresh.element_dtype
-    assert ch.sub.shape == (Q * Q,) and ch.mul.shape == (q * Q,)
+    assert ch.sub.dtype == ch.mul.dtype == ch.dot.dtype == fresh.element_dtype
+    assert ch.sub.shape == ch.dot.shape == (Q * Q,) and ch.mul.shape == (q * Q,)
     assert ch.weights.tolist() == [q**t for t in range(h)]
 
     def coords(x):
@@ -268,7 +286,11 @@ def test_chunk_tables(q, h):
         assert ch.sub[x * Q + y] == chunk([F.sub(s, t) for s, t in zip(X, Y)])
         assert ch.mul[a * Q + y] == chunk([F.mul(a, t) for t in Y])
         assert ch.digits[:, x].tolist() == [c * Q for c in X]
+        assert ch.dot[y * Q + x] == functools.reduce(F.add, map(F.mul, Y, X))
     assert not ch.sub.flags.writeable and not ch.digits.flags.writeable
+    assert not ch.dot.flags.writeable
+    if h == 1:  # a chunk is one coordinate, and the dot table is mul
+        assert ch.dot.tolist() == ch.mul.tolist()
     # lowest holds t Q, the row of digits, for the first nonzero coordinate t
     # of every chunk, and 0 for the zero chunk
     first = [next((t for t, c in enumerate(coords(x)) if c), 0) for x in range(Q)]

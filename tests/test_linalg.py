@@ -13,7 +13,9 @@ from minicode.linalg import (
     covers,
     dot,
     index_to_vector,
+    np_chunk_rows,
     np_matmul_mod,
+    np_paired_dots,
     np_ranks,
     read_matrix,
     support,
@@ -187,6 +189,9 @@ def test_np_ranks_on_chunk_boundaries(field):
 
     shapes = [(12, r, c) for c in {max(h - 1, 1), h, h + 1, 2 * h} for r in (1, c - 1, c, c + 2)]
     shapes += [(1, 4 * h + 5, h + 1), (1, 30, 2 * h), (5, 0, h), (5, 3, 0), (0, 3, h)]
+    # both sides of the transpose: a tall batch, ranked as its transposes
+    # with rows of several chunks, and a wide single matrix
+    shapes += [(6, 3 * h + 2, h + 1), (1, h + 1, 4 * h + 5)]
     seen = set()
     for B, r, c in shapes:
         M = batch(B, r, c)
@@ -195,6 +200,26 @@ def test_np_ranks_on_chunk_boundaries(field):
             assert np_ranks(F, A).tolist() == expected
         seen.update(e == min(r, c) for e in expected)
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("field", RANK_FIELDS, ids=lambda F: f"F{F.q}")
+def test_np_paired_dots_matches_scalar_dot(field):
+    # y_b . w for each row w of W[b], read from chunk rows through the chunk
+    # dot table, equals the scalar dot product: no classes, one class, one
+    # coordinate, widths around h and 2h, int64 and element-typed rows
+    F, h = field, field.np_chunks.h
+    rng = np.random.default_rng(F.q)
+    for B in (0, 1, 7):
+        for c in sorted({1, max(h - 1, 1), h, h + 1, 2 * h, 2 * h + 1}):
+            Y = rng.integers(0, F.q, (B, c))
+            W = rng.integers(0, F.q, (B, 3, c))
+            W[:, 0] = 0  # a zero row
+            expected = [[dot(F, y, w) for w in Wb] for y, Wb in zip(Y.tolist(), W.tolist())]
+            for dtype in (np.int64, F.element_dtype):
+                Yc, Wc = (np_chunk_rows(F, A.astype(dtype)) for A in (Y, W))
+                assert Yc.shape == (B, -(-c // h)) and Wc.shape == (B, 3, -(-c // h))
+                got = np_paired_dots(F, Yc, Wc)
+                assert got.shape == (B, 3) and got.tolist() == expected
 
 
 def test_np_matmul_mod_refuses_inexact():
@@ -353,7 +378,7 @@ def test_matrix_io_round_trip():
     text = buf.getvalue()
     assert text == "3 3 2\n1 2 0\n0 1 1\n"
     field, back = read_matrix(io.StringIO(text))
-    assert field is F3
+    assert field == F3
     assert back == list(rows)
 
 

@@ -248,6 +248,22 @@ def test_rank_criterion_codeword_scalar_invariance():
     assert verdicts["minimal"] and verdicts["not_minimal"]
 
 
+def test_chunk_rows_packed_once_per_defining_set(monkeypatch):
+    # the rank scans and index-mode verification read the chunk rows D
+    # holds: packed once, however many classes are checked one at a time
+    import minicode.code as code_mod
+
+    calls = []
+    pack = code_mod.np_chunk_rows
+    monkeypatch.setattr(code_mod, "np_chunk_rows", lambda *a: calls.append(a) or pack(*a))
+    D = defining_set(get_preset("sec4_f1").function)
+    for y in itertools.islice(projective_classes(D.field, D.k), 5):
+        assert rank_criterion_codeword(y, D).is_minimal
+    assert verify_certificate(D, rank_criterion_code(D).witness)
+    assert len(calls) == 1 and not D.chunk_rows.flags.writeable
+    assert D.chunk_rows.tolist() == linalg_mod.np_chunk_rows(D.field, D.vectors).tolist()
+
+
 def test_rank_criterion_requires_full_rank():
     f = FunctionSpec(F3, 3, TableFunction((0,) * 27))
     D = defining_set(f)

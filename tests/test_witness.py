@@ -449,7 +449,9 @@ def test_batched_post_condition_names_the_corrupted_class(monkeypatch, name, cor
     preset = get_preset(name)
     f = preset.function
     field, k = f.field, f.m + 1
-    monkeypatch.setattr(linalg_mod, "DOT_BLOCK", 10 * k * k)  # blocks of 10 classes
+    # blocks of np_check_rows(k) = 4 DOT_BLOCK / k^2 = 10 classes
+    monkeypatch.setattr(linalg_mod, "DOT_BLOCK", -(-10 * k * k // 4))
+    assert linalg_mod.np_check_rows(k) == 10
     build = witness_mod._block_alphas
     calls = []
 
