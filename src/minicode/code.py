@@ -32,7 +32,6 @@ from .linalg import (
     np_chunk_rows,
     np_class_codewords,
     np_class_reps,
-    np_digit_columns,
     np_dots,
     np_hyperplane_counts,
     np_ranks,
@@ -88,13 +87,8 @@ class DefiningSet:
         return int(np_ranks(self.field, self.vectors[None])[0])
 
     @cached_property
-    def digit_columns(self) -> np.ndarray:
-        """D's right-hand side for linalg.np_dots."""
-        return np_digit_columns(self.field, self.vectors)
-
-    @cached_property
     def chunk_rows(self) -> np.ndarray:
-        """D's rows as linalg.np_chunk_rows chunks, n x C, read-only: the rank kernels' input."""
+        """D's rows as np_chunk_rows chunks, n x C, read-only: the dot and rank kernels' input."""
         rows = np_chunk_rows(self.field, self.vectors)
         rows.flags.writeable = False
         return rows
@@ -154,8 +148,8 @@ def linearity_check(f: FunctionSpec) -> Optional[Vec]:
     check_enumerable(q, m)
     omega = tuple(f.eval(unit_vector(m, i)) for i in range(1, m + 1))
     values = np.asarray(f.materialize().variant.values, dtype=np.int64)
-    x = np_vectors(q, m, 0, q**m)
-    expected = np_dots(field, [omega], np_digit_columns(field, x))[0]
+    x = np_chunk_rows(field, np_vectors(q, m, 0, q**m))
+    expected = np_dots(field, np_chunk_rows(field, omega), x)
     return omega if np.array_equal(values[1:], expected[1:]) else None
 
 
@@ -170,7 +164,7 @@ def check_message(y: Sequence[int], D: DefiningSet) -> None:
 def codeword(y: Sequence[int], D: DefiningSet) -> Vec:
     """c(y; D) = (y.d_1, ..., y.d_n)."""
     check_message(y, D)
-    return tuple(np_dots(D.field, [y], D.digit_columns)[0].tolist())
+    return tuple(np_dots(D.field, np_chunk_rows(D.field, y), D.chunk_rows).tolist())
 
 
 @dataclass(frozen=True)

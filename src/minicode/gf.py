@@ -12,8 +12,10 @@ irreducibility for every degree: a modulus is refused when it shows a zero
 divisor.  Scalar operations read Python lists of the tables.  The numpy
 kernels of the package see elements only through read-only arrays of them:
 flat q*q tables (one ``take`` at a*q + b), which vadd, vsub, vmul and vneg
-apply elementwise to arrays, D, M, and the chunk tables of np_chunks, built
-on first use, which act on h coordinates of F_q^c packed into one integer.
+apply elementwise to arrays, the inverses, and the chunk tables of
+np_chunks, built on first use, which act on h coordinates of F_q^c packed
+into one integer: linalg's one inner-product kernel and its one
+elimination kernel read them.
 Past NP_TABLE_GUARD a prime field computes mod p and refuses its numpy
 views with GuardError, and an extension field is refused when it is made:
 without tables neither its modulus nor any kernel can be checked or run.
@@ -48,7 +50,7 @@ _MODULI: dict[tuple[int, int], tuple[int, ...]] = {
 NP_TABLE_GUARD = 2**20  # ceiling on q*q for the tables: q <= 1024
 FIELD_CACHE = 32  # fields make_field keeps; one of q near 1024 holds about 45 MB of tables
 CHUNK_TABLE = 2**16  # entries of a chunk subtraction table, unless q*q is larger
-_VIEWS = ("np_add", "np_sub", "np_mul", "np_inv", "np_digits", "np_mulmat")
+_VIEWS = ("np_add", "np_sub", "np_mul", "np_inv")
 
 
 def is_prime(p: int) -> bool:
@@ -71,8 +73,9 @@ class ChunkTables(NamedTuple):
     Q - 1 (one byte up to q = 256), and dot holds elements in the element
     type; at h = 1 dot is mul.  A row of h coordinates packs to its dot
     product with weights, digits reads one coordinate back, lowest finds
-    the first nonzero coordinate of a chunk, a pivot, and dot gives the
-    inner product of two chunks in one lookup.
+    the first nonzero coordinate of a chunk, a pivot, scale the row of mul
+    that divides by it, and dot gives the inner product of two chunks in
+    one lookup.
     """
 
     h: int
@@ -83,6 +86,7 @@ class ChunkTables(NamedTuple):
     mul: np.ndarray      # q*Q: mul[a*Q + y] = a * y for a in F_q
     lowest: np.ndarray   # Q: lowest[x] = t * Q for the least t with x_t != 0, 0 for x = 0
     dot: np.ndarray      # Q*Q: dot[y*Q + x] = sum_t y_t x_t in F_q
+    scale: np.ndarray    # h*Q intp: scale[t*Q + x] = (1/x_t) * Q, a row index of mul; 0 if x_t = 0
 
 
 class FieldSpec:
@@ -93,11 +97,12 @@ class FieldSpec:
     (p, e, modulus); a field made again equals the one evicted).
 
     Up to q = 1024 the numpy views are read-only int64 arrays, set here:
-    np_add, np_sub and np_mul are flat q*q tables (np_add[a*q + b] = a + b),
-    np_inv[a] = 1/a for a != 0 (np_inv[0] = 0 is a placeholder), np_digits
-    is q x e, the base-p digits of each element, least significant first,
-    and np_mulmat is q x e x e, with digits(a * x) = np_mulmat[a] @
-    digits(x) mod p.  Beyond that each of them raises GuardError.
+    np_add, np_sub and np_mul are flat q*q tables (np_add[a*q + b] = a + b)
+    and np_inv[a] = 1/a for a != 0 (np_inv[0] = 0 is a placeholder).  They
+    are built from the base-p digits D of each element, least significant
+    first, and its F_p-multiplication matrix M, digits(a * x) = M[a] @
+    digits(x) mod p, which are not kept.  Beyond that each view raises
+    GuardError.
     """
 
     def __init__(self, p: int, e: int, modulus: tuple[int, ...]):
@@ -131,7 +136,7 @@ class FieldSpec:
         inv = (mul == 1).argmax(axis=1)  # row 0 has no 1: the placeholder np_inv[0] = 0
         self.np_add, self.np_sub, self.np_mul = (
             _frozen(t.ravel()) for t in (add, add[:, neg], mul))
-        self.np_inv, self.np_digits, self.np_mulmat = _frozen(inv), _frozen(D), _frozen(M)
+        self.np_inv = _frozen(inv)
         # one int object per element, shared by every row: values past 256 are not cached
         elements = list(range(q))
         self._add, self._mul = ([list(map(elements.__getitem__, row.tolist())) for row in t]
@@ -234,6 +239,7 @@ class FieldSpec:
             _frozen(sub.ravel(), dtype), _frozen(mul.ravel(), dtype),
             _frozen((digits != 0).argmax(axis=0) * Q, np.min_scalar_type(h * Q)),
             _frozen(dot.ravel(), self.element_dtype),
+            _frozen(self.np_inv.take(digits.ravel() // Q) * Q, np.intp),
         )
 
     @property

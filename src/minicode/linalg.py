@@ -5,15 +5,16 @@ as an explicit argument.  Coordinate indices are 1-based in every reported
 support/index, matching the x_1..x_m convention used throughout.
 
 The numpy kernels take the same vectors as integer rows and serve every
-field.  The certificate checks work on rows packed h coordinates to an
-integer (np_chunk_rows, the np_chunks chunks of gf): np_paired_dots reads
-one inner product of two chunks per lookup in the chunk dot table, and
-np_chunk_ranks, the one elimination kernel, eliminates in row order on
-whole chunks, with first-nonzero pivoting and exact table arithmetic;
-np_ranks is its front for matrices of coordinates.  There are no
-tolerances anywhere.  The pure-Python elimination (EchelonBasis, rank,
-kernel_basis, solve) is kept in tests/scalar_reference.py as the
-reference the tests check np_ranks against.
+field.  The inner products and the ranks work on rows packed h
+coordinates to an integer (np_chunk_rows, the np_chunks chunks of gf):
+np_dots, the one inner-product kernel, reads one inner product of two
+chunks per lookup in the chunk dot table, and np_chunk_ranks, the one
+elimination kernel, eliminates in row order on whole chunks, with
+first-nonzero pivoting and exact table arithmetic; np_ranks is its front
+for matrices of coordinates.  There are no tolerances anywhere.  The
+pure-Python elimination (EchelonBasis, rank, kernel_basis, solve) is kept
+in tests/scalar_reference.py as the reference the tests check np_ranks
+against.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .gf import FieldSpec, field_by_order
 Vec = tuple[int, ...]
 
 ENUM_GUARD = 2**31  # ceiling on q^m for enumeration streams
-DOT_BLOCK = 2**16   # entries one kernel call should produce: np_dots digits, count gathers
+DOT_BLOCK = 2**16   # entries one kernel call should produce: np_dots values, count gathers
 
 
 def check_same_length(u: Sequence[int], v: Sequence[int]) -> None:
@@ -149,52 +150,6 @@ def np_indices(q: int, rows: np.ndarray) -> np.ndarray:
     return rows @ q ** np.arange(rows.shape[-1] - 1, -1, -1)
 
 
-def np_matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact (a @ b) mod p via float64 BLAS for operands reduced mod p.
-
-    Every product entry is a sum of inner_dim terms below (p-1)^2, so it is
-    exact while inner_dim * (p-1)^2 < 2^53; a larger product is refused.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    inner = a.shape[-1]
-    if inner * (p - 1) ** 2 >= 2**53:
-        raise GuardError(
-            f"inner dimension {inner} with p = {p} exceeds the exact float64 range"
-        )
-    prod = a @ np.asarray(b, dtype=np.float64)
-    prod = np.rint(prod, out=prod).astype(np.int64)  # rint and % p in place
-    return np.remainder(prod, p, out=prod)
-
-
-def np_digit_columns(field: FieldSpec, D: np.ndarray) -> np.ndarray:
-    """The (k*e) x n float matrix whose column j holds the F_p-digits of d_j.
-
-    D is n x k; this is the right-hand side of np_dots, built once per D.
-    """
-    n, k = D.shape
-    cols = field.np_digits[D].reshape(n, k * field.e).T
-    return np.ascontiguousarray(cols, dtype=np.float64)
-
-
-def np_dots(field: FieldSpec, Y, cols: np.ndarray) -> np.ndarray:
-    """R x n values y.d over F_q for the R rows y of Y, d against cols.
-
-    cols comes from np_digit_columns.  Each y_i acts on the digits of d_i by
-    its F_p-multiplication matrix, so all R*n products are one exact matmul
-    over F_p whose e digit planes are then packed back into elements.
-    Callers keep R within np_block_rows.
-    """
-    p, e = field.p, field.e
-    Y = np.asarray(Y, dtype=np.int64)
-    R, k = Y.shape
-    left = field.np_mulmat[Y].transpose(0, 2, 1, 3).reshape(R * e, k * e)
-    digits = np_matmul_mod(left, cols, p).reshape(R, e, cols.shape[1])
-    out = digits[:, 0]
-    for a in range(1, e):
-        out += digits[:, a] * p**a
-    return out
-
-
 def np_hyperplane_counts(field: FieldSpec, D: np.ndarray) -> np.ndarray:
     """N[i] = #{d in D : y.d = 0} for every message y, i its canonical index.
 
@@ -240,24 +195,32 @@ def np_hyperplane_counts(field: FieldSpec, D: np.ndarray) -> np.ndarray:
     return T[0].reshape(q**k).copy()
 
 
-def np_paired_dots(field: FieldSpec, Y: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """B x r values y_b . w over F_q for the r rows w of each W[b].
+def np_dots(field: FieldSpec, Y: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """The values y.w over F_q of chunk rows Y and W whose leading axes broadcast.
 
-    Y (B x C) and W (B x r x C) are chunk rows from np_chunk_rows.  One
-    lookup in the chunk dot table at y Q + x gives the inner product of a
-    pair of chunks, so y . w costs C lookups and C - 1 field additions.
+    Y and W are np_chunk_rows rows of C chunks each.  Y[:, None] against an
+    n x C W gives every pair (R x n), Y[:, None] against a B x r x C W the
+    r dots of each class with its own rows (B x r), and a 1-D Y one
+    codeword.  One lookup in the chunk dot table at y Q + w gives the inner
+    product of a pair of chunks, so y.w costs C lookups and C - 1 field
+    additions.  They run one chunk at a time, so each numpy call runs along
+    the pairs, not along C.  Callers keep the pairs of a call within
+    np_block_rows.
     """
     ch = field.np_chunks
-    T = ch.dot.take(np.multiply(Y[:, None, :], ch.Q, dtype=np.intp) + W)
-    dots = T[..., 0]
-    for j in range(1, T.shape[-1]):
-        dots = field.vadd(dots, T[..., j])
+
+    def chunk(j: int) -> np.ndarray:
+        return ch.dot.take(np.multiply(Y[..., j], ch.Q, dtype=np.intp) + W[..., j])
+
+    dots = chunk(0)
+    for j in range(1, Y.shape[-1]):
+        dots = field.vadd(dots, chunk(j))
     return dots
 
 
-def np_block_rows(field: FieldSpec, n: int) -> int:
-    """Rows per np_dots call so that one call produces about DOT_BLOCK entries."""
-    return max(1, DOT_BLOCK // (n * field.e))
+def np_block_rows(n: int) -> int:
+    """Rows per np_dots call against n vectors, so that one call gives about DOT_BLOCK dots."""
+    return max(1, DOT_BLOCK // n)
 
 
 def np_check_rows(k: int) -> int:
@@ -369,8 +332,7 @@ def np_chunk_ranks(field: FieldSpec, S: np.ndarray) -> np.ndarray:
     Q, sub = ch.Q, ch.sub
     # the small tables in intp, so that every index is formed without a cast
     mul, lowest = ch.mul.astype(np.intp), ch.lowest.astype(np.intp)
-    digits = ch.digits.ravel()  # digits[t Q + x] = x_t Q
-    scale = field.np_inv.take(digits // Q) * Q  # scale[t Q + x] = (1/x_t) Q, a row of mul
+    digits, scale = ch.digits.ravel(), ch.scale  # x_t Q and (1/x_t) Q at t Q + x
     B, r, C = S.shape
     S = np.ascontiguousarray(S.transpose(1, 2, 0), dtype=np.intp)
     flat = S.reshape(r, C * B)

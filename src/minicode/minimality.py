@@ -18,12 +18,14 @@ listed in scan order, and round r reduces the r-th hit of every class still
 scanning against the echelon rows that class kept, so a window of
 candidates costs about as many rounds as a class has hits in it, not one
 step per candidate.  Rows are packed into the np_chunks chunks of gf, so
-one table lookup updates several coordinates, and a block holds thousands
-of classes, so the few classes that scan longest are waited for once per
-block.  A class keeps a hit when a remainder is left and retires at rank
-k-1, exactly as a sequential echelon walk over its hits would (the tests
-keep that walk as their reference), so a class keeps the same rows in any
-block; rank_criterion_codeword runs the scan on a block of one class.  The
+one table lookup updates several coordinates and one gives the inner
+product of two chunks (linalg.np_dots finds the hits), and a block holds
+thousands of classes, so the few classes that scan longest are waited
+for once per block.  A class keeps a hit when a remainder is left and
+retires at rank k-1, exactly as a sequential echelon walk over its hits
+would (the tests keep that walk as their reference), so a class keeps the
+same rows in any block; rank_criterion_codeword runs the scan on a block
+of one class.  The
 criterion emits a certificate whose per-class entries are indices into the
 serialized D order, so verification is exact membership; the verifier
 checks large blocks of classes on chunk rows, with the chunk dot table
@@ -48,6 +50,7 @@ import operator
 import os
 from collections import abc
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, islice
 from typing import Callable, Iterator, Optional, Sequence, TextIO, Union
 
@@ -74,11 +77,9 @@ from .linalg import (
     np_chunk_ranks,
     np_chunk_rows,
     np_class_reps,
-    np_digit_columns,
     np_digits,
     np_dots,
     np_indices,
-    np_paired_dots,
     scale,
     text_lines,
     vector_to_index,
@@ -416,18 +417,22 @@ def dhz_criterion(D: DefiningSet) -> MinimalityReport:
     return MinimalityReport("dhz", MINIMAL)
 
 
+@lru_cache(maxsize=8)
 def _scan_order(n: int) -> np.ndarray:
-    """The 0-based positions of D in the order the rank scans visit them.
+    """The 0-based positions of D in the order the rank scans visit them, read-only.
 
     Position i comes i-th, times s, mod n, where s is the first integer from
     round(n / phi) up that is coprime to n (phi the golden ratio), so
     successive candidates spread over D.  Canonical order would start with
     the q^{m-1} - 1 members of D_f that have x_1 = 0, which span slowly.
+    The order depends only on n, so it is made once per n and shared.
     """
     s = max(1, round(n * (math.sqrt(5) - 1) / 2))
     while math.gcd(s, n) != 1:
         s += 1
-    return np.arange(n, dtype=np.int64) * s % n
+    order = np.arange(n, dtype=np.int64) * s % n
+    order.flags.writeable = False
+    return order
 
 
 def _rank_failure(D: DefiningSet, y: Vec, chosen: np.ndarray) -> MinimalityReport:
@@ -438,21 +443,25 @@ def _rank_failure(D: DefiningSet, y: Vec, chosen: np.ndarray) -> MinimalityRepor
     it holds a class b other than y's; b vanishes wherever c(y) does, so
     c(y) covers c(b), and c(b) is nonzero and no multiple of c(y) because
     rank(D) = k.  The covered message is the first such class in canonical
-    order, found by np_dots over blocks of canonical-index ranges that stop
-    at the first hit.  Both the rank and b depend only on the span, not on
-    the order of the scan.
+    order, found by np_dots against the kept chunk rows over blocks of
+    canonical-index ranges that stop at the first hit.  Both the rank and b
+    depend only on the span, not on the order of the scan.
     """
     field, k = D.field, D.k
     q = field.q
-    cols = np_digit_columns(field, D.vectors[chosen - 1])
-    step = np_block_rows(field, max(1, len(chosen)))
+    kept = D.chunk_rows.take(chosen - 1, axis=0)
+    step = np_block_rows(max(1, len(chosen)))
     # the classes with t tail digits are the canonical indices [q^t, 2 q^t)
     blocks = (np.arange(start, min(start + step, 2 * q**t))
               for t in range(k) for start in range(q**t, 2 * q**t, step))
     skip = vector_to_index(q, y)
-    hits = (idx[~np_dots(field, np_digits(q, k, idx), cols).any(axis=1) & (idx != skip)]
-            for idx in blocks)
-    covered = index_to_vector(q, k, int(next(h[0] for h in hits if h.size)))
+
+    def orthogonal(idx: np.ndarray) -> np.ndarray:
+        """The classes of idx other than y's that are orthogonal to every kept row."""
+        Y = np_chunk_rows(field, np_digits(q, k, idx))
+        return idx[~np_dots(field, Y[:, None], kept).any(axis=1) & (idx != skip)]
+
+    covered = index_to_vector(q, k, int(next(h[0] for h in map(orthogonal, blocks) if h.size)))
     return MinimalityReport(
         "rank", NOT_MINIMAL, {"y": y, "rank": len(chosen), "covered": covered}
     )
@@ -477,7 +486,7 @@ def _block_scan(D: DefiningSet) -> tuple[Callable, int]:
     window = min(n, 2 * field.q * k, math.isqrt(table))
 
     def scan(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        picked, count = _greedy_block(field, Y, rows, D.digit_columns, order, window)
+        picked, count = _greedy_block(field, Y, rows, window)
         return order[picked] + 1, count
 
     return scan, max(1, table // window)
@@ -546,16 +555,15 @@ def rank_criterion_code(
 
 
 def _greedy_block(
-    field: FieldSpec, Y: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-    order: np.ndarray, window: int,
+    field: FieldSpec, Y: np.ndarray, rows: np.ndarray, window: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The greedy scans of D cap H(y) for every class y of a block, run in hit rounds.
 
     rows holds D's members as np_chunks chunks, chunk-major (chunks x n),
-    in scan order; cols holds D's np_dots columns in D's order.  The scan
-    reads D a window of candidates at a time.  np_dots over the window,
-    DOT_BLOCK entries a call, gives each class still scanning its hits,
-    the candidates it is orthogonal to, listed in scan order.  Round r
+    in scan order.  The scan reads D a window of candidates at a time.
+    np_dots of the block's classes, packed once, against the window's
+    chunk rows, DOT_BLOCK values a call, gives each class still scanning
+    its hits, the candidates it is orthogonal to, in scan order.  Round r
     then takes the r-th hit of every class that is still scanning and has
     one and reduces it against that class's kept rows, whole chunks at a
     time: sub[X Q + mul[c Q + row]], c being the candidate's coordinate at
@@ -573,10 +581,9 @@ def _greedy_block(
     """
     ch = field.np_chunks
     Q, sub, mul, lowest = ch.Q, ch.sub, ch.mul, ch.lowest
-    digits = ch.digits.ravel()  # digits[t Q + x] = x_t Q
-    # scale[t Q + x] = (1/x_t) Q, the row of mul that divides by x_t
-    scale = np.multiply(field.np_inv.take(digits // Q), Q, dtype=np.intp)
+    digits, scale = ch.digits.ravel(), ch.scale  # x_t Q and (1/x_t) Q at t Q + x
     B, k = Y.shape
+    Yc = np_chunk_rows(field, Y)
     C, n = rows.shape
     # the kept rows scaled to a leading 1 (chunk-major), each pivot's chunk j
     # and its t Q in that chunk, and the rows' scan positions, at slot B + class
@@ -590,11 +597,11 @@ def _greedy_block(
     t = 0
     while live.size and t < n:
         stop = min(n, t + window)
-        at_cols = cols[:, order[t:stop]]
-        part = np_block_rows(field, stop - t)
+        W = rows[:, t:stop].T  # the window's chunk rows, a view
+        part = np_block_rows(stop - t)
         total, found = [], []
         for a in range(0, live.size, part):
-            hits = np_dots(field, Y[live[a:a + part]], at_cols) == 0
+            hits = np_dots(field, Yc[live[a:a + part], None], W) == 0
             total.append(hits.sum(axis=1))
             flat = hits.ravel().nonzero()[0]  # row-major: each class's hits in scan order
             found.append((flat % (stop - t) + t).astype(picked.dtype))
@@ -697,8 +704,8 @@ def verify_certificate(D: DefiningSet, cert: Certificate) -> bool:
     checked.  Representatives are told apart, and vector entries found in
     D, through tables of q^k flags, one per canonical index.  Classes are
     checked in blocks of np_check_rows(k) = 4 DOT_BLOCK / k^2 on chunk rows
-    (linalg.np_chunk_rows): the pairs y.w through the chunk dot table
-    (np_paired_dots) and the ranks by np_chunk_ranks.  A block's vector
+    (linalg.np_chunk_rows): the pairs y.w by np_dots, through the chunk
+    dot table, and the ranks by np_chunk_ranks.  A block's vector
     entries are packed as they are, and its index entries gather the
     chunk rows D holds.
     """
@@ -736,7 +743,7 @@ def verify_certificate(D: DefiningSet, cert: Certificate) -> bool:
             else:
                 W = D.chunk_rows.take(W.astype(np.intp) - 1, axis=0)
             Yb = np_chunk_rows(field, Y[start:start + step])
-            if np_paired_dots(field, Yb, W).any() or (np_chunk_ranks(field, W) != k - 1).any():
+            if np_dots(field, Yb[:, None], W).any() or (np_chunk_ranks(field, W) != k - 1).any():
                 return False
     return True
 

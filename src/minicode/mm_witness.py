@@ -15,7 +15,9 @@ and _solutions x0 followed by x0 plus each kernel vector.  These are the
 solution and kernel basis that Gaussian elimination reads from the
 reduced echelon form r/r_p of the row.  The two-row systems are one
 batched 2 x t elimination (_solve2), and the scalar searches are masks
-over the q candidates.
+over the q candidates.  The inner products of _solve2's consistency
+check and of _first_extending's q = 2 case-3 search are linalg.np_dots
+on chunk rows.
 """
 
 from __future__ import annotations
@@ -27,15 +29,7 @@ import numpy as np
 from .errors import construction_bug
 from .families import FunctionSpec, MaioranaMcFarland, TheoremId
 from .gf import FieldSpec
-from .linalg import (
-    np_block_rows,
-    np_chunk_rows,
-    np_digit_columns,
-    np_dots,
-    np_indices,
-    np_paired_dots,
-    np_vectors,
-)
+from .linalg import np_block_rows, np_chunk_rows, np_dots, np_indices, np_vectors
 
 Values = Callable[[np.ndarray], np.ndarray]  # f at each row of an (..., m) array: shape (...)
 
@@ -102,8 +96,8 @@ def _solve2(field: FieldSpec, R1: np.ndarray, R2: np.ndarray, b1, b2) -> np.ndar
     x = np.zeros_like(R1)
     x[at, p2] = b
     x[at, p1] = a
-    dots = np_paired_dots(field, np_chunk_rows(field, x),
-                          np_chunk_rows(field, np.stack([R1, R2], axis=1)))
+    dots = np_dots(field, np_chunk_rows(field, x)[:, None],
+                   np_chunk_rows(field, np.stack([R1, R2], axis=1)))
     if (dots != np.stack([b1, b2], axis=1)).any():
         raise construction_bug("a two-row system of the Maiorana-McFarland proof is inconsistent")
     return x
@@ -283,24 +277,25 @@ def _first_extending(field: FieldSpec, fvals: Values, v: np.ndarray,
     z = (1, z') with z'_J = -f(alpha) and zero at the pivot column is
     orthogonal to every partial lift, and z and y = (0, v) span L's
     orthogonal complement, so a lift orthogonal to y lies in L exactly
-    when z.(f(x), x) = 0.  The candidates are scanned in windows of about
-    DOT_BLOCK dot products until every class has its x.  A window is never
-    longer than the scan before it, so f is read at no more than twice as
-    many candidates as the last class needs: a block of one class does not
-    tabulate f.
+    when z.(f(x), x) = 0.  v and z are packed into chunk rows once, and the
+    candidates are scanned in windows of about DOT_BLOCK np_dots values
+    until every class has its x.  A window is never longer than the scan
+    before it, so f is read at no more than twice as many candidates as the
+    last class needs: a block of one class does not tabulate f.
     """
     q, (G, m) = field.q, v.shape
     Z = np.zeros((G, m), dtype=np.int64)
     Z[np.arange(G)[:, None], J] = field.vneg(fvals(partial))
+    VZ = np_chunk_rows(field, np.stack([v, Z]))[:, :, None]  # 2 x G x 1 x C
     out = np.zeros((G, m), dtype=np.int64)
     todo, start = np.arange(G), 1
     while len(todo):
         if start == q**m:
             raise construction_bug("no hyperplane vector extends the case-3 lift span")
-        stop = min(q**m, 2 * start, start + np_block_rows(field, 2 * len(todo)))
+        stop = min(q**m, 2 * start, start + np_block_rows(2 * len(todo)))
         X = np_vectors(q, m, start, stop)
-        dots = np_dots(field, np.concatenate([v[todo], Z[todo]]), np_digit_columns(field, X))
-        hit = (dots[:len(todo)] == 0) & (field.vadd(dots[len(todo):], fvals(X)) != 0)
+        vx, zx = np_dots(field, VZ[:, todo], np_chunk_rows(field, X))
+        hit = (vx == 0) & (field.vadd(zx, fvals(X)) != 0)
         got = hit.any(axis=1)
         out[todo[got]] = X[hit[got].argmax(axis=1)]
         todo, start = todo[~got], stop

@@ -94,8 +94,6 @@ def test_tables_match_brute_force_polynomials(q):
             assert f.np_mul[a * q + b] == f.mul(a, b)
             assert f.np_add[a * q + b] == f.add(a, b)
             assert f.np_sub[a * q + b] == f.sub(a, b)
-            digits = (f.np_mulmat[a] @ f.np_digits[b]) % f.p
-            assert sum(int(d) * f.p**i for i, d in enumerate(digits)) == f.mul(a, b)
         if a:
             assert f.np_inv[a] == f.inv(a)
 
@@ -126,7 +124,7 @@ def test_field_cache_is_bounded():
         assert gf_mod._make_field_cached.cache_info().currsize <= FIELD_CACHE
     again = make_field(3, 3, (2, 2, 0, 1))
     assert again is not first and again == first and hash(again) == hash(first)
-    for view in ("np_add", "np_mul", "np_inv", "np_mulmat"):
+    for view in ("np_add", "np_mul", "np_inv"):
         assert getattr(again, view).tolist() == getattr(first, view).tolist()
     assert again.np_chunks.dot.tolist() == first.np_chunks.dot.tolist()
 
@@ -189,8 +187,7 @@ def test_large_field_tables_match_brute_force(p, e, modulus):
     # outside make_field's cache, which would hold their tables to the end
     F = FieldSpec(p, e, modulus)
     q = F.q
-    assert F.np_digits.shape == (q, e) and F.np_mulmat.shape == (q, e, e)
-    for view in (F.np_add, F.np_sub, F.np_mul, F.np_inv, F.np_digits, F.np_mulmat):
+    for view in (F.np_add, F.np_sub, F.np_mul, F.np_inv):
         assert view.dtype == np.int64 and not view.flags.writeable
     rng = random.Random(q)
     for _ in range(500):
@@ -200,9 +197,6 @@ def test_large_field_tables_match_brute_force(p, e, modulus):
         assert F.add(a, b) == F.np_add[a * q + b] == brute_poly_add(p, e, a, b)
         diff = F.sub(a, b)
         assert diff == F.np_sub[a * q + b] and brute_poly_add(p, e, diff, b) == a
-        assert F.np_digits[a].tolist() == [a // p**t % p for t in range(e)]
-        digits = (F.np_mulmat[a] @ F.np_digits[b]) % p
-        assert sum(int(d) * p**t for t, d in enumerate(digits)) == prod
         if a:
             assert F.inv(a) == F.np_inv[a]
             assert brute_poly_mul(p, e, F.modulus, a, F.inv(a)) == 1
@@ -248,7 +242,7 @@ def test_numpy_views_refused_beyond_the_table_guard():
     # it is refused before the loop starts, and scalar arithmetic still works
     for q in (1031, 65537):
         F = make_field(q)
-        for view in ("np_add", "np_sub", "np_mul", "np_inv", "np_digits", "np_mulmat", "np_chunks"):
+        for view in ("np_add", "np_sub", "np_mul", "np_inv", "np_chunks"):
             start = time.perf_counter()
             with pytest.raises(GuardError, match="numpy table guard"):
                 getattr(F, view)
@@ -296,6 +290,11 @@ def test_chunk_tables(q, h):
     first = [next((t for t, c in enumerate(coords(x)) if c), 0) for x in range(Q)]
     assert ch.lowest.tolist() == [t * Q for t in first]
     assert ch.lowest.dtype == np.min_scalar_type(h * Q) and not ch.lowest.flags.writeable
+    # scale holds (1/x_t) Q, the row of mul that divides by coordinate t of
+    # x, at t Q + x, and 0 where that coordinate is 0
+    assert ch.scale.tolist() == [F.inv(coords(x)[t]) * Q if coords(x)[t] else 0
+                                 for t in range(h) for x in range(Q)]
+    assert ch.scale.dtype == np.intp and not ch.scale.flags.writeable
 
 
 def test_pow_zero_convention():

@@ -8,14 +8,13 @@ import numpy as np
 import pytest
 
 from minicode.errors import GuardError
-from minicode.gf import make_field
+from minicode.gf import field_by_order, make_field
 from minicode.linalg import (
     covers,
     dot,
     index_to_vector,
     np_chunk_rows,
-    np_matmul_mod,
-    np_paired_dots,
+    np_dots,
     np_ranks,
     read_matrix,
     support,
@@ -202,34 +201,37 @@ def test_np_ranks_on_chunk_boundaries(field):
     assert seen == {True, False}
 
 
-@pytest.mark.parametrize("field", RANK_FIELDS, ids=lambda F: f"F{F.q}")
-def test_np_paired_dots_matches_scalar_dot(field):
-    # y_b . w for each row w of W[b], read from chunk rows through the chunk
-    # dot table, equals the scalar dot product: no classes, one class, one
-    # coordinate, widths around h and 2h, int64 and element-typed rows
-    F, h = field, field.np_chunks.h
+@pytest.mark.parametrize("q", [F.q for F in RANK_FIELDS] + [1021], ids=lambda q: f"F{q}")
+def test_np_dots_matches_scalar_dot(q):
+    # y.w read from chunk rows through the chunk dot table equals the scalar
+    # dot product, for every pair (Y[:, None] against n rows), for each class
+    # against its own rows (Y[:, None] against B x r rows) and for one
+    # vector; no rows, one coordinate, widths around h and 2h, zero rows,
+    # int64 and element-typed rows.  F_1021, past one byte, is made here
+    # so that its 45 MB of tables are not held from import on.
+    F = field_by_order(q)
+    h = F.np_chunks.h
     rng = np.random.default_rng(F.q)
     for B in (0, 1, 7):
         for c in sorted({1, max(h - 1, 1), h, h + 1, 2 * h, 2 * h + 1}):
             Y = rng.integers(0, F.q, (B, c))
+            D = rng.integers(0, F.q, (5, c))
             W = rng.integers(0, F.q, (B, 3, c))
-            W[:, 0] = 0  # a zero row
-            expected = [[dot(F, y, w) for w in Wb] for y, Wb in zip(Y.tolist(), W.tolist())]
+            D[0] = W[:, 0] = 0  # a zero row
+            if B:
+                Y[0] = 0
+            pairs = [[dot(F, y, d) for d in D.tolist()] for y in Y.tolist()]
+            paired = [[dot(F, y, w) for w in Wb] for y, Wb in zip(Y.tolist(), W.tolist())]
+            C = -(-c // h)
             for dtype in (np.int64, F.element_dtype):
-                Yc, Wc = (np_chunk_rows(F, A.astype(dtype)) for A in (Y, W))
-                assert Yc.shape == (B, -(-c // h)) and Wc.shape == (B, 3, -(-c // h))
-                got = np_paired_dots(F, Yc, Wc)
-                assert got.shape == (B, 3) and got.tolist() == expected
-
-
-def test_np_matmul_mod_refuses_inexact():
-    a, b = np.ones((1, 4)), np.ones((4, 1))
-    assert np_matmul_mod(a, b, 3).tolist() == [[1]]
-    # 4 * (p-1)^2 >= 2^53 once p - 1 >= 2^25.5
-    with pytest.raises(GuardError):
-        np_matmul_mod(a, b, 2**26 + 1)
-    with pytest.raises(GuardError):
-        np_matmul_mod(np.ones((1, 2**13)), np.ones((2**13, 1)), 2**20 + 1)
+                Yc, Dc, Wc = (np_chunk_rows(F, A.astype(dtype)) for A in (Y, D, W))
+                assert Yc.shape == (B, C) and Dc.shape == (5, C) and Wc.shape == (B, 3, C)
+                got = np_dots(F, Yc[:, None], Dc)
+                assert got.shape == (B, 5) and got.tolist() == pairs
+                got = np_dots(F, Yc[:, None], Wc)
+                assert got.shape == (B, 3) and got.tolist() == paired
+                for y, expected in zip(Yc, pairs):
+                    assert np_dots(F, y, Dc).tolist() == expected
 
 
 def test_echelon_basis_membership():

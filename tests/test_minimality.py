@@ -500,9 +500,10 @@ def scan_cuts(monkeypatch, D):
         blocks.append(len(Y))
         return greedy(field, Y, *args)
 
-    def window(field, Y, cols):
-        out = dots(field, Y, cols)
-        windows.update(tuple(y) for y, row in zip(np.asarray(Y).tolist(), out) if (row == 0).any())
+    def window(field, Y, W):
+        out = dots(field, Y, W)
+        rows = np.asarray(Y).reshape(len(out), -1).tolist()
+        windows.update(tuple(y) for y, row in zip(rows, out) if (row == 0).any())
         return out
 
     with monkeypatch.context() as m:
