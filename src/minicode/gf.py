@@ -192,16 +192,20 @@ class FieldSpec:
     # -- numpy views
 
     def vadd(self, a, b) -> np.ndarray:
-        """a + b elementwise for integer arrays (or ints) a and b that broadcast, via np_add."""
-        return self.np_add.take(np.multiply(a, self.q, dtype=np.int64) + b)
+        """a + b elementwise for integer arrays (or ints) a and b that broadcast, via np_add.
+
+        The index a q + b is formed in int64 on both sides, also for an int a
+        against a narrow b, which NumPy 1 would add in b's type and wrap.
+        """
+        return self.np_add.take(np.add(np.multiply(a, self.q, dtype=np.int64), b, dtype=np.int64))
 
     def vsub(self, a, b) -> np.ndarray:
         """a - b elementwise, via np_sub."""
-        return self.np_sub.take(np.multiply(a, self.q, dtype=np.int64) + b)
+        return self.np_sub.take(np.add(np.multiply(a, self.q, dtype=np.int64), b, dtype=np.int64))
 
     def vmul(self, a, b) -> np.ndarray:
         """a * b elementwise, via np_mul."""
-        return self.np_mul.take(np.multiply(a, self.q, dtype=np.int64) + b)
+        return self.np_mul.take(np.add(np.multiply(a, self.q, dtype=np.int64), b, dtype=np.int64))
 
     def vneg(self, a) -> np.ndarray:
         """-a elementwise: row 0 of np_sub."""

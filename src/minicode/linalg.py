@@ -204,13 +204,16 @@ def np_dots(field: FieldSpec, Y: np.ndarray, W: np.ndarray) -> np.ndarray:
     codeword.  One lookup in the chunk dot table at y Q + w gives the inner
     product of a pair of chunks, so y.w costs C lookups and C - 1 field
     additions.  They run one chunk at a time, so each numpy call runs along
-    the pairs, not along C.  Callers keep the pairs of a call within
+    the pairs, not along C.  The index is formed in intp on both sides: a
+    1-D Y gives a scalar y Q, which NumPy 1 would add to the narrow chunk
+    type of W and wrap.  Callers keep the pairs of a call within
     np_block_rows.
     """
     ch = field.np_chunks
 
     def chunk(j: int) -> np.ndarray:
-        return ch.dot.take(np.multiply(Y[..., j], ch.Q, dtype=np.intp) + W[..., j])
+        at = np.add(np.multiply(Y[..., j], ch.Q, dtype=np.intp), W[..., j], dtype=np.intp)
+        return ch.dot.take(at)
 
     dots = chunk(0)
     for j in range(1, Y.shape[-1]):

@@ -297,6 +297,17 @@ def test_chunk_tables(q, h):
     assert ch.scale.dtype == np.intp and not ch.scale.flags.writeable
 
 
+@pytest.mark.parametrize("q", [3, 17, 257])
+def test_vector_ops_with_an_int_against_narrow_arrays(q):
+    # a q fits b's element type and a q + b does not (15 * 17 + 16 on F_17):
+    # the table index must not wrap in that type.
+    F = field_by_order(q)
+    a = min(np.iinfo(F.element_dtype).max // q, q - 1)
+    b = np.arange(q, dtype=F.element_dtype)
+    for vop, op in ((F.vadd, F.add), (F.vsub, F.sub), (F.vmul, F.mul)):
+        assert vop(a, b).tolist() == [op(a, x) for x in range(q)]
+
+
 def test_pow_zero_convention():
     f3 = make_field(3)
     assert f3.pow(0, 0) == 1

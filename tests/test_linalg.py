@@ -201,7 +201,7 @@ def test_np_ranks_on_chunk_boundaries(field):
     assert seen == {True, False}
 
 
-@pytest.mark.parametrize("q", [F.q for F in RANK_FIELDS] + [1021], ids=lambda q: f"F{q}")
+@pytest.mark.parametrize("q", [F.q for F in RANK_FIELDS] + [17, 1021], ids=lambda q: f"F{q}")
 def test_np_dots_matches_scalar_dot(q):
     # y.w read from chunk rows through the chunk dot table equals the scalar
     # dot product, for every pair (Y[:, None] against n rows), for each class
@@ -232,6 +232,17 @@ def test_np_dots_matches_scalar_dot(q):
                 assert got.shape == (B, 3) and got.tolist() == paired
                 for y, expected in zip(Yc, pairs):
                     assert np_dots(F, y, Dc).tolist() == expected
+    # A 1-D Y against chunks near the top of the chunk type: y Q fits that
+    # type and y Q + w does not (y = 1 against w = 242 on F_3, y = 15
+    # against w = 16 on F_17), so an index formed in the chunk type wraps.
+    ch = F.np_chunks
+    top = np.iinfo(ch.sub.dtype).max
+    for y0 in sorted({1, min(top // ch.Q, ch.Q - 1)}):
+        y = [y0 // F.q**t % F.q for t in range(h)]
+        D = [[F.q - 1] * h, [F.q - 1] * (h - 1) + [0], [0] * (h - 1) + [F.q - 1], y]
+        yc, Dc = np_chunk_rows(F, np.array(y)), np_chunk_rows(F, np.array(D))
+        assert yc.tolist() == [y0] and Dc[0, 0] == ch.Q - 1
+        assert np_dots(F, yc, Dc).tolist() == [dot(F, y, d) for d in D]
 
 
 def test_echelon_basis_membership():
