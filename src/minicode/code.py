@@ -15,8 +15,9 @@ the ab and dhz criteria share one transform.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Optional, Sequence, TextIO, Union
 
@@ -94,6 +95,13 @@ class DefiningSet:
         return rows
 
     @cached_property
+    def scan_rows(self) -> np.ndarray:
+        """chunk_rows chunk-major (C x n) in scan_order(n), read-only: the rank scan's input."""
+        rows = self.chunk_rows.T.take(scan_order(self.n), axis=1)
+        rows.flags.writeable = False
+        return rows
+
+    @cached_property
     def hyperplane_counts(self) -> np.ndarray:
         """#{d in D : y.d = 0} for every message y, in canonical index order."""
         q, k = self.field.q, self.k
@@ -126,6 +134,24 @@ class DefiningSet:
             Y, words = Y[keep], words[keep]
         Y.flags.writeable = words.flags.writeable = False
         return Y, words
+
+
+@lru_cache(maxsize=8)
+def scan_order(n: int) -> np.ndarray:
+    """The 0-based positions of D in the order the rank scans visit them, read-only.
+
+    Position i comes i-th, times s, mod n, where s is the first integer from
+    round(n / phi) up that is coprime to n (phi the golden ratio), so
+    successive candidates spread over D.  Canonical order would start with
+    the q^{m-1} - 1 members of D_f that have x_1 = 0, which span slowly.
+    The order depends only on n, so it is made once per n and shared.
+    """
+    s = max(1, round(n * (math.sqrt(5) - 1) / 2))
+    while math.gcd(s, n) != 1:
+        s += 1
+    order = np.arange(n, dtype=np.int64) * s % n
+    order.flags.writeable = False
+    return order
 
 
 def defining_set(f: FunctionSpec) -> DefiningSet:

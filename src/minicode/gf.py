@@ -10,9 +10,10 @@ F_p-multiplication matrix M give the q x q addition and multiplication
 tables, and those give the rest.  The multiplication table also decides
 irreducibility for every degree: a modulus is refused when it shows a zero
 divisor.  Scalar operations read Python lists of the tables.  The numpy
-kernels of the package see elements only through read-only arrays of them:
-flat q*q tables (one ``take`` at a*q + b), which vadd, vsub, vmul and vneg
-apply elementwise to arrays, the inverses, and the chunk tables of
+kernels of the package see elements only through read-only arrays of them
+in the element type: flat q*q tables (one ``take`` at a*q + b, an index
+formed in intp), which vadd, vsub, vmul and vneg apply elementwise to
+arrays, the inverses, and the chunk tables of
 np_chunks, built on first use, which act on h coordinates of F_q^c packed
 into one integer: linalg's one inner-product kernel and its one
 elimination kernel read them.
@@ -48,7 +49,7 @@ _MODULI: dict[tuple[int, int], tuple[int, ...]] = {
 }
 
 NP_TABLE_GUARD = 2**20  # ceiling on q*q for the tables: q <= 1024
-FIELD_CACHE = 32  # fields make_field keeps; one of q near 1024 holds about 45 MB of tables
+FIELD_CACHE = 32  # fields make_field keeps; one of q near 1024 holds about 23 MB of tables
 CHUNK_TABLE = 2**16  # entries of a chunk subtraction table, unless q*q is larger
 _VIEWS = ("np_add", "np_sub", "np_mul", "np_inv")
 
@@ -96,7 +97,8 @@ class FieldSpec:
     deterministic, and the FIELD_CACHE fields used last are cached by
     (p, e, modulus); a field made again equals the one evicted).
 
-    Up to q = 1024 the numpy views are read-only int64 arrays, set here:
+    Up to q = 1024 the numpy views are read-only arrays of the element
+    type (element_dtype: one byte up to q = 256), set here:
     np_add, np_sub and np_mul are flat q*q tables (np_add[a*q + b] = a + b)
     and np_inv[a] = 1/a for a != 0 (np_inv[0] = 0 is a placeholder).  They
     are built from the base-p digits D of each element, least significant
@@ -134,9 +136,10 @@ class FieldSpec:
             raise ValueError(f"modulus {modulus} is reducible: F_{q} would have zero divisors")
         neg = add.argmin(axis=1)  # the column of the one 0 in each row
         inv = (mul == 1).argmax(axis=1)  # row 0 has no 1: the placeholder np_inv[0] = 0
+        dtype = self.element_dtype
         self.np_add, self.np_sub, self.np_mul = (
-            _frozen(t.ravel()) for t in (add, add[:, neg], mul))
-        self.np_inv = _frozen(inv)
+            _frozen(t.ravel(), dtype) for t in (add, add[:, neg], mul))
+        self.np_inv = _frozen(inv, dtype)
         # one int object per element, shared by every row: values past 256 are not cached
         elements = list(range(q))
         self._add, self._mul = ([list(map(elements.__getitem__, row.tolist())) for row in t]
@@ -191,21 +194,34 @@ class FieldSpec:
 
     # -- numpy views
 
+    def _at(self, a, b) -> np.ndarray:
+        """The flat table index a q + b, formed in intp.
+
+        Both steps are taken in intp, also for narrow a and b, or an int a
+        against a narrow b, which the element type would wrap.  When a and
+        b are arrays of one shape, b is added in place, so the index is the
+        call's one intp temporary: with a second one of the same size, glibc
+        trimmed and re-faulted their pages on every np_dots call.
+        """
+        at = np.multiply(a, self.q, dtype=np.intp)
+        if isinstance(at, np.ndarray) and at.shape == getattr(b, "shape", None):
+            return np.add(at, b, out=at)
+        return np.add(at, b, dtype=np.intp)
+
     def vadd(self, a, b) -> np.ndarray:
         """a + b elementwise for integer arrays (or ints) a and b that broadcast, via np_add.
 
-        The index a q + b is formed in int64 on both sides, also for an int a
-        against a narrow b, which NumPy 1 would add in b's type and wrap.
+        The result has the element type.
         """
-        return self.np_add.take(np.add(np.multiply(a, self.q, dtype=np.int64), b, dtype=np.int64))
+        return self.np_add.take(self._at(a, b))
 
     def vsub(self, a, b) -> np.ndarray:
         """a - b elementwise, via np_sub."""
-        return self.np_sub.take(np.add(np.multiply(a, self.q, dtype=np.int64), b, dtype=np.int64))
+        return self.np_sub.take(self._at(a, b))
 
     def vmul(self, a, b) -> np.ndarray:
         """a * b elementwise, via np_mul."""
-        return self.np_mul.take(np.add(np.multiply(a, self.q, dtype=np.int64), b, dtype=np.int64))
+        return self.np_mul.take(self._at(a, b))
 
     def vneg(self, a) -> np.ndarray:
         """-a elementwise: row 0 of np_sub."""
@@ -229,7 +245,7 @@ class FieldSpec:
         dtype = np.min_scalar_type(Q - 1)
         sub1 = self.np_sub.reshape(q, q).astype(dtype)
         mul1 = self.np_mul.reshape(q, q).astype(dtype)
-        add = self.np_add.reshape(q, q).astype(self.element_dtype)
+        add = self.np_add.reshape(q, q)
         sub, mul, dot = sub1, mul1, mul1.astype(self.element_dtype)
         for t in range(1, h):
             top = dtype.type(q**t)
@@ -243,7 +259,7 @@ class FieldSpec:
             _frozen(sub.ravel(), dtype), _frozen(mul.ravel(), dtype),
             _frozen((digits != 0).argmax(axis=0) * Q, np.min_scalar_type(h * Q)),
             _frozen(dot.ravel(), self.element_dtype),
-            _frozen(self.np_inv.take(digits.ravel() // Q) * Q, np.intp),
+            _frozen(np.multiply(self.np_inv.take(digits.ravel() // Q), Q, dtype=np.intp), np.intp),
         )
 
     @property
@@ -277,7 +293,7 @@ class FieldSpec:
         return f"FieldSpec(F_{self.q}, modulus={self.modulus})"
 
 
-def _frozen(values, dtype=np.int64) -> np.ndarray:
+def _frozen(values, dtype) -> np.ndarray:
     arr = np.ascontiguousarray(values, dtype=dtype)
     arr.flags.writeable = False
     return arr

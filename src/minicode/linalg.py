@@ -22,7 +22,7 @@ from __future__ import annotations
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Sequence, TextIO, Union
+from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -179,7 +179,8 @@ def np_hyperplane_counts(field: FieldSpec, D: np.ndarray) -> np.ndarray:
         T[:, r:r + cols, 1:] = H[:, r:r + cols][div].transpose(0, 2, 1)
     # G[x, s', y] is the row (s, x) that feeds T'[s', y]: s = s' - y x
     yx = field.np_mul.reshape(q, q).T[:, None, :]
-    G = field.np_sub.reshape(q, q)[e[None, :, None], yx] * q + e[:, None, None]
+    G = np.multiply(field.np_sub.reshape(q, q)[e[None, :, None], yx], q, dtype=np.intp)
+    G += e[:, None, None]
     cols = max(1, DOT_BLOCK // q**3)
     vals = max(1, min(q, DOT_BLOCK // (q * q * cols)))
     for step in range(1, k):
@@ -206,8 +207,8 @@ def np_dots(field: FieldSpec, Y: np.ndarray, W: np.ndarray) -> np.ndarray:
     additions.  They run one chunk at a time, so each numpy call runs along
     the pairs, not along C.  The index is formed in intp on both sides: a
     1-D Y gives a scalar y Q, which NumPy 1 would add to the narrow chunk
-    type of W and wrap.  Callers keep the pairs of a call within
-    np_block_rows.
+    type of W and wrap.  The values have the element type.  Callers keep
+    the pairs of a call within np_block_rows.
     """
     ch = field.np_chunks
 
@@ -236,16 +237,25 @@ def class_count(q: int, k: int) -> int:
     return (q**k - 1) // (q - 1)
 
 
-def np_class_reps(q: int, k: int, dtype=np.int64) -> np.ndarray:
-    """Every projective class of F_q^k as a P x k array of dtype, in canonical order.
+def np_class_reps(q: int, k: int, dtype=np.int64, start: int = 0,
+                  stop: Optional[int] = None) -> np.ndarray:
+    """The projective classes of F_q^k in canonical order, as rows of dtype.
 
-    A class is represented by its vector (0..0, 1, tail), whose first
-    nonzero coordinate is 1.  With t tail digits its canonical index is
-    q^t + idx(tail), so the classes in ascending index are the ranges
-    [q^t, 2 q^t), t = 0..k-1.
+    Rows start .. stop - 1 of the list of all P classes, every one by
+    default.  A class is represented by its vector (0..0, 1, tail), whose
+    first nonzero coordinate is 1.  With t tail digits its canonical index
+    is q^t + idx(tail), so the classes in ascending index are the ranges
+    [q^t, 2 q^t), t = 0..k-1, the range t starting at row class_count(q, t).
     """
-    idx = np.concatenate([np.arange(q**t, 2 * q**t) for t in range(k)])
-    return np_digits(q, k, idx, dtype)
+    stop = class_count(q, k) if stop is None else min(stop, class_count(q, k))
+    idx, first = [], 0
+    for t in range(k):
+        size = q**t  # the classes with t tail digits: row first + i has index q^t + i
+        lo, hi = max(start, first), min(stop, first + size)
+        if lo < hi:
+            idx.append(np.arange(lo + size - first, hi + size - first))
+        first += size
+    return np_digits(q, k, np.concatenate(idx), dtype)
 
 
 def np_class_codewords(field: FieldSpec, rows: np.ndarray) -> np.ndarray:
@@ -260,11 +270,11 @@ def np_class_codewords(field: FieldSpec, rows: np.ndarray) -> np.ndarray:
     take of the flat add table at q x + y.
     """
     n, k = rows.shape
-    q, dtype = field.q, field.element_dtype
-    add = field.np_add.astype(dtype)
+    q, dtype, add = field.q, field.element_dtype, field.np_add
     # scaled[c, a] = q (a col_c), in q x 1 x n blocks: the x of q x + y
     cols = rows.T[:, None, None]
-    scaled = field.np_mul.take(np.arange(0, q * q, q)[:, None, None] + cols) * q
+    scaled = np.multiply(field.np_mul.take(np.arange(0, q * q, q)[:, None, None] + cols), q,
+                         dtype=np.intp)
     out = np.empty((class_count(q, k), n), dtype=dtype)
     tail = np.zeros((1, n), dtype=dtype)
     start = 0

@@ -20,9 +20,10 @@ candidates costs about as many rounds as a class has hits in it, not one
 step per candidate.  Rows are packed into the np_chunks chunks of gf, so
 one table lookup updates several coordinates and one gives the inner
 product of two chunks (linalg.np_dots finds the hits), and a block holds
-thousands of classes, so the few classes that scan longest are waited
-for once per block.  A class keeps a hit when a remainder is left and
-retires at rank k-1, exactly as a sequential echelon walk over its hits
+the classes whose round state fits SCAN_BYTES, every class of a preset,
+so the few classes that scan longest are waited for once per code.  A
+class keeps a hit when a remainder is left and retires at rank k-1,
+exactly as a sequential echelon walk over its hits
 would (the tests keep that walk as their reference), so a class keeps the
 same rows in any block; rank_criterion_codeword runs the scan on a block
 of one class.  The
@@ -50,7 +51,6 @@ import operator
 import os
 from collections import abc
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain, islice
 from typing import Callable, Iterator, Optional, Sequence, TextIO, Union
 
@@ -62,6 +62,7 @@ from .code import (
     defining_set,
     linearity_check,
     params,
+    scan_order,
 )
 from .errors import BudgetExceededError, CertificateFormatError, GuardError
 from .families import FunctionSpec
@@ -71,22 +72,20 @@ from .linalg import (
     SubspaceBasis,
     Vec,
     class_count,
-    index_to_vector,
     np_block_rows,
     np_check_rows,
     np_chunk_ranks,
     np_chunk_rows,
     np_class_reps,
-    np_digits,
     np_dots,
     np_indices,
     scale,
     text_lines,
-    vector_to_index,
     write_text,
 )
 
 DEFAULT_BUDGET = 10**10
+SCAN_BYTES = 2**23  # round state of one block of the rank scan
 DEF_MAX_CLASSES = 10_000
 DEF_MAX_N = 1_000
 
@@ -417,24 +416,6 @@ def dhz_criterion(D: DefiningSet) -> MinimalityReport:
     return MinimalityReport("dhz", MINIMAL)
 
 
-@lru_cache(maxsize=8)
-def _scan_order(n: int) -> np.ndarray:
-    """The 0-based positions of D in the order the rank scans visit them, read-only.
-
-    Position i comes i-th, times s, mod n, where s is the first integer from
-    round(n / phi) up that is coprime to n (phi the golden ratio), so
-    successive candidates spread over D.  Canonical order would start with
-    the q^{m-1} - 1 members of D_f that have x_1 = 0, which span slowly.
-    The order depends only on n, so it is made once per n and shared.
-    """
-    s = max(1, round(n * (math.sqrt(5) - 1) / 2))
-    while math.gcd(s, n) != 1:
-        s += 1
-    order = np.arange(n, dtype=np.int64) * s % n
-    order.flags.writeable = False
-    return order
-
-
 def _rank_failure(D: DefiningSet, y: Vec, chosen: np.ndarray) -> MinimalityReport:
     """not_minimal for class y, whose greedy scan of D cap H(y) kept too few rows.
 
@@ -443,25 +424,24 @@ def _rank_failure(D: DefiningSet, y: Vec, chosen: np.ndarray) -> MinimalityRepor
     it holds a class b other than y's; b vanishes wherever c(y) does, so
     c(y) covers c(b), and c(b) is nonzero and no multiple of c(y) because
     rank(D) = k.  The covered message is the first such class in canonical
-    order, found by np_dots against the kept chunk rows over blocks of
-    canonical-index ranges that stop at the first hit.  Both the rank and b
+    order, found by np_dots against the kept chunk rows over np_class_reps
+    rows in blocks of np_block_rows, which stop at the first hit, so a
+    block of one class never builds all P classes.  Both the rank and b
     depend only on the span, not on the order of the scan.
     """
     field, k = D.field, D.k
     q = field.q
     kept = D.chunk_rows.take(chosen - 1, axis=0)
     step = np_block_rows(max(1, len(chosen)))
-    # the classes with t tail digits are the canonical indices [q^t, 2 q^t)
-    blocks = (np.arange(start, min(start + step, 2 * q**t))
-              for t in range(k) for start in range(q**t, 2 * q**t, step))
-    skip = vector_to_index(q, y)
 
-    def orthogonal(idx: np.ndarray) -> np.ndarray:
-        """The classes of idx other than y's that are orthogonal to every kept row."""
-        Y = np_chunk_rows(field, np_digits(q, k, idx))
-        return idx[~np_dots(field, Y[:, None], kept).any(axis=1) & (idx != skip)]
+    def orthogonal(start: int) -> np.ndarray:
+        """The classes of a block, other than y's, that are orthogonal to every kept row."""
+        Y = np_class_reps(q, k, field.element_dtype, start, start + step)
+        dots = np_dots(field, np_chunk_rows(field, Y)[:, None], kept)
+        return Y[~dots.any(axis=1) & (Y != y).any(axis=1)]
 
-    covered = index_to_vector(q, k, int(next(h[0] for h in map(orthogonal, blocks) if h.size)))
+    blocks = map(orthogonal, range(0, class_count(q, k), step))
+    covered = tuple(next(h for h in blocks if len(h))[0].tolist())
     return MinimalityReport(
         "rank", NOT_MINIMAL, {"y": y, "rank": len(chosen), "covered": covered}
     )
@@ -474,22 +454,28 @@ def _block_scan(D: DefiningSet) -> tuple[Callable, int]:
     count): chosen[b, :count[b]] are the 1-based D indices class b kept.
     The scan reads D a window of candidates at a time: 2qk of them, among
     which a class meets about 2k hits, or all of D when it is smaller, and
-    never more than 2 sqrt(DOT_BLOCK).  step = 4 DOT_BLOCK / window classes
-    make a block, so its table of hits has about 4 DOT_BLOCK entries and
-    the block is at least as tall as the window is wide.  The chunk rows
-    D holds are read chunk-major in scan order.
+    never more than 2 sqrt(DOT_BLOCK).  A block of step classes holds
+    about SCAN_BYTES of round state: per class its kept rows and their scan
+    positions, a window of hit positions, and a round's intp indices (at
+    and J, one per kept row, and X, one per chunk).  Every preset and
+    every benchmark code fits one block, so the tail of near-empty hit
+    rounds, the few classes that scan longest, is paid once per code; the
+    blocks remain for codes whose P is huge against n.  The scan-order
+    chunk rows are the ones D holds.
     """
     field, k, n = D.field, D.k, D.n
-    order = _scan_order(n)
-    rows = D.chunk_rows.T.take(order, axis=1)
-    table = 4 * linalg.DOT_BLOCK  # hit-table entries of a block
-    window = min(n, 2 * field.q * k, math.isqrt(table))
+    order, rows = scan_order(n), D.scan_rows
+    window = min(n, 2 * field.q * k, math.isqrt(4 * linalg.DOT_BLOCK))
+    pos = np.min_scalar_type(n).itemsize  # a scan position
+    intp = np.dtype(np.intp).itemsize
+    C = len(rows)
+    state = (k - 1) * (C * rows.itemsize + pos + 2 * intp) + window * pos + C * intp
 
     def scan(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         picked, count = _greedy_block(field, Y, rows, window)
         return order[picked] + 1, count
 
-    return scan, max(1, table // window)
+    return scan, max(1, SCAN_BYTES // state)
 
 
 def rank_criterion_codeword(y: Sequence[int], D: DefiningSet) -> MinimalityReport:
@@ -525,7 +511,8 @@ def rank_criterion_code(
     reported.  Refuses (without partial answers) when the estimated cost
     P * n * k exceeds the operation budget.  Classes run in blocks of
     _block_scan's step, in canonical order, so a failure stops at its
-    block; the class representatives stay in the element type.
+    block; every preset runs in one block.  The class representatives stay
+    in the element type.
     """
     if D.rank != D.k:
         raise GuardError(f"rank criterion needs rank(D) = k; got {D.rank} < {D.k}")

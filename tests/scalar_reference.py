@@ -23,7 +23,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
-from minicode.code import DefiningSet, check_message
+from minicode.code import DefiningSet, check_message, scan_order
 from minicode.errors import GuardError, construction_bug
 from minicode.families import FunctionSpec
 from minicode.gf import FieldSpec
@@ -44,7 +44,6 @@ from minicode.minimality import (
     NOT_MINIMAL,
     MinimalityReport,
     RankWitness,
-    _scan_order,
     normalize_class,
 )
 from minicode.witness import WitnessBasis
@@ -213,7 +212,7 @@ def reference_rank_codeword(y: Sequence[int], D: DefiningSet) -> MinimalityRepor
     basis = EchelonBasis(field, k)
     chosen: list[int] = []
     rows: list[Vec] = []
-    for i in _scan_order(D.n).tolist():
+    for i in scan_order(D.n).tolist():
         if basis.rank == k - 1:
             break
         d = tuple(vectors[i])

@@ -188,7 +188,7 @@ def test_large_field_tables_match_brute_force(p, e, modulus):
     F = FieldSpec(p, e, modulus)
     q = F.q
     for view in (F.np_add, F.np_sub, F.np_mul, F.np_inv):
-        assert view.dtype == np.int64 and not view.flags.writeable
+        assert view.dtype == F.element_dtype and not view.flags.writeable
     rng = random.Random(q)
     for _ in range(500):
         a, b = rng.randrange(q), rng.randrange(q)
@@ -306,6 +306,22 @@ def test_vector_ops_with_an_int_against_narrow_arrays(q):
     b = np.arange(q, dtype=F.element_dtype)
     for vop, op in ((F.vadd, F.add), (F.vsub, F.sub), (F.vmul, F.mul)):
         assert vop(a, b).tolist() == [op(a, x) for x in range(q)]
+
+
+@pytest.mark.parametrize("q", [17, 257])
+def test_vector_ops_on_narrow_arrays(q):
+    # every pair as two arrays of the element type, whose largest index
+    # (q - 1) q + q - 1 does not fit that type (16 * 17 + 16 > 255 on F_17,
+    # 256 * 257 + 256 > 65,535 on F_257): the ops return the element type
+    # and no index wraps in it
+    F = field_by_order(q)
+    a, b = np.divmod(np.arange(q * q), q)
+    a, b = a.astype(F.element_dtype), b.astype(F.element_dtype)
+    pairs = list(zip(a.tolist(), b.tolist()))
+    for vop, op in ((F.vadd, F.add), (F.vsub, F.sub), (F.vmul, F.mul)):
+        out = vop(a, b)
+        assert out.dtype == F.element_dtype
+        assert out.tolist() == [op(x, y) for x, y in pairs]
 
 
 def test_pow_zero_convention():

@@ -528,10 +528,12 @@ def test_rank_hit_rounds_match_sequential_scan(monkeypatch, field, block):
     # every class keeps the rows the sequential scan of the scalar reference
     # keeps, and a failing code reports the first failing class with the same
     # rank and cover; so does each class on its own, a block of one; at the
-    # shrunken DOT_BLOCK the scan splits the classes of a passing and of a
-    # failing code over several blocks and a class's hits over several windows
+    # shrunken DOT_BLOCK and SCAN_BYTES the scan splits the classes of a
+    # passing and of a failing code over several blocks and a class's hits
+    # over several windows
     if block:
         monkeypatch.setattr(linalg_mod, "DOT_BLOCK", block)
+        monkeypatch.setattr(minimality_mod, "SCAN_BYTES", SMALL_SCAN)
     rng = random.Random(67 + field.q)
     cuts = {}  # verdict -> the most blocks of a code and the most windows of a class
     codes = oracle_codes(field, rng) + space_codes(field, {2: 6, 3: 5}.get(field.q, 3))
@@ -660,8 +662,26 @@ def test_rank_certificates_pinned(name):
 
 
 # the verifier checks 40 / k^2 classes a block; the rank scan reads at most 12
-# candidates a window, in blocks of 160 / window classes
+# candidates a window, in blocks of a few classes: 512 bytes of round state
+# hold 7 classes of an F_2^3 code and 6 of an F_3^3 code
 SMALL_BLOCK = 40
+SMALL_SCAN = 512
+
+
+def test_preset_scans_run_in_one_block(monkeypatch):
+    # at the default sizes every preset's rank scan is one block of classes,
+    # so its tail of near-empty hit rounds is paid once; the blocks remain
+    # for codes whose P is huge against n
+    from minicode.families import paper_presets
+
+    for name, preset in sorted(paper_presets().items()):
+        D = defining_set(preset.function)
+        if D.rank != D.k:
+            continue
+        _, blocks, _ = scan_cuts(monkeypatch, D)
+        assert blocks == 1, name
+    _, step = minimality_mod._block_scan(DefiningSet(F2, 24, np.eye(24, dtype=np.int64)))
+    assert step < class_count(2, 24)
 
 
 def test_rank_failure_across_many_blocks(monkeypatch):
@@ -669,6 +689,7 @@ def test_rank_failure_across_many_blocks(monkeypatch):
     # still match the sequential reference, also past the first block, and
     # the scans of passing and of failing codes still span several windows
     monkeypatch.setattr(linalg_mod, "DOT_BLOCK", SMALL_BLOCK)
+    monkeypatch.setattr(minimality_mod, "SCAN_BYTES", SMALL_SCAN)
     rng = random.Random(53)
     late = 0
     split = collections.Counter()  # codes whose scan took several blocks and windows
