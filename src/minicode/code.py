@@ -39,7 +39,6 @@ from .linalg import (
     np_row_keys,
     np_vectors,
     read_matrix,
-    unit_vector,
     write_matrix,
 )
 
@@ -158,7 +157,7 @@ def defining_set(f: FunctionSpec) -> DefiningSet:
     """D_f = {(f(x), x) : x nonzero} in canonical x-order, built as one n x (m+1) array."""
     q, m = f.field.q, f.m
     check_enumerable(q, m, "construction guard")
-    values = np.array(f.materialize().variant.values[1:], dtype=np.int64)
+    values = f.table[1:].astype(np.int64)
     rows = np.concatenate([values[:, None], np_vectors(q, m, 1, q**m)], axis=1)
     return DefiningSet(f.field, m + 1, rows, origin=("from_function", m))
 
@@ -167,13 +166,14 @@ def linearity_check(f: FunctionSpec) -> Optional[Vec]:
     """The omega with f(x) = omega.x for all nonzero x, if it exists.
 
     Present exactly when rank(D_f) = m; absent exactly when rank(D_f) = m+1.
-    Uses the e_i-interpolation candidate plus one full verification pass.
-    A huge arity is refused before f is evaluated.
+    Uses the e_i-interpolation candidate, read from f's table at the unit
+    vectors, plus one full verification pass.  A huge arity is refused
+    before f is evaluated.
     """
     field, m, q = f.field, f.m, f.field.q
     check_enumerable(q, m)
-    omega = tuple(f.eval(unit_vector(m, i)) for i in range(1, m + 1))
-    values = np.asarray(f.materialize().variant.values, dtype=np.int64)
+    values = f.table
+    omega = tuple(values.take(q ** np.arange(m - 1, -1, -1)).tolist())
     x = np_chunk_rows(field, np_vectors(q, m, 0, q**m))
     expected = np_dots(field, np_chunk_rows(field, omega), x)
     return omega if np.array_equal(values[1:], expected[1:]) else None

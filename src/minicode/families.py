@@ -2,31 +2,35 @@
 
 A FunctionSpec is either a dense table or one of the parametric variants
 (weight-threshold, complement-threshold, Maiorana-McFarland, monomial sum).
-Parametric specs stay symbolic until a table is needed; materialize() is the
-universal fallback and is deterministic, so named presets are stable.
+Every reader of f goes through its one evaluator, FunctionSpec.at, which
+evaluates f at the rows of an array: eval is at on one checked point, and
+table, the values D_f and the certificates read, is at over F_q^m once.
 
-validate_hypotheses checks, point by point over the quantified domain, every
-hypothesis a construction theorem places on f, and reports the first
-violated condition together with a witness point.
+validate_hypotheses checks, over the quantified domain, every hypothesis a
+construction theorem places on f, one weight class at a time as arrays,
+and reports the first violated condition together with a witness point.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
-from typing import Callable, Iterator, Optional, Sequence, TextIO, Union
+from itertools import combinations
+from typing import Optional, Sequence, TextIO, Union
+
+import numpy as np
 
 from .gf import FieldSpec, field_by_order, make_field
 from .linalg import (
-    Vec,
+    DOT_BLOCK,
     check_enumerable,
-    dot,
     index_to_vector,
+    np_digits,
+    np_indices,
+    np_vectors,
     text_lines,
-    vector_to_index,
-    weight,
     write_text,
 )
 
@@ -138,60 +142,94 @@ class FunctionSpec:
             raise TypeError(f"unknown variant {type(v).__name__}")
 
     def eval(self, x: Sequence[int]) -> int:
+        """f(x): at on one point, whose coordinates are checked first (ValueError).
+
+        One call costs a few numpy calls: a caller with many points passes them to at.
+        """
         if len(x) != self.m:
             raise ValueError(f"arity mismatch: got {len(x)}, expected {self.m}")
-        field, v = self.field, self.variant
-        if isinstance(v, TableFunction):
-            return v.values[vector_to_index(field.q, x)]
-        if isinstance(v, WeightThreshold):
-            w = weight(x)
-            return v.coeffs[w - 1] if 1 <= w <= v.t else 0
-        if isinstance(v, ComplementThreshold):
-            return 0 if weight(x) <= v.t else 1
-        if isinstance(v, MaioranaMcFarland):
-            beta, gamma = x[: v.s], x[v.s:]
-            i = vector_to_index(field.q, beta)
-            return field.add(dot(field, v.phi[i], gamma), v.g[i])
-        acc = 0
-        for a, exps in v.terms:
-            term = a
-            for xi, b in zip(x, exps):
-                if b:
-                    term = field.mul(term, field.pow(xi, b))
-                    if term == 0:
-                        break
-            acc = field.add(acc, term)
-        return acc
+        for a in x:
+            self.field.check_scalar(a)
+        return int(self.at(np.array(x, dtype=np.int64)))
 
     __call__ = eval
 
-    def materialize(self) -> "FunctionSpec":
-        """The equivalent dense-table spec (identity on Table variants).
+    def at(self, X) -> np.ndarray:
+        """f at each row of an (..., m) integer array X of canonical elements, in the element type.
 
-        Built once per spec: the table of a parametric variant is cached on
-        the instance, outside the dataclass fields, so equality and hashing
-        are unchanged.
+        One numpy branch per variant, through the field's flat tables: a
+        table is read at each row's canonical index, a threshold by the
+        row's weight; Maiorana-McFarland reads phi and g at the index of
+        beta and adds phi(beta).gamma; a monomial sum adds products of
+        powers, each read from the powers of all q elements, which are taken
+        by square-and-multiply.  Only the given points are evaluated.
         """
-        if isinstance(self.variant, TableFunction):
-            return self
-        return self._dense
+        X = np.asarray(X)
+        field, v, dtype = self.field, self.variant, self.field.element_dtype
+        if isinstance(v, TableFunction):
+            return self.table.take(np_indices(field.q, X))
+        if isinstance(v, WeightThreshold):
+            return np.array((0, *v.coeffs) + (0,) * (self.m - v.t), dtype).take(
+                np.count_nonzero(X, axis=-1))
+        if isinstance(v, ComplementThreshold):
+            return (np.count_nonzero(X, axis=-1) > v.t).astype(dtype)
+        if isinstance(v, MaioranaMcFarland):
+            i = np_indices(field.q, X[..., :v.s])
+            out = self._phi_g[v.t].take(i)
+            for j in range(v.t):
+                out = field.vadd(out, field.vmul(self._phi_g[j].take(i), X[..., v.s + j]))
+            return out
+        out = np.zeros(X.shape[:-1], dtype)
+        for a, exps in v.terms:
+            term = a
+            for i, b in enumerate(exps):
+                if b:  # 0^0 = 1
+                    term = field.vmul(term, _powers(field, b).take(X[..., i]))
+            out = field.vadd(out, term)
+        return out
+
+    @cached_property
+    def _phi_g(self) -> np.ndarray:
+        """The t + 1 rows phi_1, ..., phi_t, g of a Maiorana-McFarland spec, by index of beta."""
+        return np.array([*zip(*self.variant.phi), self.variant.g], dtype=self.field.element_dtype)
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """f over all of F_q^m in canonical order (zero vector first), read-only, in the element type.
+
+        at over every vector, once per spec, after the enumeration guard;
+        cached outside the dataclass fields, so equality and hashing are unchanged.
+        """
+        q, m, v = self.field.q, self.m, self.variant
+        check_enumerable(q, m)
+        if isinstance(v, TableFunction):
+            out = np.array(v.values, dtype=self.field.element_dtype)
+        else:
+            out = self.at(np_digits(q, m, np.arange(q**m), self.field.element_dtype))
+        out.flags.writeable = False
+        return out
+
+    def values(self) -> tuple[int, ...]:
+        """The table as a tuple of ints."""
+        return tuple(self.table.tolist())
+
+    def materialize(self) -> "FunctionSpec":
+        """The equivalent dense-table spec (identity on Table variants), built once per spec."""
+        return self if isinstance(self.variant, TableFunction) else self._dense
 
     @cached_property
     def _dense(self) -> "FunctionSpec":
-        return FunctionSpec(self.field, self.m, TableFunction(tuple(self.values())))
-
-    def values(self) -> Iterator[int]:
-        """f over all of F_q^m in canonical order (zero vector first)."""
-        q = self.field.q
-        check_enumerable(q, self.m)
-        for idx in range(q**self.m):
-            yield self.eval(index_to_vector(q, self.m, idx))
+        return FunctionSpec(self.field, self.m, TableFunction(self.values()))
 
 
-def table_from_rule(field: FieldSpec, m: int, rule: Callable[[Vec], int]) -> FunctionSpec:
-    q = field.q
-    values = tuple(rule(index_to_vector(q, m, i)) for i in range(q**m))
-    return FunctionSpec(field, m, TableFunction(values))
+def _powers(field: FieldSpec, n: int) -> np.ndarray:
+    """a^n for every element a, n >= 1, by square-and-multiply through vmul."""
+    acc, x = 1, np.arange(field.q)
+    while n:
+        if n & 1:
+            acc = field.vmul(acc, x)
+        x, n = field.vmul(x, x), n >> 1
+    return acc
 
 
 # -- theorem hypothesis validation ---------------------------------------------
@@ -223,36 +261,47 @@ def _fail(condition: str, witness: Optional[tuple] = None) -> ValidationResult:
 _PASS = ValidationResult(True)
 
 
-def vectors_of_weight(field: FieldSpec, m: int, w: int) -> Iterator[Vec]:
-    """All x in F_q^m with wt(x) = w, ascending support then values."""
-    nonzero = list(field.nonzero())
-    for positions in combinations(range(m), w):
-        for vals in product(nonzero, repeat=w):
-            x = [0] * m
-            for pos, a in zip(positions, vals):
-                x[pos] = a
-            yield tuple(x)
+def vectors_of_weight(field: FieldSpec, m: int, w: int, start: int = 0,
+                      stop: Optional[int] = None) -> np.ndarray:
+    """Rows start .. stop - 1 of the x in F_q^m with wt(x) = w, ascending support then values.
 
-
-def _low_weight_scalar_check(f: FunctionSpec, expect_nonzero: bool) -> Optional[tuple]:
-    """Scan wt 1..2: f(a x) = f(x), and f(x) != 0 / == 0 as requested.
-
-    Returns a witness (x,) or (x, a) on violation, None when clean.
+    Every row by default, as an int64 array.  Row r holds the base-(q - 1)
+    digits of r mod (q - 1)^w, plus one, at the support of index
+    r div (q - 1)^w in the lexicographic list of the C(m, w) supports,
+    which is built in full: w is meant to be near 0 or near m.
     """
-    field = f.field
-    for w in (1, 2):
-        if w > f.m:
-            break
-        for x in vectors_of_weight(field, f.m, w):
-            fx = f.eval(x)
-            if expect_nonzero and fx == 0:
-                return (x,)
-            if not expect_nonzero and fx != 0:
-                return (x,)
-            if expect_nonzero:
-                for a in field.nonzero():
-                    if f.eval(tuple(field.mul(a, c) for c in x)) != fx:
-                        return (x, a)
+    V = (field.q - 1) ** w
+    supports = np.array(list(combinations(range(m), w)), dtype=np.intp).reshape(math.comb(m, w), w)
+    stop = len(supports) * V if stop is None else min(stop, len(supports) * V)
+    r = np.arange(start, stop, dtype=np.int64)
+    out = np.zeros((len(r), m), dtype=np.int64)
+    np.put_along_axis(out, supports[r // V], np_digits(field.q - 1, w, r % V) + 1, axis=1)
+    return out
+
+
+def _first_failure(f: FunctionSpec, weights: Sequence[int], nonzero: bool) -> Optional[tuple]:
+    """The first x of the given weights, in vectors_of_weight order, that breaks the walk's condition.
+
+    The condition is "f(x) != 0 and f(a x) = f(x) for every a != 0" when
+    nonzero, else "f(x) = 0".  The witness is (x,), or (x, a) for the least
+    a with f(a x) != f(x); None when every x holds.  Each weight class is
+    evaluated as arrays, in blocks of about DOT_BLOCK coordinates, and the
+    walk stops at the first block that fails.
+    """
+    field, m, q = f.field, f.m, f.field.q
+    scalars = np.arange(1, q if nonzero else 2)
+    rows = max(1, DOT_BLOCK // (len(scalars) * m))
+    for w in weights:
+        size = math.comb(m, w) * (q - 1) ** w
+        for start in range(0, size, rows):
+            X = vectors_of_weight(field, m, w, start, start + rows)[:, None]
+            F = f.at(field.vmul(scalars[:, None], X) if nonzero else X)  # f(a x), B x scalars
+            fx = F[:, :1]
+            bad = (fx == 0) | (F != fx) if nonzero else fx != 0
+            if bad.any():
+                i, j = divmod(int(bad.argmax()), len(scalars))
+                x = tuple(X[i, 0].tolist())
+                return (x, int(scalars[j])) if j else (x,)
     return None
 
 
@@ -265,17 +314,18 @@ def validate_hypotheses(f: FunctionSpec, thm: TheoremId) -> ValidationResult:
     field, m, q = f.field, f.m, f.field.q
     check_enumerable(q, m, "validation guard")
 
+    low = [w for w in (1, 2) if w <= m]
     if thm is TheoremId.A1:
         if q <= 2:
             return _fail("A1 requires q > 2")
         if m < 3:
             return _fail("A1 requires m >= 3")
-        bad = _low_weight_scalar_check(f, expect_nonzero=True)
+        bad = _first_failure(f, low, nonzero=True)
         if bad:
             return _fail("A1(1): f(ax) = f(x) != 0 for 1 <= wt(x) <= 2", bad)
-        for x in vectors_of_weight(field, m, m):
-            if f.eval(x) != 0:
-                return _fail("A1(2): f(x) = 0 for wt(x) = m", (x,))
+        bad = _first_failure(f, [m], nonzero=False)
+        if bad:
+            return _fail("A1(2): f(x) = 0 for wt(x) = m", bad)
         return _PASS
 
     if thm is TheoremId.A2:
@@ -283,28 +333,22 @@ def validate_hypotheses(f: FunctionSpec, thm: TheoremId) -> ValidationResult:
             return _fail("A2 requires q = 2")
         if m < 4:
             return _fail("A2 requires m >= 4")
-        bad = _low_weight_scalar_check(f, expect_nonzero=True)
+        bad = _first_failure(f, low, nonzero=True)
         if bad:
             return _fail("A2(1): f(x) = 1 for 1 <= wt(x) <= 2", bad)
-        lo = m - 1 if m % 2 == 0 else m - 2
-        for w in range(lo, m + 1):
-            for x in vectors_of_weight(field, m, w):
-                if f.eval(x) != 0:
-                    return _fail("A2(2): f(x) = 0 on the top weights", (x,))
+        bad = _first_failure(f, range(m - 1 if m % 2 == 0 else m - 2, m + 1), nonzero=False)
+        if bad:
+            return _fail("A2(2): f(x) = 0 on the top weights", bad)
         return _PASS
 
     if thm is TheoremId.B:
-        bad = _low_weight_scalar_check(f, expect_nonzero=False)
+        bad = _first_failure(f, low, nonzero=False)
         if bad:
             return _fail("B(1): f(x) = 0 for 1 <= wt(x) <= 2", bad)
-        for w in range(max(m - 1, 1), m + 1):
-            for x in vectors_of_weight(field, m, w):
-                fx = f.eval(x)
-                if fx == 0:
-                    return _fail("B(2): f(x) != 0 for wt(x) >= m-1", (x,))
-                for a in field.nonzero():
-                    if f.eval(tuple(field.mul(a, c) for c in x)) != fx:
-                        return _fail("B(2): f(ax) = f(x) for wt(x) >= m-1", (x, a))
+        bad = _first_failure(f, range(max(m - 1, 1), m + 1), nonzero=True)
+        if bad:
+            return _fail("B(2): f(ax) = f(x) for wt(x) >= m-1" if len(bad) == 2
+                         else "B(2): f(x) != 0 for wt(x) >= m-1", bad)
         return _PASS
 
     if thm in (TheoremId.C1, TheoremId.C2):
@@ -327,11 +371,10 @@ def validate_hypotheses(f: FunctionSpec, thm: TheoremId) -> ValidationResult:
             return _fail(f"{thm.value}: g must be a nonzero constant")
         if thm is TheoremId.C2 and c != 1:
             return _fail("C2: g must be identically 1")
-        u_points = [tuple([0] * v.s)]
-        u_points += [x for x in vectors_of_weight(field, v.s, 1)]
+        U = np.concatenate([np.zeros((1, v.s), dtype=np.int64), vectors_of_weight(field, v.s, 1)])
         images = {}
-        for beta in u_points:
-            img = v.phi[vector_to_index(q, beta)]
+        for beta, i in zip(map(tuple, U.tolist()), np_indices(q, U).tolist()):
+            img = v.phi[i]
             if not any(img):
                 return _fail(f"{thm.value}(1): phi must avoid 0 on U", (beta,))
             if img in images:
@@ -339,9 +382,10 @@ def validate_hypotheses(f: FunctionSpec, thm: TheoremId) -> ValidationResult:
                              (images[img], beta))
             images[img] = beta
         if thm is TheoremId.C2:
-            for beta in vectors_of_weight(field, v.s, 2):
-                if any(v.phi[vector_to_index(q, beta)]):
-                    return _fail("C2(1): phi(beta) = 0 for wt(beta) = 2", (beta,))
+            B2 = vectors_of_weight(field, v.s, 2)
+            for beta, i in zip(B2.tolist(), np_indices(q, B2).tolist()):
+                if any(v.phi[i]):
+                    return _fail("C2(1): phi(beta) = 0 for wt(beta) = 2", (tuple(beta),))
         return _PASS
 
     if thm in (TheoremId.D1, TheoremId.D2):
@@ -380,7 +424,7 @@ class Preset:
     theorem: Optional[TheoremId]
 
 
-def _phi_diag_table(field: FieldSpec, s: int, t: int) -> tuple[tuple[int, ...], ...]:
+def _phi_diag_table(field: FieldSpec) -> tuple[tuple[int, ...], ...]:
     """The phi of the Maiorana-McFarland example (s=4, t=3).
 
     (x1,x2,x3) when that head has weight 1; (x4,...,x4) when the head is
@@ -389,41 +433,22 @@ def _phi_diag_table(field: FieldSpec, s: int, t: int) -> tuple[tuple[int, ...], 
     construction theorems' hypotheses on U (kept on purpose, flagged by
     validate_hypotheses rather than repaired).
     """
-    q = field.q
-    out = []
-    for i in range(q**s):
-        beta = index_to_vector(q, s, i)
-        head = beta[:3]
-        hw = weight(head)
-        if hw == 1:
-            out.append(head)
-        elif hw == 0:
-            out.append((beta[3],) * t)
-        else:
-            out.append(tuple([1] + [0] * (t - 1)))
-    return tuple(out)
+    beta = np_vectors(field.q, 4, 0, field.q**4)
+    hw = np.count_nonzero(beta[:, :3], axis=1)[:, None]
+    phi = np.where(hw == 1, beta[:, :3], np.where(hw == 0, beta[:, 3:], (1, 0, 0)))
+    return tuple(map(tuple, phi.tolist()))
 
 
-def _phi_dhz_table(field: FieldSpec, s: int, t: int) -> tuple[tuple[int, ...], ...]:
-    """A fixed injection U -> F_2^t \\ {0} that is 0 off U (s=4, t=3).
+def _phi_dhz_table() -> tuple[tuple[int, ...], ...]:
+    """A fixed injection U -> F_2^3 \\ {0} that is 0 off U (s=4, t=3).
 
     0 maps to e_1; e_i maps to the bit pattern of i+1, least significant bit
     in coordinate 1.  Any injection works; this one is just deterministic.
     """
-    q = field.q
-    out = []
-    for i in range(q**s):
-        beta = index_to_vector(q, s, i)
-        w = weight(beta)
-        if w == 0:
-            out.append(tuple([1] + [0] * (t - 1)))
-        elif w == 1:
-            pos = next(j for j, b in enumerate(beta) if b)
-            code = pos + 2
-            out.append(tuple((code >> j) & 1 for j in range(t)))
-        else:
-            out.append(tuple([0] * t))
-    return tuple(out)
+    beta = np_vectors(2, 4, 0, 16)
+    w = np.count_nonzero(beta, axis=1)
+    code = np.where(w == 0, 1, np.where(w == 1, beta.argmax(axis=1) + 2, 0))
+    return tuple(map(tuple, (code[:, None] >> np.arange(3) & 1).tolist()))
 
 
 def _build_presets() -> dict[str, Preset]:
@@ -433,33 +458,25 @@ def _build_presets() -> dict[str, Preset]:
     def add(name: str, fn: FunctionSpec, thm: Optional[TheoremId]) -> None:
         presets[name] = Preset(name, fn, thm)
 
+    def table(field: FieldSpec, m: int, rule) -> FunctionSpec:
+        """The table of rule(x, wt(x)) on the rows x of all of F_q^m."""
+        x = np_vectors(field.q, m, 0, field.q**m)
+        return FunctionSpec(field, m, TableFunction(tuple(
+            rule(x, np.count_nonzero(x, axis=1)).tolist())))
+
     add("sec4_f1", FunctionSpec(f3, 4, WeightThreshold(2, (1, 1))), TheoremId.A1)
-
-    def sec4_f2_rule(x: Vec) -> int:
-        w = weight(x)
-        if 1 <= w <= 2:
-            return 1
-        if w == 3:
-            return x[0]
-        return 0
-
-    add("sec4_f2", table_from_rule(f3, 4, sec4_f2_rule), TheoremId.A1)
-
+    # 1 on weights 1 and 2, x_1 on weight 3, 0 elsewhere
+    add("sec4_f2", table(f3, 4, lambda x, w: np.select([(1 <= w) & (w <= 2), w == 3], [1, x[:, 0]])),
+        TheoremId.A1)
     add("sec5_f1", FunctionSpec(f2, 5, ComplementThreshold(2)), TheoremId.B)
     add("sec5_f2", FunctionSpec(f2, 5, ComplementThreshold(3)), TheoremId.B)
 
-    def sec5_f3_rule(x: Vec) -> int:
-        w = weight(x)
-        if w <= 2:
-            return 0
-        if w == 3:
-            return (x[0] + x[1]) % 2
-        return 1
-
-    add("sec5_f3", table_from_rule(f2, 5, sec5_f3_rule), TheoremId.B)
+    # 0 up to weight 2, x_1 + x_2 on weight 3, 1 from weight 4
+    add("sec5_f3", table(f2, 5, lambda x, w: np.select([w <= 2, w == 3], [0, (x[:, 0] + x[:, 1]) % 2], 1)),
+        TheoremId.B)
 
     for name, fld, thm in (("sec6_q2", f2, TheoremId.C2), ("sec6_q3", f3, TheoremId.C1)):
-        mm = MaioranaMcFarland(4, 3, _phi_diag_table(fld, 4, 3), (1,) * fld.q**4)
+        mm = MaioranaMcFarland(4, 3, _phi_diag_table(fld), (1,) * fld.q**4)
         add(name, FunctionSpec(fld, 7, mm), thm)
 
     def monomials(m: int, *blocks: tuple[int, ...]) -> MonomialSum:
@@ -480,7 +497,7 @@ def _build_presets() -> dict[str, Preset]:
     add("sec7_f4", FunctionSpec(f3, 8, monomials(8, (1, 2, 3), (4, 5, 6, 7))),
         TheoremId.D1)
 
-    dhz = MaioranaMcFarland(4, 3, _phi_dhz_table(f2, 4, 3), (1,) * 16)
+    dhz = MaioranaMcFarland(4, 3, _phi_dhz_table(), (1,) * 16)
     add("dhz_m7", FunctionSpec(f2, 7, dhz), TheoremId.C2)
 
     return presets

@@ -76,13 +76,6 @@ def scale(field: FieldSpec, c: int, v: Sequence[int]) -> Vec:
     return tuple(field.mul(c, a) for a in v)
 
 
-def unit_vector(m: int, i: int) -> Vec:
-    """e_i in F_q^m, 1-based."""
-    if not 1 <= i <= m:
-        raise ValueError(f"unit index {i} out of range 1..{m}")
-    return tuple(1 if j == i - 1 else 0 for j in range(m))
-
-
 # -- canonical enumeration ---------------------------------------------------
 
 def index_to_vector(q: int, m: int, idx: int) -> Vec:
@@ -91,13 +84,6 @@ def index_to_vector(q: int, m: int, idx: int) -> Vec:
     for i in range(m - 1, -1, -1):
         idx, out[i] = divmod(idx, q)
     return tuple(out)
-
-
-def vector_to_index(q: int, x: Sequence[int]) -> int:
-    idx = 0
-    for a in x:
-        idx = idx * q + a
-    return idx
 
 
 def check_enumerable(q: int, m: int, guard: str = "enumeration guard") -> None:

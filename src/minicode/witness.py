@@ -28,9 +28,9 @@ so a group is a few flat-table operations over a (classes x m x m)
 array.  The D2 repair of an offending low vector is done with masks.
 The Maiorana-McFarland proofs (C1, C2) group by their sub-branches
 instead (minicode.mm_witness).  f is read through a function of an array
-of vectors: the certificate looks f up in its dense table, and
-theorem_witness evaluates f at the vectors the proof reads, so a single
-witness never tabulates f.  One post-condition checks a block on the
+of vectors: the certificate looks f up in f.table, and theorem_witness
+passes f.at, which evaluates f only at the vectors the proof reads, so a
+single witness never tabulates f.  One post-condition checks a block on the
 lifts packed into chunk rows once: every lift (f(alpha), alpha) is
 orthogonal to its class (f(alpha) = omega.alpha in cases 1-2,
 v.alpha = 0 in case 3), by np_dots, and np_chunk_ranks gives the
@@ -100,7 +100,7 @@ def theorem_witness(thm: TheoremId, f: FunctionSpec, u: int, v: Sequence[int]) -
 
     This is the batched builder on a block of one.  The alphas depend only
     on the class of (u, v), so they are built for its representative, with
-    f evaluated at the vectors the proof reads instead of tabulated.
+    f.at evaluating f at the vectors the proof reads: f is not tabulated.
     """
     field, m = f.field, f.m
     field.check_scalar(u)
@@ -113,7 +113,7 @@ def theorem_witness(thm: TheoremId, f: FunctionSpec, u: int, v: Sequence[int]) -
         raise ValueError("(u, v) must be nonzero")
     _require_hypotheses(thm, f)
     Y = np.array([normalize_class(field, (u,) + v)], dtype=np.int64)
-    lifts = _checked_lifts(thm, f, _eval_values(f), Y)
+    lifts = _checked_lifts(thm, f, f.at, Y)
     return WitnessBasis(("theorem_case", thm, u, v), tuple(map(tuple, lifts[0, :, 1:].tolist())))
 
 
@@ -170,15 +170,14 @@ def _batched_arrays(thm: TheoremId, f: FunctionSpec) -> tuple[np.ndarray, np.nda
     """(reps, lifts): every class in canonical order and its m lifted witnesses.
 
     reps is P x (m+1) and lifts P x m x (m+1), both in the element type;
-    f is read from its value table by the canonical indices of the
-    vectors, and each block's lifts are checked before they are stored.
+    f is read from f.table by the canonical indices of the vectors, and each block's lifts are checked before they are stored.
     """
     field, m = f.field, f.m
     q, k = field.q, m + 1
-    values = np.array(f.materialize().variant.values, dtype=np.int64)
+    table = f.table
 
     def fvals(X: np.ndarray) -> np.ndarray:
-        return values.take(np_indices(q, X))
+        return table.take(np_indices(q, X))
 
     reps = np_class_reps(q, k)
     dtype = field.element_dtype
@@ -187,14 +186,6 @@ def _batched_arrays(thm: TheoremId, f: FunctionSpec) -> tuple[np.ndarray, np.nda
     for start in range(0, len(reps), step):
         out[start:start + step] = _checked_lifts(thm, f, fvals, reps[start:start + step])
     return reps.astype(dtype), out
-
-
-def _eval_values(f: FunctionSpec) -> Values:
-    """f at each vector of an array, one f.eval per vector: no table is built."""
-    def fvals(X: np.ndarray) -> np.ndarray:
-        flat = [f.eval(x) for x in X.reshape(-1, f.m).tolist()]
-        return np.array(flat, dtype=np.int64).reshape(X.shape[:-1])
-    return fvals
 
 
 def _checked_lifts(thm: TheoremId, f: FunctionSpec, fvals: Values, Y: np.ndarray) -> np.ndarray:

@@ -7,11 +7,19 @@ tests check those kernels against:
   EchelonBasis, rank, kernel_basis and solve: exact Gaussian elimination
       with first-nonzero pivoting, one row at a time, beside vec_add;
   enumerate_vectors and projective_classes: F_q^m and the class
-      representatives of F_q^k in canonical order, one tuple at a time;
+      representatives of F_q^k in canonical order, one tuple at a time,
+      beside unit_vector and vector_to_index;
   the lemma-level witness bases of the construction proofs
       (full_weight_basis, unit_inner_basis, hyperplane_low_weight_basis,
       linear_system_solutions) and lift_witness;
-  reference_rank_codeword: the sequential rank scan of one class.
+  reference_rank_codeword: the sequential rank scan of one class;
+  reference_eval, the per-variant scalar evaluator of f, one point at a
+      time, and reference_value, the same memoized in one table per spec:
+      the tests check FunctionSpec.at against them, and the witness oracle
+      reads f through reference_value;
+  reference_validate: the A1, A2 and B hypothesis walks, one point at a
+      time over the vectors_of_weight iterator, which the tests check the
+      array validators of validate_hypotheses against.
 
 EchelonBasis reduces a row with table rows: mul[c] is taken once per pivot
 and each coordinate is then one sub[a][mul[c][b]] lookup in Python lists,
@@ -21,11 +29,20 @@ built once per field from the field's np_mul and np_sub views.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations, product
 from typing import Iterable, Iterator, Optional, Sequence
 
 from minicode.code import DefiningSet, check_message, scan_order
 from minicode.errors import GuardError, construction_bug
-from minicode.families import FunctionSpec
+from minicode.families import (
+    ComplementThreshold,
+    FunctionSpec,
+    MaioranaMcFarland,
+    TableFunction,
+    TheoremId,
+    ValidationResult,
+    WeightThreshold,
+)
 from minicode.gf import FieldSpec
 from minicode.linalg import (
     ENUM_GUARD,
@@ -36,7 +53,6 @@ from minicode.linalg import (
     dot,
     index_to_vector,
     scale,
-    unit_vector,
     weight,
 )
 from minicode.minimality import (
@@ -169,6 +185,21 @@ def vec_add(field: FieldSpec, u: Sequence[int], v: Sequence[int]) -> Vec:
 
 
 # -- canonical enumeration ---------------------------------------------------
+
+def unit_vector(m: int, i: int) -> Vec:
+    """e_i in F_q^m, 1-based."""
+    if not 1 <= i <= m:
+        raise ValueError(f"unit index {i} out of range 1..{m}")
+    return tuple(1 if j == i - 1 else 0 for j in range(m))
+
+
+def vector_to_index(q: int, x: Sequence[int]) -> int:
+    """The canonical index of x: index_to_vector inverted, one coordinate at a time."""
+    idx = 0
+    for a in x:
+        idx = idx * q + a
+    return idx
+
 
 def enumerate_vectors(field: FieldSpec, m: int, include_zero: bool = False) -> Iterator[Vec]:
     """All of F_q^m in ascending canonical-index order (zero first if included)."""
@@ -375,5 +406,145 @@ def low_basis_against(field: FieldSpec, w: Vec) -> tuple[int, dict[int, Vec]]:
 
 
 def lift_witness(f: FunctionSpec, wb: WitnessBasis) -> tuple[Vec, ...]:
-    """The d-vectors (f(alpha), alpha) of a witness basis."""
-    return tuple((f.eval(a),) + a for a in wb.vectors)
+    """The d-vectors (f(alpha), alpha) of a witness basis, f read by reference_value."""
+    return tuple((reference_value(f, a),) + a for a in wb.vectors)
+
+
+# -- the scalar evaluator of f ---------------------------------------------------
+
+def reference_eval(f: FunctionSpec, x: Sequence[int]) -> int:
+    """f(x) by the scalar evaluator of each variant, one point at a time."""
+    if len(x) != f.m:
+        raise ValueError(f"arity mismatch: got {len(x)}, expected {f.m}")
+    field, v = f.field, f.variant
+    if isinstance(v, TableFunction):
+        return v.values[vector_to_index(field.q, x)]
+    if isinstance(v, WeightThreshold):
+        w = weight(x)
+        return v.coeffs[w - 1] if 1 <= w <= v.t else 0
+    if isinstance(v, ComplementThreshold):
+        return 0 if weight(x) <= v.t else 1
+    if isinstance(v, MaioranaMcFarland):
+        beta, gamma = x[: v.s], x[v.s:]
+        i = vector_to_index(field.q, beta)
+        return field.add(dot(field, v.phi[i], gamma), v.g[i])
+    acc = 0
+    for a, exps in v.terms:
+        term = a
+        for xi, b in zip(x, exps):
+            if b:
+                term = field.mul(term, field.pow(xi, b))
+                if term == 0:
+                    break
+        acc = field.add(acc, term)
+    return acc
+
+
+# one table per spec, found by the spec's identity: hashing a spec hashes its
+# variant, all q^m values of a table; each entry keeps its spec alive
+_TABLES: dict[int, tuple[FunctionSpec, dict[Vec, int]]] = {}
+
+
+def reference_value(f: FunctionSpec, x: Sequence[int]) -> int:
+    """reference_eval(f, x), memoized in one table per spec, filled as points are read."""
+    table = _TABLES.setdefault(id(f), (f, {}))[1]
+    x = tuple(x)
+    value = table.get(x)
+    if value is None:
+        value = table[x] = reference_eval(f, x)
+    return value
+
+
+def reference_table(f: FunctionSpec) -> list[int]:
+    """f over all of F_q^m in canonical order, by reference_value."""
+    q, m = f.field.q, f.m
+    return [reference_value(f, index_to_vector(q, m, i)) for i in range(q**m)]
+
+
+# -- the A1, A2 and B hypothesis walks ----------------------------------------------
+
+def vectors_of_weight(field: FieldSpec, m: int, w: int) -> Iterator[Vec]:
+    """All x in F_q^m with wt(x) = w, ascending support then values."""
+    nonzero = list(field.nonzero())
+    for positions in combinations(range(m), w):
+        for vals in product(nonzero, repeat=w):
+            x = [0] * m
+            for pos, a in zip(positions, vals):
+                x[pos] = a
+            yield tuple(x)
+
+
+def _low_weight_scalar_check(f: FunctionSpec, expect_nonzero: bool) -> Optional[tuple]:
+    """Scan wt 1..2: f(a x) = f(x), and f(x) != 0 / == 0 as requested.
+
+    Returns a witness (x,) or (x, a) on violation, None when clean.
+    """
+    field = f.field
+    for w in (1, 2):
+        if w > f.m:
+            break
+        for x in vectors_of_weight(field, f.m, w):
+            fx = reference_eval(f, x)
+            if expect_nonzero and fx == 0:
+                return (x,)
+            if not expect_nonzero and fx != 0:
+                return (x,)
+            if expect_nonzero:
+                for a in field.nonzero():
+                    if reference_eval(f, tuple(field.mul(a, c) for c in x)) != fx:
+                        return (x, a)
+    return None
+
+
+def _fail(condition: str, witness: Optional[tuple] = None) -> ValidationResult:
+    return ValidationResult(False, condition, witness)
+
+
+def reference_validate(f: FunctionSpec, thm: TheoremId) -> ValidationResult:
+    """validate_hypotheses(f, thm) for A1, A2 and B, by scalar walks."""
+    field, m, q = f.field, f.m, f.field.q
+    check_enumerable(q, m, "validation guard")
+
+    if thm is TheoremId.A1:
+        if q <= 2:
+            return _fail("A1 requires q > 2")
+        if m < 3:
+            return _fail("A1 requires m >= 3")
+        bad = _low_weight_scalar_check(f, expect_nonzero=True)
+        if bad:
+            return _fail("A1(1): f(ax) = f(x) != 0 for 1 <= wt(x) <= 2", bad)
+        for x in vectors_of_weight(field, m, m):
+            if reference_eval(f, x) != 0:
+                return _fail("A1(2): f(x) = 0 for wt(x) = m", (x,))
+        return ValidationResult(True)
+
+    if thm is TheoremId.A2:
+        if q != 2:
+            return _fail("A2 requires q = 2")
+        if m < 4:
+            return _fail("A2 requires m >= 4")
+        bad = _low_weight_scalar_check(f, expect_nonzero=True)
+        if bad:
+            return _fail("A2(1): f(x) = 1 for 1 <= wt(x) <= 2", bad)
+        lo = m - 1 if m % 2 == 0 else m - 2
+        for w in range(lo, m + 1):
+            for x in vectors_of_weight(field, m, w):
+                if reference_eval(f, x) != 0:
+                    return _fail("A2(2): f(x) = 0 on the top weights", (x,))
+        return ValidationResult(True)
+
+    if thm is TheoremId.B:
+        bad = _low_weight_scalar_check(f, expect_nonzero=False)
+        if bad:
+            return _fail("B(1): f(x) = 0 for 1 <= wt(x) <= 2", bad)
+        for w in range(max(m - 1, 1), m + 1):
+            for x in vectors_of_weight(field, m, w):
+                fx = reference_eval(f, x)
+                if fx == 0:
+                    return _fail("B(2): f(x) != 0 for wt(x) >= m-1", (x,))
+                for a in field.nonzero():
+                    if reference_eval(f, tuple(field.mul(a, c) for c in x)) != fx:
+                        return _fail("B(2): f(ax) = f(x) for wt(x) >= m-1", (x, a))
+        return ValidationResult(True)
+
+    raise ValueError(f"no scalar walk for {thm.value}")

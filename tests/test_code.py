@@ -36,11 +36,9 @@ from minicode.linalg import (
     dot,
     index_to_vector,
     read_matrix,
-    unit_vector,
-    vector_to_index,
     weight,
 )
-from scalar_reference import rank
+from scalar_reference import rank, reference_value, unit_vector, vector_to_index
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -84,7 +82,7 @@ def test_defining_set_rows_and_array_agree():
     for f in fns:
         D = defining_set(f)
         q, m = f.field.q, f.m
-        want = [[f.eval(index_to_vector(q, m, i)), *index_to_vector(q, m, i)]
+        want = [[reference_value(f, index_to_vector(q, m, i)), *index_to_vector(q, m, i)]
                 for i in range(1, q**m)]
         assert D.vectors.dtype == np.int64 and D.vectors.shape == (q**m - 1, m + 1)
         assert D.vectors.flags.c_contiguous and not D.vectors.flags.writeable
@@ -111,13 +109,19 @@ def test_defining_set_refuses_malformed_rows(rows):
 
 
 @pytest.mark.parametrize("variant", [WeightThreshold(1, (1,)), ComplementThreshold(1)])
-def test_huge_arity_refused_before_f_is_evaluated(variant):
+def test_huge_arity_refused_before_f_is_evaluated(monkeypatch, variant):
     # neither f at m unit vectors of length m nor 3^m is computed, and the
-    # theorem validators walk no vector of F_3^m
+    # theorem validators walk no vector of F_3^m: the guard is raised
+    # before FunctionSpec.at, the one evaluator of f, is called
+    def refuse(self, X):
+        raise AssertionError("f was evaluated")
+
+    monkeypatch.setattr(FunctionSpec, "at", refuse)
     f = FunctionSpec(F3, 2 * 10**6, variant)
     validations = [partial(validate_hypotheses, thm=thm)
                    for thm in (TheoremId.A1, TheoremId.A2, TheoremId.C1)]
-    for build in [linearity_check, defining_set, lambda f: next(f.values())] + validations:
+    tables = [lambda f: f.values(), lambda f: f.table]
+    for build in [linearity_check, defining_set] + tables + validations:
         start = time.perf_counter()
         with pytest.raises(GuardError, match=r"q\^m = 3\^2000000 exceeds the"):
             build(f)

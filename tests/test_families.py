@@ -1,11 +1,14 @@
 """Function variants, theorem hypothesis validators, presets, file IO."""
 
 import io
+import math
 import random
 import time
 
+import numpy as np
 import pytest
 
+import minicode.families as families_mod
 from minicode.code import defining_set, linearity_check
 from minicode.families import (
     ComplementThreshold,
@@ -20,11 +23,18 @@ from minicode.families import (
     paper_presets,
     read_function,
     validate_hypotheses,
+    vectors_of_weight,
     write_function,
 )
-from minicode.gf import make_field
+from minicode.gf import field_by_order, make_field
 from minicode.linalg import index_to_vector, weight
-from minicode.minimality import rank_criterion_code
+from minicode.minimality import normalize_class, rank_criterion_code
+from scalar_reference import (
+    reference_table,
+    reference_validate,
+    reference_value,
+)
+from scalar_reference import vectors_of_weight as reference_vectors_of_weight
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -74,16 +84,171 @@ def test_monomial_support_examples():
 
 
 def test_materialize_agrees_with_eval():
+    # the dense spec holds the scalar reference's values, and eval agrees
+    # with both on a sample of points
+    rng = random.Random(76)
     for name in ("sec4_f1", "sec5_f2", "sec6_q3", "sec7_f4", "dhz_m7"):
         f = get_preset(name).function
         table = f.materialize()
         assert f.materialize() is table  # built once per spec
         twin = FunctionSpec(f.field, f.m, f.variant)  # no table cached yet
         assert twin == f and hash(twin) == hash(f)
+        assert table.variant.values == tuple(reference_table(f))
         q, m = f.field.q, f.m
-        for idx in range(q**m):
+        for idx in rng.sample(range(q**m), 20):
             x = index_to_vector(q, m, idx)
-            assert f.eval(x) == table.eval(x)
+            assert f.eval(x) == table.eval(x) == reference_value(f, x)
+            assert type(f.eval(x)) is int
+
+
+@pytest.mark.parametrize("spec, x", [
+    (FunctionSpec(F3, 2, TableFunction(tuple(range(3)) * 3)), (0, 5)),  # once f(1, 2), aliased
+    (FunctionSpec(F3, 2, WeightThreshold(1, (2,))), (0, 7)),
+    (FunctionSpec(F3, 2, WeightThreshold(1, (2,))), (True, 0)),
+    (FunctionSpec(F3, 2, WeightThreshold(1, (2,))), (1.5, 0)),
+    (FunctionSpec(F3, 2, MonomialSum(((1, (1, 1)),))), (-1, 1)),
+], ids=["table-aliased-index", "threshold-beyond", "threshold-bool", "threshold-float",
+        "monomial-negative"])
+def test_eval_refuses_non_elements(monkeypatch, spec, x):
+    # each once returned a value; now refused before any table is read
+    def refuse(self, X):
+        raise AssertionError("f was evaluated")
+
+    monkeypatch.setattr(FunctionSpec, "at", refuse)
+    with pytest.raises(ValueError, match="is not a canonical element of F_3"):
+        spec.eval(x)
+
+
+AT_FIELDS = (2, 3, 4, 5, 7, 8, 9, 17, 257)
+
+
+def seeded_specs(q):
+    """Seeded specs of all five variants over F_q, q^m at most 1,024 (MM: m >= 2).
+
+    The monomial exponents run past q, one Maiorana-McFarland spec has
+    s = 1, and one monomial coefficient is the largest a whose a q still
+    fits the element type (15 on F_17, 255 on F_257), whose index a
+    narrow array would wrap if it were formed in that type.
+    """
+    rng = random.Random(q)
+    field = field_by_order(q)
+    m = max(1, math.floor(math.log(1024, q) + 1e-9))
+
+    def element(nonzero=False):
+        return rng.randrange(1 if nonzero else 0, q)
+
+    def mm(s, t):
+        phi = tuple(tuple(element() for _ in range(t)) for _ in range(q**s))
+        return FunctionSpec(field, s + t, MaioranaMcFarland(s, t, phi, tuple(element() for _ in range(q**s))))
+
+    def monomials(coeffs):
+        return FunctionSpec(field, m, MonomialSum(tuple(
+            (a, tuple(rng.choice((0, 1, rng.randrange(q, 3 * q))) for _ in range(m))) for a in coeffs)))
+
+    t = rng.randint(1, m)
+    wide = min(np.iinfo(field.element_dtype).max // q, q - 1)
+    specs = [
+        FunctionSpec(field, m, TableFunction(tuple(element() for _ in range(q**m)))),
+        FunctionSpec(field, m, WeightThreshold(t, tuple(element(True) for _ in range(t)))),
+        FunctionSpec(field, m, ComplementThreshold(rng.randint(0, m))),
+        mm(1, max(1, m - 1)),
+        monomials([element(True) for _ in range(rng.randint(1, 3))]),
+        monomials([wide, element(True)]),
+    ]
+    if m >= 3:
+        specs.append(mm(2, m - 2))
+    return specs
+
+
+@pytest.mark.parametrize("q", AT_FIELDS)
+def test_at_matches_the_scalar_reference(q):
+    # full tables byte-equal, a B x m x m batch of the witness builder's
+    # shape, and the same rows in the element type, which NumPy 1 would
+    # wrap if an index were formed in it
+    rng = np.random.default_rng(q)
+    for f in seeded_specs(q):
+        field, m = f.field, f.m
+        want = np.array(reference_table(f), dtype=field.element_dtype)
+        assert f.table.dtype == field.element_dtype and not f.table.flags.writeable
+        assert f.table.tobytes() == want.tobytes(), f.variant
+        assert f.values() == tuple(want.tolist())
+        X = rng.integers(0, q, size=(6, m, m))
+        got = f.at(X)
+        assert got.dtype == field.element_dtype and got.shape == (6, m)
+        assert got.tolist() == [[reference_value(f, row) for row in block] for block in X.tolist()]
+        assert f.at(X.astype(field.element_dtype)).tolist() == got.tolist()
+        assert f.at(X[0, 0]).tolist() == got[0, 0]  # one row: a 0-d result
+
+
+def test_at_matches_the_scalar_reference_on_presets():
+    for name, preset in paper_presets().items():
+        f = preset.function
+        want = np.array(reference_table(f), dtype=f.field.element_dtype)
+        assert f.table.tobytes() == want.tobytes(), name
+
+
+def test_vectors_of_weight_rows_follow_the_scalar_order():
+    for q, m in ((2, 5), (3, 4), (4, 3), (5, 3)):
+        field = field_by_order(q)
+        for w in range(m + 1):
+            want = [list(x) for x in reference_vectors_of_weight(field, m, w)]
+            assert vectors_of_weight(field, m, w).tolist() == want
+            assert vectors_of_weight(field, m, w, 3, 11).tolist() == want[3:11]
+
+
+def hypothesis_tables():
+    """Seeded tables over F_2, F_3 and F_4 that pass A1, A2 or B, and copies
+    that break each of their conditions at one random point.
+
+    The A shape takes one nonzero value per projective class on weights 1
+    and 2 and zero on the top weights (from m - 1 or m - 2 over F_2, m
+    otherwise); the B shape zero on weights 1 and 2 and one nonzero value
+    per class on weights m - 1 and m.  Other points take random values.
+    """
+    rng = random.Random(25)
+    out = []
+    for q, m in ((2, 4), (2, 5), (3, 3), (3, 4), (4, 3), (4, 4)):
+        field = field_by_order(q)
+        points = [index_to_vector(q, m, i) for i in range(q**m)]
+        top = (m - 1 if m % 2 == 0 else m - 2) if q == 2 else m
+        for low_kind, high_kind, high in (("class", "zero", top), ("zero", "class", m - 1)):
+            per_class, values = {}, []
+            for x in points:
+                w = weight(x)
+                kind = low_kind if 1 <= w <= 2 else high_kind if w >= high else None
+                if kind == "class":
+                    values.append(per_class.setdefault(normalize_class(field, x),
+                                                       rng.randrange(1, q)))
+                else:
+                    values.append(0 if kind == "zero" else rng.randrange(q))
+            out.append(FunctionSpec(field, m, TableFunction(tuple(values))))
+            for lo, hi in ((1, 2), (high, m)):
+                at = [i for i, x in enumerate(points) if lo <= weight(x) <= hi]
+                for change in ("zero", "other"):
+                    i = rng.choice(at)
+                    bad = list(values)
+                    bad[i] = 0 if change == "zero" and values[i] else values[i] % (q - 1) + 1
+                    if bad[i] != values[i]:
+                        out.append(FunctionSpec(field, m, TableFunction(tuple(bad))))
+    return out
+
+
+@pytest.mark.parametrize("block", [None, 7], ids=["default-blocks", "one-row-blocks"])
+def test_validators_match_the_scalar_reference(monkeypatch, block):
+    # with block = 7, DOT_BLOCK // (scalars x m) is one row: every weight
+    # class is walked one row per block
+    if block is not None:
+        monkeypatch.setattr(families_mod, "DOT_BLOCK", block)
+    conditions = set()
+    for f in hypothesis_tables():
+        for thm in (TheoremId.A1, TheoremId.A2, TheoremId.B):
+            got, want = validate_hypotheses(f, thm), reference_validate(f, thm)
+            assert repr(got) == repr(want), (f.field.q, f.m, thm)
+            conditions.add((want.ok, want.condition, len(want.witness or ())))
+    for cond in ("A1(1)", "A1(2)", "A2(1)", "A2(2)", "B(1)", "B(2): f(x) != 0", "B(2): f(ax)"):
+        assert any(not ok and c.startswith(cond) for ok, c, _ in conditions), cond
+    assert {(True, None, 0)} <= conditions
+    assert {n for ok, c, n in conditions if not ok and c.startswith("A1(1)")} == {1, 2}
 
 
 def test_arity_mismatch():

@@ -19,14 +19,20 @@ from minicode.linalg import (
     read_matrix,
     support,
     text_lines,
-    unit_vector,
-    vector_to_index,
     weight,
     write_matrix,
     write_text,
 )
 import minicode.linalg as linalg_mod
-from scalar_reference import EchelonBasis, enumerate_vectors, kernel_basis, rank, solve
+from scalar_reference import (
+    EchelonBasis,
+    enumerate_vectors,
+    kernel_basis,
+    rank,
+    solve,
+    unit_vector,
+    vector_to_index,
+)
 
 F2 = make_field(2)
 F3 = make_field(3)

@@ -61,7 +61,7 @@ def test_projective_classes_count_and_order():
     reps = list(projective_classes(F3, 3))
     assert len(reps) == class_count(3, 3) == 13
     # ascending canonical index, first nonzero coordinate 1
-    from minicode.linalg import vector_to_index
+    from scalar_reference import vector_to_index
 
     idxs = [vector_to_index(3, y) for y in reps]
     assert idxs == sorted(idxs)

@@ -4,6 +4,7 @@ import functools
 import random
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import minicode.linalg as linalg_mod
@@ -27,8 +28,6 @@ from minicode.linalg import (
     dot,
     index_to_vector,
     scale,
-    unit_vector,
-    vector_to_index,
     weight,
 )
 from minicode.minimality import normalize_class, verify_certificate
@@ -41,7 +40,10 @@ from scalar_reference import (
     linear_system_solutions,
     projective_classes,
     rank,
+    reference_value,
     unit_inner_basis,
+    unit_vector,
+    vector_to_index,
 )
 from witness_oracle import reference_witness, vec_sub
 
@@ -225,16 +227,26 @@ def test_theorem_witness_never_tabulates_f(monkeypatch):
     def refuse(self):
         raise AssertionError("f was tabulated")
 
-    monkeypatch.setattr(FunctionSpec, "values", refuse)
+    points = []
+    at = FunctionSpec.at
+
+    def counted(self, X):
+        points.append(np.asarray(X).size // self.m)
+        return at(self, X)
+
+    monkeypatch.setattr(FunctionSpec, "table", property(refuse))
+    monkeypatch.setattr(FunctionSpec, "at", counted)
     m = 11
     exps = [(1,) * 5 + (0,) * 6, (0,) * 5 + (1,) * 6]  # supports {1..5} and {6..11}
     f = FunctionSpec(F3, m, MonomialSum(tuple((1, e) for e in exps)))
     w = (0, 2, 1, 0, 0, 1, 2, 2, 0, 1, 1)
     for u, v in ((1, (0,) * m), (2, w), (0, w)):  # cases 1, 2 and 3
         y = (u,) + v
+        points.clear()
         wb = theorem_witness(TheoremId.D1, f, u, v)
+        assert sum(points) == m, (y, points)  # f at the m alphas of the lifts, and nowhere else
         assert wb == reference_witness(TheoremId.D1, f, u, v), y
-        lifts = lift_witness(f, wb)  # f-values by f.eval
+        lifts = lift_witness(f, wb)  # f-values by the scalar reference
         assert all(dot(F3, y, d) == 0 for d in lifts), y
         assert rank(F3, lifts) == m, y
 
@@ -465,7 +477,7 @@ def test_batched_post_condition_names_the_corrupted_class(monkeypatch, name, cor
             else:  # a vector whose lift is not orthogonal to y
                 for i in range(1, field.q**f.m):
                     x = index_to_vector(field.q, f.m, i)
-                    if dot(field, y, (f.eval(x),) + x):
+                    if dot(field, y, (reference_value(f, x),) + x):
                         A[5, 0] = x
                         break
         return A

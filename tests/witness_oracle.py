@@ -7,12 +7,13 @@ membership, orthogonality and rank.  The library builds every witness with
 its batched builder (minicode.witness and minicode.mm_witness); the tests
 compare that builder with this oracle, class by class.
 
-The oracle shares no construction code with the builder it checks: from
-minicode it imports only public names (the spec types, WitnessBasis and
-scalar vector helpers) and nothing from minicode.mm_witness, and CI
-refuses any other import.  Its elimination and its lemma-level bases
-(which acceptance test 11 checks on their own) come from the test-only
-tests/scalar_reference.py.  It does not check the theorem hypotheses; its
+The oracle shares no construction or evaluation code with the builder it
+checks: from minicode it imports only public names (the spec types,
+WitnessBasis and scalar vector helpers) and nothing from
+minicode.mm_witness, and CI refuses any other import.  Its elimination,
+its lemma-level bases (which acceptance test 11 checks on their own) and
+its values of f (reference_value, the scalar evaluator memoized in one
+table per spec) come from the test-only tests/scalar_reference.py.  It does not check the theorem hypotheses; its
 callers do.
 """
 
@@ -29,7 +30,7 @@ from minicode.families import (
     monomial_support,
 )
 from minicode.gf import FieldSpec
-from minicode.linalg import Vec, check_same_length, dot, scale, unit_vector, vector_to_index
+from minicode.linalg import Vec, check_same_length, dot, scale
 from minicode.witness import WitnessBasis
 from scalar_reference import (
     EchelonBasis,
@@ -41,9 +42,12 @@ from scalar_reference import (
     linear_system_solutions,
     low_basis_against,
     rank,
+    reference_value,
     solve,
     unit_inner_basis,
+    unit_vector,
     vec_add,
+    vector_to_index,
 )
 
 
@@ -80,7 +84,7 @@ def _verify_theorem_witness(f: FunctionSpec, u: int, v: Vec, wb: WitnessBasis) -
     if u != 0:
         omega = _omega_of(field, u, v) if any(v) else (0,) * m
         for a in alphas:
-            if f.eval(a) != dot(field, omega, a):
+            if reference_value(f, a) != dot(field, omega, a):
                 raise construction_bug(f"f(alpha) != omega.alpha at alpha={a}")
         if rank(field, alphas) != m:
             raise construction_bug("case 1/2 vectors are not a basis")
@@ -88,7 +92,7 @@ def _verify_theorem_witness(f: FunctionSpec, u: int, v: Vec, wb: WitnessBasis) -
         for a in alphas:
             if dot(field, v, a) != 0:
                 raise construction_bug(f"alpha={a} is outside the hyperplane")
-        lifts = [(f.eval(a),) + a for a in alphas]
+        lifts = [(reference_value(f, a),) + a for a in alphas]
         if rank(field, lifts) != m:
             raise construction_bug("case 3 lifts are not independent")
 
@@ -104,7 +108,7 @@ def _case1_vectors(thm: TheoremId, f: FunctionSpec) -> list[Vec]:
         assert isinstance(mm, MaioranaMcFarland)
         s, t = mm.s, mm.t
         phi0 = _phi_at(f, (0,) * s)
-        c = f.eval((0,) * m)  # g(0), since the gamma part is zero
+        c = reference_value(f, (0,) * m)  # g(0), since the gamma part is zero
         gammas = linear_system_solutions(field, [phi0], [field.neg(c)])
         out = [(0,) * s + g for g in gammas]
         for i in range(1, s + 1):
@@ -136,7 +140,7 @@ def _case2_vectors(thm: TheoremId, f: FunctionSpec, u: int, v: Vec) -> list[Vec]
         betas = unit_inner_basis(field, omega).vectors
         if thm is TheoremId.A2:
             return list(betas)
-        return [scale(field, f.eval(b), b) for b in betas]
+        return [scale(field, reference_value(f, b), b) for b in betas]
 
     if thm is TheoremId.B:
         i0, lows = low_basis_against(field, omega)
@@ -150,7 +154,7 @@ def _case2_vectors(thm: TheoremId, f: FunctionSpec, u: int, v: Vec) -> list[Vec]
         out = []
         for i in range(m):
             if i == i0:
-                out.append(scale(field, f.eval(beta), beta))
+                out.append(scale(field, reference_value(f, beta), beta))
             else:
                 out.append(lows[i])
         return out
@@ -182,7 +186,7 @@ def _case2_monomial(thm: TheoremId, f: FunctionSpec, omega: Vec) -> list[Vec]:
     if thm is TheoremId.D2:
         offending = [
             i for i in lows
-            if f.eval(lows[i]) != dot(field, omega, lows[i])
+            if reference_value(f, lows[i]) != dot(field, omega, lows[i])
         ]
         if len(offending) > 1:
             raise construction_bug("more than one low vector misses its monomial value")
@@ -407,17 +411,17 @@ def _case3_mm(thm: TheoremId, f: FunctionSpec, v: Vec) -> list[Vec]:
 
     lifts = EchelonBasis(field, m + 1)
     for a in partial:
-        if not lifts.add((f.eval(a),) + a):
+        if not lifts.add((reference_value(f, a),) + a):
             raise construction_bug("partial case-3 lifts unexpectedly dependent")
 
     if field.q > 2:
         cand = scale(field, 2, partial[0])
-        if not lifts.add((f.eval(cand),) + cand):
+        if not lifts.add((reference_value(f, cand),) + cand):
             raise construction_bug("2*alpha_1 does not extend the case-3 lift span")
         return partial + [cand]
     for x in enumerate_vectors(field, m):
         if dot(field, v, x) != 0:
             continue
-        if lifts.add((f.eval(x),) + x):
+        if lifts.add((reference_value(f, x),) + x):
             return partial + [x]
     raise construction_bug("no hyperplane vector extends the case-3 lift span")
