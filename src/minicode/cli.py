@@ -320,8 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="definition | ab | dhz | rank | witness:<A1|A2|B|C1|C2|D1|D2>",
     )
     p.add_argument("--budget", type=int, default=None,
-                   help="elementary-field-op budget (default 1e10; "
-                        "MINICODE_BUDGET also applies)")
+                   help="elementary-field-op budget, a non-negative integer "
+                        "(default 10000000000; MINICODE_BUDGET also applies)")
     p.add_argument("--certificate", help="write the per-class certificate here")
     p.set_defaults(func=cmd_check)
 

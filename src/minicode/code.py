@@ -35,9 +35,10 @@ from .linalg import (
     np_class_reps,
     np_dots,
     np_hyperplane_counts,
+    np_point_chunks,
+    np_points,
     np_ranks,
     np_row_keys,
-    np_vectors,
     read_matrix,
     write_matrix,
 )
@@ -157,8 +158,7 @@ def defining_set(f: FunctionSpec) -> DefiningSet:
     """D_f = {(f(x), x) : x nonzero} in canonical x-order, built as one n x (m+1) array."""
     q, m = f.field.q, f.m
     check_enumerable(q, m, "construction guard")
-    values = f.table[1:].astype(np.int64)
-    rows = np.concatenate([values[:, None], np_vectors(q, m, 1, q**m)], axis=1)
+    rows = np.concatenate([f.table[1:, None], np_points(q, m)[1:]], axis=1)
     return DefiningSet(f.field, m + 1, rows, origin=("from_function", m))
 
 
@@ -174,8 +174,7 @@ def linearity_check(f: FunctionSpec) -> Optional[Vec]:
     check_enumerable(q, m)
     values = f.table
     omega = tuple(values.take(q ** np.arange(m - 1, -1, -1)).tolist())
-    x = np_chunk_rows(field, np_vectors(q, m, 0, q**m))
-    expected = np_dots(field, np_chunk_rows(field, omega), x)
+    expected = np_dots(field, np_chunk_rows(field, omega), np_point_chunks(field, m))
     return omega if np.array_equal(values[1:], expected[1:]) else None
 
 
@@ -267,7 +266,8 @@ def weight_distribution(D: DefiningSet) -> WeightEnumerator:
     if n == 0:
         raise GuardError("empty defining set")
     acc = np.bincount(n - D.hyperplane_counts, minlength=n + 1)
-    return WeightEnumerator(D.field.q, n, D.k, {w: int(c) for w, c in enumerate(acc) if c})
+    w = acc.nonzero()[0]
+    return WeightEnumerator(D.field.q, n, D.k, dict(zip(w.tolist(), acc.take(w).tolist())))
 
 
 def params(D: DefiningSet, enumerator: Optional[WeightEnumerator] = None) -> CodeParams:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Optional, Sequence, TextIO, Union
 
@@ -162,7 +162,8 @@ class FunctionSpec:
         row's weight; Maiorana-McFarland reads phi and g at the index of
         beta and adds phi(beta).gamma; a monomial sum adds products of
         powers, each read from the powers of all q elements, which are taken
-        by square-and-multiply.  Only the given points are evaluated.
+        by square-and-multiply once per field and exponent.  Only the given
+        points are evaluated.
         """
         X = np.asarray(X)
         field, v, dtype = self.field, self.variant, self.field.element_dtype
@@ -222,13 +223,19 @@ class FunctionSpec:
         return FunctionSpec(self.field, self.m, TableFunction(self.values()))
 
 
+@lru_cache(maxsize=64)
 def _powers(field: FieldSpec, n: int) -> np.ndarray:
-    """a^n for every element a, n >= 1, by square-and-multiply through vmul."""
+    """a^n for every element a, n >= 1, by square-and-multiply through vmul.
+
+    A shared read-only array, made on first use for each (field, n) and
+    kept in a bounded cache, so a spec's at pays for it once, not per call.
+    """
     acc, x = 1, np.arange(field.q)
     while n:
         if n & 1:
             acc = field.vmul(acc, x)
         x, n = field.vmul(x, x), n >> 1
+    acc.flags.writeable = False
     return acc
 
 

@@ -70,24 +70,28 @@ class ChunkTables(NamedTuple):
 
     h is the largest width whose Q*Q subtraction table has at most
     max(CHUNK_TABLE, q*q) entries, so Q <= 256 whenever h >= 2 and h = 1
-    from q = 17 up.  sub and mul hold chunks in the narrowest type for
+    from q = 17 up.  minus and mul hold chunks in the narrowest type for
     Q - 1 (one byte up to q = 256), and dot holds elements in the element
     type; at h = 1 dot is mul.  A row of h coordinates packs to its dot
     product with weights, digits reads one coordinate back, lowest finds
     the first nonzero coordinate of a chunk, a pivot, scale the row of mul
     that divides by it, and dot gives the inner product of two chunks in
-    one lookup.
+    one lookup.  An elimination step x - a y is minus[mulq[a*Q + y] + x]:
+    mulq holds each product already scaled to a row of minus, so the step
+    is two lookups and two additions, with no multiplication by Q, and the
+    index, below Q^2, stays in mulq's type (two bytes up to Q = 256).
     """
 
     h: int
     Q: int
-    weights: np.ndarray  # h: q^t, the value of digit t
+    weights: np.ndarray  # h float32: q^t, the value of digit t
     digits: np.ndarray   # h x Q intp: digits[t, x] = x_t * Q, a row index of mul
-    sub: np.ndarray      # Q*Q: sub[x*Q + y] = x - y, coordinatewise
     mul: np.ndarray      # q*Q: mul[a*Q + y] = a * y for a in F_q
     lowest: np.ndarray   # Q: lowest[x] = t * Q for the least t with x_t != 0, 0 for x = 0
     dot: np.ndarray      # Q*Q: dot[y*Q + x] = sum_t y_t x_t in F_q
     scale: np.ndarray    # h*Q intp: scale[t*Q + x] = (1/x_t) * Q, a row index of mul; 0 if x_t = 0
+    minus: np.ndarray    # Q*Q: minus[y*Q + x] = x - y, coordinatewise
+    mulq: np.ndarray     # q*Q: mulq[a*Q + y] = (a * y) * Q, a row index of minus, below Q^2
 
 
 class FieldSpec:
@@ -255,11 +259,13 @@ class FieldSpec:
         x = np.arange(Q)
         digits = np.stack([x // q**t % q * Q for t in range(h)])
         return ChunkTables(
-            h, Q, _frozen(q ** np.arange(h), dtype), _frozen(digits, np.intp),
-            _frozen(sub.ravel(), dtype), _frozen(mul.ravel(), dtype),
+            h, Q, _frozen(q ** np.arange(h), np.float32), _frozen(digits, np.intp),
+            _frozen(mul.ravel(), dtype),
             _frozen((digits != 0).argmax(axis=0) * Q, np.min_scalar_type(h * Q)),
             _frozen(dot.ravel(), self.element_dtype),
             _frozen(np.multiply(self.np_inv.take(digits.ravel() // Q), Q, dtype=np.intp), np.intp),
+            _frozen(sub.T.ravel(), dtype),
+            _frozen(np.multiply(mul.ravel(), Q, dtype=np.intp), np.min_scalar_type((Q - 1) * Q)),
         )
 
     @property

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
 
@@ -131,6 +132,27 @@ def np_digits(q: int, m: int, idx: np.ndarray, dtype=np.int64) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=8)
+def np_points(q: int, m: int) -> np.ndarray:
+    """All of F_q^m in canonical order, q^m x m in the narrowest type for q - 1.
+
+    A shared read-only array, made on first use for each (q, m) and kept
+    in a bounded cache.
+    """
+    return _read_only(np_digits(q, m, np.arange(q**m), np.min_scalar_type(q - 1)))
+
+
+@lru_cache(maxsize=8)
+def np_point_chunks(field: FieldSpec, m: int) -> np.ndarray:
+    """np_points of the field's order as np_chunk_rows rows: a shared read-only array."""
+    return _read_only(np_chunk_rows(field, np_points(field.q, m)))
+
+
+def _read_only(A: np.ndarray) -> np.ndarray:
+    A.flags.writeable = False
+    return A
+
+
 def np_indices(q: int, rows: np.ndarray) -> np.ndarray:
     """The canonical index of each row: np_vectors inverted."""
     return rows @ q ** np.arange(rows.shape[-1] - 1, -1, -1)
@@ -153,25 +175,21 @@ def np_hyperplane_counts(field: FieldSpec, D: np.ndarray) -> np.ndarray:
     max(DOT_BLOCK, q^2) entries.
     """
     k = D.shape[1]
-    q, e = field.q, np.arange(field.q)
+    q = field.q
     R = q ** (k - 1)
     H = np.bincount(np_indices(q, D), minlength=q**k).reshape(q, R)
-    # first step: the x with y x = s' is s'/y when y != 0
-    div = field.np_mul.reshape(q, q)[e[:, None], field.np_inv[None, 1:]]
     T = np.zeros((q, R, q), dtype=np.int64)
     T[0, :, 0] = H.sum(axis=0)
     cols = max(1, DOT_BLOCK // q**2)
+    div = _count_index(field, 0)
     for r in range(0, R, cols):
         T[:, r:r + cols, 1:] = H[:, r:r + cols][div].transpose(0, 2, 1)
-    # G[x, s', y] is the row (s, x) that feeds T'[s', y]: s = s' - y x
-    yx = field.np_mul.reshape(q, q).T[:, None, :]
-    G = np.multiply(field.np_sub.reshape(q, q)[e[None, :, None], yx], q, dtype=np.intp)
-    G += e[:, None, None]
     cols = max(1, DOT_BLOCK // q**3)
     vals = max(1, min(q, DOT_BLOCK // (q * q * cols)))
     for step in range(1, k):
         T = T.reshape(q * q, R)
         rows = 1 if step == k - 1 else q
+        G = _count_index(field, rows)
         out = np.empty((rows, R, q), dtype=np.int64)
         for r in range(0, R, cols):
             part = T[:, r:r + cols]
@@ -180,6 +198,25 @@ def np_hyperplane_counts(field: FieldSpec, D: np.ndarray) -> np.ndarray:
                 out[s:s + vals, r:r + cols] = summed.transpose(0, 2, 1)
         T = out
     return T[0].reshape(q**k).copy()
+
+
+@lru_cache(maxsize=8)
+def _count_index(field: FieldSpec, rows: int) -> np.ndarray:
+    """np_hyperplane_counts' gather indices of the field: shared, read-only arrays.
+
+    rows = 0 gives the first step's div[s', y] = s'/y (y != 0); rows = 1
+    or q the G[x, s', y] of the other steps for s' < rows, G being the row
+    (s, x) = s q + x that feeds T'[s', y], s = s' - y x.  The last step
+    reads s' = 0 alone, so a k = 2 transform, the only kind q^(k+1) <=
+    WDIST_GUARD allows past q = 90, keeps q^2 entries, not q^3.
+    """
+    q, e = field.q, np.arange(field.q)
+    if not rows:
+        return _read_only(field.np_mul.reshape(q, q)[e[:, None], field.np_inv[None, 1:]])
+    yx = field.np_mul.reshape(q, q).T[:, None, :]
+    G = np.multiply(field.np_sub.reshape(q, q)[e[None, :rows, None], yx], q, dtype=np.intp)
+    G += e[:, None, None]
+    return _read_only(G)
 
 
 def np_dots(field: FieldSpec, Y: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -223,25 +260,43 @@ def class_count(q: int, k: int) -> int:
     return (q**k - 1) // (q - 1)
 
 
-def np_class_reps(q: int, k: int, dtype=np.int64, start: int = 0,
-                  stop: Optional[int] = None) -> np.ndarray:
-    """The projective classes of F_q^k in canonical order, as rows of dtype.
+def np_class_reps(q: int, k: int, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
+    """The projective classes of F_q^k in canonical order: a shared read-only array.
 
     Rows start .. stop - 1 of the list of all P classes, every one by
-    default.  A class is represented by its vector (0..0, 1, tail), whose
-    first nonzero coordinate is 1.  With t tail digits its canonical index
-    is q^t + idx(tail), so the classes in ascending index are the ranges
-    [q^t, 2 q^t), t = 0..k-1, the range t starting at row class_count(q, t).
+    default, in the narrowest type for q - 1; made on first use for each
+    range and kept in a bounded cache.  A class is represented by its
+    vector (0..0, 1, tail), whose first nonzero coordinate is 1.  With t
+    tail digits its canonical index is q^t + idx(tail), so the classes in
+    ascending index are the ranges [q^t, 2 q^t), t = 0..k-1, the range t
+    starting at row class_count(q, t).
     """
-    stop = class_count(q, k) if stop is None else min(stop, class_count(q, k))
-    idx, first = [], 0
+    P = class_count(q, k)
+    return _class_reps(q, k, min(start, P), P if stop is None else min(stop, P))
+
+
+@lru_cache(maxsize=16)
+def _class_reps(q: int, k: int, start: int, stop: int) -> np.ndarray:
+    idx, first = [np.zeros(0, dtype=np.int64)], 0
     for t in range(k):
         size = q**t  # the classes with t tail digits: row first + i has index q^t + i
         lo, hi = max(start, first), min(stop, first + size)
         if lo < hi:
             idx.append(np.arange(lo + size - first, hi + size - first))
         first += size
-    return np_digits(q, k, np.concatenate(idx), dtype)
+    return _read_only(np_digits(q, k, np.concatenate(idx), np.min_scalar_type(q - 1)))
+
+
+def np_class_chunks(field: FieldSpec, k: int, start: int = 0,
+                    stop: Optional[int] = None) -> np.ndarray:
+    """np_class_reps(field.q, k, start, stop) as np_chunk_rows rows: a shared read-only array."""
+    P = class_count(field.q, k)
+    return _class_chunks(field, k, min(start, P), P if stop is None else min(stop, P))
+
+
+@lru_cache(maxsize=16)
+def _class_chunks(field: FieldSpec, k: int, start: int, stop: int) -> np.ndarray:
+    return _read_only(np_chunk_rows(field, _class_reps(field.q, k, start, stop)))
 
 
 def np_class_codewords(field: FieldSpec, rows: np.ndarray) -> np.ndarray:
@@ -294,8 +349,8 @@ def np_chunk_rows(field: FieldSpec, M: np.ndarray) -> np.ndarray:
     C = -(-c // h)
     S = np.zeros(M.shape[:-1] + (C * h,), dtype=np.float32)
     S[..., :c] = M
-    packed = S.reshape(-1, h) @ ch.weights.astype(np.float32)
-    return packed.astype(ch.sub.dtype).reshape(M.shape[:-1] + (C,))
+    packed = S.reshape(-1, h) @ ch.weights
+    return packed.astype(ch.mul.dtype).reshape(M.shape[:-1] + (C,))
 
 
 def np_ranks(field: FieldSpec, M) -> np.ndarray:
@@ -315,11 +370,11 @@ def np_chunk_ranks(field: FieldSpec, S: np.ndarray) -> np.ndarray:
     """Ranks over F_q of the B matrices of a B x r x C array of np_chunk_rows rows.
 
     Row-order elimination on whole chunks, with exact table arithmetic.
-    The batch is held rows first (r x C x B).  Row i in turn takes its
-    first nonzero coordinate as its pivot, found through lowest in its
-    first nonzero chunk, and is scaled to a leading 1; that coordinate is
-    then cleared from the contiguous slab of rows below it:
-    sub[X*Q + mul[a*Q + pivot]], a being each row's coordinate there.
+    The batch is held rows first (r x C x B), in the chunk type.  Row i in
+    turn takes its first nonzero coordinate as its pivot, found through
+    lowest in its first nonzero chunk, and is scaled to a leading 1; that
+    coordinate is then cleared from the contiguous slab of rows below it:
+    minus[mulq[a*Q + pivot] + X], a being each row's coordinate there.
     Every row below a pivot is zero at it, so a row's pivot is new, the
     nonzero rows are independent at the end and the rank is their count.
     A zero row scales to zero and clears nothing.  This costs r(r-1)/2
@@ -328,12 +383,10 @@ def np_chunk_ranks(field: FieldSpec, S: np.ndarray) -> np.ndarray:
     elimination.
     """
     ch = field.np_chunks
-    Q, sub = ch.Q, ch.sub
-    # the small tables in intp, so that every index is formed without a cast
-    mul, lowest = ch.mul.astype(np.intp), ch.lowest.astype(np.intp)
+    minus, mulq, mul, lowest = ch.minus, ch.mulq, ch.mul, ch.lowest
     digits, scale = ch.digits.ravel(), ch.scale  # x_t Q and (1/x_t) Q at t Q + x
     B, r, C = S.shape
-    S = np.ascontiguousarray(S.transpose(1, 2, 0), dtype=np.intp)
+    S = np.ascontiguousarray(S.transpose(1, 2, 0))
     flat = S.reshape(r, C * B)
     offsets = np.arange(B)
     for i in range(r - 1 if C else 0):
@@ -344,10 +397,10 @@ def np_chunk_ranks(field: FieldSpec, S: np.ndarray) -> np.ndarray:
             col = flat[i:]
         at = lowest.take(col[0]) + col  # t Q + x: digit t of each chunk x, t the pivot's
         pivot = mul.take(scale.take(at[0]) + row)  # row i with a leading 1
-        X = S[i + 1:] * Q
-        X += mul.take(digits.take(at[1:])[:, None, :] + pivot)
-        S[i + 1:] = sub.take(X)
-    return np.count_nonzero(S.any(axis=1), axis=0)
+        rest = mulq.take(digits.take(at[1:])[:, None, :] + pivot)
+        rest += S[i + 1:]  # below Q^2, which rest's type holds
+        S[i + 1:] = minus.take(rest)
+    return S.any(axis=1).sum(axis=0)
 
 
 # -- text files and the matrix format ------------------------------------------

@@ -11,13 +11,15 @@ Criteria:
   dhz         the weight-identity test over independent codeword pairs,
   rank        dim Span(D cap H(y)) = k-1 per class, with witness bases.
 
-The class representatives are one array (linalg.np_class_reps).  The rank
+The class representatives are one array (linalg.np_class_reps), shared
+and kept per (q, k).  The rank
 criterion scans D in a fixed stride order for a block of classes at a time,
 in hit rounds: each class's hits (the candidates orthogonal to it) are
-listed in scan order, and round r reduces the r-th hit of every class still
-scanning against the echelon rows that class kept, so a window of
-candidates costs about as many rounds as a class has hits in it, not one
-step per candidate.  Rows are packed into the np_chunks chunks of gf, so
+listed in scan order, and a round reduces the next ROUND_HITS hits of
+every class still scanning against the echelon rows that class kept and
+against each other, so a window of candidates costs about as many rounds
+as a class has hits in it over ROUND_HITS, not one step per candidate.
+Rows are packed into the np_chunks chunks of gf, so
 one table lookup updates several coordinates and one gives the inner
 product of two chunks (linalg.np_dots finds the hits), and a block holds
 the classes whose round state fits SCAN_BYTES, every class of a preset,
@@ -76,6 +78,7 @@ from .linalg import (
     np_check_rows,
     np_chunk_ranks,
     np_chunk_rows,
+    np_class_chunks,
     np_class_reps,
     np_dots,
     np_indices,
@@ -86,6 +89,7 @@ from .linalg import (
 
 DEFAULT_BUDGET = 10**10
 SCAN_BYTES = 2**23  # round state of one block of the rank scan
+ROUND_HITS = 3  # hits of each class one round of the rank scan reduces
 DEF_MAX_CLASSES = 10_000
 DEF_MAX_N = 1_000
 
@@ -95,11 +99,26 @@ INCONCLUSIVE = "inconclusive"
 
 
 def op_budget(budget: Optional[int] = None) -> int:
-    """The elementary-field-op budget; MINICODE_BUDGET overrides the default."""
-    if budget is not None:
-        return budget
-    env = os.environ.get("MINICODE_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
+    """The elementary-field-op budget; MINICODE_BUDGET overrides the default.
+
+    A budget is a non-negative integer.  Anything else, given (the CLI's
+    --budget) or read from MINICODE_BUDGET, raises ValueError naming where
+    it came from.
+    """
+    if budget is None:
+        env = os.environ.get("MINICODE_BUDGET")
+        if not env:
+            return DEFAULT_BUDGET
+        source = "MINICODE_BUDGET"
+        try:
+            budget = int(env)
+        except ValueError:
+            budget = env  # refused below
+    else:
+        source = "--budget"
+    if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)) or budget < 0:
+        raise ValueError(f"{source} must be a non-negative integer, not {budget!r}")
+    return int(budget)
 
 
 @dataclass(frozen=True)
@@ -436,8 +455,8 @@ def _rank_failure(D: DefiningSet, y: Vec, chosen: np.ndarray) -> MinimalityRepor
 
     def orthogonal(start: int) -> np.ndarray:
         """The classes of a block, other than y's, that are orthogonal to every kept row."""
-        Y = np_class_reps(q, k, field.element_dtype, start, start + step)
-        dots = np_dots(field, np_chunk_rows(field, Y)[:, None], kept)
+        Y = np_class_reps(q, k, start, start + step)
+        dots = np_dots(field, np_class_chunks(field, k, start, start + step)[:, None], kept)
         return Y[~dots.any(axis=1) & (Y != y).any(axis=1)]
 
     blocks = map(orthogonal, range(0, class_count(q, k), step))
@@ -450,14 +469,15 @@ def _rank_failure(D: DefiningSet, y: Vec, chosen: np.ndarray) -> MinimalityRepor
 def _block_scan(D: DefiningSet) -> tuple[Callable, int]:
     """(scan, step): the rank criterion's per-block setup, shared by both rank checks.
 
-    scan(Y) runs _greedy_block on the classes Y and returns (chosen,
-    count): chosen[b, :count[b]] are the 1-based D indices class b kept.
+    scan(Yc) runs _greedy_block on the classes whose chunk rows are Yc and
+    returns (chosen, count): chosen[b, :count[b]] are the 1-based D
+    indices class b kept.
     The scan reads D a window of candidates at a time: 2qk of them, among
     which a class meets about 2k hits, or all of D when it is smaller, and
     never more than 2 sqrt(DOT_BLOCK).  A block of step classes holds
     about SCAN_BYTES of round state: per class its kept rows and their scan
-    positions, a window of hit positions, and a round's intp indices (at
-    and J, one per kept row, and X, one per chunk).  Every preset and
+    positions, a window of hit positions, and a round's indices (two per
+    kept row, one per chunk).  Every preset and
     every benchmark code fits one block, so the tail of near-empty hit
     rounds, the few classes that scan longest, is paid once per code; the
     blocks remain for codes whose P is huge against n.  The scan-order
@@ -471,8 +491,8 @@ def _block_scan(D: DefiningSet) -> tuple[Callable, int]:
     C = len(rows)
     state = (k - 1) * (C * rows.itemsize + pos + 2 * intp) + window * pos + C * intp
 
-    def scan(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        picked, count = _greedy_block(field, Y, rows, window)
+    def scan(Yc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        picked, count = _greedy_block(field, Yc, k, rows, window)
         return order[picked] + 1, count
 
     return scan, max(1, SCAN_BYTES // state)
@@ -491,7 +511,7 @@ def rank_criterion_codeword(y: Sequence[int], D: DefiningSet) -> MinimalityRepor
         raise GuardError(f"rank criterion needs rank(D) = k; got {D.rank} < {D.k}")
     y = normalize_class(D.field, y)
     scan, _ = _block_scan(D)
-    chosen, count = scan(np.array([y], dtype=np.int64))
+    chosen, count = scan(np_chunk_rows(D.field, np.array([y])))
     chosen = chosen[0, :count[0]]
     if count[0] < D.k - 1:
         return _rank_failure(D, y, chosen)
@@ -525,16 +545,15 @@ def rank_criterion_code(
         raise BudgetExceededError(
             f"estimated {estimated} field ops exceed the budget {limit}"
         )
-    reps = np_class_reps(q, k, field.element_dtype)
+    reps, chunks = np_class_reps(q, k), np_class_chunks(field, k)
     entries = np.empty((P, k - 1), dtype=np.min_scalar_type(n))
     scan, step = _block_scan(D)
     for start in range(0, P, step):
-        Y = reps[start:start + step]
-        chosen, count = scan(Y)
+        chosen, count = scan(chunks[start:start + step])
         failed = np.flatnonzero(count < k - 1)
         if failed.size:
             b = int(failed[0])
-            return _rank_failure(D, tuple(Y[b].tolist()), chosen[b, :count[b]])
+            return _rank_failure(D, tuple(reps[start + b].tolist()), chosen[b, :count[b]])
         entries[start:start + step] = chosen
     cert = Certificate(q=q, n=n, k=k, mode="indices",
                        classes=CertificateClasses(reps, entries))
@@ -542,101 +561,142 @@ def rank_criterion_code(
 
 
 def _greedy_block(
-    field: FieldSpec, Y: np.ndarray, rows: np.ndarray, window: int,
+    field: FieldSpec, Yc: np.ndarray, k: int, rows: np.ndarray, window: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The greedy scans of D cap H(y) for every class y of a block, run in hit rounds.
 
-    rows holds D's members as np_chunks chunks, chunk-major (chunks x n),
-    in scan order.  The scan reads D a window of candidates at a time.
-    np_dots of the block's classes, packed once, against the window's
-    chunk rows, DOT_BLOCK values a call, gives each class still scanning
-    its hits, the candidates it is orthogonal to, in scan order.  Round r
-    then takes the r-th hit of every class that is still scanning and has
-    one and reduces it against that class's kept rows, whole chunks at a
-    time: sub[X Q + mul[c Q + row]], c being the candidate's coordinate at
-    the row's pivot, read through digits.  A remainder is kept, scaled to a
-    leading 1 found through the lowest table; a class retires at k-1 rows.
-    Each class meets its own hits in scan order, so it keeps the rows a
-    sequential echelon walk over them keeps, while a window costs as many
-    rounds as its busiest class has hits to try, not one step per candidate.
-    The arrays of a round are chunk-major too (chunks x classes), so each
-    numpy call runs along the classes.
+    Yc holds the block's classes, vectors of F_q^k, as np_chunks chunk
+    rows; rows holds D's members the same way, chunk-major (chunks x n), in
+    scan order.  The scan reads D a window of candidates at a time.
+    np_dots of the block's classes against the window's chunk rows,
+    DOT_BLOCK values a call, gives each class still scanning its hits, the
+    candidates it is orthogonal to, listed in scan order, one class after
+    another; each class holds a cursor into its hits.  A round takes the
+    next ROUND_HITS hits of every class that has them and has not retired,
+    a zero candidate past the last of a class's hits, and reduces them
+    against that class's kept rows, whole chunks at a time,
+    and then each against the ones before it, in order, as a row-order
+    elimination does: x - c g is minus[mulq[c Q + g] + x], c being x's
+    coordinate at g's pivot, read through digits, and every row is scaled
+    to a leading 1 found through the lowest table.  A hit whose remainder
+    is not zero is kept, in the class's next free slot; a class retires at
+    k-1 rows, and since its hits lie in H(y) it can keep no more.  So each
+    class keeps the rows a sequential echelon walk over its hits keeps,
+    while a window costs one round per ROUND_HITS hits that its busiest
+    class tries, not one step per candidate.  The arrays of a round are
+    chunk-major too (chunks x hits x classes), so each numpy call runs
+    along the classes.
 
     Returns (picked, count): picked[b, :count[b]] are the scan positions
     class b kept.  count[b] < k-1 means its scan exhausted D cap H(y), whose
     rank is then count[b].
     """
     ch = field.np_chunks
-    Q, sub, mul, lowest = ch.Q, ch.sub, ch.mul, ch.lowest
+    minus, mulq, mul, lowest = ch.minus, ch.mulq, ch.mul, ch.lowest
     digits, scale = ch.digits.ravel(), ch.scale  # x_t Q and (1/x_t) Q at t Q + x
-    B, k = Y.shape
-    Yc = np_chunk_rows(field, Y)
+    B, s = len(Yc), ROUND_HITS
     C, n = rows.shape
     # the kept rows scaled to a leading 1 (chunk-major), each pivot's chunk j
-    # and its t Q in that chunk, and the rows' scan positions, at slot B + class
-    basis = np.zeros((C, (k - 1) * B), dtype=rows.dtype)
-    chunk = np.zeros((k - 1) * B, dtype=np.min_scalar_type(C))
-    digit = np.zeros((k - 1) * B, dtype=lowest.dtype)
-    picked = np.zeros((k - 1) * B, dtype=np.min_scalar_type(n))
-    count = np.zeros(B, dtype=np.intp)
-    slots = np.arange(0, (k - 1) * B, B)[:, None]  # where each slot starts
+    # and its t Q in that chunk, and the rows' scan positions: row i of class
+    # b in slot i B + b
+    full = (k - 1) * B
+    basis = np.zeros((C, full), dtype=rows.dtype)
+    chunk = np.zeros(full, dtype=np.min_scalar_type(C))
+    digit = np.zeros(full, dtype=lowest.dtype)
+    picked = np.zeros(full, dtype=np.min_scalar_type(n))
+    slots = np.arange(0, full, B)[:, None]  # where each slot starts
+    free = np.arange(B)  # each class's next free slot, full or more once it retires
     live = np.arange(B if k > 1 else 0)  # the classes still scanning
     t = 0
     while live.size and t < n:
         stop = min(n, t + window)
-        W = rows[:, t:stop].T  # the window's chunk rows, a view
-        part = np_block_rows(stop - t)
+        L = stop - t
+        Wx = np.zeros((C, L + 1), dtype=rows.dtype)  # the window's chunk rows, then a zero row
+        Wx[:, :L] = rows[:, t:stop]
+        part = np_block_rows(L)
         total, found = [], []
         for a in range(0, live.size, part):
-            hits = np_dots(field, Yc[live[a:a + part], None], W) == 0
+            hits = np_dots(field, Yc[live[a:a + part], None], Wx[:, :L].T) == 0
             total.append(hits.sum(axis=1))
             flat = hits.ravel().nonzero()[0]  # row-major: each class's hits in scan order
-            found.append((flat % (stop - t) + t).astype(picked.dtype))
-        # the scan positions of the hits of every live class, one class after another
+            found.append((flat % L).astype(np.min_scalar_type(L)))
+        # the window positions of the hits of every live class, one class after another
         total, found = (np.concatenate(v) if len(v) > 1 else v[0] for v in (total, found))
-        first = total.cumsum() - total  # where each class's hits start in found
-        sel = total.nonzero()[0]  # rows of live with an r-th hit
-        most = int(count.take(live).max())  # kept rows so far; a round adds at most one
+        end = total.cumsum()
+        # per class with hits: the class, the cursor of its next hit in found, the end of its hits
+        state = np.concatenate((live, end - total, end)).reshape(3, -1).take(
+            total.nonzero()[0], axis=1)
+        most = int(free.take(live).max()) // B  # kept rows so far; a round adds at most s
         r = 0
-        while sel.size:
-            h = live.take(sel)
-            pos = found.take(first.take(sel) + r)
-            w = rows.take(pos, axis=1)
-            kept = min(most + r, k - 2)
+        while state.shape[1]:
+            h, S = state[0], state.shape[1]
+            u = min(s, int((state[2] - state[1]).max()))  # hits left to the busiest class
+            cursor = state[1] + np.arange(u)[:, None]
+            # u x S, L (the zero row) past the last of a class's hits
+            P = np.where(cursor < state[2], found.take(cursor, mode="clip"), L)
+            w = Wx.take(P, axis=1)  # C x u x S: the round's hits
+            if C > 1:  # flat indices in w of each class's chunk j of its hit i
+                rS = np.arange(0, u * S, S, dtype=np.int32)[:, None]
+                ar = np.arange(S, dtype=np.int32)
+            kept = min(most + r * s, k - 2)
             if kept:
                 # rows past a class's count are zero, so they leave it as is
-                at = h + slots[:kept]  # kept x classes, flat
-                G, T = basis.take(at, axis=1), digit.take(at)
-                if C > 1:  # else each pivot lies in a row's one chunk
-                    J = np.multiply(chunk.take(at), h.size, dtype=np.intp)
-                    J += np.arange(h.size)  # flat in w
+                slot = h + slots[:kept]  # kept x S, flat
+                G, T = basis.take(slot, axis=1), digit.take(slot)
+                if C > 1:  # J < C u S, which SCAN_BYTES keeps far below 2^31
+                    J = np.multiply(chunk.take(slot), u * S, dtype=np.int32)
+                    J += ar
+                del slot
                 for i in range(kept):
-                    x = w.take(J[i]) if C > 1 else w.ravel()  # the chunk of the pivot
+                    x = w.take(J[i] + rS) if C > 1 else w[0]  # u x S: each hit's chunk at the pivot
                     c = digits.take(T[i] + x)  # c Q, c the coordinate at the pivot
-                    X = np.multiply(w, Q, dtype=np.intp)
-                    X += mul.take(c + G[:, i])
-                    w = sub.take(X)
-            new = w.any(axis=0).nonzero()[0]
-            if new.size:
-                w, hn = w.take(new, axis=1), h.take(new)
-                slot = count.take(hn)
-                at = slot * B + hn
+                    w = minus.take(_product(mulq, c + G[:, i, None], w))
+            # the round's hits, in order, as a row-order elimination: pivot, scale, clear below
+            low = np.empty((u, S), dtype=lowest.dtype)
+            jc = np.empty((u, S), dtype=chunk.dtype) if C > 1 else None
+            for i in range(u):
+                row = w[:, i]
                 if C > 1:
-                    j = (w != 0).argmax(axis=0)
-                    x = w.take(j * new.size + np.arange(new.size))  # each new pivot's chunk
-                    chunk[at] = j
+                    jc[i] = (row != 0).argmax(axis=0)
+                    at = np.multiply(jc[i], u * S, dtype=np.int32)
+                    at += ar
+                    x = w.take(at + rS[i])
                 else:
-                    x = w.ravel()
-                low = lowest.take(x)
-                basis[:, at] = mul.take(scale.take(low + x) + w)
-                digit[at] = low
-                picked[at] = pos.take(new)
-                count[hn] = slot + 1
+                    x = row[0]
+                low[i] = lowest.take(x)
+                w[:, i] = row = mul.take(scale.take(low[i] + x) + row)
+                if i < u - 1:
+                    x = w.take(at + rS[i + 1:]) if C > 1 else w[0, i + 1:]
+                    c = digits.take(low[i] + x)
+                    w[:, i + 1:] = minus.take(_product(mulq, c + row[:, None], w[:, i + 1:]))
+            # keep the nonzero rows, each class's in order in its next free slots
+            nz = w.any(axis=0)  # u x S
+            flat = nz.ravel().nonzero()[0]
+            if flat.size:
+                slot = nz.cumsum(axis=0)  # a hit's slot: the class's next free one, plus
+                slot -= nz  # one for each row kept before it this round
+                slot *= B
+                slot += free.take(h)
+                slot = slot.ravel().take(flat)
+                basis[:, slot] = w.reshape(C, u * S).take(flat, axis=1)
+                digit[slot] = low.ravel().take(flat)
+                if C > 1:
+                    chunk[slot] = jc.ravel().take(flat)
+                picked[slot] = np.add(P.ravel().take(flat), t, dtype=np.intp)
+                free[h] += nz.sum(axis=0) * B
             r += 1
-            sel = sel[(total.take(sel) > r) & (count.take(h) < k - 1)]
-        live = live[count.take(live) < k - 1]
+            state[1] += u
+            state = state.take(((state[1] < state[2]) & (free.take(h) < full)).nonzero()[0], axis=1)
+        live = live[free.take(live) < full]
         t = stop
-    return picked.reshape(k - 1, B).T, count
+    return picked.reshape(k - 1, B).T, free // B
+
+
+def _product(mulq: np.ndarray, at: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """mulq[at] + w, the index of w - c g in minus: below Q^2, which mulq's type holds."""
+    index = mulq.take(at)
+    index += w
+    return index
 
 
 def cf_case_check(

@@ -180,12 +180,12 @@ def _batched_arrays(thm: TheoremId, f: FunctionSpec) -> tuple[np.ndarray, np.nda
         return table.take(np_indices(q, X))
 
     reps = np_class_reps(q, k)
-    dtype = field.element_dtype
-    out = np.empty((len(reps), m, k), dtype=dtype)
+    Y = reps.astype(np.int64)
+    out = np.empty((len(reps), m, k), dtype=field.element_dtype)
     step = np_check_rows(k)
     for start in range(0, len(reps), step):
-        out[start:start + step] = _checked_lifts(thm, f, fvals, reps[start:start + step])
-    return reps.astype(dtype), out
+        out[start:start + step] = _checked_lifts(thm, f, fvals, Y[start:start + step])
+    return reps, out
 
 
 def _checked_lifts(thm: TheoremId, f: FunctionSpec, fvals: Values, Y: np.ndarray) -> np.ndarray:

@@ -106,6 +106,36 @@ def test_check_budget_exceeded_is_distinct_exit(tmp_path):
     assert code2 == EXIT_NEGATIVE
 
 
+@pytest.mark.parametrize("flag, env, name", [
+    ((), "1e10", "MINICODE_BUDGET"),
+    ((), "-3", "MINICODE_BUDGET"),
+    (("--budget", "-1"), None, "--budget"),
+])
+def test_check_refuses_a_malformed_budget(monkeypatch, flag, env, name):
+    # a budget that is no non-negative integer is an input error naming its
+    # source, before any scan; a valid one still decides
+    if env is None:
+        monkeypatch.delenv("MINICODE_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("MINICODE_BUDGET", env)
+    code, out, err = run_cli("check", "sec5_f1", "--criterion", "rank", *flag)
+    assert code == EXIT_ERROR and not out
+    assert name in err and "non-negative integer" in err and "exceed" not in err
+
+
+def test_budget_help_default_is_accepted_by_the_flag(monkeypatch):
+    from minicode.minimality import DEFAULT_BUDGET
+
+    out = io.StringIO()
+    with redirect_stdout(out), pytest.raises(SystemExit):
+        main(["check", "--help"])
+    assert f"(default {DEFAULT_BUDGET};" in " ".join(out.getvalue().split())
+    monkeypatch.delenv("MINICODE_BUDGET", raising=False)
+    code, out, _ = run_cli("check", "sec5_f1", "--criterion", "rank",
+                           "--budget", str(DEFAULT_BUDGET))
+    assert code == EXIT_OK and out.strip() == "minimal"
+
+
 def test_check_writes_certificate(tmp_path):
     cert_path = tmp_path / "c.cert"
     code, _, _ = run_cli("check", "sec5_f1", "--criterion", "rank",

@@ -263,8 +263,8 @@ def test_chunk_tables(q, h):
     ch = fresh.np_chunks
     Q = q**h
     assert (ch.h, ch.Q) == (h, Q) and type(ch.Q) is int
-    assert ch.sub.dtype == ch.mul.dtype == ch.dot.dtype == fresh.element_dtype
-    assert ch.sub.shape == ch.dot.shape == (Q * Q,) and ch.mul.shape == (q * Q,)
+    assert ch.minus.dtype == ch.mul.dtype == ch.dot.dtype == fresh.element_dtype
+    assert ch.minus.shape == ch.dot.shape == (Q * Q,) and ch.mul.shape == (q * Q,)
     assert ch.weights.tolist() == [q**t for t in range(h)]
 
     def coords(x):
@@ -277,12 +277,18 @@ def test_chunk_tables(q, h):
     for _ in range(200):
         x, y, a = rng.randrange(Q), rng.randrange(Q), rng.randrange(q)
         X, Y = coords(x), coords(y)
-        assert ch.sub[x * Q + y] == chunk([F.sub(s, t) for s, t in zip(X, Y)])
+        assert ch.minus[y * Q + x] == chunk([F.sub(s, t) for s, t in zip(X, Y)])
         assert ch.mul[a * Q + y] == chunk([F.mul(a, t) for t in Y])
+        # an elimination step x - a y as two lookups: mulq holds each
+        # product as its row of minus
+        assert ch.mulq[a * Q + y] == int(ch.mul[a * Q + y]) * Q
+        assert ch.minus[ch.mulq[a * Q + y] + x] == chunk(
+            [F.sub(s, F.mul(a, t)) for s, t in zip(X, Y)])
         assert ch.digits[:, x].tolist() == [c * Q for c in X]
         assert ch.dot[y * Q + x] == functools.reduce(F.add, map(F.mul, Y, X))
-    assert not ch.sub.flags.writeable and not ch.digits.flags.writeable
-    assert not ch.dot.flags.writeable
+    assert not ch.minus.flags.writeable and not ch.digits.flags.writeable
+    assert not ch.dot.flags.writeable and not ch.mulq.flags.writeable
+    assert ch.mulq.shape == (q * Q,) and ch.mulq.dtype == np.min_scalar_type((Q - 1) * Q)
     if h == 1:  # a chunk is one coordinate, and the dot table is mul
         assert ch.dot.tolist() == ch.mul.tolist()
     # lowest holds t Q, the row of digits, for the first nonzero coordinate t

@@ -242,7 +242,7 @@ def test_np_dots_matches_scalar_dot(q):
     # type and y Q + w does not (y = 1 against w = 242 on F_3, y = 15
     # against w = 16 on F_17), so an index formed in the chunk type wraps.
     ch = F.np_chunks
-    top = np.iinfo(ch.sub.dtype).max
+    top = np.iinfo(ch.mul.dtype).max
     for y0 in sorted({1, min(top // ch.Q, ch.Q - 1)}):
         y = [y0 // F.q**t % F.q for t in range(h)]
         D = [[F.q - 1] * h, [F.q - 1] * (h - 1) + [0], [0] * (h - 1) + [F.q - 1], y]

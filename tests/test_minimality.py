@@ -284,8 +284,17 @@ def test_budget_env_override(monkeypatch):
     monkeypatch.setenv("MINICODE_BUDGET", "123")
     assert op_budget() == 123
     assert op_budget(10) == 10
+    assert op_budget(0) == 0
     monkeypatch.delenv("MINICODE_BUDGET")
     assert op_budget() == 10**10
+    # a budget is a non-negative integer; anything else is refused by its source
+    for env in ("1e10", "-3", "ten"):
+        monkeypatch.setenv("MINICODE_BUDGET", env)
+        with pytest.raises(ValueError, match="MINICODE_BUDGET must be a non-negative integer"):
+            op_budget()
+    for bad in (-1, 1e10, True, "10"):
+        with pytest.raises(ValueError, match="--budget must be a non-negative integer"):
+            op_budget(bad)
 
 
 def definition_reference(D):
