@@ -405,16 +405,47 @@ def np_chunk_ranks(field: FieldSpec, S: np.ndarray) -> np.ndarray:
 
 # -- text files and the matrix format ------------------------------------------
 
-@contextmanager
-def text_lines(src: Union[str, TextIO]) -> Iterator[Iterator[str]]:
-    """The non-blank lines of a path or a stream, read one line at a time.
+READ_CHARS = 2**16  # characters of text read at once
 
-    Lines are split as str.splitlines splits the whole text.  A path is
-    opened as UTF-8 and closed when the block exits, also on an error; a
-    stream is read as it is and left open.
+
+@contextmanager
+def text_pieces(src: Union[str, TextIO]) -> Iterator[Iterator[str]]:
+    """The text of a path or a stream in pieces of whole lines.
+
+    The text is read READ_CHARS characters at a time, and each piece is cut
+    after its last "\n" or "\r"; the rest begins the next piece, so a
+    piece grows until it holds a line break or the text ends.  A cut
+    between "\r" and "\n" ends one piece with "\r" and begins the next
+    with "\n".  A path is opened as UTF-8, with universal newlines, and
+    closed when the block exits, also on an error; a stream is read as it
+    is and left open.
     """
     with open(src, "r", encoding="utf-8") if isinstance(src, str) else nullcontext(src) as fh:
-        yield filter(str.strip, chain.from_iterable(map(str.splitlines, fh)))
+        yield _pieces(fh)
+
+
+def _pieces(fh: TextIO) -> Iterator[str]:
+    rest: list[str] = []  # the text read since the last line break
+    while read := fh.read(READ_CHARS):
+        cut = max(read.rfind("\n"), read.rfind("\r")) + 1
+        if cut:
+            yield "".join([*rest, read[:cut]])
+            rest = []
+        rest.append(read[cut:])
+    if any(rest):
+        yield "".join(rest)
+
+
+@contextmanager
+def text_lines(src: Union[str, TextIO]) -> Iterator[Iterator[str]]:
+    """The non-blank lines of a path or a stream, split a text piece at a time.
+
+    Lines are split as str.splitlines splits the whole text: the pieces of
+    text_pieces are whole lines, and a cut between "\r" and "\n" only adds
+    a blank line, which is dropped with the others.
+    """
+    with text_pieces(src) as pieces:
+        yield filter(str.strip, chain.from_iterable(map(str.splitlines, pieces)))
 
 
 def write_text(out: Union[str, TextIO], chunks: Iterable[str]) -> None:

@@ -53,7 +53,7 @@ import operator
 import os
 from collections import abc
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from typing import Callable, Iterator, Optional, Sequence, TextIO, Union
 
 import numpy as np
@@ -83,7 +83,7 @@ from .linalg import (
     np_dots,
     np_indices,
     scale,
-    text_lines,
+    text_pieces,
     write_text,
 )
 
@@ -282,8 +282,8 @@ def _narrow(A: np.ndarray, top: int) -> np.ndarray:
     An entry outside 0..top is kept, so that the verifier can see and refuse it.
     """
     if not A.size or (A.min() >= 0 and A.max() <= top):
-        return A.astype(np.min_scalar_type(min(top, np.iinfo(np.int64).max)))
-    return A.astype(np.int64)
+        return A.astype(np.min_scalar_type(min(top, np.iinfo(np.int64).max)), copy=False)
+    return A.astype(np.int64, copy=False)
 
 
 # What a criterion reports beside its verdict: a Certificate (rank_criterion_code)
@@ -807,10 +807,14 @@ def write_certificate(out: Union[str, TextIO], cert: Certificate) -> None:
     no Python work per line or per integer.  Their integers are the rows of
     a token matrix, in the certificate's narrow type (in uint64, signs
     aside, if an array is int64 to keep values the verifier refuses).  A
-    token's width is its separator's (" ", " | " after the representative,
-    "\n" at the end of the line), plus one, plus one for each power of ten
-    it reaches and one for a sign; one cumsum of the widths places every
-    token.  The digits are written from the units up, pass d writing only
+    token's separator is " ", " | " after the representative or "\n" at
+    the end of the line.  In a block with no second digit and no sign,
+    every line is as wide as a line of one-digit tokens, and each token's
+    digit lies at its column's offset in that line (the widths of the
+    separators and digits before it).  In any other block a token's last
+    digit lies at its line's start, plus that offset, plus the count of
+    extra digits and signs in its line up to it, one cumsum along each
+    line; the digits are written from the units up, pass d writing only
     the tokens of at least 10^d, into a buffer of spaces that then gets its
     "-", "|" and line breaks.  The text is str() of every value.
     """
@@ -818,34 +822,44 @@ def write_certificate(out: Union[str, TextIO], cert: Certificate) -> None:
     P, k = len(reps), cert.k
     R = k + entries[:1].size  # integers per line
     flat = entries.reshape(P, R - k)
-    sep = np.ones(R, dtype=np.int8)  # the width of the separator after each integer
+    sep = np.ones(R, dtype=np.intp)  # the width of the separator after each integer
     sep[k - 1] = 3
     sep[-1] += R == k  # " | \n" when k = 1
+    col = np.cumsum(sep + 1) - sep - 1  # each token's digit in a line of one-digit tokens
+    line = int(sep.sum()) + R  # the width of that line
     signed = "i" in (reps.dtype.kind, entries.dtype.kind)
 
     def block(Y: np.ndarray, E: np.ndarray) -> str:
         T = np.concatenate((Y, E), axis=1, dtype=np.uint64 if signed else None, casting="unsafe")
-        at = np.int32 if T.size * 25 < 2**31 else np.int64  # a position in the text
-        width = np.broadcast_to(sep + 1, T.shape).astype(at)
         if signed:
             neg = np.concatenate((Y < 0, E < 0), axis=1)
             np.negative(T, out=T, where=neg)  # |value|, also for -2^63
-            width += neg
-        for d in range(1, len(str(int(T.max())))):
-            width += T >= 10**d
-        end = np.cumsum(width, dtype=at)  # each token's end, separator included
-        units = (end.reshape(-1, R) - (sep + 1)).ravel()  # each token's last digit
-        text = np.full(end[-1], ord(" "), dtype=np.uint8)
-        V, pos = T.ravel(), units
+        top = int(T.max())
+        if top < 10 and not (signed and neg.any()):  # one byte per token: lines of one width
+            text = np.full((len(T), line), ord(" "), dtype=np.uint8)
+            text[:, col] = T + ord("0")
+            text[:, col[k - 1] + 2] = ord("|")
+            text[:, -1] = ord("\n")
+            return text.tobytes().decode("ascii")
+        # each token's sign and digits past the first
+        extra = neg.astype(np.uint8) if signed else np.zeros(T.shape, np.uint8)
+        for d in range(1, len(str(top))):
+            extra += T >= 10**d
+        units = np.cumsum(extra, axis=1, dtype=np.intp)  # those of its line up to each token
+        width = units[:, -1] + line  # each line's
+        units += col
+        units += (np.cumsum(width) - width)[:, None]  # plus its line's start: its last digit
+        text = np.full(units[-1, -1] + sep[-1] + 1, ord(" "), dtype=np.uint8)
+        V, pos = T.ravel(), units.ravel()
         while V.size:
-            text[pos] = V % 10 + ord("0")
-            V //= 10
-            live = V.nonzero()[0]
-            V, pos = V.take(live), pos.take(live) - 1
+            high = V // 10  # V % 10 is V - 10 high, which costs a fraction of numpy's %
+            text[pos] = V - high * 10 + ord("0")
+            live = high.nonzero()[0]
+            V, pos = high.take(live), pos.take(live) - 1
         if signed:
-            text[(end - width.ravel())[neg.ravel()]] = ord("-")
-        text[units[k - 1::R] + 2] = ord("|")
-        text[end[R - 1::R] - 1] = ord("\n")
+            text[(units - extra)[neg]] = ord("-")
+        text[units[:, k - 1] + 2] = ord("|")
+        text[units[:, -1] + sep[-1]] = ord("\n")
         return text.tobytes().decode("ascii")
 
     def chunks() -> Iterator[str]:
@@ -862,29 +876,35 @@ WRITE_BLOCK = 1024  # certificate lines formatted at once
 def read_certificate(src: Union[str, TextIO]) -> Certificate:
     """Parse a certificate file straight into its two arrays.
 
-    The text is read a line at a time and parsed READ_BLOCK non-blank lines
-    at a time; no copy of the whole is kept.  A plain block (ASCII digits,
-    spaces and tabs around one "|" per line, with k tokens before it and
-    k-1 entries after it, and no token over 18 digits) is read by numpy,
-    which finds its tokens as runs of digits.  Any other block is read a
-    line and a token at a time, with one int() per distinct token; that
-    path reads the full language (signs, "1_0", non-ASCII digits) and gives
-    every error.  Each block is narrowed as it is read.  The checks and
-    their messages are those of a reader that splits the whole text into
-    lines, checks the header and the line count and then each line in
-    order: the first failing line is reported only after the count, and a
-    class with other than k-1 entries, or an integer beyond 64 bits, only
-    after every line, with the message Certificate's constructor gives.
+    The text is read in the pieces of linalg.text_pieces, whole lines of
+    about READ_CHARS characters; no copy of the whole is kept.  A plain
+    piece (ASCII digits, spaces, tabs, "|" and line breaks "\n" and "\r",
+    where a line with no token and no "|" is blank and every other line
+    is k tokens, one "|" and k-1 entries, and no token is over 18 digits)
+    is read whole by numpy, which finds its tokens as runs of digits.  Any
+    other piece is split into its non-blank lines and read a line and a
+    token at a time, with one int() per distinct token; that path reads
+    the full language (signs, "1_0", non-ASCII digits, other line breaks)
+    and gives every error.  Each piece is narrowed as it is read.  The
+    checks and their messages are those of a reader that splits the whole
+    text into lines, checks the header and the line count and then each
+    line in order: the first failing line is reported only after the
+    count, and a class with other than k-1 entries, or an integer beyond
+    64 bits, only after every line, with the message Certificate's
+    constructor gives.
     """
-    with text_lines(src) as lines:
-        return _parse_certificate(lines)
+    with text_pieces(src) as pieces:
+        return _parse_certificate(pieces)
 
 
-READ_BLOCK = 1024  # non-blank certificate lines parsed at once
-
-
-def _parse_certificate(lines: Iterator[str]) -> Certificate:
-    first = next(lines, None)
+def _parse_certificate(pieces: Iterator[str]) -> Certificate:
+    first, rest = None, ""
+    for piece in pieces:  # the header, the first non-blank line, and the rest of its piece
+        lines = piece.splitlines(True)
+        at = next((i for i, ln in enumerate(lines) if ln.strip()), None)
+        if at is not None:
+            first, rest = lines[at].splitlines()[0], "".join(lines[at + 1:])
+            break
     if first is None:
         raise CertificateFormatError("empty certificate file")
     head = first.split()
@@ -909,12 +929,13 @@ def _parse_certificate(lines: Iterator[str]) -> Certificate:
     # the first malformed line, the first class with other than k - 1
     # entries and an integer beyond 64 bits, raised in that order after the count
     found, error, short, overflow = 0, None, None, None
-    for block in iter(lambda: list(islice(lines, READ_BLOCK)), []):
-        found += len(block)
-        if error is not None:
-            continue  # only counted
-        arrays = _plain_block(block, k, shape)
+    for piece in chain((rest,), pieces):
+        arrays = None if error is not None else _plain_piece(piece, k, shape)
         if arrays is None:
+            block = list(filter(str.strip, piece.splitlines()))
+            found += len(block)
+            if error is not None:
+                continue  # only counted
             try:
                 rep_cells, cells, short_here = _token_block(block, k, shape, ints)
             except CertificateFormatError as exc:
@@ -923,12 +944,15 @@ def _parse_certificate(lines: Iterator[str]) -> Certificate:
             short = short or short_here
             if short is None and overflow is None:
                 try:
-                    arrays = _token_ints(rep_cells), _token_ints(cells)
+                    arrays = (_token_ints(rep_cells).reshape(len(block), k),
+                              _token_ints(cells).reshape(len(block), *shape))
                 except CertificateFormatError as exc:
                     overflow = exc
+        else:
+            found += len(arrays[0])
         if short is None and overflow is None:
-            reps.append(_narrow(arrays[0].reshape(len(block), k), q - 1))
-            entries.append(_narrow(arrays[1].reshape(len(block), *shape), top))
+            reps.append(_narrow(arrays[0], q - 1))
+            entries.append(_narrow(arrays[1], top))
     if found != count:
         raise CertificateFormatError(f"expected {count} class lines, found {found}")
     for late in (error, short, overflow):
@@ -938,55 +962,61 @@ def _parse_certificate(lines: Iterator[str]) -> Certificate:
         _stack(reps, (0, k), q - 1), _stack(entries, (0, *shape), top)))
 
 
-def _plain_block(block: list[str], k: int, shape: tuple[int, ...],
+def _plain_piece(piece: str, k: int, shape: tuple[int, ...],
                  ) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """A plain block's representatives and entries as unsigned arrays; None for any other block.
+    """A plain piece's representatives and entries as unsigned arrays; None for any other piece.
 
-    In a plain block every token is a run of ASCII digits with a value
-    below 10^18, and each line is k of them, "|" and prod(shape) of them.
-    Each byte-sized temporary is dropped once spent, which keeps a block's
-    peak near its token positions and values.
+    In a plain piece every token is a run of ASCII digits with a value
+    below 10^18, and a line, ended by "\n" or "\r", is k of them, "|" and
+    prod(shape) of them, or blank.  Each byte-sized temporary is dropped
+    once spent, which keeps a piece's peak near its token positions and
+    values.
     """
-    L, R = len(block), k + math.prod(shape)  # lines and tokens per line
-    text = "\n" + "\n".join(block) + "\n" + " " * 18  # padded so that starts + 18 is inside
+    R = k + math.prod(shape)  # tokens per line
+    # padded so that starts + 18 is inside; "\r\n" becomes a blank line
+    text = ("\n" + piece + "\n" + " " * 18).replace("\r", "\n")
     if not text.isascii():
         return None
     raw = text.encode("ascii")
     del text
     if raw.translate(None, b"0123456789 \t|\n"):
         return None
-    at = np.int32 if len(raw) < 2**31 else np.int64  # a position in the block
     b = np.frombuffer(raw, np.uint8)
-    ends = np.flatnonzero(b == ord("\n")).astype(at)  # L + 1 line breaks
-    bars = np.flatnonzero(b == ord("|")).astype(at)
-    if len(bars) != L or not ((ends[:-1] < bars) & (bars < ends[1:])).all():
-        return None  # a line without "|" or with two
+    ends = np.flatnonzero(b == ord("\n"))
+    bars = np.flatnonzero(b == ord("|"))
     digit = b - ord("0")  # 10 or more for any other byte
     del b, raw
     isdigit = digit < 10
-    starts = np.flatnonzero(isdigit[1:] > isdigit[:-1]).astype(at)
-    del isdigit
+    starts = np.flatnonzero(isdigit[1:] > isdigit[:-1])
     starts += 1
+    wide = np.count_nonzero(isdigit) > len(starts)  # a token of two digits or more
+    del isdigit
+    L = len(bars)
     if len(starts) != L * R:
         return None
-    if (np.searchsorted(starts, ends) != R * np.arange(L + 1)).any():
-        return None  # a line of other than R tokens
-    if (np.searchsorted(starts, bars) != R * np.arange(L) + k).any():
-        return None  # a line with other than k tokens before "|"
+    # the tokens before the start of the line of the j-th "|", before that
+    # "|" and before the line's end must be j R, j R + k and (j + 1) R; with
+    # L R tokens in all, a line without "|" has none and is blank
+    line = np.searchsorted(ends, bars)
+    bounds = np.concatenate((ends.take(line - 1), bars, ends.take(line)))
+    if (np.searchsorted(starts, bounds).reshape(3, L) != R * np.arange(L) + [[0], [k], [R]]).any():
+        return None
+    del ends, bars, line, bounds
     V = np.take(digit, starts)  # the values so far, widened as longer tokens go on
-    live = np.ones(len(starts), dtype=bool)  # tokens whose digits go on
-    for j in range(1, 19):
-        d = np.take(digit, starts + j)
-        live &= d < 10
-        if not live.any():
-            break
-        V = V.astype(np.min_scalar_type(10 ** (j + 1) - 1), copy=False)
-        np.multiply(V, 10, out=V, where=live)
-        np.add(V, d, out=V, where=live)
-    else:
-        return None  # a token of 19 digits or more
+    if wide:
+        live = np.ones(len(starts), dtype=bool)  # tokens whose digits go on
+        for j in range(1, 19):
+            d = np.take(digit, starts + j)
+            live &= d < 10
+            if not live.any():
+                break
+            V = V.astype(np.min_scalar_type(10 ** (j + 1) - 1), copy=False)
+            np.multiply(V, 10, out=V, where=live)
+            np.add(V, d, out=V, where=live)
+        else:
+            return None  # a token of 19 digits or more
     V = V.reshape(L, R)
-    return V[:, :k], V[:, k:]
+    return V[:, :k], V[:, k:].reshape(L, *shape)
 
 
 def _token_block(block: list[str], k: int, shape: tuple[int, ...],

@@ -30,7 +30,9 @@ The Maiorana-McFarland proofs (C1, C2) group by their sub-branches
 instead (minicode.mm_witness).  f is read through a function of an array
 of vectors: the certificate looks f up in f.table, and theorem_witness
 passes f.at, which evaluates f only at the vectors the proof reads, so a
-single witness never tabulates f.  One post-condition checks a block on the
+single witness never tabulates f.  A block's alphas and lifts are built in
+the field's element type (one byte per coordinate up to q = 256), the type
+the certificate stores.  One post-condition checks a block on the
 lifts packed into chunk rows once: every lift (f(alpha), alpha) is
 orthogonal to its class (f(alpha) = omega.alpha in cases 1-2,
 v.alpha = 0 in case 3), by np_dots, and np_chunk_ranks gives the
@@ -189,9 +191,9 @@ def _batched_arrays(thm: TheoremId, f: FunctionSpec) -> tuple[np.ndarray, np.nda
 
 
 def _checked_lifts(thm: TheoremId, f: FunctionSpec, fvals: Values, Y: np.ndarray) -> np.ndarray:
-    """The B x m x (m+1) lifts (f(alpha), alpha) of the B classes Y, checked."""
+    """The B x m x (m+1) lifts (f(alpha), alpha) of the B classes Y in the element type, checked."""
     alphas = _block_alphas(thm, f, fvals, Y)
-    lifts = np.concatenate([fvals(alphas)[:, :, None], alphas], axis=2)
+    lifts = np.concatenate([fvals(alphas)[:, :, None], alphas], axis=2, dtype=alphas.dtype)
     _check_block(f.field, Y, lifts)
     return lifts
 
@@ -219,7 +221,7 @@ def _check_block(field: FieldSpec, Y: np.ndarray, lifts: np.ndarray) -> None:
 
 
 def _block_alphas(thm: TheoremId, f: FunctionSpec, fvals: Values, Y: np.ndarray) -> np.ndarray:
-    """The B x m x m witness vectors of the B classes Y, f read through fvals.
+    """The B x m x m witness vectors of the B classes Y in the element type, f read through fvals.
 
     Classes are grouped by case and by i0, the first nonzero index of
     w = omega (case 2) or w = v (case 3); each group is built at once.
@@ -227,7 +229,7 @@ def _block_alphas(thm: TheoremId, f: FunctionSpec, fvals: Values, Y: np.ndarray)
     """
     field, m = f.field, f.m
     u, v = Y[:, 0], Y[:, 1:]
-    A = np.zeros((len(Y), m, m), dtype=np.int64)
+    A = np.zeros((len(Y), m, m), dtype=field.element_dtype)
     case1 = (u != 0) & ~v.any(axis=1)
     if case1.any():
         A[case1] = _case1_vectors(thm, f)

@@ -4,12 +4,13 @@ Each reader gets arbitrary text and text shaped like its own format (a header
 of small integers and keywords, then lines of integers).  Either it returns
 a parsed object, or it raises a ValueError subclass, which the CLI maps to
 exit code 2.  read_certificate is also compared with a line-by-line reader
-that converts every token with int(), also across its blocks of lines.
+that converts every token with int(), also across its pieces of text.
 np_ranks is compared with the scalar EchelonBasis of tests/scalar_reference.py
 on random batches over F_2 to F_9.
 """
 
 import io
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -22,7 +23,8 @@ from minicode.code import DefiningSet, read_defining_set
 from minicode.errors import CertificateFormatError
 from minicode.families import FunctionSpec, TheoremId, get_preset, read_function
 from minicode.gf import field_by_order
-from minicode.linalg import np_ranks, read_matrix
+import minicode.linalg as linalg_mod
+from minicode.linalg import np_ranks, read_matrix, text_pieces
 import minicode.minimality as minimality_mod
 from minicode.minimality import Certificate, read_certificate, write_certificate
 from minicode.witness import witness_certificate
@@ -217,18 +219,22 @@ def typed_outcome(reader, text):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(st.one_of(certificate_text, codec_text()))
-# blocks whose token counts add up although a line's do not: a line's surplus
+@given(st.one_of(certificate_text, codec_text()), st.integers(1, 24))
+# pieces whose token counts add up although a line's do not: a line's surplus
 # made up by the next line's representative, or by its entries, and a line
-# without "|" beside one with two when k = 1
-@example("3 7 2 2 indices\n1 0 | 3 4\n1 | 5\n")
-@example("3 7 2 2 indices\n1 0 2 |\n0 1 | 3\n")
-@example("3 7 1 2 indices\n1\n| 1 |\n")
-@example("3 7 1 2 vectors\n1 |\n| 1\n")
-def test_read_certificate_matches_int_per_token_reader_across_blocks(text):
-    # blocks of two lines: a plain block beside one read token by token
-    # gives the same arrays, dtypes and first error as one pass over the text
-    with mock.patch.object(minimality_mod, "READ_BLOCK", 2):
+# without "|" beside one with two when k = 1, or a line without "|" whose
+# token makes up the next line's representative; at 16 characters a read,
+# the class lines are one piece
+@example("3 7 2 2 indices\n1 0 | 3 4\n1 | 5\n", 16)
+@example("3 7 2 3 indices\n1 0 | 3\n5\n1 | 4\n", 16)
+@example("3 7 2 2 indices\n1 0 2 |\n0 1 | 3\n", 16)
+@example("3 7 1 2 indices\n1\n| 1 |\n", 16)
+@example("3 7 1 2 vectors\n1 |\n| 1\n", 16)
+def test_read_certificate_matches_int_per_token_reader_across_blocks(text, chars):
+    # pieces of a few lines each: a plain piece beside one read token by
+    # token gives the same arrays, dtypes and first error as one pass over
+    # the text
+    with mock.patch.object(linalg_mod, "READ_CHARS", chars):
         assert typed_outcome(read_certificate, text) == typed_outcome(reference_read_certificate, text)
 
 
@@ -241,14 +247,16 @@ def sec7_d1_lines():
 
 
 def test_read_certificate_blocks_of_a_witness_certificate(sec7_d1_lines):
-    # sec7_f1's D1 witness certificate is about ten blocks; a change inside
-    # block 5 that leaves it not plain makes that block, and only it, go
+    # sec7_f1's D1 witness certificate is about 25 pieces of READ_CHARS
+    # characters, each of about `piece` lines of one length; a change inside
+    # piece 5 that leaves it not plain makes that piece, and only it, go
     # token by token, and every variant reads as the int()-per-token reader
     head, body = sec7_d1_lines[0], sec7_d1_lines[1:]
     q, n, k, count, mode = head.split()
-    block = minimality_mod.READ_BLOCK
-    assert 9 * block < len(body) <= 10 * block
-    line, late = 4 * block + 100, 7 * block + 5  # 0-based, in blocks 5 and 8
+    assert len(set(map(len, body))) == 1
+    piece = linalg_mod.READ_CHARS // (len(body[0]) + 1)
+    assert 24 * piece < len(body) <= 25 * piece
+    line, late = 4 * piece + 100, 7 * piece + 5  # 0-based, in pieces 5 and 8
 
     def text(*changes, header=head):
         lines = list(body)
@@ -273,23 +281,23 @@ def test_read_certificate_blocks_of_a_witness_certificate(sec7_d1_lines):
         "beyond 64 bits": (text(swap(line, 12, "9" * 20)), 1),
         "count off by one": (text(header=f"{q} {n} {k} {int(count) + 1} {mode}"), 0),
         # a class short of one vector is reported after every line, and
-        # before an integer beyond 64 bits, whichever block each is in
+        # before an integer beyond 64 bits, whichever piece each is in
         "short class, then +1": (text(drop(100, int(k)), swap(late, 0, "+1")), 2),
         "beyond 64 bits, then short class": (
-            text(swap(block + 5, 12, "9" * 20), drop(late, int(k))), 2),
+            text(swap(piece + 5, 12, "9" * 20), drop(late, int(k))), 2),
     }
     token_block = minimality_mod._token_block
     outcomes = {}
-    for name, (variant, slow_blocks) in variants.items():
+    for name, (variant, slow_pieces) in variants.items():
         calls = []
         with mock.patch.object(minimality_mod, "_token_block",
                                lambda *a: calls.append(1) or token_block(*a)):
             outcomes[name] = typed_outcome(read_certificate, variant)
         assert outcomes[name] == typed_outcome(reference_read_certificate, variant), name
-        assert len(calls) == slow_blocks, name
+        assert len(calls) == slow_pieces, name
     assert isinstance(outcomes["unchanged"][0], Certificate)
     assert outcomes["unchanged"][2] == np.uint8
-    assert outcomes["007"][2] == np.int64  # 7 lies outside F_3, so every block is widened
+    assert outcomes["007"][2] == np.int64  # 7 lies outside F_3, so every piece is widened
     assert outcomes["dropped entry at 5000"] == (
         CertificateFormatError, "vector payload not a multiple of k")
     assert outcomes["beyond 64 bits"][0] is CertificateFormatError
@@ -297,3 +305,61 @@ def test_read_certificate_blocks_of_a_witness_certificate(sec7_d1_lines):
         assert outcomes[name][1].endswith("has 7 entries, expected k - 1 = 8"), name
     assert outcomes["count off by one"] == (
         CertificateFormatError, f"expected {int(count) + 1} class lines, found {count}")
+
+
+@pytest.fixture(scope="module")
+def sec4_a1_text():
+    preset = get_preset("sec4_f1")
+    buf = io.StringIO()
+    write_certificate(buf, witness_certificate(preset.theorem, preset.function))
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("chars", [1, 7, 64, 2**16])
+def test_read_certificate_at_piece_edges(sec4_a1_text, tmp_path, chars):
+    # every line is longer than 7 characters, so at 1 and 7 a piece grows
+    # past its read; CR LF and CR line breaks and blank lines put cuts
+    # between "\r" and "\n" and at blank lines; a "+1" in the first class
+    # makes its piece go token by token, and the plain pieces after it
+    # still read as the int()-per-token reader reads the whole text.  The
+    # same text is read from a path, with universal newlines, and from two
+    # streams read as they are.
+    lines = sec4_a1_text.splitlines()
+    assert min(map(len, lines)) > 7
+    spaced = [lines[0]]
+    for i, ln in enumerate(lines[1:]):
+        spaced += [ln, " \t"] if i % 3 == 0 else [ln, ""] if i % 3 == 1 else [ln]
+    signed = [lines[0], "+" + lines[1], *lines[2:]]
+    variants = {
+        "lf": ("\n".join(lines) + "\n", 0),
+        "crlf": ("\r\n".join(lines) + "\r\n", 0),
+        "cr": ("\r".join(lines) + "\r", 0),
+        "blank lines": ("\n".join(spaced) + "\n", 0),
+        "crlf blank lines": ("\r\n".join(spaced) + "\r\n", 0),
+        "+1 first": ("\r\n".join(signed), 1),
+    }
+    token_block = minimality_mod._token_block
+    cut = False  # whether some piece ends between "\r" and "\n"
+    for name, (text, slow_pieces) in variants.items():
+        expected = typed_outcome(reference_read_certificate, text)
+        assert isinstance(expected[0], Certificate), name
+        path = tmp_path / f"{name}.txt"
+        path.write_bytes(text.encode("ascii"))
+        with mock.patch.object(linalg_mod, "READ_CHARS", chars):
+            with text_pieces(io.StringIO(text)) as pieces:
+                cut |= any(a.endswith("\r") and b.startswith("\n") for a, b in
+                           itertools.pairwise(pieces))
+            for source in ("stream", "path", "stream without newline translation"):
+                calls = []
+                with mock.patch.object(minimality_mod, "_token_block",
+                                       lambda *a: calls.append(1) or token_block(*a)):
+                    if source == "path":
+                        got = read_certificate(str(path))
+                    elif source == "stream":
+                        got = read_certificate(io.StringIO(text))
+                    else:
+                        with open(path, encoding="utf-8", newline="") as fh:
+                            got = read_certificate(fh)
+                assert (got, got.classes.reps.dtype, got.classes.entries.dtype) == expected, name
+                assert len(calls) == slow_pieces, (name, source)
+    assert cut or chars == 2**16

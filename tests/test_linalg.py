@@ -19,6 +19,7 @@ from minicode.linalg import (
     read_matrix,
     support,
     text_lines,
+    text_pieces,
     weight,
     write_matrix,
     write_text,
@@ -388,6 +389,25 @@ def test_text_lines_and_write_text(tmp_path, monkeypatch):
     with text_lines(stream) as lines:
         next(lines)
     assert not stream.closed
+
+
+def test_text_pieces_end_at_line_breaks(monkeypatch):
+    # each read of READ_CHARS characters is cut after its last "\n" or "\r":
+    # a cut between "\r" and "\n" leaves a piece of one "\n", and a line
+    # longer than a read grows its piece until a line break
+    monkeypatch.setattr(linalg_mod, "READ_CHARS", 4)
+    with text_pieces(io.StringIO("abc\r\ndefgh\n\nij")) as pieces:
+        assert list(pieces) == ["abc\r", "\n", "defgh\n\n", "ij"]
+    text = "\n  \n3 1 2\r\n1\x0b\n\t\r\r\n2 22 222 2222 22222\n\x1c0\r\n\n \n1"
+    expected = [ln for ln in text.splitlines() if ln.strip()]
+    for chars in (1, 2, 3, 5, 64):
+        monkeypatch.setattr(linalg_mod, "READ_CHARS", chars)
+        with text_pieces(io.StringIO(text)) as pieces:
+            got = list(pieces)
+        assert "".join(got) == text and all(got), chars
+        assert all(p[-1] in "\r\n" for p in got[:-1]), chars
+        with text_lines(io.StringIO(text)) as lines:
+            assert list(lines) == expected, chars
 
 
 def test_matrix_io_round_trip():

@@ -1208,6 +1208,27 @@ def test_certificate_writer_random_int64_entries():
         assert certificate_text(c) == reference_write(c)
 
 
+@pytest.mark.parametrize("mode", ["indices", "vectors"])
+def test_certificate_writer_blocks_of_each_width(mode, monkeypatch):
+    # blocks of four lines: one-digit tokens only (whose lines start at
+    # multiples of one width), mixed widths, one-digit tokens with signs and
+    # int64 extremes, in one signed and one unsigned certificate
+    monkeypatch.setattr(minimality_mod, "WRITE_BLOCK", 4)
+    k = 3
+    one = [[1, 0, 2], [0, 0, 1], [2, 2, 2], [1, 1, 0]]
+    mixed = [[10, 0, 7], [123, 45, 6], [0, 99999, 1], [2**63 - 1, 3, 10**18]]
+    signs = [[-1, 0, 2], [0, -2, 1], [1, 0, -9], [0, 0, 0]]
+    extremes = [[-(2**63), 2**63 - 1, 0], [-10, 9, -(10**18)], [5, -(2**63), 1], [1, 2, 3]]
+    for blocks in ([one, mixed, signs, extremes, one], [one, mixed, one, mixed[:3]]):
+        E = np.array([row for b in blocks for row in b], dtype=np.int64)
+        if (E >= 0).all():
+            E = E.astype(np.uint64)
+        reps = np.tile(np.array([0, 1, 2], dtype=np.uint8), (len(E), 1))
+        entries = E[:, :k - 1] if mode == "indices" else np.repeat(E[:, None], k - 1, axis=1)
+        c = Certificate(3, 2**63 - 1, k, mode, CertificateClasses(reps, entries))
+        assert certificate_text(c) == reference_write(c)
+
+
 def test_certificate_tampering_detected():
     D = defining_set(get_preset("sec5_f1").function)
     cert = rank_criterion_code(D).witness

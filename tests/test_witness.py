@@ -355,9 +355,14 @@ def test_witness_certificate_verifies_against_code():
 
 
 def assert_matches_reference(ref, thm, f):
-    """The batched certificate equals the per-class reference, ref(thm, f)."""
+    """The batched certificate equals the per-class reference, ref(thm, f).
+
+    Its two arrays are C-contiguous, in the element type.
+    """
     cert = witness_certificate(thm, f)
     want_entries = ref(thm, f)
+    for A in (cert.classes.reps, cert.classes.entries):
+        assert A.dtype == f.field.element_dtype and A.flags.c_contiguous
     assert len(cert.classes) == len(want_entries)
     for got, want in zip(cert.classes, want_entries):
         assert got == want, want[0]
