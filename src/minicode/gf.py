@@ -80,19 +80,16 @@ class ChunkTables(NamedTuple):
     mulq holds each product already scaled to a row of minus, so the step
     is two lookups and two additions, with no multiplication by Q, and the
     index, below Q^2, stays in mulq's type (two bytes up to Q = 256).
-    digits and scale hold rows of mul in the narrowest type for q*Q - 1
-    (two bytes up to q*Q = 2^16), which a row plus a chunk, below q*Q,
-    stays in.
     """
 
     h: int
     Q: int
     weights: np.ndarray  # h float32: q^t, the value of digit t
-    digits: np.ndarray   # h x Q: digits[t, x] = x_t * Q, a row index of mul
+    digits: np.ndarray   # h x Q intp: digits[t, x] = x_t * Q, a row index of mul
     mul: np.ndarray      # q*Q: mul[a*Q + y] = a * y for a in F_q
     lowest: np.ndarray   # Q: lowest[x] = t * Q for the least t with x_t != 0, 0 for x = 0
     dot: np.ndarray      # Q*Q: dot[y*Q + x] = sum_t y_t x_t in F_q
-    scale: np.ndarray    # h*Q: scale[t*Q + x] = (1/x_t) * Q, a row index of mul; 0 if x_t = 0
+    scale: np.ndarray    # h*Q intp: scale[t*Q + x] = (1/x_t) * Q, a row index of mul; 0 if x_t = 0
     minus: np.ndarray    # Q*Q: minus[y*Q + x] = x - y, coordinatewise
     mulq: np.ndarray     # q*Q: mulq[a*Q + y] = (a * y) * Q, a row index of minus, below Q^2
 
@@ -261,13 +258,12 @@ class FieldSpec:
             dot = add[mul1[:, None, :, None], dot[None, :, None, :]].reshape(q**t * q, -1)
         x = np.arange(Q)
         digits = np.stack([x // q**t % q * Q for t in range(h)])
-        row = np.min_scalar_type(q * Q - 1)  # a row of mul or minus plus a chunk
         return ChunkTables(
-            h, Q, _frozen(q ** np.arange(h), np.float32), _frozen(digits, row),
+            h, Q, _frozen(q ** np.arange(h), np.float32), _frozen(digits, np.intp),
             _frozen(mul.ravel(), dtype),
             _frozen((digits != 0).argmax(axis=0) * Q, np.min_scalar_type(h * Q)),
             _frozen(dot.ravel(), self.element_dtype),
-            _frozen(np.multiply(self.np_inv.take(digits.ravel() // Q), Q, dtype=np.intp), row),
+            _frozen(np.multiply(self.np_inv.take(digits.ravel() // Q), Q, dtype=np.intp), np.intp),
             _frozen(sub.T.ravel(), dtype),
             _frozen(np.multiply(mul.ravel(), Q, dtype=np.intp), np.min_scalar_type((Q - 1) * Q)),
         )

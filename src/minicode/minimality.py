@@ -808,15 +808,14 @@ def write_certificate(out: Union[str, TextIO], cert: Certificate) -> None:
     a token matrix, in the certificate's narrow type (in uint64, signs
     aside, if an array is int64 to keep values the verifier refuses).  A
     token's separator is " ", " | " after the representative or "\n" at
-    the end of the line.  In a block with no second digit and no sign,
-    every line is as wide as a line of one-digit tokens, and each token's
-    digit lies at its column's offset in that line (the widths of the
-    separators and digits before it).  In any other block a token's last
-    digit lies at its line's start, plus that offset, plus the count of
-    extra digits and signs in its line up to it, one cumsum along each
-    line; the digits are written from the units up, pass d writing only
-    the tokens of at least 10^d, into a buffer of spaces that then gets its
-    "-", "|" and line breaks.  The text is str() of every value.
+    the end of the line.  A token's last digit lies at its line's start,
+    plus its column's offset in a line of one-digit tokens (the widths of
+    the separators and digits before it), plus the count of extra digits
+    and signs in its line up to it, one cumsum along each line, skipped
+    in a block with no second digit and no sign.  The digits are written
+    from the units up, pass d writing only the tokens of at least 10^d,
+    into a buffer of spaces that then gets its "-", "|" and line breaks.
+    The text is str() of every value.
     """
     reps, entries = cert.classes.reps, cert.classes.entries
     P, k = len(reps), cert.k
@@ -826,7 +825,6 @@ def write_certificate(out: Union[str, TextIO], cert: Certificate) -> None:
     sep[k - 1] = 3
     sep[-1] += R == k  # " | \n" when k = 1
     col = np.cumsum(sep + 1) - sep - 1  # each token's digit in a line of one-digit tokens
-    line = int(sep.sum()) + R  # the width of that line
     signed = "i" in (reps.dtype.kind, entries.dtype.kind)
 
     def block(Y: np.ndarray, E: np.ndarray) -> str:
@@ -834,21 +832,17 @@ def write_certificate(out: Union[str, TextIO], cert: Certificate) -> None:
         if signed:
             neg = np.concatenate((Y < 0, E < 0), axis=1)
             np.negative(T, out=T, where=neg)  # |value|, also for -2^63
-        top = int(T.max())
-        if top < 10 and not (signed and neg.any()):  # one byte per token: lines of one width
-            text = np.full((len(T), line), ord(" "), dtype=np.uint8)
-            text[:, col] = T + ord("0")
-            text[:, col[k - 1] + 2] = ord("|")
-            text[:, -1] = ord("\n")
-            return text.tobytes().decode("ascii")
         # each token's sign and digits past the first
         extra = neg.astype(np.uint8) if signed else np.zeros(T.shape, np.uint8)
-        for d in range(1, len(str(top))):
+        for d in range(1, len(str(int(T.max())))):
             extra += T >= 10**d
-        units = np.cumsum(extra, axis=1, dtype=np.intp)  # those of its line up to each token
-        width = units[:, -1] + line  # each line's
-        units += col
-        units += (np.cumsum(width) - width)[:, None]  # plus its line's start: its last digit
+        if extra.any():
+            units = np.cumsum(extra, axis=1, dtype=np.intp)  # those of its line up to each token
+            units += col
+        else:
+            units = np.broadcast_to(col, T.shape)
+        width = units[:, -1] + sep[-1] + 1  # each line's
+        units = units + (np.cumsum(width) - width)[:, None]  # plus its line's start: its last digit
         text = np.full(units[-1, -1] + sep[-1] + 1, ord(" "), dtype=np.uint8)
         V, pos = T.ravel(), units.ravel()
         while V.size:
@@ -989,7 +983,6 @@ def _plain_piece(piece: str, k: int, shape: tuple[int, ...],
     isdigit = digit < 10
     starts = np.flatnonzero(isdigit[1:] > isdigit[:-1])
     starts += 1
-    wide = np.count_nonzero(isdigit) > len(starts)  # a token of two digits or more
     del isdigit
     L = len(bars)
     if len(starts) != L * R:
@@ -1003,18 +996,17 @@ def _plain_piece(piece: str, k: int, shape: tuple[int, ...],
         return None
     del ends, bars, line, bounds
     V = np.take(digit, starts)  # the values so far, widened as longer tokens go on
-    if wide:
-        live = np.ones(len(starts), dtype=bool)  # tokens whose digits go on
-        for j in range(1, 19):
-            d = np.take(digit, starts + j)
-            live &= d < 10
-            if not live.any():
-                break
-            V = V.astype(np.min_scalar_type(10 ** (j + 1) - 1), copy=False)
-            np.multiply(V, 10, out=V, where=live)
-            np.add(V, d, out=V, where=live)
-        else:
-            return None  # a token of 19 digits or more
+    live = np.ones(len(starts), dtype=bool)  # tokens whose digits go on
+    for j in range(1, 19):
+        d = np.take(digit, starts + j)
+        live &= d < 10
+        if not live.any():
+            break
+        V = V.astype(np.min_scalar_type(10 ** (j + 1) - 1), copy=False)
+        np.multiply(V, 10, out=V, where=live)
+        np.add(V, d, out=V, where=live)
+    else:
+        return None  # a token of 19 digits or more
     V = V.reshape(L, R)
     return V[:, :k], V[:, k:].reshape(L, *shape)
 

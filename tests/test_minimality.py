@@ -1210,8 +1210,8 @@ def test_certificate_writer_random_int64_entries():
 
 @pytest.mark.parametrize("mode", ["indices", "vectors"])
 def test_certificate_writer_blocks_of_each_width(mode, monkeypatch):
-    # blocks of four lines: one-digit tokens only (whose lines start at
-    # multiples of one width), mixed widths, one-digit tokens with signs and
+    # blocks of four lines: one-digit tokens only (which skip the cumsum
+    # along each line), mixed widths, one-digit tokens with signs and
     # int64 extremes, in one signed and one unsigned certificate
     monkeypatch.setattr(minimality_mod, "WRITE_BLOCK", 4)
     k = 3
