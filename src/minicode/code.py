@@ -8,8 +8,10 @@ Weight distributions are exact and come from the hyperplane counts
 N[y] = #{d in D : y.d = 0}, since wt(c(y)) = n - N[y].  All q^k values of N
 follow from D's histogram by a k-step transform driven by the field tables
 (linalg.np_hyperplane_counts): O(k q^{k+2}) integer operations, no floats
-and no factor of n.  The table is cached on D, so the enumerator, params and
-the ab and dhz criteria share one transform.
+and no factor of n, on tables in the narrowest signed type that holds n
+(two bytes up to n = 32,767, a quarter of int64's memory traffic).  The
+counts are cached on D as int64, so the enumerator, params and the ab and
+dhz criteria share one transform and their arithmetic does not narrow.
 """
 
 from __future__ import annotations

@@ -75,11 +75,12 @@ class ChunkTables(NamedTuple):
     type; at h = 1 dot is mul.  A row of h coordinates packs to its dot
     product with weights, digits reads one coordinate back, lowest finds
     the first nonzero coordinate of a chunk, a pivot, scale the row of mul
-    that divides by it, and dot gives the inner product of two chunks in
-    one lookup.  An elimination step x - a y is minus[mulq[a*Q + y] + x]:
-    mulq holds each product already scaled to a row of minus, so the step
-    is two lookups and two additions, with no multiplication by Q, and the
-    index, below Q^2, stays in mulq's type (two bytes up to Q = 256).
+    that divides by it, dot gives the inner product of two chunks in one
+    lookup and negdot its negative (dot itself in characteristic 2).  An
+    elimination step x - a y is minus[mulq[a*Q + y] + x]: mulq holds each
+    product already scaled to a row of minus, so the step is two lookups
+    and two additions, with no multiplication by Q, and the index, below
+    Q^2, stays in mulq's type (two bytes up to Q = 256).
     """
 
     h: int
@@ -89,6 +90,7 @@ class ChunkTables(NamedTuple):
     mul: np.ndarray      # q*Q: mul[a*Q + y] = a * y for a in F_q
     lowest: np.ndarray   # Q: lowest[x] = t * Q for the least t with x_t != 0, 0 for x = 0
     dot: np.ndarray      # Q*Q: dot[y*Q + x] = sum_t y_t x_t in F_q
+    negdot: np.ndarray   # Q*Q: negdot[y*Q + x] = -dot[y*Q + x]
     scale: np.ndarray    # h*Q intp: scale[t*Q + x] = (1/x_t) * Q, a row index of mul; 0 if x_t = 0
     minus: np.ndarray    # Q*Q: minus[y*Q + x] = x - y, coordinatewise
     mulq: np.ndarray     # q*Q: mulq[a*Q + y] = (a * y) * Q, a row index of minus, below Q^2
@@ -239,7 +241,8 @@ class FieldSpec:
         times q^t, plus the table over the t digits below it, so each step
         is one broadcast sum that fits the chunk type.  The dot table over
         t + 1 digits adds, in F_q, the product of the top digits to the dot
-        table over the t digits below them.
+        table over the t digits below them, and the negated table adds
+        their negated product to the negated table below them.
         """
         q = self.q
         h = 1
@@ -250,19 +253,23 @@ class FieldSpec:
         sub1 = self.np_sub.reshape(q, q).astype(dtype)
         mul1 = self.np_mul.reshape(q, q).astype(dtype)
         add = self.np_add.reshape(q, q)
-        sub, mul, dot = sub1, mul1, mul1.astype(self.element_dtype)
+        one = [mul1] if self.p == 2 else [mul1, self.vneg(mul1)]  # a b, and -(a b) unless -1 = 1
+        sub, mul, dots = sub1, mul1, [d.astype(self.element_dtype) for d in one]
         for t in range(1, h):
             top = dtype.type(q**t)
             sub = (sub1[:, None, :, None] * top + sub[None, :, None, :]).reshape(q**t * q, -1)
             mul = (mul1[:, :, None] * top + mul[:, None, :]).reshape(q, -1)
-            dot = add[mul1[:, None, :, None], dot[None, :, None, :]].reshape(q**t * q, -1)
+            dots = [add[d1[:, None, :, None], d[None, :, None, :]].reshape(q**t * q, -1)
+                    for d1, d in zip(one, dots)]
         x = np.arange(Q)
         digits = np.stack([x // q**t % q * Q for t in range(h)])
+        dot = _frozen(dots[0].ravel(), self.element_dtype)
+        negdot = _frozen(dots[1].ravel(), self.element_dtype) if len(dots) == 2 else dot
         return ChunkTables(
             h, Q, _frozen(q ** np.arange(h), np.float32), _frozen(digits, np.intp),
             _frozen(mul.ravel(), dtype),
             _frozen((digits != 0).argmax(axis=0) * Q, np.min_scalar_type(h * Q)),
-            _frozen(dot.ravel(), self.element_dtype),
+            dot, negdot,
             _frozen(np.multiply(self.np_inv.take(digits.ravel() // Q), Q, dtype=np.intp), np.intp),
             _frozen(sub.T.ravel(), dtype),
             _frozen(np.multiply(mul.ravel(), Q, dtype=np.intp), np.min_scalar_type((Q - 1) * Q)),

@@ -7,9 +7,11 @@ support/index, matching the x_1..x_m convention used throughout.
 The numpy kernels take the same vectors as integer rows and serve every
 field.  The inner products and the ranks work on rows packed h
 coordinates to an integer (np_chunk_rows, the np_chunks chunks of gf):
-np_dots, the one inner-product kernel, reads one inner product of two
-chunks per lookup in the chunk dot table, and np_chunk_ranks, the one
-elimination kernel, eliminates in row order on whole chunks, with
+np_dots, the inner-product kernel, reads one inner product of two chunks
+per lookup in the chunk dot table, np_orthogonal, its zero test, reads
+the last chunk in the negated dot table instead of adding it, and
+np_chunk_ranks, the one elimination kernel, eliminates in row order on
+whole chunks, with
 first-nonzero pivoting and exact table arithmetic; np_ranks is its front
 for matrices of coordinates.  There are no tolerances anywhere.  The
 pure-Python elimination (EchelonBasis, rank, kernel_basis, solve) is kept
@@ -125,10 +127,18 @@ def np_vectors(q: int, m: int, start: int, stop: int) -> np.ndarray:
 
 
 def np_digits(q: int, m: int, idx: np.ndarray, dtype=np.int64) -> np.ndarray:
-    """Rows index_to_vector(q, m, i) for the indices i of the 1-D array idx, in dtype."""
+    """Rows index_to_vector(q, m, i) for the indices i of the 1-D array idx, in dtype.
+
+    Each coordinate is one floor division and one multiply-subtract, which
+    NumPy runs faster than np.divmod or %, with the remainder formed in
+    place of the product, so no more arrays are live than np.divmod leaves.
+    """
     out = np.empty((len(idx), m), dtype=dtype)
     for i in range(m - 1, -1, -1):
-        idx, out[:, i] = np.divmod(idx, q)
+        quo = idx // q
+        rem = np.multiply(quo, q)
+        out[:, i] = np.subtract(idx, rem, out=rem)
+        idx = quo
     return out
 
 
@@ -172,14 +182,17 @@ def np_hyperplane_counts(field: FieldSpec, D: np.ndarray) -> np.ndarray:
     s' = y = 0, its column sum; the last computes only the s' = 0 row that
     is read.  Each costs O(q^{k+1}), the k - 2 others O(q^{k+2}), and
     working memory is O(q^{k+1}): each gather takes at most
-    max(DOT_BLOCK, q^2) entries.
+    max(DOT_BLOCK, q^2) entries.  No entry of a table exceeds n, so the
+    tables hold the narrowest signed type for n (one byte up to n = 127,
+    two up to n = 32,767), and only the counts returned are int64.
     """
-    k = D.shape[1]
+    n, k = D.shape
     q = field.q
     R = q ** (k - 1)
-    H = np.bincount(np_indices(q, D), minlength=q**k).reshape(q, R)
-    T = np.zeros((q, R, q), dtype=np.int64)
-    T[0, :, 0] = H.sum(axis=0)
+    count = np.min_scalar_type(-n - 1)  # no count exceeds n
+    H = np.bincount(np_indices(q, D), minlength=q**k).astype(count).reshape(q, R)
+    T = np.zeros((q, R, q), dtype=count)
+    T[0, :, 0] = H.sum(axis=0, dtype=count)
     cols = max(1, DOT_BLOCK // q**2)
     div = _count_index(field, 0)
     for r in range(0, R, cols):
@@ -190,14 +203,14 @@ def np_hyperplane_counts(field: FieldSpec, D: np.ndarray) -> np.ndarray:
         T = T.reshape(q * q, R)
         rows = 1 if step == k - 1 else q
         G = _count_index(field, rows)
-        out = np.empty((rows, R, q), dtype=np.int64)
+        out = np.empty((rows, R, q), dtype=count)
         for r in range(0, R, cols):
             part = T[:, r:r + cols]
             for s in range(0, rows, vals):
-                summed = part.take(G[:, s:min(s + vals, rows)], axis=0).sum(axis=0)
+                summed = part.take(G[:, s:min(s + vals, rows)], axis=0).sum(axis=0, dtype=count)
                 out[s:s + vals, r:r + cols] = summed.transpose(0, 2, 1)
         T = out
-    return T[0].reshape(q**k).copy()
+    return T[0].reshape(q**k).astype(np.int64)
 
 
 @lru_cache(maxsize=8)
@@ -228,21 +241,39 @@ def np_dots(field: FieldSpec, Y: np.ndarray, W: np.ndarray) -> np.ndarray:
     codeword.  One lookup in the chunk dot table at y Q + w gives the inner
     product of a pair of chunks, so y.w costs C lookups and C - 1 field
     additions.  They run one chunk at a time, so each numpy call runs along
-    the pairs, not along C.  The index is formed in intp on both sides: a
-    1-D Y gives a scalar y Q, which NumPy 1 would add to the narrow chunk
-    type of W and wrap.  The values have the element type.  Callers keep
+    the pairs, not along C.  The values have the element type.  Callers keep
     the pairs of a call within np_block_rows.
     """
     ch = field.np_chunks
-
-    def chunk(j: int) -> np.ndarray:
-        at = np.add(np.multiply(Y[..., j], ch.Q, dtype=np.intp), W[..., j], dtype=np.intp)
-        return ch.dot.take(at)
-
-    dots = chunk(0)
+    dots = _chunk_dots(ch.Q, ch.dot, Y, W, 0)
     for j in range(1, Y.shape[-1]):
-        dots = field.vadd(dots, chunk(j))
+        dots = field.vadd(dots, _chunk_dots(ch.Q, ch.dot, Y, W, j))
     return dots
+
+
+def np_orthogonal(field: FieldSpec, Y: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """np_dots(field, Y, W) == 0, for the same chunk rows and shapes, with one addition less.
+
+    y.w = 0 exactly when the dots of the first C - 1 chunks, summed as
+    np_dots sums them, equal minus the dot of the last chunk, which one
+    lookup in the negated chunk dot table gives.  So the zero test costs C
+    lookups, C - 2 field additions and one comparison.
+    """
+    ch, C = field.np_chunks, Y.shape[-1]
+    last = _chunk_dots(ch.Q, ch.negdot, Y, W, C - 1)
+    if C == 1:
+        return last == 0
+    return np_dots(field, Y[..., :C - 1], W[..., :C - 1]) == last
+
+
+def _chunk_dots(Q: int, table: np.ndarray, Y: np.ndarray, W: np.ndarray, j: int) -> np.ndarray:
+    """table[y_j Q + w_j] for the chunks j of Y and W: a chunk dot table read along the pairs.
+
+    The index is formed in intp on both sides: a 1-D Y gives a scalar
+    y_j Q, which NumPy 1 would add to the narrow chunk type of W and wrap.
+    """
+    at = np.add(np.multiply(Y[..., j], Q, dtype=np.intp), W[..., j], dtype=np.intp)
+    return table.take(at)
 
 
 def np_block_rows(n: int) -> int:

@@ -21,7 +21,7 @@ against each other, so a window of candidates costs about as many rounds
 as a class has hits in it over ROUND_HITS, not one step per candidate.
 Rows are packed into the np_chunks chunks of gf, so
 one table lookup updates several coordinates and one gives the inner
-product of two chunks (linalg.np_dots finds the hits), and a block holds
+product of two chunks (linalg.np_orthogonal finds the hits), and a block holds
 the classes whose round state fits SCAN_BYTES, every class of a preset,
 so the few classes that scan longest are waited for once per code.  A
 class keeps a hit when a remainder is left and retires at rank k-1,
@@ -80,8 +80,8 @@ from .linalg import (
     np_chunk_rows,
     np_class_chunks,
     np_class_reps,
-    np_dots,
     np_indices,
+    np_orthogonal,
     scale,
     text_pieces,
     write_text,
@@ -443,7 +443,7 @@ def _rank_failure(D: DefiningSet, y: Vec, chosen: np.ndarray) -> MinimalityRepor
     it holds a class b other than y's; b vanishes wherever c(y) does, so
     c(y) covers c(b), and c(b) is nonzero and no multiple of c(y) because
     rank(D) = k.  The covered message is the first such class in canonical
-    order, found by np_dots against the kept chunk rows over np_class_reps
+    order, found by np_orthogonal against the kept chunk rows over np_class_reps
     rows in blocks of np_block_rows, which stop at the first hit, so a
     block of one class never builds all P classes.  Both the rank and b
     depend only on the span, not on the order of the scan.
@@ -456,8 +456,8 @@ def _rank_failure(D: DefiningSet, y: Vec, chosen: np.ndarray) -> MinimalityRepor
     def orthogonal(start: int) -> np.ndarray:
         """The classes of a block, other than y's, that are orthogonal to every kept row."""
         Y = np_class_reps(q, k, start, start + step)
-        dots = np_dots(field, np_class_chunks(field, k, start, start + step)[:, None], kept)
-        return Y[~dots.any(axis=1) & (Y != y).any(axis=1)]
+        zero = np_orthogonal(field, np_class_chunks(field, k, start, start + step)[:, None], kept)
+        return Y[zero.all(axis=1) & (Y != y).any(axis=1)]
 
     blocks = map(orthogonal, range(0, class_count(q, k), step))
     covered = tuple(next(h for h in blocks if len(h))[0].tolist())
@@ -568,10 +568,12 @@ def _greedy_block(
     Yc holds the block's classes, vectors of F_q^k, as np_chunks chunk
     rows; rows holds D's members the same way, chunk-major (chunks x n), in
     scan order.  The scan reads D a window of candidates at a time.
-    np_dots of the block's classes against the window's chunk rows,
-    DOT_BLOCK values a call, gives each class still scanning its hits, the
+    np_orthogonal of the block's classes against the window's chunk rows,
+    DOT_BLOCK pairs a call, gives each class still scanning its hits, the
     candidates it is orthogonal to, listed in scan order, one class after
-    another; each class holds a cursor into its hits.  A round takes the
+    another, their window positions read by compressing a tiled row of
+    positions through the hit mask; each class holds a cursor into its
+    hits.  A round takes the
     next ROUND_HITS hits of every class that has them and has not retired,
     a zero candidate past the last of a class's hits, and reduces them
     against that class's kept rows, whole chunks at a time,
@@ -585,7 +587,10 @@ def _greedy_block(
     while a window costs one round per ROUND_HITS hits that its busiest
     class tries, not one step per candidate.  The arrays of a round are
     chunk-major too (chunks x hits x classes), so each numpy call runs
-    along the classes.
+    along the classes, and the kept rows are scattered one chunk at a
+    time, which costs less than one 2-D scatter.  A round's index arrays
+    are dropped as soon as they are read, so none outlives its round into
+    the next one's peak.
 
     Returns (picked, count): picked[b, :count[b]] are the scan positions
     class b kept.  count[b] < k-1 means its scan exhausted D cap H(y), whose
@@ -607,6 +612,7 @@ def _greedy_block(
     slots = np.arange(0, full, B)[:, None]  # where each slot starts
     free = np.arange(B)  # each class's next free slot, full or more once it retires
     live = np.arange(B if k > 1 else 0)  # the classes still scanning
+    ticks = np.zeros((0, 0), dtype=np.uint8)
     t = 0
     while live.size and t < n:
         stop = min(n, t + window)
@@ -614,18 +620,22 @@ def _greedy_block(
         Wx = np.zeros((C, L + 1), dtype=rows.dtype)  # the window's chunk rows, then a zero row
         Wx[:, :L] = rows[:, t:stop]
         part = np_block_rows(L)
+        if ticks.shape[1] != L:  # the window position of each entry of a call's hits
+            ticks = np.arange(L, dtype=np.min_scalar_type(L))[None].repeat(
+                min(part, live.size), axis=0)
         total, found = [], []
         for a in range(0, live.size, part):
-            hits = np_dots(field, Yc[live[a:a + part], None], Wx[:, :L].T) == 0
+            hits = np_orthogonal(field, Yc[live[a:a + part], None], Wx[:, :L].T)
             total.append(hits.sum(axis=1))
-            flat = hits.ravel().nonzero()[0]  # row-major: each class's hits in scan order
-            found.append((flat % L).astype(np.min_scalar_type(L)))
+            # row-major: each class's hits in scan order
+            found.append(ticks[:len(hits)].compress(hits.ravel()))
         # the window positions of the hits of every live class, one class after another
         total, found = (np.concatenate(v) if len(v) > 1 else v[0] for v in (total, found))
         end = total.cumsum()
         # per class with hits: the class, the cursor of its next hit in found, the end of its hits
         state = np.concatenate((live, end - total, end)).reshape(3, -1).take(
             total.nonzero()[0], axis=1)
+        del total, end  # here and below: no array outlives its use into a round's peak
         most = int(free.take(live).max()) // B  # kept rows so far; a round adds at most s
         r = 0
         while state.shape[1]:
@@ -634,6 +644,7 @@ def _greedy_block(
             cursor = state[1] + np.arange(u)[:, None]
             # u x S, L (the zero row) past the last of a class's hits
             P = np.where(cursor < state[2], found.take(cursor, mode="clip"), L)
+            del cursor
             w = Wx.take(P, axis=1)  # C x u x S: the round's hits
             if C > 1:  # flat indices in w of each class's chunk j of its hit i
                 rS = np.arange(0, u * S, S, dtype=np.int32)[:, None]
@@ -649,8 +660,8 @@ def _greedy_block(
                 del slot
                 for i in range(kept):
                     x = w.take(J[i] + rS) if C > 1 else w[0]  # u x S: each hit's chunk at the pivot
-                    c = digits.take(T[i] + x)  # c Q, c the coordinate at the pivot
-                    w = minus.take(_product(mulq, c + G[:, i, None], w))
+                    # c Q + g, c the coordinate at the pivot, a row index of mulq
+                    w = minus.take(_product(mulq, digits.take(T[i] + x) + G[:, i, None], w))
             # the round's hits, in order, as a row-order elimination: pivot, scale, clear below
             low = np.empty((u, S), dtype=lowest.dtype)
             jc = np.empty((u, S), dtype=chunk.dtype) if C > 1 else None
@@ -667,8 +678,9 @@ def _greedy_block(
                 w[:, i] = row = mul.take(scale.take(low[i] + x) + row)
                 if i < u - 1:
                     x = w.take(at + rS[i + 1:]) if C > 1 else w[0, i + 1:]
-                    c = digits.take(low[i] + x)
-                    w[:, i + 1:] = minus.take(_product(mulq, c + row[:, None], w[:, i + 1:]))
+                    cg = digits.take(low[i] + x) + row[:, None]
+                    w[:, i + 1:] = minus.take(_product(mulq, cg, w[:, i + 1:]))
+                    del cg
             # keep the nonzero rows, each class's in order in its next free slots
             nz = w.any(axis=0)  # u x S
             flat = nz.ravel().nonzero()[0]
@@ -678,12 +690,15 @@ def _greedy_block(
                 slot *= B
                 slot += free.take(h)
                 slot = slot.ravel().take(flat)
-                basis[:, slot] = w.reshape(C, u * S).take(flat, axis=1)
+                for j in range(C):  # one 1-D scatter a chunk costs half a 2-D one
+                    basis[j, slot] = w[j].take(flat)
                 digit[slot] = low.ravel().take(flat)
                 if C > 1:
                     chunk[slot] = jc.ravel().take(flat)
                 picked[slot] = np.add(P.ravel().take(flat), t, dtype=np.intp)
                 free[h] += nz.sum(axis=0) * B
+                del slot
+            del flat
             r += 1
             state[1] += u
             state = state.take(((state[1] < state[2]) & (free.take(h) < full)).nonzero()[0], axis=1)
@@ -751,8 +766,9 @@ def verify_certificate(D: DefiningSet, cert: Certificate) -> bool:
     checked.  Representatives are told apart, and vector entries found in
     D, through tables of q^k flags, one per canonical index.  Classes are
     checked in blocks of np_check_rows(k) = 4 DOT_BLOCK / k^2 on chunk rows
-    (linalg.np_chunk_rows): the pairs y.w by np_dots, through the chunk
-    dot table, and the ranks by np_chunk_ranks.  A block's vector
+    (linalg.np_chunk_rows): the zero test of the pairs y.w by
+    np_orthogonal, through the chunk dot tables, and the ranks by
+    np_chunk_ranks.  A block's vector
     entries are packed as they are, and its index entries gather the
     chunk rows D holds.
     """
@@ -790,7 +806,8 @@ def verify_certificate(D: DefiningSet, cert: Certificate) -> bool:
             else:
                 W = D.chunk_rows.take(W.astype(np.intp) - 1, axis=0)
             Yb = np_chunk_rows(field, Y[start:start + step])
-            if np_dots(field, Yb[:, None], W).any() or (np_chunk_ranks(field, W) != k - 1).any():
+            if not np_orthogonal(field, Yb[:, None], W).all() or (
+                    np_chunk_ranks(field, W) != k - 1).any():
                 return False
     return True
 

@@ -35,7 +35,7 @@ the field's element type (one byte per coordinate up to q = 256), the type
 the certificate stores.  One post-condition checks a block on the
 lifts packed into chunk rows once: every lift (f(alpha), alpha) is
 orthogonal to its class (f(alpha) = omega.alpha in cases 1-2,
-v.alpha = 0 in case 3), by np_dots, and np_chunk_ranks gives the
+v.alpha = 0 in case 3), by np_orthogonal, and np_chunk_ranks gives the
 lifts rank m, which on orthogonal lifts of cases 1-2 is the rank of the
 alphas.  A failure raises ConstructionError naming the first failing
 class; verify_certificate remains the independent check of a
@@ -73,8 +73,8 @@ from .linalg import (
     np_chunk_ranks,
     np_chunk_rows,
     np_class_reps,
-    np_dots,
     np_indices,
+    np_orthogonal,
 )
 from .minimality import Certificate, CertificateClasses, normalize_class
 from .mm_witness import Values, case1_alphas, case2_alphas, case3_alphas
@@ -212,11 +212,11 @@ def _check_block(field: FieldSpec, Y: np.ndarray, lifts: np.ndarray) -> None:
     """
     m = lifts.shape[1]
     L = np_chunk_rows(field, lifts)
-    dots = np_dots(field, np_chunk_rows(field, Y)[:, None], L)
-    bad = dots.any(axis=1) | (np_chunk_ranks(field, L) != m)
+    zero = np_orthogonal(field, np_chunk_rows(field, Y)[:, None], L).all(axis=1)
+    bad = ~zero | (np_chunk_ranks(field, L) != m)
     if bad.any():
         i = int(bad.argmax())
-        why = "a lift is not orthogonal to it" if dots[i].any() else "rank below m"
+        why = "rank below m" if zero[i] else "a lift is not orthogonal to it"
         raise construction_bug(f"class {tuple(Y[i].tolist())} fails the post-condition: {why}")
 
 

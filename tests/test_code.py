@@ -302,6 +302,28 @@ def test_hyperplane_counts_match_dot_oracle():
                 assert N[vector_to_index(q, [field.mul(c, a) for a in y])] == N[i]
 
 
+def test_hyperplane_counts_past_the_narrow_count_types():
+    # the transform holds its tables in the narrowest signed type for n; at
+    # n = 300, past int8, and n = 40,000, past int16, every count equals the
+    # dot oracle's over D's distinct rows with their multiplicities, and the
+    # counts D caches are int64, so callers' arithmetic does not narrow
+    from collections import Counter
+    from itertools import product
+
+    rng = random.Random(29)
+    messages = list(product(range(2), repeat=3))
+    for n in (300, 40_000):
+        rows = [(1, 0, 0)] * (n // 2) + [rng.choice(messages) for _ in range(n - n // 2)]
+        D = DefiningSet(F2, 3, rows)
+        N = D.hyperplane_counts
+        assert N.dtype == np.int64
+        oracle = [sum(c for d, c in Counter(rows).items() if not dot(F2, y, d))
+                  for y in messages]
+        assert N.tolist() == oracle
+        assert N[0] == n  # past int8's 127 and int16's 32,767
+        assert D.n - N.min() == weight_distribution(D).w_max
+
+
 def test_count_table_guard_boundary(monkeypatch):
     import minicode.code as code_mod
 

@@ -286,8 +286,15 @@ def test_chunk_tables(q, h):
             [F.sub(s, F.mul(a, t)) for s, t in zip(X, Y)])
         assert ch.digits[:, x].tolist() == [c * Q for c in X]
         assert ch.dot[y * Q + x] == functools.reduce(F.add, map(F.mul, Y, X))
+        assert F.add(ch.negdot[y * Q + x], ch.dot[y * Q + x]) == 0
     assert not ch.minus.flags.writeable and not ch.digits.flags.writeable
     assert not ch.dot.flags.writeable and not ch.mulq.flags.writeable
+    # the negated dot table, in the element type, negates every entry; in
+    # characteristic 2, where -1 = 1, it is the dot table itself
+    assert ch.negdot.dtype == ch.dot.dtype and ch.negdot.shape == ch.dot.shape
+    assert not ch.negdot.flags.writeable
+    assert ch.negdot.tolist() == [F.sub(0, a) for a in ch.dot.tolist()]
+    assert (ch.negdot is ch.dot) == (F.p == 2)
     assert ch.mulq.shape == (q * Q,) and ch.mulq.dtype == np.min_scalar_type((Q - 1) * Q)
     if h == 1:  # a chunk is one coordinate, and the dot table is mul
         assert ch.dot.tolist() == ch.mul.tolist()

@@ -14,7 +14,9 @@ from minicode.linalg import (
     dot,
     index_to_vector,
     np_chunk_rows,
+    np_digits,
     np_dots,
+    np_orthogonal,
     np_ranks,
     read_matrix,
     support,
@@ -250,6 +252,86 @@ def test_np_dots_matches_scalar_dot(q):
         yc, Dc = np_chunk_rows(F, np.array(y)), np_chunk_rows(F, np.array(D))
         assert yc.tolist() == [y0] and Dc[0, 0] == ch.Q - 1
         assert np_dots(F, yc, Dc).tolist() == [dot(F, y, d) for d in D]
+
+
+ORTHOGONAL_FIELDS = [F2, F3, F4, F5, make_field(2, 3), make_field(3, 2), make_field(2, 4),
+                     make_field(17), make_field(2, 8, (1, 0, 1, 1, 1, 0, 0, 0, 1)), make_field(257)]
+
+
+def orthogonal_to(F, y, d):
+    """d with its coordinate at y's first nonzero one changed so that y.d = 0."""
+    j = next(i for i, a in enumerate(y) if a)
+    d = list(d)
+    d[j] = 0
+    d[j] = F.mul(F.sub(0, dot(F, y, d)), F.inv(y[j]))
+    return d
+
+
+@pytest.mark.parametrize("F", ORTHOGONAL_FIELDS, ids=lambda F: f"F{F.q}")
+def test_np_orthogonal_matches_np_dots(F):
+    # the zero test compares the first C - 1 chunk dots with the last chunk's
+    # entry in the negated dot table; it equals np_dots(...) == 0 on every
+    # shape its callers pass: R x n pairs (also against the transposed
+    # chunk-major rows of a scan window), each class against its own B x r
+    # rows, and a 1-D Y.  The fields give C = 1, 2 and 3 chunks at every
+    # chunk width h that occurs (1, 2, 3, 4, 5 and 8).
+    h = F.np_chunks.h
+    rng = np.random.default_rng(F.q)
+    chunks = set()
+    for c in sorted({1, h, h + 1, 2 * h, 2 * h + 1, 3 * h}):
+        chunks.add(-(-c // h))
+        Y = rng.integers(0, F.q, (7, c))
+        Y[:, 0] = 1  # nonzero classes
+        Y[1] = 0
+        D = rng.integers(0, F.q, (40, c))
+        W = rng.integers(0, F.q, (7, 5, c))
+        D[0] = W[:, 0] = 0
+        for i, y in enumerate(Y[2:].tolist()):  # orthogonal pairs in every row and block
+            D[1 + i] = orthogonal_to(F, y, D[1 + i].tolist())
+            W[2 + i, 1] = orthogonal_to(F, y, W[2 + i, 1].tolist())
+        Yc, Dc, Wc = (np_chunk_rows(F, A) for A in (Y, D, W))
+        cases = [(Yc[:, None], Dc), (Yc[:, None], np.ascontiguousarray(Dc.T).T),
+                 (Yc[:, None], Wc)] + [(y, Dc) for y in Yc]
+        for Yx, Wx in cases:
+            got, expected = np_orthogonal(F, Yx, Wx), np_dots(F, Yx, Wx) == 0
+            assert got.dtype == bool and got.shape == expected.shape
+            assert np.array_equal(got, expected)
+        pairs = np_orthogonal(F, Yc[:, None], Dc)
+        assert pairs.any() and not pairs.all()
+    assert chunks >= {1, 2, 3}
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 9, 16, 17, 257, 1021])
+def test_np_digits_matches_divmod(q):
+    # the digits from floor division and a multiply-subtract equal those of
+    # np.divmod, for every index below 2^16 and a sample above, in int64 and
+    # in the narrowest type for q - 1, whichever type the indices have; the
+    # indices are left as they were.  Base q - 1 = 1 is how the weight-1
+    # vectors of F_2 are listed.
+
+    def reference(idx, m, dtype):
+        out = np.empty((len(idx), m), dtype=dtype)
+        for i in range(m - 1, -1, -1):
+            idx, out[:, i] = np.divmod(idx, q)
+        return out
+
+    rng = np.random.default_rng(q)
+    for m in (1, 2, 3, 4, 6):
+        top = q**m
+        if top <= 2**16:
+            idx = np.arange(top)
+        else:
+            idx = np.append(rng.integers(0, top, 4096), [0, top - 1])
+        for index in (idx, idx.astype(np.min_scalar_type(top - 1))):
+            before = index.copy()
+            for dtype in (np.int64, np.min_scalar_type(q - 1)):
+                got = np_digits(q, m, index, dtype)
+                assert got.dtype == dtype and np.array_equal(got, reference(index, m, dtype))
+            assert np_digits(q, m, index).dtype == np.int64
+            assert np.array_equal(index, before)
+        if top <= 2**16:
+            assert [tuple(r) for r in np_digits(q, m, idx).tolist()] == [
+                index_to_vector(q, m, i) for i in range(top)]
 
 
 def test_echelon_basis_membership():

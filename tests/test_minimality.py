@@ -500,24 +500,24 @@ def scan_cuts(monkeypatch, D):
     """rank_criterion_code(D), how many class blocks its scan ran, and the most
     windows in which one class met hits.
 
-    A window reaches each class still scanning through one np_dots call.
+    A window reaches each class still scanning through one np_orthogonal call.
     """
     blocks, windows = [], collections.Counter()
-    greedy, dots = minimality_mod._greedy_block, minimality_mod.np_dots
+    greedy, orthogonal = minimality_mod._greedy_block, minimality_mod.np_orthogonal
 
     def block(field, Y, *args):
         blocks.append(len(Y))
         return greedy(field, Y, *args)
 
     def window(field, Y, W):
-        out = dots(field, Y, W)
+        out = orthogonal(field, Y, W)
         rows = np.asarray(Y).reshape(len(out), -1).tolist()
-        windows.update(tuple(y) for y, row in zip(rows, out) if (row == 0).any())
+        windows.update(tuple(y) for y, row in zip(rows, out) if row.any())
         return out
 
     with monkeypatch.context() as m:
         m.setattr(minimality_mod, "_greedy_block", block)
-        m.setattr(minimality_mod, "np_dots", window)
+        m.setattr(minimality_mod, "np_orthogonal", window)
         report = rank_criterion_code(D)
     return report, len(blocks), max(windows.values(), default=0)
 
@@ -532,22 +532,33 @@ def space_codes(field, k):
 
 
 @pytest.mark.parametrize("block", [None, 40])
-@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda F: f"F{F.q}")
+@pytest.mark.parametrize("field", ORACLE_FIELDS + [make_field(17)], ids=lambda F: f"F{F.q}")
 def test_rank_hit_rounds_match_sequential_scan(monkeypatch, field, block):
     # every class keeps the rows the sequential scan of the scalar reference
     # keeps, and a failing code reports the first failing class with the same
     # rank and cover; so does each class on its own, a block of one; at the
     # shrunken DOT_BLOCK and SCAN_BYTES the scan splits the classes of a
     # passing and of a failing code over several blocks and a class's hits
-    # over several windows
+    # over several windows.  Rows are C chunks: an F_3 code with k = 6 has
+    # two chunks of Q = 243, as the presets do, and F_17 codes with k = 3
+    # three one-coordinate chunks.
     if block:
         monkeypatch.setattr(linalg_mod, "DOT_BLOCK", block)
         monkeypatch.setattr(minimality_mod, "SCAN_BYTES", SMALL_SCAN)
     rng = random.Random(67 + field.q)
     cuts = {}  # verdict -> the most blocks of a code and the most windows of a class
-    codes = oracle_codes(field, rng) + space_codes(field, {2: 6, 3: 5}.get(field.q, 3))
-    codes += [random_defining_set(field, 3, rng.randrange(field.q, 6 * field.q), 3, rng)
-              for _ in range(4)]
+    if field.q == 17:  # a minimal code, and the same with one point left on the last class's plane
+        D = full_rank_defining_set(field, 3, 200, rng)
+        y = np_class_reps(17, 3)[-1].tolist()
+        rows = D.vectors.tolist()
+        off = [d for d in rows if dot(field, y, d)]
+        codes = [D, DefiningSet(field, 3, off + [next(d for d in rows if d not in off)])]
+    else:
+        codes = oracle_codes(field, rng) + space_codes(field, {2: 6, 3: 5}.get(field.q, 3))
+        codes += [random_defining_set(field, 3, rng.randrange(field.q, 6 * field.q), 3, rng)
+                  for _ in range(4)]
+    if field.q == 3:
+        codes.append(full_rank_defining_set(field, 6, 60, rng))
     for D in codes:
         if D.rank != D.k:
             continue
