@@ -146,12 +146,13 @@ def scan_order(n: int) -> np.ndarray:
     round(n / phi) up that is coprime to n (phi the golden ratio), so
     successive candidates spread over D.  Canonical order would start with
     the q^{m-1} - 1 members of D_f that have x_1 = 0, which span slowly.
-    The order depends only on n, so it is made once per n and shared.
+    The order depends only on n, so it is made once per n and shared.  Its
+    type is np.min_scalar_type(n), which also holds each position + 1.
     """
     s = max(1, round(n * (math.sqrt(5) - 1) / 2))
     while math.gcd(s, n) != 1:
         s += 1
-    order = np.arange(n, dtype=np.int64) * s % n
+    order = (np.arange(n, dtype=np.int64) * s % n).astype(np.min_scalar_type(n))
     order.flags.writeable = False
     return order
 

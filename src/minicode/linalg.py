@@ -9,7 +9,9 @@ field.  The inner products and the ranks work on rows packed h
 coordinates to an integer (np_chunk_rows, the np_chunks chunks of gf):
 np_dots, the inner-product kernel, reads one inner product of two chunks
 per lookup in the chunk dot table, np_orthogonal, its zero test, reads
-the last chunk in the negated dot table instead of adding it, and
+the last chunk in the negated dot table instead of adding it,
+np_orthogonal_positions lists each row's orthogonal rows, from tables
+of the rows it is tested against once there are many rows to test, and
 np_chunk_ranks, the one elimination kernel, eliminates in row order on
 whole chunks, with
 first-nonzero pivoting and exact table arithmetic; np_ranks is its front
@@ -264,6 +266,46 @@ def np_orthogonal(field: FieldSpec, Y: np.ndarray, W: np.ndarray) -> np.ndarray:
     if C == 1:
         return last == 0
     return np_dots(field, Y[..., :C - 1], W[..., :C - 1]) == last
+
+
+def np_orthogonal_positions(field: FieldSpec, Y: np.ndarray,
+                            W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(total, found): for each of S chunk rows y of Y, the rows w of W with y.w = 0.
+
+    Y is S x C and W is L x C, chunk rows as np_orthogonal takes them.
+    total[b] counts row b's orthogonal rows of W, and found holds their
+    positions in W, in order, row after row of Y, both in the narrowest
+    type that holds L; positions are read by compressing a tiled row of
+    positions through each zero mask of np_block_rows(L) rows of Y.  From
+    S = Q rows up, W is first read into one table per chunk,
+    T_j[v, i] = dot[v Q + w_ij] over every chunk value v (negdot for the
+    last chunk, compared with 0 at C = 1), Q L lookups each; a row's mask
+    is then C row gathers, C - 2 field additions and one comparison, with
+    no index per pair.  Fewer rows than Q would not repay the tables, and
+    take np_orthogonal's pairs.
+    """
+    ch, (L, C) = field.np_chunks, W.shape
+    S, Q = len(Y), ch.Q
+    if S >= Q:
+        T = [ch.dot.reshape(Q, Q).take(W[:, j], axis=1) for j in range(C - 1)]
+        T.append(ch.negdot.reshape(Q, Q).take(W[:, -1], axis=1))
+
+        def orthogonal(Yp: np.ndarray) -> np.ndarray:
+            acc = T[0].take(Yp[:, 0], axis=0) if C > 1 else 0
+            for j in range(1, C - 1):
+                acc = field.vadd(acc, T[j].take(Yp[:, j], axis=0))
+            return acc == T[-1].take(Yp[:, -1], axis=0)
+    else:
+        def orthogonal(Yp: np.ndarray) -> np.ndarray:
+            return np_orthogonal(field, Yp[:, None], W)
+    part, at = np_block_rows(L), np.min_scalar_type(L)  # a position in W, or a count
+    ticks = np.arange(L, dtype=at)[None].repeat(min(part, S), axis=0)
+    total, found = [], []
+    for a in range(0, S, part):
+        zero = orthogonal(Y[a:a + part])
+        total.append(zero.view(np.uint8).sum(axis=1, dtype=at))  # in at, half the time of intp
+        found.append(ticks[:len(zero)].compress(zero.ravel()))  # row-major: each row's in order
+    return tuple(np.concatenate(v) if len(v) > 1 else v[0] for v in (total, found))
 
 
 def _chunk_dots(Q: int, table: np.ndarray, Y: np.ndarray, W: np.ndarray, j: int) -> np.ndarray:

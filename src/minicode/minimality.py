@@ -21,7 +21,12 @@ against each other, so a window of candidates costs about as many rounds
 as a class has hits in it over ROUND_HITS, not one step per candidate.
 Rows are packed into the np_chunks chunks of gf, so
 one table lookup updates several coordinates and one gives the inner
-product of two chunks (linalg.np_orthogonal finds the hits), and a block holds
+product of two chunks.  linalg.np_orthogonal_positions lists a
+window's hits, from tables of its candidates, one per chunk, read a row
+per class and chunk, while at least Q classes scan, and from the pairs
+of np_orthogonal below that; a window holds DOT_BLOCK / (classes still
+scanning) candidates, or 2qk when that is more, so the last few classes
+read the rest of D at once.  A block holds
 the classes whose round state fits SCAN_BYTES, every class of a preset,
 so the few classes that scan longest are waited for once per code.  A
 class keeps a hit when a remainder is left and retires at rank k-1,
@@ -82,6 +87,7 @@ from .linalg import (
     np_class_reps,
     np_indices,
     np_orthogonal,
+    np_orthogonal_positions,
     scale,
     text_pieces,
     write_text,
@@ -472,12 +478,14 @@ def _block_scan(D: DefiningSet) -> tuple[Callable, int]:
     scan(Yc) runs _greedy_block on the classes whose chunk rows are Yc and
     returns (chosen, count): chosen[b, :count[b]] are the 1-based D
     indices class b kept.
-    The scan reads D a window of candidates at a time: 2qk of them, among
+    The first window of the scan is window candidates: 2qk of them, among
     which a class meets about 2k hits, or all of D when it is smaller, and
-    never more than 2 sqrt(DOT_BLOCK).  A block of step classes holds
+    never more than 2 sqrt(DOT_BLOCK); _greedy_block widens later ones as
+    classes retire.  A block of step classes holds
     about SCAN_BYTES of round state: per class its kept rows and their scan
     positions, a window of hit positions, and a round's indices (two per
-    kept row, one per chunk).  Every preset and
+    kept row, one per chunk).  chosen is read through scan_order, in its
+    type, the narrowest that holds every index up to n.  Every preset and
     every benchmark code fits one block, so the tail of near-empty hit
     rounds, the few classes that scan longest, is paid once per code; the
     blocks remain for codes whose P is huge against n.  The scan-order
@@ -486,14 +494,16 @@ def _block_scan(D: DefiningSet) -> tuple[Callable, int]:
     field, k, n = D.field, D.k, D.n
     order, rows = scan_order(n), D.scan_rows
     window = min(n, 2 * field.q * k, math.isqrt(4 * linalg.DOT_BLOCK))
-    pos = np.min_scalar_type(n).itemsize  # a scan position
     intp = np.dtype(np.intp).itemsize
     C = len(rows)
+    pos = order.itemsize  # a scan position
     state = (k - 1) * (C * rows.itemsize + pos + 2 * intp) + window * pos + C * intp
 
     def scan(Yc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         picked, count = _greedy_block(field, Yc, k, rows, window)
-        return order[picked] + 1, count
+        chosen = order[picked]  # scan_order's type holds every position + 1
+        chosen += 1
+        return chosen, count
 
     return scan, max(1, SCAN_BYTES // state)
 
@@ -567,13 +577,16 @@ def _greedy_block(
 
     Yc holds the block's classes, vectors of F_q^k, as np_chunks chunk
     rows; rows holds D's members the same way, chunk-major (chunks x n), in
-    scan order.  The scan reads D a window of candidates at a time.
-    np_orthogonal of the block's classes against the window's chunk rows,
-    DOT_BLOCK pairs a call, gives each class still scanning its hits, the
-    candidates it is orthogonal to, listed in scan order, one class after
-    another, their window positions read by compressing a tiled row of
-    positions through the hit mask; each class holds a cursor into its
-    hits.  A round takes the
+    scan order.  The scan reads D a window of candidates at a time:
+    max(window, DOT_BLOCK // live) of them, live being the classes still
+    scanning, so a block of a preset's classes starts with window of them,
+    a tiny code reads all of D at once, and the few classes that scan
+    longest read the rest of D in one or two windows.
+    np_orthogonal_positions gives each live class its hits there, the
+    candidates it is orthogonal to, in scan order, one class after
+    another: from one table per chunk of the window while at least Q
+    classes are live, and from np_orthogonal's pairs below that.  Each
+    class holds a cursor into its hits.  A round takes the
     next ROUND_HITS hits of every class that has them and has not retired,
     a zero candidate past the last of a class's hits, and reduces them
     against that class's kept rows, whole chunks at a time,
@@ -612,26 +625,14 @@ def _greedy_block(
     slots = np.arange(0, full, B)[:, None]  # where each slot starts
     free = np.arange(B)  # each class's next free slot, full or more once it retires
     live = np.arange(B if k > 1 else 0)  # the classes still scanning
-    ticks = np.zeros((0, 0), dtype=np.uint8)
     t = 0
     while live.size and t < n:
-        stop = min(n, t + window)
+        stop = min(n, t + max(window, linalg.DOT_BLOCK // live.size))
         L = stop - t
         Wx = np.zeros((C, L + 1), dtype=rows.dtype)  # the window's chunk rows, then a zero row
         Wx[:, :L] = rows[:, t:stop]
-        part = np_block_rows(L)
-        if ticks.shape[1] != L:  # the window position of each entry of a call's hits
-            ticks = np.arange(L, dtype=np.min_scalar_type(L))[None].repeat(
-                min(part, live.size), axis=0)
-        total, found = [], []
-        for a in range(0, live.size, part):
-            hits = np_orthogonal(field, Yc[live[a:a + part], None], Wx[:, :L].T)
-            total.append(hits.sum(axis=1))
-            # row-major: each class's hits in scan order
-            found.append(ticks[:len(hits)].compress(hits.ravel()))
-        # the window positions of the hits of every live class, one class after another
-        total, found = (np.concatenate(v) if len(v) > 1 else v[0] for v in (total, found))
-        end = total.cumsum()
+        total, found = np_orthogonal_positions(field, Yc.take(live, axis=0), Wx[:, :L].T)
+        end = total.cumsum(dtype=np.intp)
         # per class with hits: the class, the cursor of its next hit in found, the end of its hits
         state = np.concatenate((live, end - total, end)).reshape(3, -1).take(
             total.nonzero()[0], axis=1)

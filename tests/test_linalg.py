@@ -301,6 +301,35 @@ def test_np_orthogonal_matches_np_dots(F):
     assert chunks >= {1, 2, 3}
 
 
+@pytest.mark.parametrize("block", [None, 40])
+@pytest.mark.parametrize("q, k", [(2, 3), (2, 8), (3, 6), (17, 3)])
+def test_np_orthogonal_positions_tables_match_pairs(monkeypatch, q, k, block):
+    # the positions listed from per-chunk tables, from Q rows of Y up, are
+    # those of np_orthogonal's pairs, with 1 (F_2), 2 (F_3, k = 6) and 3
+    # (F_17, k = 3) chunks, in one block of rows or, at the shrunken
+    # DOT_BLOCK, in many
+    if block:
+        monkeypatch.setattr(linalg_mod, "DOT_BLOCK", block)
+    F = field_by_order(q)
+    pairs = []
+    orthogonal = linalg_mod.np_orthogonal
+    monkeypatch.setattr(linalg_mod, "np_orthogonal",
+                        lambda *args: pairs.append(1) or orthogonal(*args))
+    rng = np.random.default_rng(83 + q + k)
+    Q = F.np_chunks.Q
+    for S in (1, Q - 1, Q, 2 * Q + 5):
+        for L in (1, 7, 3 * q * k):
+            # rows drawn with repeats, so that a small field meets every chunk value
+            Y = np_chunk_rows(F, rng.integers(0, q, (S, k)))
+            W = np_chunk_rows(F, rng.integers(0, q, (L, k)))
+            del pairs[:]
+            total, found = linalg_mod.np_orthogonal_positions(F, Y, W)
+            zero = orthogonal(F, Y[:, None], W)
+            assert total.tolist() == zero.sum(axis=1).tolist()
+            assert found.tolist() == zero.nonzero()[1].tolist()
+            assert bool(pairs) == (S < Q), (S, L)
+
+
 @pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 9, 16, 17, 257, 1021])
 def test_np_digits_matches_divmod(q):
     # the digits from floor division and a multiply-subtract equal those of

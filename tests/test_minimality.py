@@ -500,24 +500,24 @@ def scan_cuts(monkeypatch, D):
     """rank_criterion_code(D), how many class blocks its scan ran, and the most
     windows in which one class met hits.
 
-    A window reaches each class still scanning through one np_orthogonal call.
+    A window lists the hits of every class still scanning through one
+    np_orthogonal_positions call, by chunk tables or by pairs.
     """
     blocks, windows = [], collections.Counter()
-    greedy, orthogonal = minimality_mod._greedy_block, minimality_mod.np_orthogonal
+    greedy, listing = minimality_mod._greedy_block, minimality_mod.np_orthogonal_positions
 
     def block(field, Y, *args):
         blocks.append(len(Y))
         return greedy(field, Y, *args)
 
     def window(field, Y, W):
-        out = orthogonal(field, Y, W)
-        rows = np.asarray(Y).reshape(len(out), -1).tolist()
-        windows.update(tuple(y) for y, row in zip(rows, out) if row.any())
-        return out
+        total, found = listing(field, Y, W)
+        windows.update(tuple(y) for y, count in zip(Y.tolist(), total.tolist()) if count)
+        return total, found
 
     with monkeypatch.context() as m:
         m.setattr(minimality_mod, "_greedy_block", block)
-        m.setattr(minimality_mod, "np_orthogonal", window)
+        m.setattr(minimality_mod, "np_orthogonal_positions", window)
         report = rank_criterion_code(D)
     return report, len(blocks), max(windows.values(), default=0)
 
