@@ -35,7 +35,8 @@ from .families import (
     paper_presets,
     read_function,
 )
-from .linalg import check_enumerable, text_lines, write_matrix, write_text
+from . import linalg
+from .linalg import check_enumerable, text_pieces, write_matrix, write_text
 from .minimality import (
     MINIMAL,
     ab_condition,
@@ -53,14 +54,11 @@ EXIT_ERROR = 2
 
 
 def _sniff_source(path: str) -> str:
-    with text_lines(path) as lines:
-        head = next(lines, "").split()
+    """"matrix" when the header's third field is a token (the row count), else "function"."""
+    with text_pieces(path) as pieces:
+        head = linalg.fields(linalg.split_header(pieces)[0] or "")
     if len(head) == 3:
-        try:
-            int(head[2])
-            return "matrix"
-        except ValueError:
-            return "function"
+        return "function" if linalg.token_value(head[2]) is None else "matrix"
     raise GuardError(f"unrecognized input header in {path}")
 
 

@@ -289,6 +289,6 @@ def write_defining_set(out: Union[str, TextIO], D: DefiningSet) -> None:
 
 def read_defining_set(src: Union[str, TextIO]) -> DefiningSet:
     field, rows = read_matrix(src)
-    if not rows:
+    if not len(rows):
         raise GuardError("empty defining set")
-    return DefiningSet(field, len(rows[0]), rows)
+    return DefiningSet(field, rows.shape[1], rows)

@@ -26,11 +26,15 @@ from .gf import FieldSpec, field_by_order, make_field
 from .linalg import (
     DOT_BLOCK,
     check_enumerable,
+    fields,
     index_to_vector,
     np_digits,
     np_indices,
     np_vectors,
-    text_lines,
+    split_header,
+    text_pieces,
+    token_value,
+    token_values,
     write_text,
 )
 
@@ -559,18 +563,25 @@ def write_function(out: Union[str, TextIO], f: FunctionSpec) -> None:
 
 
 def read_function(src: Union[str, TextIO]) -> FunctionSpec:
-    with text_lines(src) as lines:
-        first = next(lines, None)
+    """The function file format: its header, then the variant's integers as tokens."""
+    with text_pieces(src) as pieces:
+        first, line, body = split_header(pieces)
         if first is None:
             raise ValueError("empty function file")
-        head = first.split()
-        if len(head) != 3:
+        head = fields(first)
+        q = token_value(head[0]) if len(head) == 3 else None
+        if q is None:
             raise ValueError(f"bad function header {first!r}")
-        q, m, kind = int(head[0]), int(head[1]), head[2]
-        field = field_by_order(q)
-        if m < 1:
-            raise ValueError(f"arity m = {m} must be >= 1")
-        flat = [int(t) for ln in lines for t in ln.split()]
+        field, m, kind = field_by_order(q), token_value(head[1]), head[2]
+        if not m:
+            raise ValueError(f"arity m = {head[1]} must be >= 1")
+        flat = token_values(body, line, ValueError).tolist()
+    return _function_spec(field, m, kind, flat)
+
+
+def _function_spec(field: FieldSpec, m: int, kind: str, flat: list[int]) -> FunctionSpec:
+    """The FunctionSpec of a variant's integers, read by read_function."""
+    q = field.q
     lead = {"weight_threshold": 1, "complement_threshold": 1,
             "maiorana_mcfarland": 2, "monomial_sum": 1}.get(kind, 0)
     if len(flat) < lead:
@@ -588,8 +599,8 @@ def read_function(src: Union[str, TextIO]) -> FunctionSpec:
         return FunctionSpec(field, m, ComplementThreshold(flat[0]))
     if kind == "maiorana_mcfarland":
         s, t = flat[0], flat[1]
-        if s < 0 or t < 0 or s + t != m:
-            raise ValueError(f"maiorana_mcfarland needs s, t >= 0 with s + t = m, got {s}, {t}")
+        if s + t != m:
+            raise ValueError(f"maiorana_mcfarland needs s + t = m, got {s}, {t}")
         rest = flat[2:]
         if len(rest) % (t + 1) or not _is_power(q, s, len(rest) // (t + 1)):
             raise ValueError(

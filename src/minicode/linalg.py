@@ -23,11 +23,12 @@ against.
 
 from __future__ import annotations
 
+import re
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -476,9 +477,14 @@ def np_chunk_ranks(field: FieldSpec, S: np.ndarray) -> np.ndarray:
     return S.any(axis=1).sum(axis=0)
 
 
-# -- text files and the matrix format ------------------------------------------
+# -- text files, the token grammar and the matrix format -----------------------
 
 READ_CHARS = 2**16  # characters of text read at once
+TOKEN_DIGITS = 19   # the most digits of a token
+TOKEN_MAX = 2**63 - 1
+
+_BREAK = re.compile("\r\n|\r|\n")
+_BLANK_LINES = re.compile("(?:[ \t]*(?:\r\n|\r|\n))*")
 
 
 @contextmanager
@@ -486,12 +492,12 @@ def text_pieces(src: Union[str, TextIO]) -> Iterator[Iterator[str]]:
     """The text of a path or a stream in pieces of whole lines.
 
     The text is read READ_CHARS characters at a time, and each piece is cut
-    after its last "\n" or "\r"; the rest begins the next piece, so a
-    piece grows until it holds a line break or the text ends.  A cut
-    between "\r" and "\n" ends one piece with "\r" and begins the next
-    with "\n".  A path is opened as UTF-8, with universal newlines, and
-    closed when the block exits, also on an error; a stream is read as it
-    is and left open.
+    after its last line break, "\n", "\r\n" or "\r"; the rest begins the
+    next piece, so a piece grows until it holds a line break or the text
+    ends.  A "\r" that ends a read waits for the next, so no piece ends
+    between "\r" and "\n".  A path is opened as UTF-8, with universal
+    newlines, and closed when the block exits, also on an error; a stream
+    is read as it is and left open.
     """
     with open(src, "r", encoding="utf-8") if isinstance(src, str) else nullcontext(src) as fh:
         yield _pieces(fh)
@@ -500,7 +506,7 @@ def text_pieces(src: Union[str, TextIO]) -> Iterator[Iterator[str]]:
 def _pieces(fh: TextIO) -> Iterator[str]:
     rest: list[str] = []  # the text read since the last line break
     while read := fh.read(READ_CHARS):
-        cut = max(read.rfind("\n"), read.rfind("\r")) + 1
+        cut = max(read.rfind("\n"), read.rfind("\r", 0, len(read) - 1)) + 1
         if cut:
             yield "".join([*rest, read[:cut]])
             rest = []
@@ -509,16 +515,123 @@ def _pieces(fh: TextIO) -> Iterator[str]:
         yield "".join(rest)
 
 
-@contextmanager
-def text_lines(src: Union[str, TextIO]) -> Iterator[Iterator[str]]:
-    """The non-blank lines of a path or a stream, split a text piece at a time.
+def split_header(pieces: Iterator[str]) -> tuple[Optional[str], int, Iterator[str]]:
+    """(header, line, body): the first non-blank line of the pieces and the text after it.
 
-    Lines are split as str.splitlines splits the whole text: the pieces of
-    text_pieces are whole lines, and a cut between "\r" and "\n" only adds
-    a blank line, which is dropped with the others.
+    header is None when every line is blank; body, the pieces of the rest,
+    begins on line number line, lines counted from 1.
     """
-    with text_pieces(src) as pieces:
-        yield filter(str.strip, chain.from_iterable(map(str.splitlines, pieces)))
+    line = 1
+    for piece in pieces:
+        lead = _BLANK_LINES.match(piece).end()
+        line += _breaks(piece[:lead])
+        header, *rest = _BREAK.split(piece[lead:], 1)
+        if header.strip(" \t"):
+            return header, line + 1, chain(rest, pieces)
+    return None, line, iter(())
+
+
+def _breaks(text: str) -> int:
+    return text.count("\n") + text.count("\r") - text.count("\r\n")
+
+
+def fields(line: str, bar: bool = False) -> list[str]:
+    """The fields of a line between spaces and tabs, and "|" with bar."""
+    return [t for t in re.split("[ \t|]" if bar else "[ \t]", line) if t]
+
+
+def token_fault(t: str) -> Optional[str]:
+    """Why t is not a token (1 to TOKEN_DIGITS ASCII digits, at most TOKEN_MAX), or None."""
+    if not (t.isascii() and t.isdigit()):
+        return f"token {t!r} is not a run of ASCII digits"
+    if len(t) > TOKEN_DIGITS or int(t) > TOKEN_MAX:
+        return f"token {t!r} exceeds {TOKEN_DIGITS} digits or 2^63 - 1: integers are of at most 64 bits"
+    return None
+
+
+def token_value(t: str) -> Optional[int]:
+    """The value of the token t, or None if t is not a token."""
+    return None if token_fault(t) else int(t)
+
+
+def np_tokens(piece: str, bar: bool = False,
+              ) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """(values, starts, ends, bars) of a piece in the token grammar, or None.
+
+    The positions are those of the tokens' first digits, the line ends and
+    the "|" (with bar; else none) in "\n" + piece + "\n", where each "\r"
+    reads as "\n", so "\r\n" ends a line and a blank one.  values, in the
+    narrowest unsigned type of the longest token, are found as runs of
+    ASCII digits, one digit of every token per pass.  Another byte, a token
+    over TOKEN_DIGITS digits or above TOKEN_MAX gives None.  Each
+    byte-sized temporary is dropped once spent, which keeps a piece's peak
+    near its token positions and values.
+    """
+    text = ("\n" + piece + "\n" + " " * TOKEN_DIGITS).replace("\r", "\n")  # starts + 19 inside
+    if not text.isascii():
+        return None
+    raw = text.encode("ascii")
+    del text
+    if raw.translate(None, b"0123456789 \t\n|" if bar else b"0123456789 \t\n"):
+        return None
+    b = np.frombuffer(raw, np.uint8)
+    ends = np.flatnonzero(b == ord("\n"))
+    bars = np.flatnonzero(b == ord("|"))
+    digit = b - ord("0")  # 10 or more for any other byte
+    del b, raw
+    isdigit = digit < 10
+    starts = np.flatnonzero(isdigit[1:] > isdigit[:-1])
+    starts += 1
+    del isdigit
+    V = np.take(digit, starts)  # the values so far, widened as longer tokens go on
+    live = np.ones(len(starts), dtype=bool)  # tokens whose digits go on
+    for j in range(1, TOKEN_DIGITS + 1):
+        d = np.take(digit, starts + j)
+        live &= d < 10
+        if not live.any():
+            break
+        if j == TOKEN_DIGITS:
+            return None
+        V = V.astype(np.min_scalar_type(10 ** (j + 1) - 1), copy=False)
+        np.multiply(V, 10, out=V, where=live)
+        np.add(V, d, out=V, where=live)
+    if V.dtype.itemsize == 8 and V.max() > np.uint64(TOKEN_MAX):  # exact in NumPy 1 too
+        return None
+    return V, starts, ends, bars
+
+
+def read_tokens(body: Iterable[str], line: int, error: type[ValueError], bar: bool = False,
+                layout: Optional[Callable[[str, list[str]], Optional[str]]] = None,
+                check: Optional[Callable[..., bool]] = None,
+                ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The np_tokens of each piece of body, which begins on line number line.
+
+    layout(line, its fields), called on a non-blank line whose fields are
+    tokens, gives the format's fault of that line, or None; check(*the
+    np_tokens of a piece) says whether layout finds no fault in the piece.
+    A piece outside the grammar, or one that check refuses, is read again
+    a line at a time, and the first line with a token fault, then a layout
+    fault, raises error naming its number.
+    """
+    for piece in body:
+        got = np_tokens(piece, bar)
+        if got is None or (check is not None and not check(*got)):
+            for no, ln in enumerate(_BREAK.split(piece), line):
+                tokens = fields(ln, bar)
+                fault = next(filter(None, map(token_fault, tokens)), None)
+                if fault is None and layout is not None and ln.strip(" \t"):
+                    fault = layout(ln, tokens)
+                if fault is not None:
+                    raise error(f"line {no}: {fault}")
+        yield got
+        # the lines of the piece: its ends, less the two added and the blank line of each "\r\n"
+        line += len(got[2]) - 2 - (piece.count("\r\n") if "\r" in piece else 0)
+
+
+def token_values(body: Iterable[str], line: int, error: type[ValueError], **kwargs) -> np.ndarray:
+    """The values of every token of read_tokens(body, line, error, **kwargs), as one int64 array."""
+    values = [V for V, *_ in read_tokens(body, line, error, **kwargs)]
+    return np.concatenate([np.zeros(0, np.uint8), *values]).astype(np.int64)
 
 
 def write_text(out: Union[str, TextIO], chunks: Iterable[str]) -> None:
@@ -539,24 +652,27 @@ def write_matrix(out: Union[str, TextIO], field: FieldSpec, rows: Sequence[Seque
     write_text(out, ["\n".join(lines) + "\n"])
 
 
-def read_matrix(src: Union[str, TextIO]) -> tuple[FieldSpec, list[Vec]]:
-    """The field and integer rows of the matrix text format; DefiningSet checks the entries."""
-    with text_lines(src) as lines:
-        first = next(lines, None)
-        body = list(lines)
-    if first is None:
-        raise ValueError("empty matrix file")
-    header = first.split()
-    if len(header) != 3:
-        raise ValueError(f"bad matrix header {first!r}")
-    q, m, nrows = (int(t) for t in header)
-    field = field_by_order(q)
-    if len(body) != nrows:
-        raise ValueError(f"expected {nrows} rows, found {len(body)}")
-    rows = []
-    for ln in body:
-        row = tuple(map(int, ln.split()))
-        if len(row) != m:
-            raise ValueError(f"row {ln!r} has length {len(row)}, expected {m}")
-        rows.append(row)
+def read_matrix(src: Union[str, TextIO]) -> tuple[FieldSpec, np.ndarray]:
+    """The field and the n x m int64 rows of the matrix text format; DefiningSet checks the entries."""
+    with text_pieces(src) as pieces:
+        first, line, body = split_header(pieces)
+        if first is None:
+            raise ValueError("empty matrix file")
+        header = list(map(token_value, fields(first)))
+        if len(header) != 3 or None in header:
+            raise ValueError(f"bad matrix header {first!r}")
+        q, m, nrows = header
+        field = field_by_order(q)
+
+        def layout(ln: str, tokens: list[str]) -> Optional[str]:
+            return None if len(tokens) == m else f"row {ln!r} has length {len(tokens)}, expected {m}"
+
+        def check(V, starts, ends, bars) -> bool:
+            counts = np.diff(np.searchsorted(starts, ends))
+            return bool(((counts == 0) | (counts == m)).all())
+
+        flat = token_values(body, line, ValueError, layout=layout, check=check)
+    rows = flat.reshape(len(flat) // m if m else 0, m)
+    if len(rows) != nrows:
+        raise ValueError(f"expected {nrows} rows, found {len(rows)}")
     return field, rows

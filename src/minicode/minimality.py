@@ -886,177 +886,66 @@ WRITE_BLOCK = 1024  # certificate lines formatted at once
 
 
 def read_certificate(src: Union[str, TextIO]) -> Certificate:
-    """Parse a certificate file straight into its two arrays.
+    """Parse a certificate file straight into its two arrays, a piece of text at a time.
 
-    The text is read in the pieces of linalg.text_pieces, whole lines of
-    about READ_CHARS characters; no copy of the whole is kept.  A plain
-    piece (ASCII digits, spaces, tabs, "|" and line breaks "\n" and "\r",
-    where a line with no token and no "|" is blank and every other line
-    is k tokens, one "|" and k-1 entries, and no token is over 18 digits)
-    is read whole by numpy, which finds its tokens as runs of digits.  Any
-    other piece is split into its non-blank lines and read a line and a
-    token at a time, with one int() per distinct token; that path reads
-    the full language (signs, "1_0", non-ASCII digits, other line breaks)
-    and gives every error.  Each piece is narrowed as it is read.  The
-    checks and their messages are those of a reader that splits the whole
-    text into lines, checks the header and the line count and then each
-    line in order: the first failing line is reported only after the
-    count, and a class with other than k-1 entries, or an integer beyond
-    64 bits, only after every line, with the message Certificate's
-    constructor gives.
+    Each piece of linalg.text_pieces is tokenized by linalg.read_tokens, "|"
+    separating tokens too, checked at once (with R tokens to a class, the
+    j-th "|" has j R + k tokens before it on a line of tokens j R to
+    (j + 1) R) and narrowed.  The first line outside the token grammar or
+    this layout raises CertificateFormatError naming it, and the count of
+    class lines is checked after the last line.
     """
     with text_pieces(src) as pieces:
-        return _parse_certificate(pieces)
+        first, line, body = linalg.split_header(pieces)
+        if first is None:
+            raise CertificateFormatError("empty certificate file")
+        head = linalg.fields(first)
+        if len(head) != 5:
+            raise CertificateFormatError(f"bad certificate header {first!r}")
+        q, n, k, count = map(linalg.token_value, head[:4])
+        if None in (q, n, k, count) or q < 2 or n < 1 or k < 1:
+            raise CertificateFormatError(
+                f"certificate header needs q >= 2, n >= 1, k >= 1 and count >= 0: {first!r}"
+            )
+        mode = head[4]
+        if mode not in ("indices", "vectors"):
+            raise CertificateFormatError(f"unknown certificate mode {mode!r}")
+        shape = (k - 1,) if mode == "indices" else (k - 1, k)  # the entries of one class
+        top = n if mode == "indices" else q - 1
+        width, R = math.prod(shape[1:]), k + math.prod(shape)  # tokens per entry and per line
 
+        def layout(ln: str, tokens: list[str]) -> Optional[str]:
+            if "|" not in ln:
+                return f"class line without separator: {ln!r}"
+            left, right = ln.split("|", 1)
+            if "|" in right:
+                return f"class line with more than one separator: {ln!r}"
+            rep = tuple(map(linalg.token_value, linalg.fields(left)))
+            items = len(tokens) - len(rep)
+            if len(rep) != k:
+                return f"representative {rep} has length != k"
+            if items % width:
+                return "vector payload not a multiple of k"
+            return None if items == R - k else _count_message(rep, items // width, k)
 
-def _parse_certificate(pieces: Iterator[str]) -> Certificate:
-    first, rest = None, ""
-    for piece in pieces:  # the header, the first non-blank line, and the rest of its piece
-        lines = piece.splitlines(True)
-        at = next((i for i, ln in enumerate(lines) if ln.strip()), None)
-        if at is not None:
-            first, rest = lines[at].splitlines()[0], "".join(lines[at + 1:])
-            break
-    if first is None:
-        raise CertificateFormatError("empty certificate file")
-    head = first.split()
-    if len(head) != 5:
-        raise CertificateFormatError(f"bad certificate header {first!r}")
-    try:
-        q, n, k, count = (int(t) for t in head[:4])
-    except ValueError as exc:
-        raise CertificateFormatError(str(exc)) from None
-    if q < 2 or n < 1 or k < 1 or count < 0:
-        raise CertificateFormatError(
-            f"certificate header needs q >= 2, n >= 1, k >= 1 and count >= 0: {first!r}"
-        )
-    mode = head[4]
-    if mode not in ("indices", "vectors"):
-        raise CertificateFormatError(f"unknown certificate mode {mode!r}")
-    shape = (k - 1,) if mode == "indices" else (k - 1, k)  # the entries of one class
-    top = n if mode == "indices" else q - 1
-    ints = _IntReader().__getitem__
-    reps: list[np.ndarray] = []
-    entries: list[np.ndarray] = []
-    # the first malformed line, the first class with other than k - 1
-    # entries and an integer beyond 64 bits, raised in that order after the count
-    found, error, short, overflow = 0, None, None, None
-    for piece in chain((rest,), pieces):
-        arrays = None if error is not None else _plain_piece(piece, k, shape)
-        if arrays is None:
-            block = list(filter(str.strip, piece.splitlines()))
-            found += len(block)
-            if error is not None:
-                continue  # only counted
-            try:
-                rep_cells, cells, short_here = _token_block(block, k, shape, ints)
-            except CertificateFormatError as exc:
-                error = exc
-                continue
-            short = short or short_here
-            if short is None and overflow is None:
-                try:
-                    arrays = (_token_ints(rep_cells).reshape(len(block), k),
-                              _token_ints(cells).reshape(len(block), *shape))
-                except CertificateFormatError as exc:
-                    overflow = exc
-        else:
-            found += len(arrays[0])
-        if short is None and overflow is None:
-            reps.append(_narrow(arrays[0], q - 1))
-            entries.append(_narrow(arrays[1], top))
+        def check(V, starts, ends, bars) -> bool:
+            L = len(bars)
+            row = np.searchsorted(ends, bars)  # the line of each "|"
+            bounds = np.concatenate((ends.take(row - 1), bars, ends.take(row)))
+            return len(starts) == L * R and bool((np.searchsorted(starts, bounds).reshape(3, L)
+                                                  == R * np.arange(L) + [[0], [k], [R]]).all())
+
+        reps: list[np.ndarray] = []
+        entries: list[np.ndarray] = []
+        for V, _, _, bars in linalg.read_tokens(body, line, CertificateFormatError, True, layout, check):
+            V = V.reshape(len(bars), R)
+            reps.append(_narrow(V[:, :k], q - 1))
+            entries.append(_narrow(V[:, k:].reshape(len(V), *shape), top))
+    found = sum(map(len, reps))
     if found != count:
         raise CertificateFormatError(f"expected {count} class lines, found {found}")
-    for late in (error, short, overflow):
-        if late is not None:
-            raise late
     return Certificate(q=q, n=n, k=k, mode=mode, classes=CertificateClasses(
         _stack(reps, (0, k), q - 1), _stack(entries, (0, *shape), top)))
-
-
-def _plain_piece(piece: str, k: int, shape: tuple[int, ...],
-                 ) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """A plain piece's representatives and entries as unsigned arrays; None for any other piece.
-
-    In a plain piece every token is a run of ASCII digits with a value
-    below 10^18, and a line, ended by "\n" or "\r", is k of them, "|" and
-    prod(shape) of them, or blank.  Each byte-sized temporary is dropped
-    once spent, which keeps a piece's peak near its token positions and
-    values.
-    """
-    R = k + math.prod(shape)  # tokens per line
-    # padded so that starts + 18 is inside; "\r\n" becomes a blank line
-    text = ("\n" + piece + "\n" + " " * 18).replace("\r", "\n")
-    if not text.isascii():
-        return None
-    raw = text.encode("ascii")
-    del text
-    if raw.translate(None, b"0123456789 \t|\n"):
-        return None
-    b = np.frombuffer(raw, np.uint8)
-    ends = np.flatnonzero(b == ord("\n"))
-    bars = np.flatnonzero(b == ord("|"))
-    digit = b - ord("0")  # 10 or more for any other byte
-    del b, raw
-    isdigit = digit < 10
-    starts = np.flatnonzero(isdigit[1:] > isdigit[:-1])
-    starts += 1
-    del isdigit
-    L = len(bars)
-    if len(starts) != L * R:
-        return None
-    # the tokens before the start of the line of the j-th "|", before that
-    # "|" and before the line's end must be j R, j R + k and (j + 1) R; with
-    # L R tokens in all, a line without "|" has none and is blank
-    line = np.searchsorted(ends, bars)
-    bounds = np.concatenate((ends.take(line - 1), bars, ends.take(line)))
-    if (np.searchsorted(starts, bounds).reshape(3, L) != R * np.arange(L) + [[0], [k], [R]]).any():
-        return None
-    del ends, bars, line, bounds
-    V = np.take(digit, starts)  # the values so far, widened as longer tokens go on
-    live = np.ones(len(starts), dtype=bool)  # tokens whose digits go on
-    for j in range(1, 19):
-        d = np.take(digit, starts + j)
-        live &= d < 10
-        if not live.any():
-            break
-        V = V.astype(np.min_scalar_type(10 ** (j + 1) - 1), copy=False)
-        np.multiply(V, 10, out=V, where=live)
-        np.add(V, d, out=V, where=live)
-    else:
-        return None  # a token of 19 digits or more
-    V = V.reshape(L, R)
-    return V[:, :k], V[:, k:].reshape(L, *shape)
-
-
-def _token_block(block: list[str], k: int, shape: tuple[int, ...],
-                 ints: Callable[[str], int],
-                 ) -> tuple[list[int], list[int], Optional[CertificateFormatError]]:
-    """A block read a line and a token at a time, with int().
-
-    Returns the representatives' and the entries' integers and, for the
-    block's first class with other than k-1 entries, the error to raise
-    after every line.  A malformed line raises CertificateFormatError.
-    """
-    width = math.prod(shape[1:])  # integers per entry
-    rep_cells: list[int] = []
-    cells: list[int] = []
-    short = None
-    for ln in block:
-        if "|" not in ln:
-            raise CertificateFormatError(f"class line without separator: {ln!r}")
-        left, right = ln.split("|", 1)
-        rep = list(map(ints, left.split()))
-        items = list(map(ints, right.split()))
-        if len(rep) != k:
-            raise CertificateFormatError(f"representative {tuple(rep)} has length != k")
-        if len(items) % width:
-            raise CertificateFormatError("vector payload not a multiple of k")
-        if len(items) != (k - 1) * width and short is None:
-            short = CertificateFormatError(_count_message(tuple(rep), len(items) // width, k))
-        rep_cells += rep
-        cells += items
-    return rep_cells, cells, short
 
 
 def _stack(blocks: list[np.ndarray], empty: tuple[int, ...], top: int) -> np.ndarray:
@@ -1065,22 +954,3 @@ def _stack(blocks: list[np.ndarray], empty: tuple[int, ...], top: int) -> np.nda
         return _narrow(np.zeros(empty, dtype=np.int64), top)
     wide = any(A.dtype == np.int64 for A in blocks)  # a block with an entry outside 0..top
     return np.concatenate(blocks, dtype=np.int64 if wide else blocks[0].dtype, casting="unsafe")
-
-
-def _token_ints(cells: list[int]) -> np.ndarray:
-    """The ints read from tokens as int64, refused beyond it as Certificate refuses them."""
-    try:
-        return np.fromiter(cells, dtype=np.int64, count=len(cells))
-    except OverflowError:
-        return _int_cells(cells, 0)  # refuses them
-
-
-class _IntReader(dict):
-    """token -> int(token), each distinct token converted once."""
-
-    def __missing__(self, token: str) -> int:
-        try:
-            value = self[token] = int(token)
-        except ValueError as exc:
-            raise CertificateFormatError(str(exc)) from None
-        return value

@@ -203,6 +203,17 @@ def test_unknown_source():
     assert "preset" in err
 
 
+def test_source_is_a_matrix_only_when_its_row_count_is_a_token(tmp_path):
+    # "+2" and "٢" are no tokens, so a header with either as its third field
+    # is a function file's, of an unknown variant
+    path = tmp_path / "d.dset.txt"
+    for count, code in (("2", EXIT_OK), ("+2", EXIT_ERROR), ("٢", EXIT_ERROR)):
+        path.write_text(f"2 2 {count}\n1 0\n0 1\n", encoding="utf-8")
+        got, _, err = run_cli("wdist", str(path))
+        assert got == code, count
+        assert code == EXIT_OK or "unknown function variant" in err, count
+
+
 def test_repro_filter_counts():
     code, out, _ = run_cli("repro", "--filter", "sec5_*")
     assert code == EXIT_OK

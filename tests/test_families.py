@@ -437,6 +437,9 @@ def test_function_file_rejects_garbage():
     with pytest.raises(ValueError, match="arity"):
         read_function(io.StringIO("3 -1 monomial_sum\n4\n"))
     with pytest.raises(ValueError, match="s \\+ t = m"):
+        read_function(io.StringIO("2 1 maiorana_mcfarland\n2 1 5\n"))
+    # "-1" is no token, and is refused before the body is read as a variant
+    with pytest.raises(ValueError, match="line 2: token '-1'"):
         read_function(io.StringIO("2 1 maiorana_mcfarland\n-1 1 5\n"))
 
 

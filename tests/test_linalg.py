@@ -3,6 +3,7 @@
 import io
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -19,8 +20,8 @@ from minicode.linalg import (
     np_orthogonal,
     np_ranks,
     read_matrix,
+    split_header,
     support,
-    text_lines,
     text_pieces,
     weight,
     write_matrix,
@@ -468,12 +469,27 @@ def test_elimination_matches_brute_force(field):
     assert seen == {True, False}  # consistent and inconsistent systems both occur
 
 
-def test_text_lines_and_write_text(tmp_path, monkeypatch):
-    # the non-blank lines as str.splitlines splits the whole text, from a
-    # path or a stream; the writer writes the chunks as they are
+def numbered_lines(text):
+    """The header of text and the (number, line) of each non-empty line after it."""
+    lines = list(enumerate(re.split("\r\n|\r|\n", text), 1))
+    at = next((i for i, (_, ln) in enumerate(lines) if ln.strip(" \t")), len(lines))
+    return (lines[at][1] if at < len(lines) else None), [x for x in lines[at + 1:] if x[1]]
+
+
+def split_lines(src):
+    """numbered_lines, from split_header's header and numbered pieces."""
+    with text_pieces(src) as pieces:
+        first, line, body = split_header(pieces)
+        lines = re.split("\r\n|\r|\n", "".join(body))
+        return first, [(no, ln) for no, ln in enumerate(lines, line) if ln]
+
+
+def test_text_pieces_and_write_text(tmp_path, monkeypatch):
+    # the header is the first line that is not spaces and tabs alone, and the
+    # body's lines keep their numbers in the whole text, from a path or a
+    # stream; the writer writes the chunks as they are
     chunks = ["\n  \n3 1 2\r\n", "", "1\x0b\n\t\n2", "\x1c0\n"]
     text = "".join(chunks)
-    expected = [ln for ln in text.splitlines() if ln.strip()]
     path = str(tmp_path / "t.txt")
     write_text(path, iter(chunks))
     assert (tmp_path / "t.txt").read_bytes() == text.encode("utf-8")
@@ -481,8 +497,9 @@ def test_text_lines_and_write_text(tmp_path, monkeypatch):
     write_text(buf, chunks)
     assert buf.getvalue() == text
     for src in (path, io.StringIO(text)):
-        with text_lines(src) as lines:
-            assert list(lines) == expected
+        with text_pieces(src) as pieces:
+            first, line, body = split_header(pieces)
+            assert (first, line, "".join(body)) == ("3 1 2", 4, "1\x0b\n\t\n2\x1c0\n")
     # a path is closed when the block exits, also on an error; a stream is left open
     opened = []
 
@@ -492,33 +509,36 @@ def test_text_lines_and_write_text(tmp_path, monkeypatch):
 
     monkeypatch.setattr(linalg_mod, "open", recording_open, raising=False)
     with pytest.raises(KeyError):
-        with text_lines(path) as lines:
-            next(lines)
+        with text_pieces(path) as pieces:
+            next(pieces)
             raise KeyError
     assert len(opened) == 1 and opened[0].closed
     stream = io.StringIO(text)
-    with text_lines(stream) as lines:
-        next(lines)
+    with text_pieces(stream) as pieces:
+        next(pieces)
     assert not stream.closed
 
 
 def test_text_pieces_end_at_line_breaks(monkeypatch):
-    # each read of READ_CHARS characters is cut after its last "\n" or "\r":
-    # a cut between "\r" and "\n" leaves a piece of one "\n", and a line
-    # longer than a read grows its piece until a line break
+    # each read of READ_CHARS characters is cut after its last line break,
+    # but a "\r" that ends a read waits for the next, so "\r\n" stays in
+    # one piece; a line longer than a read grows its piece until a line
+    # break, and split_header numbers the lines of the pieces as they are
+    # numbered in the whole text
     monkeypatch.setattr(linalg_mod, "READ_CHARS", 4)
     with text_pieces(io.StringIO("abc\r\ndefgh\n\nij")) as pieces:
-        assert list(pieces) == ["abc\r", "\n", "defgh\n\n", "ij"]
-    text = "\n  \n3 1 2\r\n1\x0b\n\t\r\r\n2 22 222 2222 22222\n\x1c0\r\n\n \n1"
-    expected = [ln for ln in text.splitlines() if ln.strip()]
+        assert list(pieces) == ["abc\r\n", "defgh\n\n", "ij"]
+    text = "\n  \n3 1 2\r\n1\x0b\n\t\r\r\n2 22 222 2222 22222\n\x1c0\r\n\n \n1\r"
     for chars in (1, 2, 3, 5, 64):
         monkeypatch.setattr(linalg_mod, "READ_CHARS", chars)
         with text_pieces(io.StringIO(text)) as pieces:
             got = list(pieces)
         assert "".join(got) == text and all(got), chars
         assert all(p[-1] in "\r\n" for p in got[:-1]), chars
-        with text_lines(io.StringIO(text)) as lines:
-            assert list(lines) == expected, chars
+        assert not any(a.endswith("\r") and b.startswith("\n") for a, b in itertools.pairwise(got))
+        assert split_lines(io.StringIO(text)) == numbered_lines(text), chars
+    with text_pieces(io.StringIO(" \t\r\n\r")) as pieces:
+        assert split_header(pieces)[0] is None
 
 
 def test_matrix_io_round_trip():
@@ -529,7 +549,7 @@ def test_matrix_io_round_trip():
     assert text == "3 3 2\n1 2 0\n0 1 1\n"
     field, back = read_matrix(io.StringIO(text))
     assert field == F3
-    assert back == list(rows)
+    assert back.dtype == np.int64 and back.tolist() == [list(r) for r in rows]
 
 
 def test_matrix_io_rejects_bad_rows():
