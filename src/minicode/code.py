@@ -116,24 +116,26 @@ class DefiningSet:
         return counts
 
     @cached_property
-    def projective_codewords(self) -> tuple[np.ndarray, np.ndarray]:
-        """(Y, words): per projective point c(y) of C(D), its first class y and c(y).
+    def projective_codewords(self) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        """(Y, words): per projective point c(y) of C(D), its first class y, and c(y) if rank(D) < k.
 
-        Y is R x k in canonical order, words R x n; both are read-only, and
-        definition and dhz share them.
-        When rank(D) = k every class is its own point; else zero codewords
-        are dropped and the others compared after scaling to a leading 1.
+        Y is R x k in canonical order, read-only; definition and dhz share it.
+        When rank(D) = k every class is its own point: Y is np_class_reps and
+        words is None, as neither oracle needs the R x n table then.  Else the
+        table is built, zero codewords are dropped and the others compared
+        after scaling to a leading 1, and words is their R x n table, read-only.
         """
         field = self.field
         Y = np_class_reps(field.q, self.k)
+        if self.rank == self.k:
+            return Y, None
         words = np_class_codewords(field, self.vectors)
-        if self.rank < self.k:
-            lead = words[np.arange(len(words)), (words != 0).argmax(axis=1)]
-            scaled = field.vmul(field.np_inv.take(lead)[:, None], words)  # a zero row stays 0
-            _, first = np.unique(np_row_keys(field, scaled), return_index=True)
-            keep = np.sort(first)
-            keep = keep[lead[keep] != 0]
-            Y, words = Y[keep], words[keep]
+        lead = words[np.arange(len(words)), (words != 0).argmax(axis=1)]
+        scaled = field.vmul(field.np_inv.take(lead)[:, None], words)  # a zero row stays 0
+        _, first = np.unique(np_row_keys(field, scaled), return_index=True)
+        keep = np.sort(first)
+        keep = keep[lead[keep] != 0]
+        Y, words = Y[keep], words[keep]
         Y.flags.writeable = words.flags.writeable = False
         return Y, words
 

@@ -109,8 +109,7 @@ class FunctionSpec:
         if isinstance(v, TableFunction):
             if not _is_power(q, m, len(v.values)):
                 raise ValueError(f"table length {len(v.values)} != q^m = {q}^{m}")
-            for a in v.values:
-                self.field.check_scalar(a)
+            self.field.check_scalars(v.values)
         elif isinstance(v, WeightThreshold):
             if not 1 <= v.t <= m:
                 raise ValueError(f"threshold t = {v.t} out of range 1..{m}")
@@ -131,8 +130,7 @@ class FunctionSpec:
                     raise ValueError("phi values must lie in F_q^t")
                 for a in img:
                     self.field.check_scalar(a)
-            for a in v.g:
-                self.field.check_scalar(a)
+            self.field.check_scalars(v.g)
         elif isinstance(v, MonomialSum):
             if not v.terms:
                 raise ValueError("monomial sum needs at least one term")

@@ -291,6 +291,20 @@ class FieldSpec:
         if isinstance(a, bool) or not isinstance(a, int) or not 0 <= a < self.q:
             raise ValueError(f"{a!r} is not a canonical element of F_{self.q}")
 
+    def check_scalars(self, values: Sequence[int]) -> None:
+        """check_scalar on every value, as one range check on the array when every value is an int.
+
+        Other values (bools, floats, NumPy scalars, int subclasses) and any
+        value out of range are checked one at a time, so the first bad
+        value raises check_scalar's error.
+        """
+        if set(map(type, values)) <= {int}:
+            A = np.array(values)
+            if A.dtype.kind in "iu" and A.min() >= 0 and A.max() < self.q:
+                return
+        for a in values:
+            self.check_scalar(a)
+
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, FieldSpec)

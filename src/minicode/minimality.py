@@ -6,7 +6,7 @@ coordinate normalized to 1), which is sound because supports are
 scalar-invariant and H(cy) = H(y) for c != 0.
 
 Criteria:
-  definition  brute force over ordered pairs of codewords (oracle scale),
+  definition  support containment over ordered pairs of codewords (oracle scale),
   ab          the one-sided w_min/w_max > (q-1)/q weight-ratio test,
   dhz         the weight-identity test over independent codeword pairs,
   rank        dim Span(D cap H(y)) = k-1 per class, with witness bases.
@@ -44,11 +44,13 @@ verifier and the text codec work on them directly, and the writer formats
 a block of lines as one byte array.  A failing class is reported with the rank its scan
 reached and a message whose codeword it covers: the first class, in
 canonical order, orthogonal to every row the scan kept.  The definition and
-dhz oracles read D.projective_codewords, one class and its codeword per
-projective point of C(D), cached on D, and test a block of rows against
-every other row at once: one support product over the upper triangle of
-S S^T (all of it, symmetric, when the block is every row), or one gather
-from the hyperplane counts.  Every field runs the same numpy kernels.
+dhz oracles read D.projective_codewords, one class per projective point of
+C(D), cached on D (with the codeword table only when rank(D) < k), and
+test a block of rows against every other row at once.  definition reads
+D's positions DEF_BLOCK at a time, each point's support on a block being
+the bits of one uint64: the first block refutes most pairs, and the pairs
+left are confirmed or refuted block by block.  dhz takes one gather from
+the hyperplane counts.  Every field runs the same numpy kernels.
 """
 
 from __future__ import annotations
@@ -84,6 +86,7 @@ from .linalg import (
     np_chunk_ranks,
     np_chunk_rows,
     np_class_chunks,
+    np_class_codewords,
     np_class_reps,
     np_indices,
     np_orthogonal,
@@ -98,6 +101,7 @@ SCAN_BYTES = 2**23  # round state of one block of the rank scan
 ROUND_HITS = 3  # hits of each class one round of the rank scan reduces
 DEF_MAX_CLASSES = 10_000
 DEF_MAX_N = 1_000
+DEF_BLOCK = 64  # positions of D per block of the definition oracle's filter
 
 MINIMAL = "minimal"
 NOT_MINIMAL = "not_minimal"
@@ -342,61 +346,63 @@ def _check_oracle_scale(D: DefiningSet) -> None:
 # -- criteria --------------------------------------------------------------------
 
 def is_minimal_definition(D: DefiningSet) -> MinimalityReport:
-    """Brute force over ordered pairs of projective points of C(D).
+    """Brute force over ordered pairs of projective points of C(D): a filter, then an exact check.
 
-    c_j is covered by c_i when |supp c_j minus supp c_i| = wt_j - S_i . S_j
-    is 0, S being the 0/1 support matrix.  For a block of rows i the counts
-    against every j come from one product, exact in float32 while n < 2^24.
-    S S^T is symmetric, so only its upper triangle of blocks is computed:
-    block I of rows meets the columns j >= I's first row, and the part
-    beyond I, read transposed against wt_I, gives the lower blocks of the
-    later rows.  When one block holds every row (up to 2,048 classes at the
-    default DOT_BLOCK) the product is S S^T, which NumPy computes with BLAS
-    syrk.  The first zero off the diagonal in row-major order is the first
-    violating pair (i, j); it is reported once every pair in its rows has
-    been tested.
+    c_i covers c_j when no position of D is in supp c_j but not in supp c_i.
+    D's positions are read in blocks of DEF_BLOCK, in scan_order (one block
+    in D's order when n <= DEF_BLOCK), and the support of every point on a
+    block is the bits of one uint64, S.  On the first block, a block of rows
+    i is tested against every j at once: the pair survives when S_j & ~S_i
+    is 0, and every other pair is refuted by a position of the block.  The
+    pairs that survive are tested on the next blocks, one at a time, until
+    none survives or all n positions have been read.  A pair that survives
+    them all is a cover; the first in row-major order is reported, once
+    every pair in its rows has been tested.  A block's bits are made when
+    the first pair reaches it, and kept for the later rows.
     """
     _check_oracle_scale(D)
     Y, words = D.projective_codewords
-    S = (words != 0).astype(np.float32 if D.n < 2**24 else np.float64)
-    wt = S.sum(axis=1)
-    R = len(S)
-    step = max(1, 64 * linalg.DOT_BLOCK // max(1, R))  # tall blocks keep BLAS busy
-    first = R * R  # the first pair found so far, as i R + j
+    n, R = D.n, len(Y)
+    order = scan_order(n) if n > DEF_BLOCK else None
+    blocks: list[np.ndarray] = []
+
+    def support(b: int) -> np.ndarray:
+        if b == len(blocks):  # the points' values at the block: the classes' at full rank
+            cols = slice(None) if order is None else order[b * DEF_BLOCK:(b + 1) * DEF_BLOCK]
+            values = np_class_codewords(D.field, D.vectors[cols]) if words is None else words[:, cols]
+            blocks.append(_support_bits(values))
+        return blocks[b]
+
+    S = support(0)
+    step = max(1, linalg.DOT_BLOCK // max(1, R))
     for start in range(0, R, step):
         stop = min(R, start + step)
-        first = min(first, _first_cover(S, wt, start, stop))
-        if first < stop * R:  # every pair in rows before stop has been tested
-            a, b = Y[list(divmod(first, R))].tolist()
+        alive = (S & ~S[start:stop, None]) == 0
+        at = np.arange(stop - start)
+        alive[at, start + at] = False  # c_i covers itself
+        pairs = np.flatnonzero(alive)  # (i - start) R + j
+        for block in range(1, -(-n // DEF_BLOCK)):
+            if not pairs.size:
+                break
+            i = pairs // R
+            j = pairs - i * R
+            bits = support(block)
+            pairs = pairs[(bits.take(j) & ~bits.take(i + start)) == 0]
+        if pairs.size:
+            i, j = divmod(int(pairs[0]), R)
+            a, b = Y[[start + i, j]].tolist()
             return MinimalityReport(
                 "definition", NOT_MINIMAL, CoverViolation(a=tuple(a), b=tuple(b))
             )
     return MinimalityReport("definition", MINIMAL)
 
 
-def _first_cover(S: np.ndarray, wt: np.ndarray, start: int, stop: int) -> int:
-    """The first covering pair (i, j), as i R + j, that the product of the block shows.
-
-    S[start:stop] S[start:]^T holds the rows i of the block against the
-    columns j >= start, and, read transposed against wt of the block, the
-    rows i >= stop against the columns j of the block.  R^2 when neither
-    holds a pair.
-    """
-    R = len(S)
-    G = S[start:stop] @ S[start:].T
-    covered = G == wt[start:]
-    at = np.arange(stop - start)
-    covered[at, at] = False  # c_i covers itself
-    hits = np.flatnonzero(covered)
-    del covered
-    first = R * R
-    if hits.size:
-        i, j = divmod(int(hits[0]), R - start)
-        first = (start + i) * R + start + j
-    a, c = np.nonzero(G[:, stop - start:] == wt[start:stop, None])
-    if a.size:
-        first = min(first, int(((stop + c) * R + start + a).min()))
-    return first
+def _support_bits(values: np.ndarray) -> np.ndarray:
+    """The support of each row of values, at most 64 positions, as the bits of one uint64."""
+    bits = np.zeros((len(values), 8), dtype=np.uint8)
+    packed = np.packbits(values != 0, axis=1)
+    bits[:, :packed.shape[1]] = packed
+    return bits.view(np.uint64)[:, 0]
 
 
 def ab_condition(D: DefiningSet) -> MinimalityReport:
@@ -411,10 +417,12 @@ def dhz_criterion(D: DefiningSet) -> MinimalityReport:
 
     Minimal iff sum_{c != 0} wt(a + c b) != (q-1) wt(a) - wt(b) for every
     pair of linearly independent codewords.  Scalar multiples change
-    neither side, so the pairs run over D.projective_codewords, whose
-    codewords are pairwise independent.  a + c b is the codeword of the
-    message y_a + c y_b, so each weight is n - N at that message, N being
-    D.hyperplane_counts: a pair costs (q-1) k table lookups, not n.
+    neither side, so the pairs run over the points of
+    D.projective_codewords, whose codewords are pairwise independent (at
+    full rank every class, and no codeword is built).  a + c b is the
+    codeword of the message y_a + c y_b, so each weight is n - N at that
+    message, N being D.hyperplane_counts: a pair costs (q-1) k table
+    lookups, not n.
     """
     _check_oracle_scale(D)
     Y, _ = D.projective_codewords

@@ -286,6 +286,30 @@ def test_coefficients_must_be_canonical_elements(variant):
         FunctionSpec(F3, m, variant)
 
 
+@pytest.mark.parametrize("values, bad", [
+    ((0, 1, 2) * 8 + (3, 0, 7), "3"),              # out of range: the first of two is named
+    ((0, 1, 2) * 8 + (-1, 0, 0), "-1"),
+    ((0, 1, 2) * 8 + (2**64, 0, 0), str(2**64)),  # beyond int64 and uint64
+    ((0, 1, 2) * 8 + (np.int64(1), 0, 5), repr(np.int64(1))),
+    ((0, 1, 2) * 8 + (1, True, 5), "True"),
+    ((0, 1, 2) * 8 + (1, 2, 1.0), "1.0"),
+])
+def test_table_values_checked_as_one_array_name_the_first_bad_value(values, bad):
+    # the array range check accepts and refuses exactly what check_scalar
+    # does value by value, and reports the first bad value in its words
+    with pytest.raises(ValueError) as exc:
+        FunctionSpec(F3, 3, TableFunction(values))
+    assert str(exc.value) == f"{bad} is not a canonical element of F_3"
+    big = (2,) * 3**5
+    assert FunctionSpec(F3, 5, TableFunction(big)).table.tolist() == list(big)
+
+    class Two(int):
+        pass
+
+    # an int subclass other than bool is an int to check_scalar, and still accepted
+    assert FunctionSpec(F3, 1, TableFunction((0, Two(2), 1))).values() == (0, 2, 1)
+
+
 def test_validate_sec4_presets_pass_a1():
     for name in ("sec4_f1", "sec4_f2"):
         assert validate_hypotheses(get_preset(name).function, TheoremId.A1)

@@ -9,7 +9,14 @@ import random
 import numpy as np
 import pytest
 
-from minicode.code import DefiningSet, codeword, defining_set, linearity_check, read_defining_set
+from minicode.code import (
+    DefiningSet,
+    codeword,
+    defining_set,
+    linearity_check,
+    read_defining_set,
+    scan_order,
+)
 from minicode.errors import BudgetExceededError, CertificateFormatError, GuardError
 from minicode.families import FunctionSpec, TableFunction, get_preset
 from minicode.gf import make_field
@@ -150,15 +157,16 @@ def test_dhz_sec4_f2_minimal():
     assert dhz_criterion(D).verdict == "minimal"
 
 
-def projective_words(D):
+def projective_words(D, word=None):
     """(reps, words): per projective point of C(D), its first class and codeword.
 
-    The codewords are built with linalg.dot, class by class in canonical
-    order; a codeword that is zero or a multiple of an earlier one is skipped.
+    The codewords are built with linalg.dot, or word(y) if given, class by
+    class in canonical order; a codeword that is zero or a multiple of an
+    earlier one is skipped.
     """
     reps, words, seen = [], [], set()
     for y in projective_classes(D.field, D.k):
-        c = tuple(dot(D.field, y, d) for d in D.vectors.tolist())
+        c = word(y) if word else tuple(dot(D.field, y, d) for d in D.vectors.tolist())
         if any(c) and normalize_class(D.field, c) not in seen:
             seen.add(normalize_class(D.field, c))
             reps.append(y)
@@ -297,13 +305,13 @@ def test_budget_env_override(monkeypatch):
             op_budget(bad)
 
 
-def definition_reference(D):
-    """The first cover over codewords built with linalg.dot, or None.
+def definition_reference(D, word=None):
+    """The first cover over codewords built with linalg.dot (or word), or None.
 
     The per-row loop: the projective_words, then ordered pairs (a, b) of
     them with b != a covered by a.
     """
-    reps, words = projective_words(D)
+    reps, words = projective_words(D, word)
     for i, a in enumerate(words):
         for j, b in enumerate(words):
             if i != j and covers(b, a):
@@ -361,7 +369,7 @@ def oracle_codes(field, rng):
 def test_definition_and_dhz_match_per_class_reference(monkeypatch, field, block):
     # the blocked oracles report the first (a, b) of the per-row loop, with
     # the same evidence, on rank-deficient D too and across several blocks:
-    # at DOT_BLOCK = 1 dhz takes one row per block and definition 64 // R
+    # at DOT_BLOCK = 1 dhz and definition take one row per block
     if block:
         monkeypatch.setattr(linalg_mod, "DOT_BLOCK", block)
     rng = random.Random(61 + field.q)
@@ -421,53 +429,175 @@ def test_oracles_compare_codewords_up_to_scalars_on_rank_deficient_codes():
     assert zero >= 1
 
 
+def long_codes(field, rng):
+    """Seeded codes of 65 to 200 positions over field, so that definition reads two blocks or more.
+
+    Full-rank ones, whose rows are random or drawn from a few random
+    points (which often leaves a cover), and rank-deficient ones.
+    """
+    q = field.q
+    k = 2 if q > 9 else 3
+    codes = []
+    for count in (None, 3, 5):
+        points = [tuple(rng.randrange(q) for _ in range(k)) for _ in range(count or 0)]
+        n = rng.randrange(65, 200)
+        if points:
+            rows = [rng.choice(points) for _ in range(n)]
+            codes.append(DefiningSet(field, k, rows))
+        else:
+            codes.append(full_rank_defining_set(field, k, n, rng))
+    k = k if q > 9 else k + 1
+    codes += [random_defining_set(field, k, rng.randrange(65, 200), r, rng) for r in (k - 1, 1)]
+    if q <= 3:  # a sparse table: D_f whose (1, 0..0) codeword is light
+        m = 7 if q == 2 else 4
+        values = tuple(rng.randrange(1, q) if rng.randrange(12) == 0 else 0 for _ in range(q**m))
+        codes.append(defining_set(FunctionSpec(field, m, TableFunction(values))))
+    return codes
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS + [make_field(257)], ids=lambda F: f"F{F.q}")
+def test_definition_matches_pairwise_covers_on_long_codes(monkeypatch, field):
+    # the filter on the first 64 positions and the exact check on the next
+    # blocks give the verdict and the first pair of covers(codeword(b),
+    # codeword(a)) over the projective classes, pair by pair; with blocks
+    # of 1 and 2 positions every code runs many refinement blocks
+    rng = random.Random(89 + field.q)
+    verdicts = set()
+    for D in long_codes(field, rng):
+        assert D.n > minimality_mod.DEF_BLOCK
+        expect = definition_reference(D, lambda y: codeword(y, D))
+        got = is_minimal_definition(D)
+        assert got.witness == expect
+        assert got.verdict == ("minimal" if expect is None else "not_minimal")
+        verdicts.add(got.verdict)
+        for block in (1, 2):
+            monkeypatch.setattr(minimality_mod, "DEF_BLOCK", block)
+            assert is_minimal_definition(D) == got
+            monkeypatch.undo()
+    assert verdicts == {"minimal", "not_minimal"}
+
+
+def padded(D0, blocks, fill):
+    """D0's rows at the last positions that definition reads, after blocks x 64 rows of fill.
+
+    The fill rows take the first blocks x DEF_BLOCK positions of scan_order.
+    A zero fill adds nothing to any support, so C(D) has D0's covers and
+    every pair survives those blocks.
+    """
+    n = blocks * minimality_mod.DEF_BLOCK + D0.n
+    rows = np.empty((n, D0.k), dtype=np.int64)
+    order = scan_order(n).astype(np.intp)
+    cut = n - D0.n
+    rows[order[:cut]] = fill
+    rows[order[cut:]] = D0.vectors
+    return DefiningSet(D0.field, D0.k, rows)
+
+
+def test_definition_refutes_and_confirms_beyond_the_first_block():
+    # the 2-dim simplex codes (one row per projective point) are minimal,
+    # and each pair of their codewords is refuted by exactly one position,
+    # the point orthogonal to the covering candidate; after zero rows, it is
+    # read only in the last block.  A code in which one point covers the
+    # others of a line, padded the same way, is reported with its first
+    # pair, though every pair before it survived the first blocks
+    for field in (F2, F3, F4, make_field(5)):
+        D0 = DefiningSet(field, 2, list(projective_classes(field, 2)))
+        reps, words = projective_words(D0)
+        assert all(sum(x != 0 and y == 0 for x, y in zip(b, a)) == 1
+                   for a in words for b in words if a != b)
+        assert definition_reference(D0) is None
+        for blocks in (1, 3):
+            D = padded(D0, blocks, 0)
+            assert is_minimal_definition(D).verdict == "minimal"
+    rng = random.Random(97)
+    for _ in range(1000):  # a full-rank F_3 code in which exactly one point covers
+        D0 = random_defining_set(F3, 3, 9, 3, rng)
+        reps, words = projective_words(D0)
+        pairs = [(reps[i], reps[j]) for i, a in enumerate(words) for j, b in enumerate(words)
+                 if i != j and covers(b, a)]
+        if D0.rank == 3 and pairs and len({a for a, _ in pairs}) == 1:
+            break
+    else:
+        pytest.fail("no code with a single covering point")
+    assert len(pairs) == 3  # the q points but a of a line through a
+    Y = np_class_reps(3, 3).tolist()
+    for blocks, fill in ((1, 0), (2, 0), (2, (1, 1, 1))):
+        D = padded(D0, blocks, fill)
+        S = np_class_codewords(F3, D.vectors[scan_order(D.n)[:64]]) != 0
+        survive = ~(S[None, :] & ~S[:, None]).any(axis=2)
+        np.fill_diagonal(survive, False)
+        a, b = pairs[0]
+        before = survive[:Y.index(list(a))].sum() + survive[Y.index(list(a)), :Y.index(list(b))].sum()
+        assert before >= 3  # pairs earlier in row-major order survived the first block
+        got = is_minimal_definition(D)
+        assert got.witness == CoverViolation(a=a, b=b) == definition_reference(D)
+
+
 @pytest.mark.parametrize("block", [1, 4])
 def test_definition_blocks_match_single_block(monkeypatch, block):
-    # the upper triangle of blocks, read transposed for the lower one,
-    # reports the verdict and first pair of the single-block product S S^T;
-    # at DOT_BLOCK = 1 a block is one row, so a pair (a, b) with b before a
-    # is found only in the transposed read
+    # row blocks of one or a few rows report the verdict and first pair of
+    # the run that holds every row in one block; each row block tests its
+    # rows against every j, so a pair (a, b) with b before a is found too,
+    # also when its rows run the exact check over later blocks (n > 64)
     rng = random.Random(73)
     codes = [defining_set(random_table_code(F, m, rng))
-             for F, m, count in ((F2, 5, 8), (F3, 3, 8), (F4, 2, 4)) for _ in range(count)]
+             for F, m, count in ((F2, 5, 8), (F3, 3, 8), (F4, 2, 4), (F3, 4, 4)) for _ in range(count)]
     codes += [full_rank_defining_set(F3, 4, rng.randrange(20, 60), rng) for _ in range(6)]
+    codes += [D for D in long_codes(F4, rng) if D.rank > 1]
     codes.append(defining_set(get_preset("sec5_f1").function))
     single = [is_minimal_definition(D) for D in codes]
     monkeypatch.setattr(linalg_mod, "DOT_BLOCK", block)
-    earlier = 0
+    earlier = long = 0
     for D, want in zip(codes, single):
         Y = D.projective_codewords[0].tolist()
-        assert 64 * block // len(Y) < len(Y)  # two blocks or more
+        assert block // len(Y) < len(Y)  # two row blocks or more
         got = is_minimal_definition(D)
         assert got == want
         if not got.is_minimal:
             earlier += Y.index(list(got.witness.b)) < Y.index(list(got.witness.a))
+            long += D.n > minimality_mod.DEF_BLOCK
     assert {r.verdict for r in single} == {"minimal", "not_minimal"}
-    assert earlier >= 3
+    assert earlier >= 3 and long >= 2
 
 
 def test_distinct_codewords_computed_once_per_defining_set(monkeypatch):
-    # definition and dhz share one class-codeword table per D, the cached
-    # D.projective_codewords, read-only and gone with D
+    # at full rank neither oracle builds the R x n codeword table: dhz reads
+    # the classes alone and definition builds the class codewords on 64
+    # positions at a time.  When rank(D) < k the table is built once per D,
+    # for the projective points, cached on D, read-only and gone with D
     import gc
     import weakref
 
     import minicode.code as code_mod
 
     calls = []
-    table = code_mod.np_class_codewords
-    monkeypatch.setattr(code_mod, "np_class_codewords",
-                        lambda field, rows: calls.append(len(rows)) or table(field, rows))
+    for mod in (code_mod, minimality_mod):
+        def counted(field, rows, mod=mod, table=mod.np_class_codewords):
+            calls.append((mod, len(rows)))
+            return table(field, rows)
+        monkeypatch.setattr(mod, "np_class_codewords", counted)
     rng = random.Random(79)
-    D = defining_set(random_table_code(F3, 3, rng))
+    for m in (3, 4):  # n = 26, in one block, and n = 80, in two
+        D = defining_set(random_table_code(F3, m, rng))
+        assert D.rank == D.k
+        first = is_minimal_definition(D), dhz_criterion(D)
+        assert (is_minimal_definition(D), dhz_criterion(D)) == first
+        Y, words = D.projective_codewords
+        assert words is None and Y is np_class_reps(3, D.k)
+        assert calls and {mod for mod, _ in calls} == {minimality_mod}
+        assert max(rows for _, rows in calls) == min(D.n, minimality_mod.DEF_BLOCK)
+        calls.clear()
+    D = random_defining_set(F3, 4, 90, 2, rng)
+    assert D.rank == 2
     first = is_minimal_definition(D), dhz_criterion(D)
     assert (is_minimal_definition(D), dhz_criterion(D)) == first
-    assert len(calls) == 1
+    assert calls == [(code_mod, D.n)]
     Y, words = D.projective_codewords
     assert not Y.flags.writeable and not words.flags.writeable
-    other = DefiningSet(F3, 2, ((1, 0), (0, 1), (1, 1)))
+    assert words.shape == (len(Y), D.n)
+    other = DefiningSet(F3, 2, ((0, 1), (0, 2), (0, 1)))  # rank 1
     dhz_criterion(other)
-    assert len(calls) == 2
+    assert calls == [(code_mod, D.n), (code_mod, 3)]
     gone = weakref.ref(D), weakref.ref(words)
     del D, Y, words
     gc.collect()
