@@ -438,8 +438,8 @@ def long_codes(field, rng):
     q = field.q
     k = 2 if q > 9 else 3
     codes = []
-    for count in (None, 3, 5):
-        points = [tuple(rng.randrange(q) for _ in range(k)) for _ in range(count or 0)]
+    for count in (0, 3, 5):
+        points = [tuple(rng.randrange(q) for _ in range(k)) for _ in range(count)]
         n = rng.randrange(65, 200)
         if points:
             rows = [rng.choice(points) for _ in range(n)]
