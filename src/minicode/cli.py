@@ -137,6 +137,9 @@ def _check_witness(args: argparse.Namespace, thm_name: str) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     crit = args.criterion
+    if args.certificate and crit != "rank" and not crit.startswith("witness:"):
+        raise GuardError(f"--criterion {crit} writes no certificate; "
+                         "--certificate needs rank or witness:<thm>")
     if crit.startswith("witness:"):
         return _check_witness(args, crit.split(":", 1)[1])
     f, D = load_source(args.source)
@@ -320,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=None,
                    help="elementary-field-op budget, a non-negative integer "
                         "(default 10000000000; MINICODE_BUDGET also applies)")
-    p.add_argument("--certificate", help="write the per-class certificate here")
+    p.add_argument("--certificate",
+                   help="write the per-class certificate here (rank and witness:<thm> only)")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("repro", help="reproduce the published tables")

@@ -4,22 +4,20 @@ Elements are canonical integers in [0, q).  For e > 1 the base-p digits of
 the integer are the polynomial-basis coordinates, least significant digit =
 constant term.
 
-A field with q <= 1024 builds all its tables when it is made, with one
-numpy formula for every p and e: the digits D of each element and its
+A field holds all its tables from the moment it is made, with one numpy
+formula for every p and e: the digits D of each element and its
 F_p-multiplication matrix M give the q x q addition and multiplication
 tables, and those give the rest.  The multiplication table also decides
 irreducibility for every degree: a modulus is refused when it shows a zero
-divisor.  Scalar operations read Python lists of the tables.  The numpy
-kernels of the package see elements only through read-only arrays of them
-in the element type: flat q*q tables (one ``take`` at a*q + b, an index
-formed in intp), which vadd, vsub, vmul and vneg apply elementwise to
-arrays, the inverses, and the chunk tables of
-np_chunks, built on first use, which act on h coordinates of F_q^c packed
-into one integer: linalg's one inner-product kernel and its one
-elimination kernel read them.
-Past NP_TABLE_GUARD a prime field computes mod p and refuses its numpy
-views with GuardError, and an extension field is refused when it is made:
-without tables neither its modulus nor any kernel can be checked or run.
+divisor.  A field with q*q > NP_TABLE_GUARD (q > 1024) is refused with
+GuardError when it is made: without tables neither its modulus nor any
+kernel can be checked or run.  The tables are read-only arrays in the
+element type, which scalar operations read through q x q memoryviews and
+the numpy kernels as flat q*q tables (one ``take`` at a*q + b, an index
+formed in intp): vadd, vsub, vmul and vneg apply them elementwise to
+arrays.  The chunk tables of np_chunks, built on first use, act on h
+coordinates of F_q^c packed into one integer: linalg's one inner-product
+kernel and its one elimination kernel read them.
 
 A FieldSpec is immutable after construction; every operation is pure.
 """
@@ -49,9 +47,8 @@ _MODULI: dict[tuple[int, int], tuple[int, ...]] = {
 }
 
 NP_TABLE_GUARD = 2**20  # ceiling on q*q for the tables: q <= 1024
-FIELD_CACHE = 32  # fields make_field keeps; one of q near 1024 holds about 23 MB of tables
+FIELD_CACHE = 32  # fields make_field keeps; one of q near 1024 holds about 6 MB of tables
 CHUNK_TABLE = 2**16  # entries of a chunk subtraction table, unless q*q is larger
-_VIEWS = ("np_add", "np_sub", "np_mul", "np_inv")
 
 
 def is_prime(p: int) -> bool:
@@ -103,14 +100,15 @@ class FieldSpec:
     deterministic, and the FIELD_CACHE fields used last are cached by
     (p, e, modulus); a field made again equals the one evicted).
 
-    Up to q = 1024 the numpy views are read-only arrays of the element
-    type (element_dtype: one byte up to q = 256), set here:
-    np_add, np_sub and np_mul are flat q*q tables (np_add[a*q + b] = a + b)
-    and np_inv[a] = 1/a for a != 0 (np_inv[0] = 0 is a placeholder).  They
-    are built from the base-p digits D of each element, least significant
-    first, and its F_p-multiplication matrix M, digits(a * x) = M[a] @
-    digits(x) mod p, which are not kept.  Beyond that each view raises
-    GuardError.
+    The numpy views are read-only arrays of the element type
+    (element_dtype: one byte up to q = 256), set here: np_add, np_sub and
+    np_mul are flat q*q tables (np_add[a*q + b] = a + b) and np_inv[a] = 1/a
+    for a != 0 (np_inv[0] = 0 is a placeholder).  They are built from the
+    base-p digits D of each element, least significant first, and its
+    F_p-multiplication matrix M, digits(a * x) = M[a] @ digits(x) mod p,
+    which are not kept.  Scalar operations read them through q x q
+    memoryviews, which take int and NumPy integer indices and give Python
+    ints.  A field with q > 1024 raises GuardError here.
     """
 
     def __init__(self, p: int, e: int, modulus: tuple[int, ...]):
@@ -118,12 +116,9 @@ class FieldSpec:
         self.e = e
         self.q = q = p**e
         self.modulus = modulus
-        self._add = self._mul = self._neg = self._inv = None
         if q * q > NP_TABLE_GUARD:
-            if e > 1:
-                raise GuardError(f"q^2 = {q}^2 exceeds the numpy table guard {NP_TABLE_GUARD}:"
-                                 " an extension field needs its tables")
-            return
+            raise GuardError(f"q^2 = {q}^2 exceeds the numpy table guard {NP_TABLE_GUARD}:"
+                             " a field needs its tables")
         D = np.arange(q, dtype=np.int64)[:, None] // p ** np.arange(e, dtype=np.int64) % p
         M = np.zeros((q, e, e), np.int64)
         M[:, :, 0] = D
@@ -146,43 +141,28 @@ class FieldSpec:
         self.np_add, self.np_sub, self.np_mul = (
             _frozen(t.ravel(), dtype) for t in (add, add[:, neg], mul))
         self.np_inv = _frozen(inv, dtype)
-        # one int object per element, shared by every row: values past 256 are not cached
-        elements = list(range(q))
-        self._add, self._mul = ([list(map(elements.__getitem__, row.tolist())) for row in t]
-                                for t in (add, mul))
-        self._neg, self._inv = neg.tolist(), inv.tolist()
+        # the same tables as q x q views: an index pair, NumPy integers too, reads a Python int
+        self._add, self._sub, self._mul = (
+            memoryview(t.reshape(q, q)) for t in (self.np_add, self.np_sub, self.np_mul))
+        self._inv = memoryview(self.np_inv)
 
-    def __getattr__(self, name: str):
-        # reached only when normal lookup fails: a view of a field without tables
-        if name in _VIEWS:
-            raise GuardError(f"q^2 = {self.q}^2 exceeds the numpy table guard {NP_TABLE_GUARD}")
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-
-    # -- scalar operations: table lookups, or arithmetic mod p past the guard
+    # -- scalar operations: one lookup in the tables the kernels read
 
     def add(self, a: int, b: int) -> int:
-        if self._add is None:
-            return (a + b) % self.p
-        return self._add[a][b]
+        return self._add[a, b]
 
     def neg(self, a: int) -> int:
-        if self._neg is None:
-            return -a % self.p
-        return self._neg[a]
+        return self._sub[0, a]
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return self._sub[a, b]
 
     def mul(self, a: int, b: int) -> int:
-        if self._mul is None:
-            return a * b % self.p
-        return self._mul[a][b]
+        return self._mul[a, b]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ValueError("zero has no multiplicative inverse")
-        if self._inv is None:
-            return pow(a, -1, self.p)
         return self._inv[a]
 
     def pow(self, a: int, n: int) -> int:
@@ -338,8 +318,7 @@ def make_field(p: int, e: int = 1, modulus: Optional[Sequence[int]] = None) -> F
     monic irreducible polynomial; otherwise a built-in table supplies one
     for p^e <= 64.  A reducible modulus of any degree is refused with
     ValueError, found by the zero divisors of the field's multiplication
-    table, and an extension field with q > 1024 with GuardError, as it has
-    no tables.
+    table, and any field with q > 1024 with GuardError, as it has no tables.
     """
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")

@@ -477,6 +477,17 @@ def np_chunk_ranks(field: FieldSpec, S: np.ndarray) -> np.ndarray:
     return S.any(axis=1).sum(axis=0)
 
 
+def np_witness_masks(field: FieldSpec, Y: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(orthogonal, full): whether each class's r rows W[i] are orthogonal to Y[i], and of rank r.
+
+    Y is B x C and W is B x r x C chunk rows (np_chunk_rows).  A class of
+    F_q^k holds a witness set, rows spanning its hyperplane, when both hold
+    with r = k - 1.
+    """
+    orthogonal = np_orthogonal(field, Y[:, None], W).all(axis=1)
+    return orthogonal, np_chunk_ranks(field, W) == W.shape[1]
+
+
 # -- text files, the token grammar and the matrix format -----------------------
 
 READ_CHARS = 2**16  # characters of text read at once

@@ -83,7 +83,6 @@ from .linalg import (
     class_count,
     np_block_rows,
     np_check_rows,
-    np_chunk_ranks,
     np_chunk_rows,
     np_class_chunks,
     np_class_codewords,
@@ -91,6 +90,7 @@ from .linalg import (
     np_indices,
     np_orthogonal,
     np_orthogonal_positions,
+    np_witness_masks,
     scale,
     text_pieces,
     write_text,
@@ -723,6 +723,23 @@ def _product(mulq: np.ndarray, at: np.ndarray, w: np.ndarray) -> np.ndarray:
     return index
 
 
+def uv_message(f: FunctionSpec, u: int, v: Sequence[int]) -> tuple[int, ...]:
+    """The message (u, v) of C_f as one tuple, refused with ValueError before any work on f.
+
+    u and the m entries of v must be canonical elements of F_q, not all 0.
+    """
+    field, m = f.field, f.m
+    field.check_scalar(u)
+    if len(v) != m:
+        raise ValueError(f"v has length {len(v)}, expected m = {m}")
+    v = tuple(v)
+    for a in v:
+        field.check_scalar(a)
+    if u == 0 and not any(v):
+        raise ValueError("(u, v) must be nonzero")
+    return (u,) + v
+
+
 def cf_case_check(
     f: FunctionSpec,
     u: int,
@@ -735,17 +752,11 @@ def cf_case_check(
     alpha-vectors in F_q^m (the x-parts of the witnessing d-vectors), not the
     d-vectors themselves.
     """
-    field, m = f.field, f.m
-    f.field.check_scalar(u)
-    if len(v) != m:
-        raise ValueError(f"v has length {len(v)}, expected m = {m}")
-    if u == 0 and not any(v):
-        raise ValueError("(u, v) must be nonzero")
+    y = uv_message(f, u, v)
     if linearity_check(f) is not None:
         raise ValueError("f is linear; C_f degenerates and the case split does not apply")
     if D is None:
         D = defining_set(f)
-    y = (u,) + tuple(v)
     base = rank_criterion_codeword(y, D)
     if u != 0 and not any(v):
         case = 1
@@ -775,11 +786,11 @@ def verify_certificate(D: DefiningSet, cert: Certificate) -> bool:
     checked.  Representatives are told apart, and vector entries found in
     D, through tables of q^k flags, one per canonical index.  Classes are
     checked in blocks of np_check_rows(k) = 4 DOT_BLOCK / k^2 on chunk rows
-    (linalg.np_chunk_rows): the zero test of the pairs y.w by
-    np_orthogonal, through the chunk dot tables, and the ranks by
-    np_chunk_ranks.  A block's vector
-    entries are packed as they are, and its index entries gather the
-    chunk rows D holds.
+    (linalg.np_chunk_rows) by linalg.np_witness_masks, the check the
+    witness builder runs on its own output: the zero test of the pairs y.w
+    through the chunk dot tables, and the ranks.  A block's vector entries
+    are packed as they are, and its index entries gather the chunk rows D
+    holds.
     """
     field, k, n = D.field, D.k, D.n
     q = field.q
@@ -814,9 +825,8 @@ def verify_certificate(D: DefiningSet, cert: Certificate) -> bool:
                 W = np_chunk_rows(field, W)
             else:
                 W = D.chunk_rows.take(W.astype(np.intp) - 1, axis=0)
-            Yb = np_chunk_rows(field, Y[start:start + step])
-            if not np_orthogonal(field, Yb[:, None], W).all() or (
-                    np_chunk_ranks(field, W) != k - 1).any():
+            orthogonal, full = np_witness_masks(field, np_chunk_rows(field, Y[start:start + step]), W)
+            if not (orthogonal.all() and full.all()):
                 return False
     return True
 

@@ -35,14 +35,15 @@ the field's element type (one byte per coordinate up to q = 256), the type
 the certificate stores.  One post-condition checks a block on the
 lifts packed into chunk rows once: every lift (f(alpha), alpha) is
 orthogonal to its class (f(alpha) = omega.alpha in cases 1-2,
-v.alpha = 0 in case 3), by np_orthogonal, and np_chunk_ranks gives the
-lifts rank m, which on orthogonal lifts of cases 1-2 is the rank of the
-alphas.  A failure raises ConstructionError naming the first failing
-class; verify_certificate remains the independent check of a
-certificate.  The per-class constructions, written as the proofs read, are a test-only
-oracle (tests/witness_oracle.py) that the tests compare with this
-builder; it builds on the lemma-level bases and the scalar elimination
-of tests/scalar_reference.py.
+v.alpha = 0 in case 3), and the lifts have rank m, which on orthogonal
+lifts of cases 1-2 is the rank of the alphas: linalg.np_witness_masks, the
+test verify_certificate applies to a certificate's classes.  A failure
+raises ConstructionError naming the first failing class; verify_certificate
+remains the independent check of a certificate.  The per-class
+constructions, written as the proofs read, are a test-only oracle
+(tests/witness_oracle.py) that the tests compare with this builder; it
+builds on the lemma-level bases and the scalar elimination of
+tests/scalar_reference.py.
 
 One wrinkle: the natural Maiorana-McFarland case-3 argument closes the
 basis with the zero vector, whose lift is not a code position.  Here the
@@ -70,13 +71,12 @@ from .gf import FieldSpec
 from .linalg import (
     Vec,
     np_check_rows,
-    np_chunk_ranks,
     np_chunk_rows,
     np_class_reps,
     np_indices,
-    np_orthogonal,
+    np_witness_masks,
 )
-from .minimality import Certificate, CertificateClasses, normalize_class
+from .minimality import Certificate, CertificateClasses, normalize_class, uv_message
 from .mm_witness import Values, case1_alphas, case2_alphas, case3_alphas
 
 
@@ -104,19 +104,11 @@ def theorem_witness(thm: TheoremId, f: FunctionSpec, u: int, v: Sequence[int]) -
     on the class of (u, v), so they are built for its representative, with
     f.at evaluating f at the vectors the proof reads: f is not tabulated.
     """
-    field, m = f.field, f.m
-    field.check_scalar(u)
-    if len(v) != m:
-        raise ValueError(f"v has length {len(v)}, expected m = {m}")
-    v = tuple(v)
-    for a in v:  # every entry is checked before a table is read
-        field.check_scalar(a)
-    if u == 0 and not any(v):
-        raise ValueError("(u, v) must be nonzero")
+    y = uv_message(f, u, v)  # every entry is checked before a table is read
     _require_hypotheses(thm, f)
-    Y = np.array([normalize_class(field, (u,) + v)], dtype=np.int64)
+    Y = np.array([normalize_class(f.field, y)], dtype=np.int64)
     lifts = _checked_lifts(thm, f, f.at, Y)
-    return WitnessBasis(("theorem_case", thm, u, v), tuple(map(tuple, lifts[0, :, 1:].tolist())))
+    return WitnessBasis(("theorem_case", thm, u, y[1:]), tuple(map(tuple, lifts[0, :, 1:].tolist())))
 
 
 def _case1_vectors(thm: TheoremId, f: FunctionSpec) -> np.ndarray:
@@ -207,13 +199,11 @@ def _check_block(field: FieldSpec, Y: np.ndarray, lifts: np.ndarray) -> None:
     and 2, the m lifts in case 3.  One rank of the lifts checks both: on
     orthogonal lifts of cases 1 and 2, f(alpha) = omega.alpha is linear in
     alpha, so the lifts have the rank of the alphas, and a class whose
-    lifts are not orthogonal fails either way.  The lifts are packed into
-    chunk rows once, for both kernels.
+    lifts are not orthogonal fails either way: np_witness_masks gives both
+    tests per class.
     """
-    m = lifts.shape[1]
-    L = np_chunk_rows(field, lifts)
-    zero = np_orthogonal(field, np_chunk_rows(field, Y)[:, None], L).all(axis=1)
-    bad = ~zero | (np_chunk_ranks(field, L) != m)
+    zero, full = np_witness_masks(field, np_chunk_rows(field, Y), np_chunk_rows(field, lifts))
+    bad = ~zero | ~full
     if bad.any():
         i = int(bad.argmax())
         why = "rank below m" if zero[i] else "a lift is not orthogonal to it"

@@ -7,6 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import minicode.cli as cli_mod
 from minicode.cli import EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK, REPRO_CASES, main
 from minicode.code import defining_set, weight_distribution
 from minicode.families import TheoremId, get_preset, write_function
@@ -175,6 +176,23 @@ def test_check_witness_criterion(tmp_path):
     assert err == f"error: {raised.value}\n"
     code, _, err = run_cli("check", "sec4_f1", "--criterion", "witness:Z9")
     assert code == EXIT_ERROR
+
+
+def test_certificate_refused_where_none_is_written(tmp_path, monkeypatch):
+    # only rank and witness:<thm> write one; the flag is refused before the
+    # source is loaded, and no file is made
+    def fail(source):
+        raise AssertionError("source loaded")
+
+    monkeypatch.setattr(cli_mod, "load_source", fail)
+    cert_path = tmp_path / "c.cert"
+    for crit in ("definition", "dhz", "ab"):
+        code, out, err = run_cli("check", "sec5_f1", "--criterion", crit,
+                                 "--certificate", str(cert_path))
+        assert code == EXIT_ERROR and out == ""
+        assert f"--criterion {crit} writes no certificate" in err
+        assert "rank or witness:<thm>" in err
+    assert not cert_path.exists()
 
 
 def test_blank_first_line_is_skipped(tmp_path):

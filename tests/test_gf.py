@@ -4,6 +4,7 @@ import functools
 import itertools
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,6 +105,17 @@ def test_prime_field_examples():
     assert f3.inv(2) == 2
     f2 = make_field(2)
     assert f2.q == 2 and f2.e == 1
+    # neg is row 0 of np_sub and sub one lookup in it, on every field up to
+    # q = 256 with a built-in modulus (test_large_field_tables_match_brute_force
+    # covers F_1021 and the larger extension fields)
+    for q in range(2, 257):
+        try:
+            F = field_by_order(q)
+        except ValueError:
+            continue
+        b = random.Random(q).choices(range(q), k=q)
+        assert [F.neg(a) for a in F.elements()] == F.np_sub[:q].tolist()
+        assert [F.sub(a, c) for a, c in zip(F.elements(), b)] == F.vsub(np.arange(q), b).tolist()
 
 
 def test_f4_example():
@@ -184,8 +196,15 @@ def test_reducible_modulus_without_roots_refused():
 ])
 def test_large_field_tables_match_brute_force(p, e, modulus):
     # fields the exhaustive test does not reach, on seeded pairs; built
-    # outside make_field's cache, which would hold their tables to the end
-    F = FieldSpec(p, e, modulus)
+    # outside make_field's cache, which would hold their tables to the end.
+    # A field holds its numpy tables and no copy of them: F_1021 under 8 MB
+    tracemalloc.start()
+    try:
+        F = FieldSpec(p, e, modulus)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 8e6
     q = F.q
     for view in (F.np_add, F.np_sub, F.np_mul, F.np_inv):
         assert view.dtype == F.element_dtype and not view.flags.writeable
@@ -200,14 +219,25 @@ def test_large_field_tables_match_brute_force(p, e, modulus):
         if a:
             assert F.inv(a) == F.np_inv[a]
             assert brute_poly_mul(p, e, F.modulus, a, F.inv(a)) == 1
+        # NumPy integers in, Python ints out, as from int arguments; a
+        # narrow a * q + b would wrap
+        for t in (F.element_dtype.type, np.int64, np.intp):
+            ops = (F.add(t(a), t(b)), F.sub(t(a), t(b)), F.mul(t(a), t(b)), F.neg(t(a)))
+            assert ops == (F.add(a, b), diff, prod, F.neg(a))
+            assert set(map(type, ops)) == {int}
 
 
-def test_extension_field_beyond_the_table_guard_refused_when_made():
-    # q = 37^2 = 1369: no tables, so no check of the modulus and no kernel
-    start = time.perf_counter()
-    with pytest.raises(GuardError, match="numpy table guard"):
-        make_field(37, 2, (2, 0, 1))
-    assert time.perf_counter() - start < 0.1
+def test_fields_beyond_the_table_guard_refused_when_made():
+    # every field holds its tables, so one with q^2 > NP_TABLE_GUARD, prime or
+    # not, is refused before a table is built; field_by_order's factor search
+    # stops at sqrt(q), where trying every p up to q took minutes
+    for make in (lambda: make_field(37, 2, (2, 0, 1)), lambda: make_field(1031),
+                 lambda: make_field(65537), lambda: field_by_order(2**31 - 1)):
+        start = time.perf_counter()
+        with pytest.raises(GuardError, match="numpy table guard"):
+            make()
+        assert time.perf_counter() - start < 0.1
+    assert make_field(1021).np_add.shape == (1021 * 1021,)
 
 
 def test_bools_are_not_field_elements():
@@ -229,26 +259,9 @@ def test_field_by_order_rejects_non_prime_powers():
 
 
 def test_field_by_order_large_orders():
-    # the factor search stops at sqrt(q); trying every p up to q took minutes here
-    F = field_by_order(2**31 - 1)
-    assert (F.p, F.e) == (2**31 - 1, 1)
-    # 31601 * 31607: no prime factor below sqrt(q) is missed either
+    # 31601 * 31607: no prime factor below sqrt(q) is missed
     with pytest.raises(ValueError, match="not a prime power"):
         field_by_order(31601 * 31607)
-
-
-def test_numpy_views_refused_beyond_the_table_guard():
-    # each view is built by a Python loop of up to q*q steps; past q = 1024
-    # it is refused before the loop starts, and scalar arithmetic still works
-    for q in (1031, 65537):
-        F = make_field(q)
-        for view in ("np_add", "np_sub", "np_mul", "np_inv", "np_chunks"):
-            start = time.perf_counter()
-            with pytest.raises(GuardError, match="numpy table guard"):
-                getattr(F, view)
-            assert time.perf_counter() - start < 0.1
-        assert F.mul(q - 1, q - 1) == 1 and F.inv(q - 1) == q - 1
-    assert make_field(257).np_add.shape == (257 * 257,)
 
 
 @pytest.mark.parametrize("q, h", [(2, 8), (3, 5), (4, 4), (5, 3), (7, 2), (8, 2), (9, 2),

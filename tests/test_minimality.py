@@ -1108,6 +1108,19 @@ def test_cf_case_check_cases_and_agreement():
         cf_case_check(f, 0, (0,) * 5, D)
 
 
+def test_cf_case_check_checks_the_message_before_any_work(monkeypatch):
+    # an entry of v outside F_3 is refused before f is tested or D_f built
+    f = get_preset("sec4_f1").function
+
+    def fail(*args):
+        raise AssertionError("work done before the message was checked")
+
+    monkeypatch.setattr(minimality_mod, "defining_set", fail)
+    monkeypatch.setattr(minimality_mod, "linearity_check", fail)
+    with pytest.raises(ValueError, match="7 is not a canonical element of F_3"):
+        cf_case_check(f, 1, (7, 0, 0, 0))
+
+
 def test_cf_case_check_rejects_linear():
     f = FunctionSpec(F3, 3, TableFunction(tuple(
         (x[0] + x[1]) % 3 for x in (index_to_vector(3, 3, i) for i in range(27))
