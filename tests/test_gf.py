@@ -227,12 +227,21 @@ def test_large_field_tables_match_brute_force(p, e, modulus):
             assert set(map(type, ops)) == {int}
 
 
-def test_fields_beyond_the_table_guard_refused_when_made():
-    # every field holds its tables, so one with q^2 > NP_TABLE_GUARD, prime or
-    # not, is refused before a table is built; field_by_order's factor search
-    # stops at sqrt(q), where trying every p up to q took minutes
-    for make in (lambda: make_field(37, 2, (2, 0, 1)), lambda: make_field(1031),
-                 lambda: make_field(65537), lambda: field_by_order(2**31 - 1)):
+def test_extension_field_beyond_the_table_guard_refused_when_made():
+    # q = 37^2 = 1369: no tables, so no check of the modulus and no kernel
+    start = time.perf_counter()
+    with pytest.raises(GuardError, match="numpy table guard"):
+        make_field(37, 2, (2, 0, 1))
+    assert time.perf_counter() - start < 0.1
+
+
+def test_numpy_views_refused_beyond_the_table_guard():
+    # the views are the field's own tables, so a prime field with
+    # q^2 > NP_TABLE_GUARD is refused when made, before a table is built;
+    # field_by_order's factor search stops at sqrt(q), where trying every p
+    # up to q took minutes
+    for make in (lambda: make_field(1031), lambda: make_field(65537),
+                 lambda: field_by_order(2**31 - 1)):
         start = time.perf_counter()
         with pytest.raises(GuardError, match="numpy table guard"):
             make()
